@@ -1,0 +1,48 @@
+"""Pinned result digests: any change to the replay engine must keep these bits.
+
+Two 20k-scan configs, both methods each: the desk-scale preset cut to
+20,000 scans (3 slots, hit ratio about 0.45), and the same preset widened
+to 64 slots over 20,000 keys at skew 1.0 (about 45 probes per lookup).
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from robocache.cli import build_kb_for_workload
+from robocache.config import load_config
+from robocache.presets import desk_scale_path
+from robocache.simulator import result_digest, run
+from robocache.workload import generate
+
+
+def desk_20k():
+    config = load_config(desk_scale_path())
+    return replace(config, workload=replace(config.workload, total_scans=20_000))
+
+
+def wide_cache_20k():
+    config = desk_20k()
+    return replace(config, cache_capacity=64, workload=replace(config.workload, unique_barcodes=20_000, skew=1.0))
+
+
+PINS = {
+    "desk": {
+        "baseline": "e95902aeddd2884901a17a8bf0cf34156cb4652637c48931b13b75f71dfc15fb",
+        "cached": "95b682bdda775c5a34a765bcf27c410988407635f0f3c1ef45e081118007008f",
+    },
+    "wide-cache": {
+        "baseline": "d75ae57e9f0f69f5575d06b59a1fd5b2add056ea63c8ac2880cde0ddb23edd89",
+        "cached": "deaa3ec85f94ff828af1f39b02a307ea60db141688d1915574aeb7cb4a41939f",
+    },
+}
+CONFIGS = {"desk": desk_20k, "wide-cache": wide_cache_20k}
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_result_digests_of_both_methods_are_pinned(name):
+    config = CONFIGS[name]()
+    trace = generate(config.workload)
+    kb = build_kb_for_workload(config.workload.unique_barcodes)
+    for method, expected in PINS[name].items():
+        assert result_digest(run(method, trace, kb, config)) == expected, f"{name}/{method}"
