@@ -9,6 +9,10 @@ counts were earned. New entries always start with one hit at the bottom
 of the list, and when the cache is full the bottom entry is evicted to
 make room. Every probe is counted so callers can account for search
 cost.
+
+``lookup`` and ``insert`` validate their key. ``probe`` and ``admit`` are
+the unchecked path underneath them, for a caller (the simulator) that has
+validated every key once up front; both paths share one promote/evict rule.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def validate_barcode(barcode: str) -> str:
     return barcode
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """One cached routing decision.
 
@@ -79,6 +83,8 @@ class HitOrderedCache:
             raise ConfigError(f"cache capacity must be a positive integer, got {capacity!r}")
         self.capacity = capacity
         self._entries: list[CacheEntry] = []
+        # _keys[i] == _entries[i].barcode: a probe is a C-level list scan.
+        self._keys: list[str] = []
         self._next_seq = 0
 
     def __len__(self) -> int:
@@ -98,14 +104,11 @@ class HitOrderedCache:
         has been scanned and the cache is left unchanged.
         """
         validate_barcode(barcode)
-        entries = self._entries
-        for pos, entry in enumerate(entries):
-            if entry.barcode == barcode:
-                entry.hits += 1
-                entry.seq = self._bump_seq()
-                self._promote(pos)
-                return LookupResult(hit=True, payload=entry.payload, comparisons=pos + 1)
-        return LookupResult(hit=False, payload=None, comparisons=len(entries))
+        slot = self.probe(barcode)
+        if slot < 0:
+            return LookupResult(hit=False, payload=None, comparisons=len(self._entries))
+        entry = self._entries[self._keys.index(barcode)]
+        return LookupResult(hit=True, payload=entry.payload, comparisons=slot + 1)
 
     def insert(self, barcode: str, payload: object) -> Optional[str]:
         """Add a fresh entry with one hit at the bottom of the list.
@@ -116,12 +119,50 @@ class HitOrderedCache:
         otherwise returns None.
         """
         validate_barcode(barcode)
-        if any(entry.barcode == barcode for entry in self._entries):
+        if barcode in self._keys:
             raise DuplicateKeyError(f"barcode {barcode} already cached; look up before inserting")
+        return self.admit(barcode, payload)
+
+    def probe(self, barcode: str) -> int:
+        """Unchecked lookup: the 0-based hit slot, or -1 on a miss.
+
+        A hit costs slot + 1 comparisons and a miss ``len(self)``; a hit
+        is counted and promoted exactly as in ``lookup``. ``barcode`` must
+        already be validated.
+        """
+        keys = self._keys
+        if barcode not in keys:
+            return -1
+        slot = keys.index(barcode)
+        entries = self._entries
+        entry = entries[slot]
+        entry.hits += 1
+        hits = entry.hits
+        entry.seq = self._next_seq
+        self._next_seq += 1
+        # Bubble past strictly smaller counters only; overtaking an equal
+        # counter would reorder entries whose counts tie.
+        dest = slot
+        while dest > 0 and entries[dest - 1].hits < hits:
+            dest -= 1
+        if dest != slot:
+            entries.insert(dest, entries.pop(slot))
+            keys.insert(dest, keys.pop(slot))
+        return slot
+
+    def admit(self, barcode: str, payload: object) -> Optional[str]:
+        """Unchecked insert right after ``probe`` missed ``barcode``.
+
+        Same effect and return value as ``insert``, without validating the
+        key or rescanning for a duplicate.
+        """
         evicted = None
         if len(self._entries) == self.capacity:
-            evicted = self._entries.pop().barcode
-        self._entries.append(CacheEntry(barcode, payload, hits=1, seq=self._bump_seq()))
+            self._entries.pop()
+            evicted = self._keys.pop()
+        self._entries.append(CacheEntry(barcode, payload, 1, self._next_seq))
+        self._keys.append(barcode)
+        self._next_seq += 1
         return evicted
 
     def snapshot(self, now: float) -> HitSnapshot:
@@ -130,20 +171,3 @@ class HitOrderedCache:
             rows=tuple((entry.barcode, entry.hits) for entry in self._entries),
             taken_at=now,
         )
-
-    def _bump_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
-    def _promote(self, pos: int) -> None:
-        # Bubble past strictly smaller counters only; overtaking an equal
-        # counter would reorder entries whose counts tie.
-        entries = self._entries
-        entry = entries[pos]
-        dest = pos
-        while dest > 0 and entries[dest - 1].hits < entry.hits:
-            dest -= 1
-        if dest != pos:
-            del entries[pos]
-            entries.insert(dest, entry)

@@ -146,14 +146,20 @@ def _run_one(config: SimConfig, method: MethodKind, suffix: str = "", write_snap
     report = summarize(result.counters, method, config)
     alert = check_alert(report, AlertPolicy(config.alert_threshold_minutes))
 
+    # Finite config values can still overflow simulated time to inf; encode
+    # the raw report before writing any file so such a run leaves none.
+    try:
+        raw = json.dumps(_raw_payload(config, method, result, report, alert, trace_digest, kb_digest), sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise SimulationError("the run produced a non-finite value (simulated time overflowed); no report written") from None
+
     os.makedirs(config.output_dir, exist_ok=True)
     csv_path = os.path.join(config.output_dir, f"report_{method.value}{suffix}.csv")
     raw_path = os.path.join(config.output_dir, f"raw_{method.value}{suffix}.json")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(report_csv(report))
     with open(raw_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(_raw_payload(config, method, result, report, alert, trace_digest, kb_digest), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(raw + "\n")
     if write_snapshots:
         for index, snap in enumerate(result.snapshots):
             snap_path = os.path.join(config.output_dir, f"snapshot_{method.value}{suffix}_robot{index}.csv")
@@ -216,9 +222,10 @@ def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -
             return 1
     base_raw = _load_raw(baseline_path)
     cached_raw = _load_raw(cached_path)
-    if base_raw["trace_digest"] != cached_raw["trace_digest"]:
-        print("error: reports come from different traces (digest mismatch); not comparable", file=sys.stderr)
-        return 1
+    for field, inputs in (("trace_digest", "traces"), ("kb_digest", "knowledge bases")):
+        if base_raw[field] != cached_raw[field]:
+            print(f"error: reports come from different {inputs} ({field} mismatch); not comparable", file=sys.stderr)
+            return 1
     table = compare(_report_from_raw(base_raw), _report_from_raw(cached_raw))
     out_path = out_path or os.path.join(os.path.dirname(os.path.abspath(baseline_path)), "comparison.csv")
     _ensure_parent(out_path)

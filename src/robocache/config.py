@@ -39,6 +39,7 @@ Seeds are always explicit; there is no time-derived default anywhere.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -61,7 +62,11 @@ class SimConfig:
     output_dir: str
 
     def __post_init__(self) -> None:
-        problems = []
+        problems = [
+            f"{name} must be finite"
+            for name in ("cache_probe_time_ms", "db_probe_time_ms", "alert_threshold_minutes")
+            if not math.isfinite(getattr(self, name))
+        ]
         if self.cache_capacity < 1:
             problems.append("cache capacity must be >= 1")
         if self.cache_probe_time_ms < 0:

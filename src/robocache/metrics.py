@@ -98,7 +98,7 @@ def compare(baseline: MetricsReport, cached: MetricsReport) -> ComparisonTable:
     A ratio is None when its baseline value is zero (undefined, not
     infinite). Callers are responsible for only comparing reports that
     came from the same trace and knowledge base; the command-line layer
-    enforces that with trace digests.
+    enforces that with trace and knowledge-base digests.
     """
     if baseline.method is not MethodKind.BASELINE:
         raise ValidationError(f"left report must be the baseline method, got {baseline.method.value}")

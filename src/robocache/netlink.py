@@ -12,8 +12,9 @@ outcome sequence is a pure function of (config, seed, call order).
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -27,7 +28,7 @@ class LinkConfig:
     retransmit_timeout_ms: float
 
     def __post_init__(self) -> None:
-        problems = []
+        problems = [f"{f.name} must be finite" for f in fields(self) if not math.isfinite(getattr(self, f.name))]
         if not self.one_way_latency_ms > 0:
             problems.append("one_way_latency_ms must be > 0")
         if not 0.0 <= self.loss_probability < 1.0:

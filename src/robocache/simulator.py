@@ -31,11 +31,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .cache import HitOrderedCache, HitSnapshot
+from .cache import HitOrderedCache, HitSnapshot, validate_barcode
 from .errors import MissingRecordError, SimulationError, ValidationError
-from .knowledge_base import DecisionPayload, KnowledgeBase
+from .knowledge_base import KnowledgeBase, index_probe_cost
 from .netlink import LinkStats, SatelliteLink
 from .workload import ScanEvent
 
@@ -49,12 +49,6 @@ class MethodKind(str, Enum):
 class RobotState:
     robot_id: int
     cache: Optional[HitOrderedCache]
-    decisions_made: int = 0
-    routing_log: List[Tuple[str, DecisionPayload, float]] = field(default_factory=list)
-
-    def record_decision(self, barcode: str, payload: DecisionPayload, decided_at: float) -> None:
-        self.routing_log.append((barcode, payload, decided_at))
-        self.decisions_made += 1
 
 
 @dataclass
@@ -93,83 +87,95 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
 
     ``sim_config`` supplies the link config, the run seed, cache
     capacity and the per-probe costs (see config.SimConfig). Every trace
-    barcode must resolve in ``kb``; a missing record is a data error,
-    not a modeled outcome.
+    barcode must be well formed and resolve in ``kb``; both are checked
+    once per distinct barcode before the replay starts, so a malformed
+    key raises ValidationError and a missing record MissingRecordError
+    (a data error, not a modeled outcome).
     """
     method = MethodKind(method)
     if not trace:
         raise ValidationError("trace is empty; nothing to simulate")
     started = time.perf_counter()
 
-    link = SatelliteLink(sim_config.link, random.Random(sim_config.seed))
-    counters = RunCounters(link_stats=link.stats)
-    robots: Dict[int, RobotState] = {}
+    # Every station resolution costs the same indexed search.
+    db_comparisons_per_resolve = index_probe_cost(kb.size)
+    for barcode in dict.fromkeys([event.barcode for event in trace]):
+        validate_barcode(barcode)
+        if barcode not in kb:
+            raise MissingRecordError(barcode)
+    # Every barcode is trusted from here on, so the loop drives the caches
+    # through their unchecked path and fetches records directly.
 
-    cache_probe_ms = sim_config.cache_probe_time_ms
-    db_probe_ms = sim_config.db_probe_time_ms
     cached = method is MethodKind.CACHED
+    robots = {
+        robot_id: RobotState(robot_id, HitOrderedCache(sim_config.cache_capacity) if cached else None)
+        for robot_id in dict.fromkeys([event.robot_id for event in trace])
+    }
+    caches = {robot_id: robot.cache for robot_id, robot in robots.items()}
+
+    link = SatelliteLink(sim_config.link, random.Random(sim_config.seed))
+    transmit = link.transmit
+    record_of = kb.get
+    cache_probe_ms = sim_config.cache_probe_time_ms
+    service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
+    latencies: List[float] = []
+    record_latency = latencies.append
+    cache_hits = cache_comparisons = 0
 
     first_issued = trace[0].issued_at
-    counters.first_issued_at = first_issued
     clock = first_issued
     max_decided = first_issued
 
     for event in trace:
-        robot = robots.get(event.robot_id)
-        if robot is None:
-            cache = HitOrderedCache(sim_config.cache_capacity) if cached else None
-            robot = robots.setdefault(event.robot_id, RobotState(event.robot_id, cache))
         issued = event.issued_at
-        counters.scans += 1
-
         if cached:
-            found = robot.cache.lookup(event.barcode)
-            probe_ms = found.comparisons * cache_probe_ms
-            counters.cache_comparisons += found.comparisons
-            if found.hit:
-                counters.cache_hits += 1
-                payload = found.payload
+            cache = caches[event.robot_id]
+            barcode = event.barcode
+            slot = cache.probe(barcode)
+            if slot >= 0:
+                cache_hits += 1
+                comparisons = slot + 1
+                probe_ms = comparisons * cache_probe_ms
                 decided_at = issued + probe_ms
                 work_ms = probe_ms
             else:
-                counters.cache_misses += 1
-                counters.station_messages += 1
-                outcome = link.transmit(issued + probe_ms)
-                resolved = kb.resolve(event.barcode)
-                counters.db_comparisons += resolved.db_comparisons
-                if not resolved.found:
-                    raise MissingRecordError(event.barcode)
-                payload = resolved.payload
-                service_ms = resolved.db_comparisons * db_probe_ms
+                comparisons = len(cache)
+                probe_ms = comparisons * cache_probe_ms
+                outcome = transmit(issued + probe_ms)
                 decided_at = outcome.delivered_at + service_ms
                 work_ms = probe_ms + service_ms + outcome.lock_stall_applied
-                robot.cache.insert(event.barcode, payload)
+                cache.admit(barcode, record_of(barcode).payload())
+            cache_comparisons += comparisons
         else:
-            counters.station_messages += 1
-            outcome = link.transmit(issued)
-            resolved = kb.resolve(event.barcode)
-            counters.db_comparisons += resolved.db_comparisons
-            if not resolved.found:
-                raise MissingRecordError(event.barcode)
-            payload = resolved.payload
-            service_ms = resolved.db_comparisons * db_probe_ms
+            outcome = transmit(issued)
             decided_at = outcome.delivered_at + service_ms
             work_ms = service_ms + outcome.lock_stall_applied
-
-        robot.record_decision(event.barcode, payload, decided_at)
-        counters.per_scan_latencies.append(decided_at - issued)
+        record_latency(decided_at - issued)
         clock += work_ms
         if decided_at > max_decided:
             max_decided = decided_at
 
-    counters.final_clock = clock
-    counters.max_decided_at = max_decided
-    counters.wall_clock_of_run = (time.perf_counter() - started) * 1000.0
+    scans = len(trace)
+    station_messages = scans - cache_hits
+    counters = RunCounters(
+        scans=scans,
+        cache_hits=cache_hits,
+        cache_misses=station_messages if cached else 0,
+        cache_comparisons=cache_comparisons,
+        db_comparisons=station_messages * db_comparisons_per_resolve,
+        station_messages=station_messages,
+        per_scan_latencies=latencies,
+        link_stats=link.stats,
+        first_issued_at=first_issued,
+        final_clock=clock,
+        max_decided_at=max_decided,
+        wall_clock_of_run=(time.perf_counter() - started) * 1000.0,
+    )
 
     snapshots: List[HitSnapshot] = []
     if cached:
-        for robot_id in sorted(robots):
-            snapshots.append(robots[robot_id].cache.snapshot(now=clock))
+        for robot_id in sorted(caches):
+            snapshots.append(caches[robot_id].snapshot(now=clock))
     return RunResult(method=method, counters=counters, robots=robots, snapshots=snapshots)
 
 

@@ -52,12 +52,12 @@ class WorkloadConfig:
             bad.append("total_scans (must be >= 1)")
         if not 1 <= self.unique_barcodes <= _MAX_UNIQUE:
             bad.append(f"unique_barcodes (must lie in [1, {_MAX_UNIQUE}])")
-        if self.skew < 0:
-            bad.append("skew (must be >= 0)")
+        if not (isfinite(self.skew) and self.skew >= 0):
+            bad.append("skew (must be finite and >= 0)")
         if self.robots < 1:
             bad.append("robots (must be >= 1)")
-        if not self.inter_arrival_ms > 0:
-            bad.append("inter_arrival_ms (must be > 0)")
+        if not (isfinite(self.inter_arrival_ms) and self.inter_arrival_ms > 0):
+            bad.append("inter_arrival_ms (must be finite and > 0)")
         if not 0 <= self.seed < 2**64:
             bad.append("seed (must be a 64-bit unsigned integer)")
         if bad:

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from robocache.cli import run_cli
+from robocache.knowledge_base import BarcodeRecord
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -133,6 +134,23 @@ def test_compare_rejects_mismatched_traces(config_path, tmp_path, capsys):
     assert "digest" in capsys.readouterr().err
 
 
+def test_compare_rejects_mismatched_knowledge_bases(config_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 0
+    # Same trace, but the cached run resolves against a knowledge base with one more record.
+    extra = BarcodeRecord.build("99999999999999", "SHIP99999", "GRND", "T9999D")
+    with open(os.path.join(out, "kb.dat"), "a", encoding="ascii", newline="") as fh:
+        fh.write(extra.to_line() + "\n")
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached"]) == 0
+    capsys.readouterr()
+    code = run_cli(["compare", os.path.join(out, "raw_baseline.json"), os.path.join(out, "raw_cached.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "knowledge bases" in err and "kb_digest" in err
+    assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
+
 def test_compare_missing_file_exits_one(config_path, tmp_path, capsys):
     assert run_cli(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
 
@@ -152,6 +170,21 @@ def test_alert_overrun_exits_two(config_path, tmp_path, capsys):
     assert "ALERT overrun_minutes=" in err
     raw = json.load(open(os.path.join(out, "raw_baseline.json")))
     assert raw["alert"]["raised"] is True
+
+
+def test_run_whose_simulated_time_overflows_exits_one_and_writes_nothing(config_path, tmp_path, capsys):
+    # Every config value is finite, but 1e308 ms per probe overflows to inf.
+    huge = str(tmp_path / "huge.ini")
+    with open(config_path) as fh:
+        body = fh.read().replace("probe_time_ms = 0.05", "probe_time_ms = 1e308")
+    with open(huge, "w") as fh:
+        fh.write(body)
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", huge, "--out", out]) == 0
+    capsys.readouterr()
+    assert run_cli(["run", "--config", huge, "--out", out, "--method", "cached"]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["kb.dat", "trace.csv"]
 
 
 def test_snapshots_flag_writes_per_robot_files(config_path, tmp_path):

@@ -1,9 +1,14 @@
+import math
 import os
 
 import pytest
 
 from robocache.config import load_config
 from robocache.errors import ConfigError
+from robocache.netlink import LinkConfig
+from robocache.workload import WorkloadConfig
+
+from helpers import make_sim_config
 
 GOOD_CONFIG = """\
 [run]
@@ -112,3 +117,51 @@ def test_link_invariants_checked_at_load(tmp_path):
     body = GOOD_CONFIG.format(out="out").replace("retransmit_timeout_ms = 600", "retransmit_timeout_ms = 100")
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, body=body))
+
+
+LINK_VALUES = dict(
+    one_way_latency_ms=250.0,
+    loss_probability=0.01,
+    lock_probability=0.002,
+    lock_stall_ms=40.0,
+    retransmit_timeout_ms=600.0,
+)
+WORKLOAD_VALUES = dict(total_scans=50, unique_barcodes=10, skew=1.0, robots=2, inter_arrival_ms=2.0, seed=42)
+
+
+def build_link_config(**overrides):
+    return LinkConfig(**{**LINK_VALUES, **overrides})
+
+
+def build_workload_config(**overrides):
+    return WorkloadConfig(**{**WORKLOAD_VALUES, **overrides})
+
+
+FLOAT_FIELDS = [
+    (make_sim_config, "cache_probe_time_ms"),
+    (make_sim_config, "db_probe_time_ms"),
+    (make_sim_config, "alert_threshold_minutes"),
+    (build_link_config, "one_way_latency_ms"),
+    (build_link_config, "loss_probability"),
+    (build_link_config, "lock_probability"),
+    (build_link_config, "lock_stall_ms"),
+    (build_link_config, "retransmit_timeout_ms"),
+    (build_workload_config, "skew"),
+    (build_workload_config, "inter_arrival_ms"),
+]
+
+
+@pytest.mark.parametrize("build, name", FLOAT_FIELDS, ids=[name for _, name in FLOAT_FIELDS])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_values_are_rejected(build, name, value):
+    build()  # the base values are valid
+    with pytest.raises(ConfigError) as exc_info:
+        build(**{name: value})
+    assert name in str(exc_info.value)
+
+
+def test_non_finite_value_in_a_config_file_is_rejected(tmp_path):
+    body = GOOD_CONFIG.format(out="out").replace("probe_time_ms = 0.01", "probe_time_ms = nan")
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(write_config(tmp_path, body=body))
+    assert "cache_probe_time_ms" in str(exc_info.value)

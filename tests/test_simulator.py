@@ -3,6 +3,7 @@ import random
 import pytest
 
 from robocache.errors import MissingRecordError, ValidationError
+from robocache.knowledge_base import index_probe_cost
 from robocache.netlink import LinkConfig
 from robocache.simulator import MethodKind, replay_deterministic, run
 from robocache.workload import ScanEvent, WorkloadConfig, generate
@@ -82,7 +83,7 @@ def test_counters_tie_out_between_methods_and_logs():
     kb = make_kb([A, B, C])
     trace = trace_of([A, B, A, C, A, B])
     for method in ("baseline", "cached"):
-        result = run(method, trace, kb, make_sim_config())
+        result = run(method, trace, kb, make_sim_config(link=lossy_link(), seed=3))
         counters = result.counters
         assert counters.scans == len(trace)
         if method == "cached":
@@ -91,10 +92,11 @@ def test_counters_tie_out_between_methods_and_logs():
         else:
             assert counters.cache_hits == 0
             assert counters.station_messages == counters.scans
-        decisions = sum(robot.decisions_made for robot in result.robots.values())
-        assert decisions == len(trace)
-        logged = sum(len(robot.routing_log) for robot in result.robots.values())
-        assert logged == decisions
+        assert len(counters.per_scan_latencies) == counters.scans
+        assert counters.db_comparisons == counters.station_messages * index_probe_cost(kb.size)
+        stats = counters.link_stats
+        assert stats.messages_delivered == counters.station_messages
+        assert stats.retransmissions == stats.messages_lost
 
 
 def test_empty_trace_is_rejected():
@@ -232,3 +234,12 @@ def test_generated_workload_runs_end_to_end():
     assert cached.counters.cache_hits > 0
     assert cached.counters.station_messages < baseline.counters.station_messages
     assert cached.counters.scans == baseline.counters.scans == 2000
+
+
+@pytest.mark.parametrize("method", ["baseline", "cached"])
+def test_malformed_barcode_in_an_in_memory_trace_is_rejected_at_entry(method):
+    kb = make_kb([A, B])
+    trace = trace_of([A, B, A]) + [ScanEvent(robot_id=0, barcode="1000000000000x", issued_at=400.0)]
+    with pytest.raises(ValidationError) as exc_info:
+        run(method, trace, kb, make_sim_config())
+    assert "1000000000000x" in str(exc_info.value)
