@@ -34,9 +34,8 @@ def main():
             print(f"scan {name}: miss after {result.comparisons} comparison(s), inserted{note}")
         print(f"         state {show(cache)}")
 
-    snap = cache.snapshot(now=0.0)
     print("\nholding-area snapshot (barcode, hits), top of cache first:")
-    for barcode, hits in snap.rows:
+    for barcode, hits in cache.snapshot():
         print(f"  {NAMES[barcode]}  {barcode}  {hits}")
     print("\ntotals: 5 scans, 2 hits, 3 knowledge-base trips, 5 cache comparisons")
 

@@ -9,7 +9,7 @@ link and workload models, the deterministic simulator, and the
 four-row performance report comparing the two methods.
 """
 
-from .cache import CacheEntry, HitOrderedCache, HitSnapshot, LookupResult, validate_barcode
+from .cache import CacheEntry, HitOrderedCache, LookupResult, validate_barcode
 from .config import SimConfig, load_config
 from .errors import (
     ConfigError,
@@ -22,9 +22,7 @@ from .errors import (
 )
 from .knowledge_base import (
     BarcodeRecord,
-    DecisionPayload,
     KnowledgeBase,
-    ResolveResult,
     index_probe_cost,
     ingest,
     load_kb,
@@ -42,7 +40,6 @@ from .metrics import (
 from .netlink import LinkConfig, LinkStats, SatelliteLink, TransmitOutcome
 from .simulator import (
     MethodKind,
-    RobotState,
     RunCounters,
     RunResult,
     replay_deterministic,
@@ -70,10 +67,8 @@ __all__ = [
     "CacheEntry",
     "ComparisonTable",
     "ConfigError",
-    "DecisionPayload",
     "DuplicateKeyError",
     "HitOrderedCache",
-    "HitSnapshot",
     "IngestError",
     "KnowledgeBase",
     "LinkConfig",
@@ -82,8 +77,6 @@ __all__ = [
     "MethodKind",
     "MetricsReport",
     "MissingRecordError",
-    "ResolveResult",
-    "RobotState",
     "RunCounters",
     "RunResult",
     "SatelliteLink",

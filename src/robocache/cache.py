@@ -63,14 +63,6 @@ class LookupResult:
     comparisons: int
 
 
-@dataclass(frozen=True)
-class HitSnapshot:
-    """Read-only copy of the (barcode, hits) rows in cache order."""
-
-    rows: Tuple[Tuple[str, int], ...]
-    taken_at: float
-
-
 class HitOrderedCache:
     """Fixed-capacity store sorted by descending hit counter.
 
@@ -165,9 +157,6 @@ class HitOrderedCache:
         self._next_seq += 1
         return evicted
 
-    def snapshot(self, now: float) -> HitSnapshot:
-        """Copy the current (barcode, hits) rows without touching the cache."""
-        return HitSnapshot(
-            rows=tuple((entry.barcode, entry.hits) for entry in self._entries),
-            taken_at=now,
-        )
+    def snapshot(self) -> Tuple[Tuple[str, int], ...]:
+        """Copy the current (barcode, hits) rows, top first, without touching the cache."""
+        return tuple((entry.barcode, entry.hits) for entry in self._entries)

@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, fields
 from typing import Optional
 
 from .config import SimConfig, load_config
@@ -91,19 +91,15 @@ def cmd_generate(config: SimConfig) -> int:
 
 def _raw_payload(config: SimConfig, method: MethodKind, result, report: MetricsReport, alert, trace_digest: str, kb_digest: str) -> dict:
     counters = result.counters
-    stats = counters.link_stats
     return {
         "method": method.value,
         "seed": config.seed,
         "trace_digest": trace_digest,
         "kb_digest": kb_digest,
-        "metrics": {
-            "decision_latency_minutes": report.decision_latency_minutes,
-            "processing_time_minutes": report.processing_time_minutes,
-            "disruption_per_million_scans": report.disruption_per_million_scans,
-            "total_comparisons": report.total_comparisons,
-            "first_decision_latency_minutes": report.first_decision_latency_minutes,
-        },
+        # The run terms both methods share; `compare` refuses reports that
+        # differ here. Cache capacity and probe time are the cached run's own.
+        "config": {**asdict(config.link), "db_probe_time_ms": config.db_probe_time_ms},
+        "metrics": {f.name: getattr(report, f.name) for f in fields(report) if f.name != "method"},
         "alert": {
             "threshold_minutes": config.alert_threshold_minutes,
             "raised": alert.raised,
@@ -120,19 +116,13 @@ def _raw_payload(config: SimConfig, method: MethodKind, result, report: MetricsR
             "final_clock_ms": counters.final_clock,
             "total_processing_ms": counters.total_processing_ms,
             "max_decided_at_ms": counters.max_decided_at,
-            "link": {
-                "messages_sent": stats.messages_sent,
-                "messages_lost": stats.messages_lost,
-                "retransmissions": stats.retransmissions,
-                "lock_events": stats.lock_events,
-                "total_stall_time_ms": stats.total_stall_time_ms,
-            },
+            "link": asdict(counters.link_stats),
         },
         "per_scan_latencies_ms": counters.per_scan_latencies,
     }
 
 
-def _run_one(config: SimConfig, method: MethodKind, suffix: str = "", write_snapshots: bool = False) -> int:
+def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int:
     for path, what in ((config.trace_path, "trace"), (config.kb_path, "knowledge base")):
         if not os.path.exists(path):
             print(f"error: {what} file not found: {path} (run `generate` first)", file=sys.stderr)
@@ -143,7 +133,7 @@ def _run_one(config: SimConfig, method: MethodKind, suffix: str = "", write_snap
     kb_digest = _file_digest(config.kb_path)
 
     result = run_simulation(method, trace, kb, config)
-    report = summarize(result.counters, method, config)
+    report = summarize(result.counters, method)
     alert = check_alert(report, AlertPolicy(config.alert_threshold_minutes))
 
     # Finite config values can still overflow simulated time to inf; encode
@@ -154,17 +144,17 @@ def _run_one(config: SimConfig, method: MethodKind, suffix: str = "", write_snap
         raise SimulationError("the run produced a non-finite value (simulated time overflowed); no report written") from None
 
     os.makedirs(config.output_dir, exist_ok=True)
-    csv_path = os.path.join(config.output_dir, f"report_{method.value}{suffix}.csv")
-    raw_path = os.path.join(config.output_dir, f"raw_{method.value}{suffix}.json")
+    csv_path = os.path.join(config.output_dir, f"report_{method.value}.csv")
+    raw_path = os.path.join(config.output_dir, f"raw_{method.value}.json")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(report_csv(report))
     with open(raw_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(raw + "\n")
     if write_snapshots:
-        for index, snap in enumerate(result.snapshots):
-            snap_path = os.path.join(config.output_dir, f"snapshot_{method.value}{suffix}_robot{index}.csv")
+        for index, rows in enumerate(result.snapshots):
+            snap_path = os.path.join(config.output_dir, f"snapshot_{method.value}_robot{index}.csv")
             with open(snap_path, "w", encoding="utf-8", newline="") as fh:
-                for barcode, hits in snap.rows:
+                for barcode, hits in rows:
                     fh.write(f"{barcode},{hits}\n")
 
     print(format_report(report))
@@ -177,42 +167,13 @@ def _run_one(config: SimConfig, method: MethodKind, suffix: str = "", write_snap
     return 0
 
 
-def _run_seed_job(args) -> int:
-    config_path, seed_override, output_dir, method_value, suffix, snapshots = args
-    config = load_config(config_path, output_dir_override=output_dir).with_seed(seed_override)
-    return _run_one(config, MethodKind(method_value), suffix=suffix, write_snapshots=snapshots)
-
-
-def cmd_run(config_path: str, config: SimConfig, method: MethodKind, jobs: int, write_snapshots: bool) -> int:
-    if jobs <= 1:
-        return _run_one(config, method, write_snapshots=write_snapshots)
-    # Seed sweep: seeds seed..seed+jobs-1, one independent run each.
-    job_args = [
-        (config_path, config.seed + offset, config.output_dir, method.value, f"_seed{config.seed + offset}", write_snapshots)
-        for offset in range(jobs)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        codes = list(pool.map(_run_seed_job, job_args))
-    if any(code == 1 for code in codes):
-        return 1
-    return 2 if any(code == 2 for code in codes) else 0
-
-
 def _load_raw(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _report_from_raw(raw: dict) -> MetricsReport:
-    metrics = raw["metrics"]
-    return MetricsReport(
-        method=MethodKind(raw["method"]),
-        decision_latency_minutes=metrics["decision_latency_minutes"],
-        processing_time_minutes=metrics["processing_time_minutes"],
-        disruption_per_million_scans=metrics["disruption_per_million_scans"],
-        total_comparisons=metrics["total_comparisons"],
-        first_decision_latency_minutes=metrics["first_decision_latency_minutes"],
-    )
+    return MetricsReport(method=MethodKind(raw["method"]), **raw["metrics"])
 
 
 def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -> int:
@@ -222,8 +183,9 @@ def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -
             return 1
     base_raw = _load_raw(baseline_path)
     cached_raw = _load_raw(cached_path)
-    for field, inputs in (("trace_digest", "traces"), ("kb_digest", "knowledge bases")):
-        if base_raw[field] != cached_raw[field]:
+    for field, inputs in (("trace_digest", "traces"), ("kb_digest", "knowledge bases"), ("config", "link or station terms")):
+        # .get: a raw report written before the config block existed is refused, not a crash.
+        if base_raw.get(field) != cached_raw.get(field):
             print(f"error: reports come from different {inputs} ({field} mismatch); not comparable", file=sys.stderr)
             return 1
     table = compare(_report_from_raw(base_raw), _report_from_raw(cached_raw))
@@ -265,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the config output directory")
     run_p.add_argument("--method", required=True, choices=[m.value for m in MethodKind])
-    run_p.add_argument("--jobs", type=int, default=1, help="run this many consecutive seeds in parallel")
     run_p.add_argument("--snapshots", action="store_true", help="also write per-robot cache snapshots")
 
     cmp_p.add_argument("baseline", help="raw_baseline.json from `run --method baseline`")
@@ -284,10 +245,7 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
             return cmd_generate(config)
         if args.command == "run":
             config = load_config(args.config, seed_override=args.seed, output_dir_override=args.out)
-            if args.jobs < 1:
-                print("error: --jobs must be >= 1", file=sys.stderr)
-                return 1
-            return cmd_run(args.config, config, MethodKind(args.method), args.jobs, args.snapshots)
+            return cmd_run(config, MethodKind(args.method), args.snapshots)
         if args.command == "compare":
             return cmd_compare(args.baseline, args.cached, args.out)
         if args.command == "report":

@@ -41,7 +41,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .netlink import LinkConfig
@@ -79,10 +79,6 @@ class SimConfig:
             problems.append("run seed must be a 64-bit unsigned integer")
         if problems:
             raise ConfigError("invalid sim config: " + "; ".join(problems))
-
-    def with_seed(self, seed: int) -> "SimConfig":
-        """Copy of this config under another seed (workload seed follows)."""
-        return replace(self, seed=seed, workload=replace(self.workload, seed=seed))
 
 
 def _get(parser: configparser.ConfigParser, section: str, key: str, convert, default=None):

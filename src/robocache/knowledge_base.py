@@ -8,8 +8,8 @@ Record line layout (ASCII, newline terminated, 56 characters):
     cols 29-36  destination terminal
     cols 37-56  delivery exceptions (all spaces means none)
 
-Two subfields of the barcode are materialised on every record: digits
-1-4 are the location code and digits 7-14 the destination code.
+Two subfields are read straight from the barcode: digits 1-4 are the
+location code and digits 7-14 the destination code.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Lookup cost is modeled as an indexed
@@ -39,8 +39,14 @@ class BarcodeRecord:
     service_type: str
     destination_terminal: str
     delivery_exceptions: str
-    location: str
-    destination: str
+
+    @property
+    def location(self) -> str:
+        return self.barcode[0:4]
+
+    @property
+    def destination(self) -> str:
+        return self.barcode[6:14]
 
     @classmethod
     def build(
@@ -51,7 +57,7 @@ class BarcodeRecord:
         destination_terminal: str,
         delivery_exceptions: str = "",
     ) -> "BarcodeRecord":
-        """Create a record, deriving location and destination from the barcode."""
+        """Create a record, checking the barcode and every field width."""
         validate_barcode(barcode)
         for name, value, width in (
             ("shipper_number", shipper_number, SHIPPER_WIDTH),
@@ -67,8 +73,6 @@ class BarcodeRecord:
             service_type=service_type,
             destination_terminal=destination_terminal,
             delivery_exceptions=delivery_exceptions,
-            location=barcode[0:4],
-            destination=barcode[6:14],
         )
 
     def to_line(self) -> str:
@@ -81,29 +85,6 @@ class BarcodeRecord:
             + self.delivery_exceptions.ljust(EXCEPTIONS_WIDTH)
         )
 
-    def payload(self) -> "DecisionPayload":
-        return DecisionPayload(
-            destination_terminal=self.destination_terminal,
-            service_type=self.service_type,
-            exception_flag=bool(self.delivery_exceptions),
-        )
-
-
-@dataclass(frozen=True)
-class DecisionPayload:
-    """The routing decision a robot acts on and writes out."""
-
-    destination_terminal: str
-    service_type: str
-    exception_flag: bool
-
-
-@dataclass(frozen=True)
-class ResolveResult:
-    found: bool
-    payload: Optional[DecisionPayload]
-    db_comparisons: int
-
 
 def index_probe_cost(record_count: int) -> int:
     """Comparisons charged for one indexed search over ``record_count`` records."""
@@ -113,7 +94,11 @@ def index_probe_cost(record_count: int) -> int:
 
 
 def parse_record_line(line: str, line_no: int = 1) -> BarcodeRecord:
-    """Parse one fixed-width line (newline already stripped)."""
+    """Parse one fixed-width line (newline already stripped).
+
+    The length check and the ASCII-digit barcode check cover everything
+    ``BarcodeRecord.build`` would re-check, so the record is built directly.
+    """
     if len(line) != LINE_WIDTH:
         raise IngestError(line_no, f"expected {LINE_WIDTH} characters, got {len(line)}")
     barcode = line[0:BARCODE_WIDTH]
@@ -127,7 +112,7 @@ def parse_record_line(line: str, line_no: int = 1) -> BarcodeRecord:
     terminal = line[offset : offset + TERMINAL_WIDTH].rstrip(" ")
     offset += TERMINAL_WIDTH
     exceptions = line[offset : offset + EXCEPTIONS_WIDTH].rstrip(" ")
-    return BarcodeRecord.build(barcode, shipper, service, terminal, exceptions)
+    return BarcodeRecord(barcode, shipper, service, terminal, exceptions)
 
 
 class KnowledgeBase:
@@ -157,19 +142,6 @@ class KnowledgeBase:
     def records(self) -> Iterator[BarcodeRecord]:
         return iter(self._records.values())
 
-    def resolve(self, barcode: str) -> ResolveResult:
-        """Answer one lookup, charging the indexed-search comparison cost.
-
-        Unknown barcodes are a real outcome, not an error: they pay the
-        same search cost and come back with ``found=False``.
-        """
-        validate_barcode(barcode)
-        cost = index_probe_cost(self.size)
-        record = self._records.get(barcode)
-        if record is None:
-            return ResolveResult(found=False, payload=None, db_comparisons=cost)
-        return ResolveResult(found=True, payload=record.payload(), db_comparisons=cost)
-
     def export(self, stream: TextIO) -> None:
         """Write all records in ingest order; exact inverse of ingest."""
         for record in self._records.values():
@@ -186,10 +158,10 @@ def ingest(source: Iterable[str]) -> KnowledgeBase:
     kb = KnowledgeBase()
     for line_no, raw in enumerate(source, start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
-        record = parse_record_line(line, line_no)
-        if record.barcode in kb:
-            raise IngestError(line_no, f"duplicate barcode {record.barcode}")
-        kb.add(record)
+        try:
+            kb.add(parse_record_line(line, line_no))
+        except DuplicateKeyError as exc:
+            raise IngestError(line_no, str(exc)) from None
     return kb
 
 

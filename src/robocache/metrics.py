@@ -40,7 +40,6 @@ class MetricsReport:
     disruption_per_million_scans: float
     total_comparisons: int
     first_decision_latency_minutes: float
-    raw: Optional[RunCounters] = None
 
     def row_values(self) -> Tuple[float, float, float, int]:
         return (
@@ -73,7 +72,7 @@ class AlertResult:
     overrun_minutes: float
 
 
-def summarize(counters: RunCounters, method, sim_config=None) -> MetricsReport:
+def summarize(counters: RunCounters, method) -> MetricsReport:
     """Reduce one finished run to the four report rows."""
     method = MethodKind(method)
     latencies = counters.per_scan_latencies
@@ -88,7 +87,6 @@ def summarize(counters: RunCounters, method, sim_config=None) -> MetricsReport:
         disruption_per_million_scans=disruption_events * 1_000_000.0 / counters.scans,
         total_comparisons=counters.cache_comparisons + counters.db_comparisons,
         first_decision_latency_minutes=latencies[0] / MS_PER_MINUTE,
-        raw=counters,
     )
 
 
@@ -97,8 +95,9 @@ def compare(baseline: MetricsReport, cached: MetricsReport) -> ComparisonTable:
 
     A ratio is None when its baseline value is zero (undefined, not
     infinite). Callers are responsible for only comparing reports that
-    came from the same trace and knowledge base; the command-line layer
-    enforces that with trace and knowledge-base digests.
+    came from the same trace, knowledge base, link and station terms; the
+    command-line layer enforces that with the digests and config block of
+    each raw report.
     """
     if baseline.method is not MethodKind.BASELINE:
         raise ValidationError(f"left report must be the baseline method, got {baseline.method.value}")

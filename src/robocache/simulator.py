@@ -29,11 +29,11 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
-from .cache import HitOrderedCache, HitSnapshot, validate_barcode
+from .cache import HitOrderedCache, validate_barcode
 from .errors import MissingRecordError, SimulationError, ValidationError
 from .knowledge_base import KnowledgeBase, index_probe_cost
 from .netlink import LinkStats, SatelliteLink
@@ -43,12 +43,6 @@ from .workload import ScanEvent
 class MethodKind(str, Enum):
     BASELINE = "baseline"
     CACHED = "cached"
-
-
-@dataclass
-class RobotState:
-    robot_id: int
-    cache: Optional[HitOrderedCache]
 
 
 @dataclass
@@ -77,8 +71,8 @@ class RunCounters:
 class RunResult:
     method: MethodKind
     counters: RunCounters
-    robots: Dict[int, RobotState]
-    snapshots: List[HitSnapshot]
+    # Per robot, in robot-id order: the final (barcode, hits) cache rows.
+    snapshots: List[Tuple[Tuple[str, int], ...]]
     digest: Optional[str] = None
 
 
@@ -107,11 +101,8 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
     # through their unchecked path and fetches records directly.
 
     cached = method is MethodKind.CACHED
-    robots = {
-        robot_id: RobotState(robot_id, HitOrderedCache(sim_config.cache_capacity) if cached else None)
-        for robot_id in dict.fromkeys([event.robot_id for event in trace])
-    }
-    caches = {robot_id: robot.cache for robot_id, robot in robots.items()}
+    robot_ids = dict.fromkeys([event.robot_id for event in trace]) if cached else ()
+    caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
 
     link = SatelliteLink(sim_config.link, random.Random(sim_config.seed))
     transmit = link.transmit
@@ -144,7 +135,7 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
                 outcome = transmit(issued + probe_ms)
                 decided_at = outcome.delivered_at + service_ms
                 work_ms = probe_ms + service_ms + outcome.lock_stall_applied
-                cache.admit(barcode, record_of(barcode).payload())
+                cache.admit(barcode, record_of(barcode))
             cache_comparisons += comparisons
         else:
             outcome = transmit(issued)
@@ -172,11 +163,8 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
         wall_clock_of_run=(time.perf_counter() - started) * 1000.0,
     )
 
-    snapshots: List[HitSnapshot] = []
-    if cached:
-        for robot_id in sorted(caches):
-            snapshots.append(caches[robot_id].snapshot(now=clock))
-    return RunResult(method=method, counters=counters, robots=robots, snapshots=snapshots)
+    snapshots = [caches[robot_id].snapshot() for robot_id in sorted(caches)]
+    return RunResult(method=method, counters=counters, snapshots=snapshots)
 
 
 def result_digest(result: RunResult) -> str:
@@ -198,14 +186,8 @@ def result_digest(result: RunResult) -> str:
         "final_clock": c.final_clock,
         "max_decided_at": c.max_decided_at,
         "per_scan_latencies": c.per_scan_latencies,
-        "link": {
-            "messages_sent": c.link_stats.messages_sent,
-            "messages_lost": c.link_stats.messages_lost,
-            "retransmissions": c.link_stats.retransmissions,
-            "lock_events": c.link_stats.lock_events,
-            "total_stall_time_ms": c.link_stats.total_stall_time_ms,
-        },
-        "snapshots": [list(snap.rows) for snap in result.snapshots],
+        "link": asdict(c.link_stats),
+        "snapshots": result.snapshots,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()

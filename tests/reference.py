@@ -70,7 +70,7 @@ class ReferenceCounters:
         self.final_rows = {}
 
 
-def reference_run(method, trace, payload_by_barcode, db_size, sim_config) -> ReferenceCounters:
+def reference_run(method, trace, db_size, sim_config) -> ReferenceCounters:
     """Straight-line replay with the same randomness contract as the engine.
 
     Per station message: one uniform draw per loss (while < loss
@@ -100,7 +100,7 @@ def reference_run(method, trace, payload_by_barcode, db_size, sim_config) -> Ref
         out.scans += 1
         if method == "cached":
             cache = caches.setdefault(event.robot_id, ReferenceCache(sim_config.cache_capacity))
-            hit, payload, comparisons = cache.lookup(event.barcode)
+            hit, _, comparisons = cache.lookup(event.barcode)
             out.cache_comparisons += comparisons
             probe_ms = comparisons * sim_config.cache_probe_time_ms
             if hit:
@@ -115,7 +115,7 @@ def reference_run(method, trace, payload_by_barcode, db_size, sim_config) -> Ref
                 service_ms = db_cost * sim_config.db_probe_time_ms
                 out.latencies.append(probe_ms + round_trip + service_ms)
                 out.total_work_ms += probe_ms + service_ms + stall
-                cache.insert(event.barcode, payload_by_barcode[event.barcode])
+                cache.insert(event.barcode, None)
         else:
             out.station_messages += 1
             round_trip, stall = transmit()

@@ -113,14 +113,13 @@ def test_hand_traced_sequence_a_b_a_c_a():
 
 def test_snapshot_reflects_order_and_is_pure():
     cache = HitOrderedCache(capacity=2)
-    assert cache.snapshot(now=0.0).rows == ()
+    assert cache.snapshot() == ()
     for barcode in (A, B, A, C, A):
         if not cache.lookup(barcode).hit:
             cache.insert(barcode, payload=None)
-    snap = cache.snapshot(now=17.5)
-    assert snap.rows == ((A, 3), (C, 1))
-    assert snap.taken_at == 17.5
-    assert cache.snapshot(now=17.5) == snap  # repeated read, no mutation
+    snap = cache.snapshot()
+    assert snap == ((A, 3), (C, 1))
+    assert cache.snapshot() == snap  # repeated read, no mutation
 
 
 def test_equal_hit_runs_keep_ascending_seq_order():

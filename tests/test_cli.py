@@ -134,21 +134,61 @@ def test_compare_rejects_mismatched_traces(config_path, tmp_path, capsys):
     assert "digest" in capsys.readouterr().err
 
 
-def test_compare_rejects_mismatched_knowledge_bases(config_path, tmp_path, capsys):
+def config_variant(config_path, tmp_path, old, new):
+    """A copy of the config at ``config_path`` with one line changed."""
+    with open(config_path) as fh:
+        body = fh.read()
+    assert old in body
+    path = str(tmp_path / "variant.ini")
+    with open(path, "w") as fh:
+        fh.write(body.replace(old, new))
+    return path
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ("kb_record", "knowledge bases (kb_digest mismatch)"),
+        ("loss_probability = 0.05|loss_probability = 0.1", "link or station terms (config mismatch)"),
+        ("db_probe_time_ms = 0.4|db_probe_time_ms = 0.8", "link or station terms (config mismatch)"),
+        ("baseline_without_config", "link or station terms (config mismatch)"),
+    ],
+)
+def test_compare_rejects_mismatched_knowledge_bases(change, message, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
     assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 0
-    # Same trace, but the cached run resolves against a knowledge base with one more record.
-    extra = BarcodeRecord.build("99999999999999", "SHIP99999", "GRND", "T9999D")
-    with open(os.path.join(out, "kb.dat"), "a", encoding="ascii", newline="") as fh:
-        fh.write(extra.to_line() + "\n")
-    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached"]) == 0
+    cached_config = config_path
+    if change == "kb_record":
+        # Same trace, but the cached run resolves against a knowledge base with one more record.
+        extra = BarcodeRecord.build("99999999999999", "SHIP99999", "GRND", "T9999D")
+        with open(os.path.join(out, "kb.dat"), "a", encoding="ascii", newline="") as fh:
+            fh.write(extra.to_line() + "\n")
+    elif change == "baseline_without_config":
+        # A raw report written before the config block existed.
+        raw_path = os.path.join(out, "raw_baseline.json")
+        raw = json.load(open(raw_path))
+        del raw["config"]
+        with open(raw_path, "w") as fh:
+            json.dump(raw, fh)
+    else:
+        cached_config = config_variant(config_path, tmp_path, *change.split("|"))
+    assert run_cli(["run", "--config", cached_config, "--out", out, "--method", "cached"]) == 0
     capsys.readouterr()
     code = run_cli(["compare", os.path.join(out, "raw_baseline.json"), os.path.join(out, "raw_cached.json")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "knowledge bases" in err and "kb_digest" in err
+    assert message in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
+
+def test_compare_accepts_a_cache_sweep_against_one_baseline(config_path, tmp_path):
+    # Capacity and cache probe time belong to the cached run alone.
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 0
+    sweep = config_variant(config_path, tmp_path, "capacity = 6\nprobe_time_ms = 0.05", "capacity = 2\nprobe_time_ms = 0.07")
+    assert run_cli(["run", "--config", sweep, "--out", out, "--method", "cached"]) == 0
+    assert run_cli(["compare", os.path.join(out, "raw_baseline.json"), os.path.join(out, "raw_cached.json")]) == 0
 
 
 def test_compare_missing_file_exits_one(config_path, tmp_path, capsys):
@@ -203,14 +243,6 @@ def test_snapshots_flag_writes_per_robot_files(config_path, tmp_path):
         assert int(hits) >= 1
     hits_column = [int(line.split(",")[1]) for line in lines]
     assert hits_column == sorted(hits_column, reverse=True)
-
-
-def test_jobs_runs_a_seed_sweep(config_path, tmp_path):
-    out = str(tmp_path / "out")
-    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
-    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached", "--jobs", "2"]) == 0
-    assert os.path.exists(os.path.join(out, "raw_cached_seed1234.json"))
-    assert os.path.exists(os.path.join(out, "raw_cached_seed1235.json"))
 
 
 def test_raw_report_carries_counters_and_digest(config_path, tmp_path):

@@ -73,14 +73,6 @@ def test_output_dir_override_moves_default_paths(tmp_path):
     assert config.trace_path == os.path.join("elsewhere", "trace.csv")
 
 
-def test_with_seed_returns_a_rewired_copy(tmp_path):
-    config = load_config(write_config(tmp_path))
-    reseeded = config.with_seed(1001)
-    assert reseeded.seed == 1001
-    assert reseeded.workload.seed == 1001
-    assert config.seed == 42  # original untouched
-
-
 def test_missing_file_is_a_config_error():
     with pytest.raises(ConfigError):
         load_config("no/such/config.ini")

@@ -6,8 +6,6 @@ import pytest
 
 from robocache.errors import ConfigError, IngestError
 from robocache.knowledge_base import (
-    BarcodeRecord,
-    DecisionPayload,
     index_probe_cost,
     ingest,
     load_kb,
@@ -62,10 +60,20 @@ def test_short_line_is_rejected_with_its_line_number():
     assert "56" in exc_info.value.reason
 
 
-def test_non_numeric_barcode_is_rejected():
+@pytest.mark.parametrize(
+    "barcode",
+    [
+        "1234567890123x",
+        "１２３４５６７８９０１２３４",  # full-width digits: str.isdigit() accepts them
+        "١٢٣٤٥٦٧٨٩٠١٢٣٤",  # Arabic-Indic digits: str.isdigit() accepts them
+        "1234567 901234",
+    ],
+)
+def test_non_numeric_barcode_is_rejected(barcode):
     with pytest.raises(IngestError) as exc_info:
-        ingest(io.StringIO(make_line("1234567890123x") + "\n"))
-    assert exc_info.value.line_no == 1
+        ingest(io.StringIO(make_line("12345678901234") + "\n" + make_line(barcode) + "\n"))
+    assert exc_info.value.line_no == 2
+    assert "not 14 decimal digits" in exc_info.value.reason
 
 
 def test_duplicate_barcode_is_rejected_naming_the_barcode():
@@ -76,38 +84,10 @@ def test_duplicate_barcode_is_rejected_naming_the_barcode():
     assert "12345678901234" in str(exc_info.value)
 
 
-def test_resolve_known_barcode_returns_payload_and_cost():
-    kb = ingest(io.StringIO(make_line("12345678901234", exceptions="FRAGILE") + "\n"))
-    result = kb.resolve("12345678901234")
-    assert result.found
-    assert result.payload == DecisionPayload("TERM0001", "GRND", True)
-    assert result.db_comparisons == 1  # N=1, minimum enforced
-
-
-def test_resolve_unknown_barcode_charges_the_same_cost():
-    kb = ingest(io.StringIO(make_line("12345678901234") + "\n"))
-    result = kb.resolve("99999999999999")
-    assert not result.found
-    assert result.payload is None
-    assert result.db_comparisons == 1
-
-
-def test_resolve_is_pure():
-    kb = load_kb(os.path.join(FIXTURES, "kb_10.dat"))
-    first = kb.resolve("31415926535897")
-    second = kb.resolve("31415926535897")
-    assert first == second
-
-
-def test_resolve_on_empty_knowledge_base_is_a_config_error():
+def test_index_probe_cost_of_an_empty_knowledge_base_is_a_config_error():
     kb = ingest(io.StringIO(""))
     with pytest.raises(ConfigError):
-        kb.resolve("12345678901234")
-
-
-def test_exception_flag_false_when_exceptions_blank():
-    record = BarcodeRecord.build("12345678901234", "S", "GRND", "TERM0001", "")
-    assert record.payload().exception_flag is False
+        index_probe_cost(kb.size)
 
 
 @pytest.mark.parametrize(

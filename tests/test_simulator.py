@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robocache.errors import MissingRecordError, ValidationError
 from robocache.knowledge_base import index_probe_cost
 from robocache.netlink import LinkConfig
 from robocache.simulator import MethodKind, replay_deterministic, run
-from robocache.workload import ScanEvent, WorkloadConfig, generate
+from robocache.workload import ScanEvent, WorkloadConfig, barcode_for_rank, generate
 
 from helpers import make_kb, make_sim_config
 from reference import reference_run
@@ -56,7 +58,7 @@ def test_hand_traced_sequence_end_to_end():
     assert counters.cache_comparisons == 5
     assert counters.station_messages == 3
     assert counters.scans == 5
-    assert [snap.rows for snap in result.snapshots] == [((A, 3), (C, 1))]
+    assert result.snapshots == [((A, 3), (C, 1))]
 
 
 def test_same_trace_under_baseline_bypasses_the_cache():
@@ -192,13 +194,12 @@ def test_equality_holds_exactly_when_no_robot_sees_a_repeat():
     assert saw_equal and saw_strict
 
 
-def test_counters_match_the_straight_line_reference_simulator():
+def fixed_lossy_cases():
+    """The 25 hand-seeded lossy configs this comparison was first written with."""
     rng = random.Random(777)
-    keyspace = 24
-    kb = make_kb([key(n) for n in range(keyspace)])
-    payloads = {record.barcode: record.payload() for record in kb.records()}
+    barcodes = tuple(key(n) for n in range(24))
     for trial in range(25):
-        trace = random_trace(rng, rng.randint(1, 400), keyspace=keyspace, robots=rng.randint(1, 4))
+        trace = random_trace(rng, rng.randint(1, 400), keyspace=len(barcodes), robots=rng.randint(1, 4))
         config = make_sim_config(
             cache_capacity=rng.randint(1, 10),
             cache_probe_time_ms=0.25,
@@ -206,20 +207,80 @@ def test_counters_match_the_straight_line_reference_simulator():
             link=lossy_link(),
             seed=trial,
         )
-        for method in ("baseline", "cached"):
-            mine = run(method, trace, kb, config).counters
-            ref = reference_run(method, trace, payloads, kb.size, config)
-            assert mine.scans == ref.scans
-            assert mine.cache_hits == ref.cache_hits
-            assert mine.cache_misses == ref.cache_misses
-            assert mine.cache_comparisons == ref.cache_comparisons
-            assert mine.db_comparisons == ref.db_comparisons
-            assert mine.station_messages == ref.station_messages
-            assert mine.per_scan_latencies == pytest.approx(ref.latencies)
-            assert mine.total_processing_ms == pytest.approx(ref.total_work_ms)
-            assert mine.link_stats.messages_sent == ref.messages_sent
-            assert mine.link_stats.messages_lost == ref.messages_lost
-            assert mine.link_stats.lock_events == ref.lock_events
+        yield barcodes, trace, config
+
+
+def zero_or(strategy):
+    return st.just(0.0) | strategy
+
+
+@st.composite
+def replay_cases(draw):
+    """A small generated workload, its knowledge base and a run config.
+
+    Every knob reaches its edge: capacity 1, loss 0, lock 0, skew 0 and a
+    single robot are all drawn.
+    """
+    workload = WorkloadConfig(
+        total_scans=draw(st.integers(1, 150)),
+        unique_barcodes=draw(st.integers(1, 24)),
+        skew=draw(zero_or(st.floats(0.0, 2.0))),
+        robots=draw(st.integers(1, 4)),
+        inter_arrival_ms=draw(st.floats(0.1, 50.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    one_way_ms = draw(st.floats(0.5, 300.0))
+    link = LinkConfig(
+        one_way_latency_ms=one_way_ms,
+        loss_probability=draw(zero_or(st.floats(0.0, 0.5))),
+        lock_probability=draw(zero_or(st.floats(0.0, 0.5))),
+        lock_stall_ms=draw(st.floats(0.0, 100.0)),
+        retransmit_timeout_ms=2 * one_way_ms + draw(st.floats(0.0, 100.0)),
+    )
+    config = make_sim_config(
+        workload=workload,
+        link=link,
+        cache_capacity=draw(st.integers(1, 10)),
+        cache_probe_time_ms=draw(st.floats(0.0, 1.0)),
+        db_probe_time_ms=draw(st.floats(0.0, 10.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    barcodes = tuple(barcode_for_rank(rank) for rank in range(workload.unique_barcodes))
+    return barcodes, generate(workload), config
+
+
+def with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case=case)(test)
+        return test
+
+    return decorate
+
+
+@with_examples(fixed_lossy_cases())
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=replay_cases())
+def test_counters_match_the_straight_line_reference_simulator(case):
+    barcodes, trace, config = case
+    kb = make_kb(barcodes)
+    for method in ("baseline", "cached"):
+        result = run(method, trace, kb, config)
+        mine = result.counters
+        ref = reference_run(method, trace, kb.size, config)
+        assert mine.scans == ref.scans
+        assert mine.cache_hits == ref.cache_hits
+        assert mine.cache_misses == ref.cache_misses
+        assert mine.cache_comparisons == ref.cache_comparisons
+        assert mine.db_comparisons == ref.db_comparisons
+        assert mine.station_messages == ref.station_messages
+        assert mine.per_scan_latencies == pytest.approx(ref.latencies)
+        assert mine.total_processing_ms == pytest.approx(ref.total_work_ms)
+        assert mine.link_stats.messages_sent == ref.messages_sent
+        assert mine.link_stats.messages_lost == ref.messages_lost
+        assert mine.link_stats.lock_events == ref.lock_events
+        assert mine.link_stats.total_stall_time_ms == pytest.approx(ref.total_stall_ms)
+        assert result.snapshots == [tuple(ref.final_rows[robot_id]) for robot_id in sorted(ref.final_rows)]
 
 
 def test_generated_workload_runs_end_to_end():
