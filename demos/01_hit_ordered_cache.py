@@ -15,7 +15,7 @@ NAMES = {A: "A", B: "B", C: "C"}
 
 
 def show(cache):
-    rows = ", ".join(f"{NAMES[e.barcode]}(hits={e.hits})" for e in cache.entries)
+    rows = ", ".join(f"{NAMES[barcode]}(hits={hits})" for barcode, hits in cache.snapshot())
     return f"[{rows}]" if rows else "[empty]"
 
 

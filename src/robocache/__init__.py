@@ -9,7 +9,7 @@ link and workload models, the deterministic simulator, and the
 four-row performance report comparing the two methods.
 """
 
-from .cache import CacheEntry, HitOrderedCache, LookupResult, validate_barcode
+from .cache import HitOrderedCache, LookupResult, validate_barcode
 from .config import SimConfig, load_config
 from .errors import (
     ConfigError,
@@ -42,7 +42,6 @@ from .simulator import (
     MethodKind,
     RunCounters,
     RunResult,
-    replay_deterministic,
     result_digest,
     run,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "AlertPolicy",
     "AlertResult",
     "BarcodeRecord",
-    "CacheEntry",
     "ComparisonTable",
     "ConfigError",
     "DuplicateKeyError",
@@ -97,7 +95,6 @@ __all__ = [
     "load_kb",
     "load_trace",
     "read_trace",
-    "replay_deterministic",
     "result_digest",
     "run",
     "save_kb",

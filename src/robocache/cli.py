@@ -28,6 +28,7 @@ from .errors import SimulationError
 from .knowledge_base import BarcodeRecord, KnowledgeBase, load_kb, save_kb
 from .metrics import (
     AlertPolicy,
+    AlertResult,
     MethodKind,
     MetricsReport,
     check_alert,
@@ -167,28 +168,31 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
     return 0
 
 
-def _load_raw(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _report_from_raw(raw: dict) -> MetricsReport:
     return MetricsReport(method=MethodKind(raw["method"]), **raw["metrics"])
 
 
+def _load_raw(path: str) -> tuple[dict, MetricsReport, AlertResult]:
+    """Read one raw run report; an unreadable, truncated or incomplete file is an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        report = _report_from_raw(raw)
+        alert = AlertResult(raised=raw["alert"]["raised"], overrun_minutes=raw["alert"]["overrun_minutes"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SimulationError(f"{path}: not a readable raw run report ({type(exc).__name__}: {exc})") from None
+    return raw, report, alert
+
+
 def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -> int:
-    for path in (baseline_path, cached_path):
-        if not os.path.exists(path):
-            print(f"error: raw report not found: {path}", file=sys.stderr)
-            return 1
-    base_raw = _load_raw(baseline_path)
-    cached_raw = _load_raw(cached_path)
+    base_raw, base_report, _ = _load_raw(baseline_path)
+    cached_raw, cached_report, _ = _load_raw(cached_path)
     for field, inputs in (("trace_digest", "traces"), ("kb_digest", "knowledge bases"), ("config", "link or station terms")):
         # .get: a raw report written before the config block existed is refused, not a crash.
         if base_raw.get(field) != cached_raw.get(field):
             print(f"error: reports come from different {inputs} ({field} mismatch); not comparable", file=sys.stderr)
             return 1
-    table = compare(_report_from_raw(base_raw), _report_from_raw(cached_raw))
+    table = compare(base_report, cached_report)
     out_path = out_path or os.path.join(os.path.dirname(os.path.abspath(baseline_path)), "comparison.csv")
     _ensure_parent(out_path)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -199,16 +203,11 @@ def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -
 
 
 def cmd_report(paths: list[str]) -> int:
-    for path in paths:
-        if not os.path.exists(path):
-            print(f"error: raw report not found: {path}", file=sys.stderr)
-            return 1
-    for path in paths:
-        raw = _load_raw(path)
-        print(format_report(_report_from_raw(raw)))
-        alert = raw["alert"]
-        if alert["raised"]:
-            print(f"ALERT overrun_minutes={alert['overrun_minutes']!r}", file=sys.stderr)
+    # Every file is read before anything is printed.
+    for _, report, alert in [_load_raw(path) for path in paths]:
+        print(format_report(report))
+        if alert.raised:
+            print(f"ALERT overrun_minutes={alert.overrun_minutes!r}", file=sys.stderr)
         print()
     return 0
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .cache import validate_barcode
-from .errors import ConfigError, DuplicateKeyError, IngestError
+from .errors import ConfigError, DuplicateKeyError, IngestError, ValidationError
 
 BARCODE_WIDTH = 14
 SHIPPER_WIDTH = 10
@@ -96,14 +96,19 @@ def index_probe_cost(record_count: int) -> int:
 def parse_record_line(line: str, line_no: int = 1) -> BarcodeRecord:
     """Parse one fixed-width line (newline already stripped).
 
-    The length check and the ASCII-digit barcode check cover everything
-    ``BarcodeRecord.build`` would re-check, so the record is built directly.
+    The line must be ASCII; with the length check and ``validate_barcode``
+    that covers everything ``BarcodeRecord.build`` would re-check, so the
+    record is built directly.
     """
     if len(line) != LINE_WIDTH:
         raise IngestError(line_no, f"expected {LINE_WIDTH} characters, got {len(line)}")
     barcode = line[0:BARCODE_WIDTH]
-    if not barcode.isascii() or not barcode.isdigit():
-        raise IngestError(line_no, f"barcode field {barcode!r} is not 14 decimal digits")
+    try:
+        validate_barcode(barcode)
+    except ValidationError:
+        raise IngestError(line_no, f"barcode field {barcode!r} is not 14 decimal digits") from None
+    if not line.isascii():
+        raise IngestError(line_no, f"non-ASCII character in {line!r}")
     offset = BARCODE_WIDTH
     shipper = line[offset : offset + SHIPPER_WIDTH].rstrip(" ")
     offset += SHIPPER_WIDTH
@@ -166,7 +171,9 @@ def ingest(source: Iterable[str]) -> KnowledgeBase:
 
 
 def load_kb(path: str) -> KnowledgeBase:
-    with open(path, "r", encoding="ascii", newline="") as fh:
+    # A byte that is not ASCII decodes to a lone surrogate, which
+    # parse_record_line rejects with its line number.
+    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         return ingest(fh)
 
 

@@ -31,10 +31,10 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .cache import HitOrderedCache, validate_barcode
-from .errors import MissingRecordError, SimulationError, ValidationError
+from .errors import MissingRecordError, ValidationError
 from .knowledge_base import KnowledgeBase, index_probe_cost
 from .netlink import LinkStats, SatelliteLink
 from .workload import ScanEvent
@@ -73,7 +73,6 @@ class RunResult:
     counters: RunCounters
     # Per robot, in robot-id order: the final (barcode, hits) cache rows.
     snapshots: List[Tuple[Tuple[str, int], ...]]
-    digest: Optional[str] = None
 
 
 def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunResult:
@@ -192,16 +191,3 @@ def result_digest(result: RunResult) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
-
-def replay_deterministic(method, trace, kb, sim_config) -> RunResult:
-    """Run twice with identical inputs and assert the digests agree.
-
-    Returns the first result with its digest attached. A mismatch means
-    hidden state leaked into the run and is reported as an error.
-    """
-    first = run(method, trace, kb, sim_config)
-    second = run(method, trace, kb, sim_config)
-    first.digest = result_digest(first)
-    if result_digest(second) != first.digest:
-        raise SimulationError("replay diverged: identical inputs produced different counter streams")
-    return first

@@ -147,5 +147,7 @@ def write_trace(events: Iterable[ScanEvent], path: str) -> None:
 
 
 def read_trace(path: str) -> List[ScanEvent]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # A byte that does not decode becomes a lone surrogate, which every
+    # field check in load_trace rejects with its line number.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         return load_trace(fh)

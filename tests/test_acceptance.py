@@ -109,7 +109,7 @@ def test_a1_oracle_equivalence_against_brute_force_cache():
                 ref_misses += 1
             operations += 1
         assert (hits, misses) == (ref_hits, ref_misses)
-        assert [(e.barcode, e.hits) for e in cache.entries] == reference.rows()
+        assert list(cache.snapshot()) == reference.rows()
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"A1 exceeded its 30 s budget: {elapsed:.1f}s"
     _show(
@@ -241,34 +241,36 @@ def test_a5_ordering_stability_and_conservation_invariants():
         caches_used += 1
         successful_lookups = inserts = 0
         evicted_hits = 0
+        seq = {}  # barcode -> the operation at which its hit count last changed
         for _ in range(rng.randint(50, 400)):
             barcode = rng.choice(keyspace)
             result = cache.lookup(barcode)
             total_operations += 1
             if result.hit:
                 successful_lookups += 1
+                seq[barcode] = total_operations
             elif rng.random() < 0.9:
-                entries = cache.entries
-                if len(entries) == capacity:
-                    victim = entries[-1]
-                    evicted_hits += victim.hits
-                    expected_victim = victim.barcode
+                rows = cache.snapshot()
+                if len(rows) == capacity:
+                    expected_victim, victim_hits = rows[-1]
+                    evicted_hits += victim_hits
                 else:
                     expected_victim = None
                 assert cache.insert(barcode, None) == expected_victim
                 inserts += 1
                 total_operations += 1
+                seq[barcode] = total_operations
 
-            entries = cache.entries
-            assert len(entries) <= capacity
+            rows = cache.snapshot()
+            assert len(rows) <= capacity
             resident_hits = 0
-            for left, right in zip(entries, entries[1:]):
-                assert left.hits >= right.hits, "descending-hits order broken"
-                if left.hits == right.hits:
-                    assert left.seq < right.seq, "equal-hits stability broken"
-            for entry in entries:
-                assert entry.hits >= 1
-                resident_hits += entry.hits
+            for (left, left_hits), (right, right_hits) in zip(rows, rows[1:]):
+                assert left_hits >= right_hits, "descending-hits order broken"
+                if left_hits == right_hits:
+                    assert seq[left] < seq[right], "equal-hits stability broken"
+            for _, hits in rows:
+                assert hits >= 1
+                resident_hits += hits
             assert resident_hits + evicted_hits == successful_lookups + inserts, (
                 "hits conservation broken"
             )

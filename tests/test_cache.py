@@ -25,7 +25,7 @@ def test_lookup_on_empty_cache_is_a_zero_comparison_miss():
 
 def test_malformed_keys_are_rejected_not_treated_as_misses():
     cache = HitOrderedCache(capacity=4)
-    for bad in ("", "123", "1234567890123x", "123456789012345", "1234567890123", 42, None):
+    for bad in ("", "123", "1234567890123x", "123456789012345", "1234567890123", "10000000000000\n", 42, None):
         with pytest.raises(ValidationError):
             cache.lookup(bad)
         with pytest.raises(ValidationError):
@@ -43,7 +43,7 @@ def test_hit_below_larger_counter_does_not_reorder():
     result = cache.lookup(B)
     assert result.hit and result.payload == "pb"
     assert result.comparisons == 2
-    assert [(e.barcode, e.hits) for e in cache.entries] == [(A, 3), (B, 2)]
+    assert cache.snapshot() == ((A, 3), (B, 2))
 
 
 def test_hit_overtakes_strictly_smaller_counters_only():
@@ -53,18 +53,18 @@ def test_hit_overtakes_strictly_smaller_counters_only():
     cache.insert(B, "pb")
     cache.lookup(A)
     cache.lookup(B)  # both at 2, order [A, B]
-    assert [(e.barcode, e.hits) for e in cache.entries] == [(A, 2), (B, 2)]
+    assert cache.snapshot() == ((A, 2), (B, 2))
     result = cache.lookup(B)
     assert result.hit
     assert result.comparisons == 2
-    assert [(e.barcode, e.hits) for e in cache.entries] == [(B, 3), (A, 2)]
+    assert cache.snapshot() == ((B, 3), (A, 2))
 
 
 def test_insert_under_capacity_appends_at_the_bottom():
     cache = HitOrderedCache(capacity=2)
     assert cache.insert(A, "pa") is None
     assert cache.insert(B, "pb") is None
-    assert [(e.barcode, e.hits) for e in cache.entries] == [(A, 1), (B, 1)]
+    assert cache.snapshot() == ((A, 1), (B, 1))
 
 
 def test_insert_at_capacity_evicts_the_bottom_entry():
@@ -74,7 +74,7 @@ def test_insert_at_capacity_evicts_the_bottom_entry():
     cache.lookup(A)  # [A(2), B(1)]
     evicted = cache.insert(C, "pc")
     assert evicted == B
-    assert [(e.barcode, e.hits) for e in cache.entries] == [(A, 2), (C, 1)]
+    assert cache.snapshot() == ((A, 2), (C, 1))
 
 
 def test_duplicate_insert_is_a_contract_violation():
@@ -108,7 +108,7 @@ def test_hand_traced_sequence_a_b_a_c_a():
     assert sum(comparisons) == 5
     assert hits == 2
     assert resolutions == 3
-    assert [(e.barcode, e.hits) for e in cache.entries] == [(A, 3), (C, 1)]
+    assert cache.snapshot() == ((A, 3), (C, 1))
 
 
 def test_snapshot_reflects_order_and_is_pure():
@@ -126,15 +126,17 @@ def test_equal_hit_runs_keep_ascending_seq_order():
     rng = random.Random(7)
     cache = HitOrderedCache(capacity=8)
     keys = [key(n) for n in range(12)]
-    for _ in range(2000):
+    seq = {}  # barcode -> the step at which its hit count last changed
+    for step in range(2000):
         barcode = rng.choice(keys)
         if not cache.lookup(barcode).hit:
             cache.insert(barcode, payload=None)
-        entries = cache.entries
-        for left, right in zip(entries, entries[1:]):
-            assert left.hits >= right.hits
-            if left.hits == right.hits:
-                assert left.seq < right.seq
+        seq[barcode] = step  # every step either hits or inserts this key
+        rows = cache.snapshot()
+        for (left, left_hits), (right, right_hits) in zip(rows, rows[1:]):
+            assert left_hits >= right_hits
+            if left_hits == right_hits:
+                assert seq[left] < seq[right]
 
 
 def test_matches_brute_force_reference_on_random_traces():
@@ -152,4 +154,4 @@ def test_matches_brute_force_reference_on_random_traces():
             assert result.comparisons == ref_comparisons
             if not result.hit:
                 assert cache.insert(barcode, None) == ref.insert(barcode, None)
-            assert [(e.barcode, e.hits) for e in cache.entries] == ref.rows()
+            assert list(cache.snapshot()) == ref.rows()

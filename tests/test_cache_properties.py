@@ -2,8 +2,9 @@
 
 Hypothesis drives one cache through random mixes of the checked path
 (lookup, insert) and the unchecked path (probe, admit) and mirrors every
-step on a ReferenceCache. After each step the rows, the parallel key
-list and the equal-hits seq order must all agree.
+step on a ReferenceCache. After each step the rows and the payloads must
+agree, and rows with equal hits must keep the order in which their counts
+were earned (tracked here by the test's own per-key stamps).
 """
 
 import pytest
@@ -24,6 +25,13 @@ class CacheAgainstReference(RuleBasedStateMachine):
     def make(self, capacity):
         self.cache = HitOrderedCache(capacity)
         self.ref = ReferenceCache(capacity)
+        self.seq = {}  # barcode -> the step at which its hit count last changed
+        self.step = 0
+
+    def counted(self, barcode):
+        """Stamp ``barcode``: it was just hit or inserted."""
+        self.step += 1
+        self.seq[barcode] = self.step
 
     @rule(barcode=keys)
     def lookup_then_insert(self, barcode):
@@ -32,6 +40,7 @@ class CacheAgainstReference(RuleBasedStateMachine):
         assert (found.hit, found.payload, found.comparisons) == (hit, payload, comparisons)
         if not hit:
             assert self.cache.insert(barcode, "p" + barcode) == self.ref.insert(barcode, "p" + barcode)
+        self.counted(barcode)
 
     @rule(barcode=keys)
     def probe_then_admit(self, barcode):
@@ -43,11 +52,14 @@ class CacheAgainstReference(RuleBasedStateMachine):
             assert slot == -1
             assert len(self.cache) == comparisons
             assert self.cache.admit(barcode, "p" + barcode) == self.ref.insert(barcode, "p" + barcode)
+        self.counted(barcode)
 
     @rule(barcode=keys)
     def lookup_without_insert(self, barcode):
         found = self.cache.lookup(barcode)
         assert (found.hit, found.payload, found.comparisons) == self.ref.lookup(barcode)
+        if found.hit:
+            self.counted(barcode)
 
     @precondition(lambda self: len(self.cache) > 0)
     @rule(data=st.data())
@@ -58,14 +70,13 @@ class CacheAgainstReference(RuleBasedStateMachine):
 
     @invariant()
     def state_agrees(self):
-        entries = self.cache.entries
-        assert [(e.barcode, e.hits) for e in entries] == self.ref.rows()
-        assert [e.payload for e in entries] == [entry[1] for entry in self.ref.entries]
-        assert self.cache._keys == [e.barcode for e in entries]
-        for upper, lower in zip(entries, entries[1:]):
-            assert upper.hits >= lower.hits
-            if upper.hits == lower.hits:
-                assert upper.seq < lower.seq
+        rows = self.cache.snapshot()
+        assert list(rows) == self.ref.rows()
+        assert self.cache._payloads == {barcode: payload for barcode, payload, _ in self.ref.entries}
+        for (upper, upper_hits), (lower, lower_hits) in zip(rows, rows[1:]):
+            assert upper_hits >= lower_hits
+            if upper_hits == lower_hits:
+                assert self.seq[upper] < self.seq[lower]
 
 
 CacheAgainstReference.TestCase.settings = settings(

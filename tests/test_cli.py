@@ -258,3 +258,43 @@ def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
     assert counters["station_messages"] == counters["cache_misses"]
     assert len(raw["per_scan_latencies_ms"]) == 1500
     assert "wall_clock" not in json.dumps(raw)  # host time never lands in reports
+
+
+@pytest.mark.parametrize("damage", ["truncated_json", "incomplete_metrics", "directory"])
+def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 0
+    baseline = os.path.join(out, "raw_baseline.json")
+    bad = tmp_path / "raw_cached.json"
+    if damage == "truncated_json":
+        text = open(baseline).read()
+        bad.write_text(text[: len(text) // 2])
+    elif damage == "incomplete_metrics":
+        raw = json.load(open(baseline))
+        del raw["metrics"]["processing_time_minutes"]
+        bad.write_text(json.dumps(raw))
+    else:
+        bad.mkdir()
+    capsys.readouterr()
+    for argv in (["compare", baseline, str(bad)], ["report", str(bad)]):
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert captured.out == ""
+    assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
+
+@pytest.mark.parametrize("name", ["kb.dat", "trace.csv"])
+def test_run_rejects_an_input_file_with_an_undecodable_byte(name, config_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    path = os.path.join(out, name)
+    lines = read_bytes(path).split(b"\n")
+    lines[1] = lines[1][:5] + b"\xff" + lines[1][6:]
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached"]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+    assert sorted(os.listdir(out)) == ["kb.dat", "trace.csv"]

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-from robocache.errors import ConfigError, IngestError
+from robocache.errors import ConfigError, IngestError, ValidationError
 from robocache.knowledge_base import (
+    BarcodeRecord,
     index_probe_cost,
     ingest,
     load_kb,
@@ -74,6 +75,22 @@ def test_non_numeric_barcode_is_rejected(barcode):
         ingest(io.StringIO(make_line("12345678901234") + "\n" + make_line(barcode) + "\n"))
     assert exc_info.value.line_no == 2
     assert "not 14 decimal digits" in exc_info.value.reason
+
+
+@pytest.mark.parametrize("barcode", ["1234567890123", "1234567890123x", "１２３４５６７８９０１２３４", "10000000000000\n"])
+def test_build_rejects_a_malformed_barcode(barcode):
+    with pytest.raises(ValidationError):
+        BarcodeRecord.build(barcode, "SHIP00001", "GRND", "TERM0001")
+
+
+@pytest.mark.parametrize("field", ["barcode", "shipper"])
+def test_non_ascii_byte_in_a_record_file_is_rejected_with_its_line_number(field, tmp_path):
+    bad = make_line("1234567890123\xff") if field == "barcode" else make_line("12345678901235", shipper="SHIP\xff")
+    path = tmp_path / "kb.dat"
+    path.write_bytes((make_line("12345678901234") + "\n" + bad + "\n").encode("latin-1"))
+    with pytest.raises(IngestError) as exc_info:
+        load_kb(str(path))
+    assert exc_info.value.line_no == 2
 
 
 def test_duplicate_barcode_is_rejected_naming_the_barcode():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from robocache.errors import MissingRecordError, ValidationError
 from robocache.knowledge_base import index_probe_cost
 from robocache.netlink import LinkConfig
-from robocache.simulator import MethodKind, replay_deterministic, run
+from robocache.simulator import MethodKind, result_digest, run
 from robocache.workload import ScanEvent, WorkloadConfig, barcode_for_rank, generate
 
 from helpers import make_kb, make_sim_config
@@ -113,28 +113,25 @@ def test_unknown_barcode_is_a_data_error_naming_it():
     assert exc_info.value.barcode == B
 
 
-def test_replay_deterministic_attaches_a_stable_digest():
+def test_two_runs_with_identical_inputs_share_a_digest():
     kb = make_kb([A, B, C])
     config = make_sim_config(link=lossy_link(), seed=42)
     trace = trace_of([A, B, A, C, A])
-    first = replay_deterministic("cached", trace, kb, config)
-    second = replay_deterministic("cached", trace, kb, config)
-    assert first.digest is not None
-    assert first.digest == second.digest
+    assert result_digest(run("cached", trace, kb, config)) == result_digest(run("cached", trace, kb, config))
 
 
 def test_different_seeds_may_change_the_digest_under_loss():
     kb = make_kb([A, B, C])
     trace = trace_of([A, B, A, C, A] * 20)
-    digest_a = replay_deterministic("baseline", trace, kb, make_sim_config(link=lossy_link(), seed=1)).digest
-    digest_b = replay_deterministic("baseline", trace, kb, make_sim_config(link=lossy_link(), seed=2)).digest
+    digest_a = result_digest(run("baseline", trace, kb, make_sim_config(link=lossy_link(), seed=1)))
+    digest_b = result_digest(run("baseline", trace, kb, make_sim_config(link=lossy_link(), seed=2)))
     assert digest_a != digest_b
 
 
 def test_golden_digest_of_the_hand_traced_fixture_run():
     kb = make_kb([A, B, C])
-    result = replay_deterministic("cached", trace_of([A, B, A, C, A]), kb, make_sim_config())
-    assert result.digest == "bc48f613a9126540f662c29782624f6901c45ca01ce5674c82ff65acbdce3bca"
+    digests = {result_digest(run("cached", trace_of([A, B, A, C, A]), kb, make_sim_config())) for _ in range(2)}
+    assert digests == {"bc48f613a9126540f662c29782624f6901c45ca01ce5674c82ff65acbdce3bca"}
 
 
 def test_simulated_clock_never_goes_backward():
@@ -300,7 +297,9 @@ def test_generated_workload_runs_end_to_end():
 @pytest.mark.parametrize("method", ["baseline", "cached"])
 def test_malformed_barcode_in_an_in_memory_trace_is_rejected_at_entry(method):
     kb = make_kb([A, B])
-    trace = trace_of([A, B, A]) + [ScanEvent(robot_id=0, barcode="1000000000000x", issued_at=400.0)]
-    with pytest.raises(ValidationError) as exc_info:
-        run(method, trace, kb, make_sim_config())
-    assert "1000000000000x" in str(exc_info.value)
+    # A trailing newline makes a 15-character key, not a barcode.
+    for bad in ("1000000000000x", "10000000000000\n"):
+        trace = trace_of([A, B, A]) + [ScanEvent(robot_id=0, barcode=bad, issued_at=400.0)]
+        with pytest.raises(ValidationError) as exc_info:
+            run(method, trace, kb, make_sim_config())
+        assert repr(bad) in str(exc_info.value)

@@ -12,6 +12,7 @@ from robocache.workload import (
     barcode_for_rank,
     generate,
     load_trace,
+    read_trace,
     save_trace,
     zipf_probabilities,
 )
@@ -123,6 +124,18 @@ def test_malformed_lines_carry_their_line_number(body, bad_line):
     with pytest.raises(TraceFormatError) as exc_info:
         load_trace(io.StringIO(body))
     assert exc_info.value.line_no == bad_line
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"\xff,12345678901234,4.0", b"0,1234567890123\xff,4.0", b"0,12345678901234,4.\xff", b"0,12345678901234,4.0\xff"],
+)
+def test_undecodable_byte_is_rejected_with_its_line_number(line, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"robot_id,barcode,issued_at_ms\n0,12345678901234,1.0\n" + line + b"\n")
+    with pytest.raises(TraceFormatError) as exc_info:
+        read_trace(str(path))
+    assert exc_info.value.line_no == 3
 
 
 def test_zero_skew_is_uniform():
