@@ -3,8 +3,12 @@
 Two 20k-scan configs, both methods each: the desk-scale preset cut to
 20,000 scans (3 slots, hit ratio about 0.45), and the same preset widened
 to 64 slots over 20,000 keys at skew 1.0 (about 45 probes per lookup).
+The synthesized knowledge base is pinned too, as the sha256 of its
+exported record file at three sizes.
 """
 
+import hashlib
+import io
 from dataclasses import replace
 
 import pytest
@@ -46,3 +50,17 @@ def test_result_digests_of_both_methods_are_pinned(name):
     kb = build_kb_for_workload(config.workload.unique_barcodes)
     for method, expected in PINS[name].items():
         assert result_digest(run(method, trace, kb, config)) == expected, f"{name}/{method}"
+
+
+KB_PINS = {
+    2_000: "d8f630bebbc8a3deef54c4d30de315b44257eae42f0598c09ed3b488adbd4e5c",
+    20_000: "22eb73a1d26bdc38add16d95667b1badc414f63ef1e4abdaab65421089253df2",
+    200_000: "e86bf680eff873763aa0b3eecee1f9f035a59c916673e6b3014ffc5279b22c19",
+}
+
+
+@pytest.mark.parametrize("records", sorted(KB_PINS))
+def test_synthesized_knowledge_base_bytes_are_pinned(records):
+    out = io.StringIO()
+    build_kb_for_workload(records).export(out)
+    assert hashlib.sha256(out.getvalue().encode("ascii")).hexdigest() == KB_PINS[records]
