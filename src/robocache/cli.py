@@ -24,8 +24,8 @@ from dataclasses import asdict, fields
 from typing import Optional
 
 from .config import SimConfig, load_config
-from .errors import SimulationError
-from .knowledge_base import BarcodeRecord, KnowledgeBase, load_kb, save_kb
+from .errors import IngestError, SimulationError, TraceFormatError
+from .knowledge_base import EXCEPTIONS_WIDTH, KnowledgeBase, ingest, load_kb, save_kb
 from .metrics import (
     AlertPolicy,
     AlertResult,
@@ -43,26 +43,25 @@ from .simulator import run as run_simulation
 from .workload import barcode_for_rank, generate, read_trace, write_trace
 
 _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
+_HOLD = "HOLD FOR INSPECTION".ljust(EXCEPTIONS_WIDTH)
+_NO_EXCEPTIONS = " " * EXCEPTIONS_WIDTH
 
 
-def _synth_record(rank: int) -> BarcodeRecord:
-    """Deterministic knowledge-base row for one workload rank."""
+def _synth_line(rank: int) -> str:
+    """Deterministic knowledge-base record line for one workload rank.
+
+    Shipper ``SHIP<rank mod 100000>`` (9 characters and one pad space),
+    a 4-character service type, terminal ``T<location><last two barcode
+    digits>D`` (8 characters) and every 13th rank held for inspection.
+    """
     barcode = barcode_for_rank(rank)
-    exceptions = "HOLD FOR INSPECTION" if rank % 13 == 0 else ""
-    return BarcodeRecord.build(
-        barcode=barcode,
-        shipper_number=f"SHIP{rank % 100000:05d}",
-        service_type=_SERVICE_TYPES[rank % len(_SERVICE_TYPES)],
-        destination_terminal=f"T{barcode[0:4]}{barcode[12:14]}D",
-        delivery_exceptions=exceptions,
-    )
+    service = _SERVICE_TYPES[rank % len(_SERVICE_TYPES)]
+    exceptions = _HOLD if rank % 13 == 0 else _NO_EXCEPTIONS
+    return f"{barcode}SHIP{rank % 100000:05d} {service}T{barcode[0:4]}{barcode[12:14]}D{exceptions}"
 
 
 def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
-    kb = KnowledgeBase()
-    for rank in range(unique_barcodes):
-        kb.add(_synth_record(rank))
-    return kb
+    return ingest([_synth_line(rank) for rank in range(unique_barcodes)])
 
 
 def _file_digest(path: str) -> str:
@@ -123,13 +122,21 @@ def _raw_payload(config: SimConfig, method: MethodKind, result, report: MetricsR
     }
 
 
+def _read_input(read, path: str):
+    """``read(path)``, with a malformed line reported as ``<path>: line N: ...``."""
+    try:
+        return read(path)
+    except (TraceFormatError, IngestError) as exc:
+        raise SimulationError(f"{path}: {exc}") from None
+
+
 def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int:
     for path, what in ((config.trace_path, "trace"), (config.kb_path, "knowledge base")):
         if not os.path.exists(path):
             print(f"error: {what} file not found: {path} (run `generate` first)", file=sys.stderr)
             return 1
-    trace = read_trace(config.trace_path)
-    kb = load_kb(config.kb_path)
+    trace = _read_input(read_trace, config.trace_path)
+    kb = _read_input(load_kb, config.kb_path)
     trace_digest = _file_digest(config.trace_path)
     kb_digest = _file_digest(config.kb_path)
 
@@ -169,6 +176,9 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
 
 
 def _report_from_raw(raw: dict) -> MetricsReport:
+    for name, value in raw["metrics"].items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"metric {name} is {value!r}, not a number")
     return MetricsReport(method=MethodKind(raw["method"]), **raw["metrics"])
 
 

@@ -11,6 +11,13 @@ Record line layout (ASCII, newline terminated, 56 characters):
 Two subfields are read straight from the barcode: digits 1-4 are the
 location code and digits 7-14 the destination code.
 
+The database holds each record as its validated line, keyed by barcode:
+``ingest`` checks the whole input at once and walks it line by line only
+to name the first bad line, ``get`` parses a line into a ``BarcodeRecord``
+on demand, and ``export`` writes the lines back in one piece. A cached
+miss in the simulator caches the record line, the form in which the
+station sends the record.
+
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Lookup cost is modeled as an indexed
 search: ceil(log2(N)) probes over N records, never less than one.
@@ -18,8 +25,9 @@ search: ceil(log2(N)) probes over N records, never less than one.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 from .cache import validate_barcode
 from .errors import ConfigError, DuplicateKeyError, IngestError, ValidationError
@@ -121,48 +129,88 @@ def parse_record_line(line: str, line_no: int = 1) -> BarcodeRecord:
 
 
 class KnowledgeBase:
-    """All barcode records, keyed by barcode, in ingest order."""
+    """All record lines, keyed by barcode, in ingest order."""
 
     def __init__(self) -> None:
-        self._records: dict[str, BarcodeRecord] = {}
+        self._lines: dict[str, str] = {}
 
     @property
     def size(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
     def __contains__(self, barcode: str) -> bool:
-        return barcode in self._records
+        return barcode in self._lines
 
     def add(self, record: BarcodeRecord) -> None:
-        if record.barcode in self._records:
+        """Store ``record`` as its fixed-width line.
+
+        A record that its line cannot hold exactly (a bad barcode, a
+        non-ASCII character, a field wider than its column or ending in a
+        space) is refused with ValidationError, so the knowledge base never
+        holds what ``save_kb`` could not write back.
+        """
+        line = record.to_line()
+        try:
+            exact = parse_record_line(line) == record
+        except IngestError as exc:
+            raise ValidationError(f"record {record.barcode!r} has no valid line: {exc.reason}") from None
+        if not exact:
+            raise ValidationError(f"record {record.barcode!r} does not fit its fixed-width line {line!r}")
+        if record.barcode in self._lines:
             raise DuplicateKeyError(f"duplicate barcode {record.barcode}")
-        self._records[record.barcode] = record
+        self._lines[record.barcode] = line
 
     def get(self, barcode: str) -> Optional[BarcodeRecord]:
-        return self._records.get(barcode)
+        line = self._lines.get(barcode)
+        return None if line is None else parse_record_line(line)
+
+    def record_line(self, barcode: str) -> Optional[str]:
+        """The stored fixed-width line of ``barcode``, without parsing it."""
+        return self._lines.get(barcode)
 
     def records(self) -> Iterator[BarcodeRecord]:
-        return iter(self._records.values())
+        return map(parse_record_line, self._lines.values())
 
     def export(self, stream: TextIO) -> None:
         """Write all records in ingest order; exact inverse of ingest."""
-        for record in self._records.values():
-            stream.write(record.to_line())
+        if self._lines:
+            stream.write("\n".join(self._lines.values()))
             stream.write("\n")
 
 
-def ingest(source: Iterable[str]) -> KnowledgeBase:
-    """Build a knowledge base from an iterable of fixed-width lines.
+def ingest(source: Union[str, Iterable[str]]) -> KnowledgeBase:
+    """Build a knowledge base from fixed-width record lines.
 
-    ``source`` may be an open text file. Each line must match the layout
-    documented at module top; errors carry the 1-based line number.
+    ``source`` is either the whole record text, whose lines end at "\n"
+    only, or an iterable of lines with or without their "\n" (an open text
+    file is one). Each line must match the layout documented at module
+    top. The input is checked as a whole; only when a check fails is it
+    walked line by line, so the error carries the 1-based number and the
+    reason of the first bad line.
     """
+    if isinstance(source, str):
+        lines = source.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+    else:
+        lines = [raw[:-1] if raw.endswith("\n") else raw for raw in source]
+    barcodes = [line[0:BARCODE_WIDTH] for line in lines]
+    by_barcode = dict(zip(barcodes, lines))
     kb = KnowledgeBase()
-    for line_no, raw in enumerate(source, start=1):
-        line = raw[:-1] if raw.endswith("\n") else raw
+    if (
+        set(map(len, lines)) == {LINE_WIDTH}
+        and all(map(str.isascii, lines))
+        and "".join(barcodes).isdigit()
+        and len(by_barcode) == len(lines)
+    ):
+        kb._lines = by_barcode
+        return kb
+    # Some line is bad (or there are none): add them one at a time, so the
+    # first bad line raises with its number and reason.
+    for line_no, line in enumerate(lines, start=1):
         try:
             kb.add(parse_record_line(line, line_no))
         except DuplicateKeyError as exc:
@@ -174,7 +222,10 @@ def load_kb(path: str) -> KnowledgeBase:
     # A byte that is not ASCII decodes to a lone surrogate, which
     # parse_record_line rejects with its line number.
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
-        return ingest(fh)
+        text = fh.read()
+    # A file read with newline="" also ends a line at a lone "\r" (keeping
+    # it); only a text that holds a "\r" needs that rule.
+    return ingest(text if "\r" not in text else io.StringIO(text, newline=""))
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:

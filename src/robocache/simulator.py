@@ -97,7 +97,7 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
         if barcode not in kb:
             raise MissingRecordError(barcode)
     # Every barcode is trusted from here on, so the loop drives the caches
-    # through their unchecked path and fetches records directly.
+    # through their unchecked path and fetches record lines directly.
 
     cached = method is MethodKind.CACHED
     robot_ids = dict.fromkeys([event.robot_id for event in trace]) if cached else ()
@@ -105,7 +105,7 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
 
     link = SatelliteLink(sim_config.link, random.Random(sim_config.seed))
     transmit = link.transmit
-    record_of = kb.get
+    line_of = kb.record_line
     cache_probe_ms = sim_config.cache_probe_time_ms
     service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
     latencies: List[float] = []
@@ -134,7 +134,7 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
                 outcome = transmit(issued + probe_ms)
                 decided_at = outcome.delivered_at + service_ms
                 work_ms = probe_ms + service_ms + outcome.lock_stall_applied
-                cache.admit(barcode, record_of(barcode))
+                cache.admit(barcode, line_of(barcode))
             cache_comparisons += comparisons
         else:
             outcome = transmit(issued)

@@ -118,12 +118,13 @@ def load_trace(stream: Iterable[str]) -> List[ScanEvent]:
         if len(parts) != 3:
             raise TraceFormatError(line_no, f"expected 3 comma-separated fields, got {len(parts)}")
         robot_field, barcode, time_field = parts
-        try:
-            robot_id = int(robot_field)
-        except ValueError:
-            raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer") from None
-        if robot_id < 0:
-            raise TraceFormatError(line_no, f"robot_id {robot_id} is negative")
+        # ASCII digits only: int() would also take "1_0", " 1" or full-width digits.
+        if not (robot_field.isascii() and robot_field.isdigit()):
+            unsigned = robot_field[1:]
+            if robot_field.startswith("-") and unsigned.isascii() and unsigned.isdigit():
+                raise TraceFormatError(line_no, f"robot_id {robot_field} is negative")
+            raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer")
+        robot_id = int(robot_field)
         try:
             validate_barcode(barcode)
         except ValidationError as exc:

@@ -260,7 +260,7 @@ def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
     assert "wall_clock" not in json.dumps(raw)  # host time never lands in reports
 
 
-@pytest.mark.parametrize("damage", ["truncated_json", "incomplete_metrics", "directory"])
+@pytest.mark.parametrize("damage", ["truncated_json", "incomplete_metrics", "directory", "string_metric", "null_metric", "bool_metric"])
 def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
@@ -273,6 +273,10 @@ def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_pat
     elif damage == "incomplete_metrics":
         raw = json.load(open(baseline))
         del raw["metrics"]["processing_time_minutes"]
+        bad.write_text(json.dumps(raw))
+    elif damage.endswith("_metric"):
+        raw = json.load(open(baseline))
+        raw["metrics"]["processing_time_minutes"] = {"string_metric": "x", "null_metric": None, "bool_metric": True}[damage]
         bad.write_text(json.dumps(raw))
     else:
         bad.mkdir()
@@ -296,5 +300,27 @@ def test_run_rejects_an_input_file_with_an_undecodable_byte(name, config_path, t
         fh.write(b"\n".join(lines))
     capsys.readouterr()
     assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached"]) == 1
-    assert capsys.readouterr().err.startswith("error: line 2: ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: line 2: ")
+    assert sorted(os.listdir(out)) == ["kb.dat", "trace.csv"]
+
+
+@pytest.mark.parametrize(
+    "name,line_3,reason",
+    [
+        ("trace.csv", b"1_0,10000000000000,4.0", "robot_id '1_0' is not an integer"),
+        ("kb.dat", b"10000000000002SHIP00002", "expected 56 characters, got 23"),
+    ],
+    ids=["trace", "kb"],
+)
+def test_run_names_the_input_file_holding_a_malformed_line(name, line_3, reason, config_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    path = os.path.join(out, name)
+    lines = read_bytes(path).split(b"\n")
+    lines[2] = line_3
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 3: {reason}\n"
     assert sorted(os.listdir(out)) == ["kb.dat", "trace.csv"]

@@ -7,11 +7,14 @@ import pytest
 from robocache.errors import ConfigError, IngestError, ValidationError
 from robocache.knowledge_base import (
     BarcodeRecord,
+    KnowledgeBase,
     index_probe_cost,
     ingest,
     load_kb,
     parse_record_line,
 )
+
+from helpers import make_kb
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -121,3 +124,125 @@ def test_index_probe_cost_bounds_hold_for_small_sizes():
     for record_count in range(1, 5000):
         cost = index_probe_cost(record_count)
         assert 1 <= cost <= math.ceil(math.log2(max(record_count, 2)))
+
+
+LINES_1_2 = make_line("12345678901234") + "\n" + make_line("12345678901235") + "\n"
+LINE_4 = make_line("12345678901237") + "\n"
+TOO_LONG = "expected 56 characters, got 57"
+FAULTS = {
+    # name: (bad line 3 with its line end, {reader: reason, or None if it loads})
+    "short": ("too short\n", dict.fromkeys(["ingest", "load_kb"], "expected 56 characters, got 9")),
+    "long": (make_line("12345678901236") + "X\n", dict.fromkeys(["ingest", "load_kb"], TOO_LONG)),
+    "crlf": (make_line("12345678901236") + "\r\n", dict.fromkeys(["ingest", "load_kb"], TOO_LONG)),
+    "empty": ("\n", dict.fromkeys(["ingest", "load_kb"], "expected 56 characters, got 0")),
+    "barcode": (
+        make_line("1234567890123x") + "\n",
+        dict.fromkeys(["ingest", "load_kb"], "barcode field '1234567890123x' is not 14 decimal digits"),
+    ),
+    # load_kb reads ASCII, so the two UTF-8 bytes of "é" are two characters there.
+    "non_ascii_shipper": (
+        make_line("12345678901236", shipper="SHIPé") + "\n",
+        {
+            "ingest": "non-ASCII character in '12345678901236SHIPé     GRNDTERM0001                    '",
+            "load_kb": TOO_LONG,
+        },
+    ),
+    "duplicate_of_line_1": (
+        make_line("12345678901234") + "\n",
+        dict.fromkeys(["ingest", "load_kb"], "duplicate barcode 12345678901234"),
+    ),
+    # A file read by load_kb also ends a line at a lone "\r"; a text stream does not.
+    "lone_cr": (
+        make_line("12345678901236", shipper="SHIP\r0001") + "\n",
+        {"ingest": None, "load_kb": "expected 56 characters, got 19"},
+    ),
+}
+
+
+def good_file_with(line_3):
+    return LINES_1_2 + line_3 + LINE_4
+
+
+def read_via(reader, text, tmp_path):
+    if reader == "ingest":
+        return ingest(io.StringIO(text))
+    path = tmp_path / "kb.dat"
+    path.write_bytes(text.encode("utf-8"))
+    return load_kb(str(path))
+
+
+@pytest.mark.parametrize("reader", ["ingest", "load_kb"])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_bad_line_3_is_rejected_with_the_same_line_number_and_reason(fault, reader, tmp_path):
+    bad, reasons = FAULTS[fault]
+    text = good_file_with(bad)
+    if reasons[reader] is None:
+        assert read_via(reader, text, tmp_path).size == 4
+        return
+    with pytest.raises(IngestError) as exc_info:
+        read_via(reader, text, tmp_path)
+    assert (exc_info.value.line_no, exc_info.value.reason) == (3, reasons[reader])
+
+
+def test_an_undecodable_byte_on_line_3_is_rejected_by_load_kb(tmp_path):
+    bad = make_line("12345678901236", shipper="SHIP\xff").encode("latin-1") + b"\n"
+    path = tmp_path / "kb.dat"
+    path.write_bytes(LINES_1_2.encode("ascii") + bad + LINE_4.encode("ascii"))
+    with pytest.raises(IngestError) as exc_info:
+        load_kb(str(path))
+    assert exc_info.value.line_no == 3
+    assert exc_info.value.reason == "non-ASCII character in '12345678901236SHIP\\udcff     GRNDTERM0001                    '"
+
+
+@pytest.mark.parametrize(
+    "line_3,line_5,reason",
+    [
+        (make_line("1234567890123x"), "short", "barcode field '1234567890123x' is not 14 decimal digits"),
+        (make_line("12345678901234"), make_line("12345678901239", shipper="SHIPé"), "duplicate barcode 12345678901234"),
+        ("short", make_line("12345678901235"), "expected 56 characters, got 5"),
+    ],
+)
+def test_a_file_with_two_faults_reports_the_earlier_one(line_3, line_5, reason):
+    text = good_file_with(line_3 + "\n") + line_5 + "\n"
+    with pytest.raises(IngestError) as exc_info:
+        ingest(io.StringIO(text))
+    assert (exc_info.value.line_no, exc_info.value.reason) == (3, reason)
+
+
+@pytest.mark.parametrize("ending", ["\n", ""])
+def test_a_final_line_without_a_newline_still_loads(ending, tmp_path):
+    path = tmp_path / "kb.dat"
+    path.write_text(LINES_1_2 + LINE_4[:-1] + ending)
+    assert [r.barcode for r in load_kb(str(path)).records()] == ["12345678901234", "12345678901235", "12345678901237"]
+
+
+def test_add_then_get_returns_an_equal_record():
+    barcodes = ["12345678901234", "12345678901235", "98765432109876", "10000000000000"]
+    kb = make_kb(barcodes)
+    for index, barcode in enumerate(barcodes):
+        expected = BarcodeRecord.build(
+            barcode=barcode,
+            shipper_number=f"SHIP{index:05d}",
+            service_type="GRND",
+            destination_terminal=f"T{barcode[0:4]}00D",
+            delivery_exceptions="FRAGILE" if index % 3 == 0 else "",
+        )
+        assert kb.get(barcode) == expected
+    assert kb.get("99999999999999") is None
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        BarcodeRecord("1234567890123", "SHIP00001", "GRND", "TERM0001", ""),
+        BarcodeRecord("12345678901234", "SHIP0000100", "GRND", "TERM0001", ""),
+        BarcodeRecord("12345678901234", "SHIP00001", "GRN", "TERM00012", ""),
+        BarcodeRecord("12345678901234", "SHIPé", "GRND", "TERM0001", ""),
+        BarcodeRecord.build("12345678901234", "SHIP ", "GRND", "TERM0001"),
+    ],
+)
+def test_add_refuses_a_record_its_line_cannot_hold(record):
+    kb = KnowledgeBase()
+    with pytest.raises(ValidationError):
+        kb.add(record)
+    assert kb.size == 0

@@ -116,6 +116,10 @@ def test_hand_written_fixture_loads_field_for_field():
         ("robot_id,barcode,issued_at_ms\n0,12345678901234,oops\n", 2),
         ("robot_id,barcode,issued_at_ms\n0,12345678901234\n", 2),
         ("robot_id,barcode,issued_at_ms\n-1,12345678901234,4.0\n", 2),
+        ("robot_id,barcode,issued_at_ms\n0,12345678901234,1.0\n1_0,12345678901234,4.0\n", 3),
+        ("robot_id,barcode,issued_at_ms\n 1,12345678901234,4.0\n", 2),
+        ("robot_id,barcode,issued_at_ms\n１,12345678901234,4.0\n", 2),
+        ("robot_id,barcode,issued_at_ms\n+1,12345678901234,4.0\n", 2),
         ("robot_id,barcode,issued_at_ms\n0,12345678901234,4.0\n0,12345678901234,3.9\n", 3),
         ("robot_id,barcode,issued_at_ms\n0,12345678901234,nan\n", 2),
     ],
@@ -124,6 +128,16 @@ def test_malformed_lines_carry_their_line_number(body, bad_line):
     with pytest.raises(TraceFormatError) as exc_info:
         load_trace(io.StringIO(body))
     assert exc_info.value.line_no == bad_line
+
+
+@pytest.mark.parametrize(
+    "robot_field,reason",
+    [("-1", "robot_id -1 is negative"), ("1_0", "robot_id '1_0' is not an integer"), ("", "robot_id '' is not an integer")],
+)
+def test_robot_id_errors_name_the_field(robot_field, reason):
+    with pytest.raises(TraceFormatError) as exc_info:
+        load_trace(io.StringIO(f"robot_id,barcode,issued_at_ms\n{robot_field},12345678901234,4.0\n"))
+    assert exc_info.value.reason == reason
 
 
 @pytest.mark.parametrize(
