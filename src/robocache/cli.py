@@ -25,7 +25,7 @@ from typing import Optional
 
 from .config import SimConfig, load_config
 from .errors import IngestError, SimulationError, TraceFormatError
-from .knowledge_base import EXCEPTIONS_WIDTH, KnowledgeBase, ingest, load_kb, save_kb
+from .knowledge_base import KnowledgeBase, format_record_line, ingest, load_kb, save_kb
 from .metrics import (
     AlertPolicy,
     AlertResult,
@@ -43,21 +43,18 @@ from .simulator import run as run_simulation
 from .workload import barcode_for_rank, generate, read_trace, write_trace
 
 _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
-_HOLD = "HOLD FOR INSPECTION".ljust(EXCEPTIONS_WIDTH)
-_NO_EXCEPTIONS = " " * EXCEPTIONS_WIDTH
 
 
 def _synth_line(rank: int) -> str:
-    """Deterministic knowledge-base record line for one workload rank.
-
-    Shipper ``SHIP<rank mod 100000>`` (9 characters and one pad space),
-    a 4-character service type, terminal ``T<location><last two barcode
-    digits>D`` (8 characters) and every 13th rank held for inspection.
-    """
+    """Deterministic knowledge-base record line for one workload rank."""
     barcode = barcode_for_rank(rank)
-    service = _SERVICE_TYPES[rank % len(_SERVICE_TYPES)]
-    exceptions = _HOLD if rank % 13 == 0 else _NO_EXCEPTIONS
-    return f"{barcode}SHIP{rank % 100000:05d} {service}T{barcode[0:4]}{barcode[12:14]}D{exceptions}"
+    return format_record_line(
+        barcode,
+        f"SHIP{rank % 100000:05d}",
+        _SERVICE_TYPES[rank % len(_SERVICE_TYPES)],
+        f"T{barcode[0:4]}{barcode[12:14]}D",
+        "HOLD FOR INSPECTION" if rank % 13 == 0 else "",
+    )
 
 
 def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:

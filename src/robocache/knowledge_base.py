@@ -25,9 +25,8 @@ search: ceil(log2(N)) probes over N records, never less than one.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO, Union
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .cache import validate_barcode
 from .errors import ConfigError, DuplicateKeyError, IngestError, ValidationError
@@ -85,13 +84,34 @@ class BarcodeRecord:
 
     def to_line(self) -> str:
         """Render the fixed-width line (without the trailing newline)."""
-        return (
-            self.barcode
-            + self.shipper_number.ljust(SHIPPER_WIDTH)
-            + self.service_type.ljust(SERVICE_WIDTH)
-            + self.destination_terminal.ljust(TERMINAL_WIDTH)
-            + self.delivery_exceptions.ljust(EXCEPTIONS_WIDTH)
+        return format_record_line(
+            self.barcode,
+            self.shipper_number,
+            self.service_type,
+            self.destination_terminal,
+            self.delivery_exceptions,
         )
+
+
+def format_record_line(
+    barcode: str,
+    shipper_number: str,
+    service_type: str,
+    destination_terminal: str,
+    delivery_exceptions: str,
+) -> str:
+    """Pad the fields into one fixed-width line (without the trailing newline).
+
+    No field is checked: ``ingest`` or ``KnowledgeBase.add`` refuses a
+    line that does not parse back.
+    """
+    return (
+        barcode
+        + shipper_number.ljust(SHIPPER_WIDTH)
+        + service_type.ljust(SERVICE_WIDTH)
+        + destination_terminal.ljust(TERMINAL_WIDTH)
+        + delivery_exceptions.ljust(EXCEPTIONS_WIDTH)
+    )
 
 
 def index_probe_cost(record_count: int) -> int:
@@ -181,40 +201,34 @@ class KnowledgeBase:
             stream.write("\n")
 
 
-def ingest(source: Union[str, Iterable[str]]) -> KnowledgeBase:
+def ingest(source: Iterable[str]) -> KnowledgeBase:
     """Build a knowledge base from fixed-width record lines.
 
-    ``source`` is either the whole record text, whose lines end at "\n"
-    only, or an iterable of lines with or without their "\n" (an open text
-    file is one). Each line must match the layout documented at module
+    ``source`` yields lines with or without their trailing "\n" (an open
+    text file does). Each line must match the layout documented at module
     top. The input is checked as a whole; only when a check fails is it
     walked line by line, so the error carries the 1-based number and the
     reason of the first bad line.
     """
-    if isinstance(source, str):
-        lines = source.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-    else:
-        lines = [raw[:-1] if raw.endswith("\n") else raw for raw in source]
+    lines = [raw[:-1] if raw.endswith("\n") else raw for raw in source]
     barcodes = [line[0:BARCODE_WIDTH] for line in lines]
     by_barcode = dict(zip(barcodes, lines))
-    kb = KnowledgeBase()
-    if (
+    if not (
         set(map(len, lines)) == {LINE_WIDTH}
         and all(map(str.isascii, lines))
         and "".join(barcodes).isdigit()
         and len(by_barcode) == len(lines)
     ):
-        kb._lines = by_barcode
-        return kb
-    # Some line is bad (or there are none): add them one at a time, so the
-    # first bad line raises with its number and reason.
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            kb.add(parse_record_line(line, line_no))
-        except DuplicateKeyError as exc:
-            raise IngestError(line_no, str(exc)) from None
+        # Some line is bad (or there are none): the first bad line raises
+        # with its number and reason.
+        seen: set[str] = set()
+        for line_no, line in enumerate(lines, start=1):
+            barcode = parse_record_line(line, line_no).barcode
+            if barcode in seen:
+                raise IngestError(line_no, f"duplicate barcode {barcode}")
+            seen.add(barcode)
+    kb = KnowledgeBase()
+    kb._lines = by_barcode
     return kb
 
 
@@ -222,10 +236,7 @@ def load_kb(path: str) -> KnowledgeBase:
     # A byte that is not ASCII decodes to a lone surrogate, which
     # parse_record_line rejects with its line number.
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
-        text = fh.read()
-    # A file read with newline="" also ends a line at a lone "\r" (keeping
-    # it); only a text that holds a "\r" needs that rule.
-    return ingest(text if "\r" not in text else io.StringIO(text, newline=""))
+        return ingest(fh)
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:

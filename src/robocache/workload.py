@@ -120,9 +120,11 @@ def load_trace(stream: Iterable[str]) -> List[ScanEvent]:
         robot_field, barcode, time_field = parts
         # ASCII digits only: int() would also take "1_0", " 1" or full-width digits.
         if not (robot_field.isascii() and robot_field.isdigit()):
-            unsigned = robot_field[1:]
-            if robot_field.startswith("-") and unsigned.isascii() and unsigned.isdigit():
-                raise TraceFormatError(line_no, f"robot_id {robot_field} is negative")
+            sign, unsigned = robot_field[:1], robot_field[1:]
+            if sign in ("-", "+") and unsigned.isascii() and unsigned.isdigit():
+                if sign == "-" and int(unsigned) > 0:
+                    raise TraceFormatError(line_no, f"robot_id {robot_field} is negative")
+                raise TraceFormatError(line_no, f"robot_id {robot_field!r} has a sign")
             raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer")
         robot_id = int(robot_field)
         try:

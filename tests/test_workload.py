@@ -132,7 +132,13 @@ def test_malformed_lines_carry_their_line_number(body, bad_line):
 
 @pytest.mark.parametrize(
     "robot_field,reason",
-    [("-1", "robot_id -1 is negative"), ("1_0", "robot_id '1_0' is not an integer"), ("", "robot_id '' is not an integer")],
+    [
+        ("-1", "robot_id -1 is negative"),
+        ("-0", "robot_id '-0' has a sign"),
+        ("+1", "robot_id '+1' has a sign"),
+        ("1_0", "robot_id '1_0' is not an integer"),
+        ("", "robot_id '' is not an integer"),
+    ],
 )
 def test_robot_id_errors_name_the_field(robot_field, reason):
     with pytest.raises(TraceFormatError) as exc_info:
