@@ -21,7 +21,6 @@ from .errors import (
     ValidationError,
 )
 from .knowledge_base import (
-    BarcodeRecord,
     KnowledgeBase,
     index_probe_cost,
     ingest,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlertPolicy",
     "AlertResult",
-    "BarcodeRecord",
     "ComparisonTable",
     "ConfigError",
     "DuplicateKeyError",

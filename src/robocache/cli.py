@@ -20,13 +20,14 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from typing import Optional
 
 from .config import SimConfig, load_config
-from .errors import IngestError, SimulationError, TraceFormatError
+from .errors import LineError, SimulationError
 from .knowledge_base import KnowledgeBase, format_record_line, ingest, load_kb, save_kb
 from .metrics import (
+    METRIC_NAMES,
     AlertPolicy,
     AlertResult,
     MethodKind,
@@ -82,7 +83,7 @@ def cmd_generate(config: SimConfig) -> int:
     _ensure_parent(config.kb_path)
     save_kb(kb, config.kb_path)
     print(f"trace: {config.trace_path} ({len(events)} scans)")
-    print(f"kb:    {config.kb_path} ({kb.size} records)")
+    print(f"kb:    {config.kb_path} ({len(kb)} records)")
     return 0
 
 
@@ -96,7 +97,7 @@ def _raw_payload(config: SimConfig, method: MethodKind, result, report: MetricsR
         # The run terms both methods share; `compare` refuses reports that
         # differ here. Cache capacity and probe time are the cached run's own.
         "config": {**asdict(config.link), "db_probe_time_ms": config.db_probe_time_ms},
-        "metrics": {f.name: getattr(report, f.name) for f in fields(report) if f.name != "method"},
+        "metrics": dict(zip(METRIC_NAMES, report.row_values())),
         "alert": {
             "threshold_minutes": config.alert_threshold_minutes,
             "raised": alert.raised,
@@ -123,7 +124,7 @@ def _read_input(read, path: str):
     """``read(path)``, with a malformed line reported as ``<path>: line N: ...``."""
     try:
         return read(path)
-    except (TraceFormatError, IngestError) as exc:
+    except LineError as exc:
         raise SimulationError(f"{path}: {exc}") from None
 
 
@@ -172,20 +173,33 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
     return 0
 
 
+def _number(name: str, value) -> float:
+    """``value`` if it is a JSON number; TypeError for anything else, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} is {value!r}, not a number")
+    return value
+
+
 def _report_from_raw(raw: dict) -> MetricsReport:
-    for name, value in raw["metrics"].items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TypeError(f"metric {name} is {value!r}, not a number")
-    return MetricsReport(method=MethodKind(raw["method"]), **raw["metrics"])
+    metrics = raw["metrics"]
+    return MetricsReport(MethodKind(raw["method"]), **{name: _number(f"metric {name}", metrics[name]) for name in METRIC_NAMES})
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
 
 
 def _load_raw(path: str) -> tuple[dict, MetricsReport, AlertResult]:
     """Read one raw run report; an unreadable, truncated or incomplete file is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            # The writer refuses NaN and Infinity (allow_nan=False); so does the reader.
+            raw = json.load(fh, parse_constant=_refuse_constant)
         report = _report_from_raw(raw)
-        alert = AlertResult(raised=raw["alert"]["raised"], overrun_minutes=raw["alert"]["overrun_minutes"])
+        raised = raw["alert"]["raised"]
+        if not isinstance(raised, bool):
+            raise TypeError(f"alert raised is {raised!r}, not a bool")
+        alert = AlertResult(raised, _number("alert overrun_minutes", raw["alert"]["overrun_minutes"]))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise SimulationError(f"{path}: not a readable raw run report ({type(exc).__name__}: {exc})") from None
     return raw, report, alert

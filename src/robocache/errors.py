@@ -17,22 +17,21 @@ class DuplicateKeyError(SimulationError):
     """An operation would create a second entry for the same barcode."""
 
 
-class IngestError(SimulationError):
+class LineError(SimulationError):
+    """An input file line is malformed; carries its 1-based number and the reason."""
+
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"line {line_no}: {reason}")
+        self.line_no = line_no
+        self.reason = reason
+
+
+class IngestError(LineError):
     """A record file line could not be parsed."""
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
 
-
-class TraceFormatError(SimulationError):
+class TraceFormatError(LineError):
     """A trace file line is malformed or breaks trace ordering."""
-
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-        self.reason = reason
 
 
 class MissingRecordError(SimulationError):

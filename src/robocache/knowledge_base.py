@@ -8,15 +8,13 @@ Record line layout (ASCII, newline terminated, 56 characters):
     cols 29-36  destination terminal
     cols 37-56  delivery exceptions (all spaces means none)
 
-Two subfields are read straight from the barcode: digits 1-4 are the
-location code and digits 7-14 the destination code.
-
-The database holds each record as its validated line, keyed by barcode:
-``ingest`` checks the whole input at once and walks it line by line only
-to name the first bad line, ``get`` parses a line into a ``BarcodeRecord``
-on demand, and ``export`` writes the lines back in one piece. A cached
-miss in the simulator caches the record line, the form in which the
-station sends the record.
+``format_record_line`` is the one place that pads fields into this
+layout. The database holds each record as its validated line, keyed by
+barcode: ``ingest`` checks the whole input at once and walks it line by
+line only to name the first bad line, ``record_line`` returns one line,
+and ``export`` writes the lines back in one piece. No field is ever
+parsed back out of a line: a cached miss in the simulator caches the
+record line, the form in which the station sends the record.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Lookup cost is modeled as an indexed
@@ -25,11 +23,10 @@ search: ceil(log2(N)) probes over N records, never less than one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Optional, TextIO
 
 from .cache import validate_barcode
-from .errors import ConfigError, DuplicateKeyError, IngestError, ValidationError
+from .errors import ConfigError, IngestError, ValidationError
 
 BARCODE_WIDTH = 14
 SHIPPER_WIDTH = 10
@@ -37,60 +34,6 @@ SERVICE_WIDTH = 4
 TERMINAL_WIDTH = 8
 EXCEPTIONS_WIDTH = 20
 LINE_WIDTH = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + TERMINAL_WIDTH + EXCEPTIONS_WIDTH
-
-
-@dataclass(frozen=True)
-class BarcodeRecord:
-    barcode: str
-    shipper_number: str
-    service_type: str
-    destination_terminal: str
-    delivery_exceptions: str
-
-    @property
-    def location(self) -> str:
-        return self.barcode[0:4]
-
-    @property
-    def destination(self) -> str:
-        return self.barcode[6:14]
-
-    @classmethod
-    def build(
-        cls,
-        barcode: str,
-        shipper_number: str,
-        service_type: str,
-        destination_terminal: str,
-        delivery_exceptions: str = "",
-    ) -> "BarcodeRecord":
-        """Create a record, checking the barcode and every field width."""
-        validate_barcode(barcode)
-        for name, value, width in (
-            ("shipper_number", shipper_number, SHIPPER_WIDTH),
-            ("service_type", service_type, SERVICE_WIDTH),
-            ("destination_terminal", destination_terminal, TERMINAL_WIDTH),
-            ("delivery_exceptions", delivery_exceptions, EXCEPTIONS_WIDTH),
-        ):
-            if len(value) > width:
-                raise ConfigError(f"{name} {value!r} exceeds field width {width}")
-        return cls(
-            barcode=barcode,
-            shipper_number=shipper_number,
-            service_type=service_type,
-            destination_terminal=destination_terminal,
-            delivery_exceptions=delivery_exceptions,
-        )
-
-    def to_line(self) -> str:
-        """Render the fixed-width line (without the trailing newline)."""
-        return format_record_line(
-            self.barcode,
-            self.shipper_number,
-            self.service_type,
-            self.destination_terminal,
-            self.delivery_exceptions,
-        )
 
 
 def format_record_line(
@@ -102,8 +45,9 @@ def format_record_line(
 ) -> str:
     """Pad the fields into one fixed-width line (without the trailing newline).
 
-    No field is checked: ``ingest`` or ``KnowledgeBase.add`` refuses a
-    line that does not parse back.
+    No field is checked: ``ingest`` refuses the line if a field overflows
+    its column (the line is then longer than ``LINE_WIDTH``), the barcode
+    is malformed or a character is not ASCII.
     """
     return (
         barcode
@@ -121,12 +65,10 @@ def index_probe_cost(record_count: int) -> int:
     return max(1, (record_count - 1).bit_length())
 
 
-def parse_record_line(line: str, line_no: int = 1) -> BarcodeRecord:
-    """Parse one fixed-width line (newline already stripped).
+def _check_line(line: str, line_no: int) -> str:
+    """The barcode of one fixed-width line (newline already stripped).
 
-    The line must be ASCII; with the length check and ``validate_barcode``
-    that covers everything ``BarcodeRecord.build`` would re-check, so the
-    record is built directly.
+    Raises IngestError with ``line_no`` and the reason the line is bad.
     """
     if len(line) != LINE_WIDTH:
         raise IngestError(line_no, f"expected {LINE_WIDTH} characters, got {len(line)}")
@@ -137,15 +79,7 @@ def parse_record_line(line: str, line_no: int = 1) -> BarcodeRecord:
         raise IngestError(line_no, f"barcode field {barcode!r} is not 14 decimal digits") from None
     if not line.isascii():
         raise IngestError(line_no, f"non-ASCII character in {line!r}")
-    offset = BARCODE_WIDTH
-    shipper = line[offset : offset + SHIPPER_WIDTH].rstrip(" ")
-    offset += SHIPPER_WIDTH
-    service = line[offset : offset + SERVICE_WIDTH].rstrip(" ")
-    offset += SERVICE_WIDTH
-    terminal = line[offset : offset + TERMINAL_WIDTH].rstrip(" ")
-    offset += TERMINAL_WIDTH
-    exceptions = line[offset : offset + EXCEPTIONS_WIDTH].rstrip(" ")
-    return BarcodeRecord(barcode, shipper, service, terminal, exceptions)
+    return barcode
 
 
 class KnowledgeBase:
@@ -154,45 +88,15 @@ class KnowledgeBase:
     def __init__(self) -> None:
         self._lines: dict[str, str] = {}
 
-    @property
-    def size(self) -> int:
-        return len(self._lines)
-
     def __len__(self) -> int:
         return len(self._lines)
 
     def __contains__(self, barcode: str) -> bool:
         return barcode in self._lines
 
-    def add(self, record: BarcodeRecord) -> None:
-        """Store ``record`` as its fixed-width line.
-
-        A record that its line cannot hold exactly (a bad barcode, a
-        non-ASCII character, a field wider than its column or ending in a
-        space) is refused with ValidationError, so the knowledge base never
-        holds what ``save_kb`` could not write back.
-        """
-        line = record.to_line()
-        try:
-            exact = parse_record_line(line) == record
-        except IngestError as exc:
-            raise ValidationError(f"record {record.barcode!r} has no valid line: {exc.reason}") from None
-        if not exact:
-            raise ValidationError(f"record {record.barcode!r} does not fit its fixed-width line {line!r}")
-        if record.barcode in self._lines:
-            raise DuplicateKeyError(f"duplicate barcode {record.barcode}")
-        self._lines[record.barcode] = line
-
-    def get(self, barcode: str) -> Optional[BarcodeRecord]:
-        line = self._lines.get(barcode)
-        return None if line is None else parse_record_line(line)
-
     def record_line(self, barcode: str) -> Optional[str]:
-        """The stored fixed-width line of ``barcode``, without parsing it."""
+        """The stored fixed-width line of ``barcode``, or None if it has no record."""
         return self._lines.get(barcode)
-
-    def records(self) -> Iterator[BarcodeRecord]:
-        return map(parse_record_line, self._lines.values())
 
     def export(self, stream: TextIO) -> None:
         """Write all records in ingest order; exact inverse of ingest."""
@@ -223,7 +127,7 @@ def ingest(source: Iterable[str]) -> KnowledgeBase:
         # with its number and reason.
         seen: set[str] = set()
         for line_no, line in enumerate(lines, start=1):
-            barcode = parse_record_line(line, line_no).barcode
+            barcode = _check_line(line, line_no)
             if barcode in seen:
                 raise IngestError(line_no, f"duplicate barcode {barcode}")
             seen.add(barcode)
@@ -234,7 +138,7 @@ def ingest(source: Iterable[str]) -> KnowledgeBase:
 
 def load_kb(path: str) -> KnowledgeBase:
     # A byte that is not ASCII decodes to a lone surrogate, which
-    # parse_record_line rejects with its line number.
+    # ingest rejects with its line number.
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         return ingest(fh)
 

@@ -39,7 +39,6 @@ class MetricsReport:
     processing_time_minutes: float
     disruption_per_million_scans: float
     total_comparisons: int
-    first_decision_latency_minutes: float
 
     def row_values(self) -> Tuple[float, float, float, int]:
         return (
@@ -86,7 +85,6 @@ def summarize(counters: RunCounters, method) -> MetricsReport:
         processing_time_minutes=counters.total_processing_ms / MS_PER_MINUTE,
         disruption_per_million_scans=disruption_events * 1_000_000.0 / counters.scans,
         total_comparisons=counters.cache_comparisons + counters.db_comparisons,
-        first_decision_latency_minutes=latencies[0] / MS_PER_MINUTE,
     )
 
 

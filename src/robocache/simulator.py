@@ -91,7 +91,7 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
     started = time.perf_counter()
 
     # Every station resolution costs the same indexed search.
-    db_comparisons_per_resolve = index_probe_cost(kb.size)
+    db_comparisons_per_resolve = index_probe_cost(len(kb))
     for barcode in dict.fromkeys([event.barcode for event in trace]):
         validate_barcode(barcode)
         if barcode not in kb:

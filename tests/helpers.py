@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from robocache.config import SimConfig
-from robocache.knowledge_base import BarcodeRecord, KnowledgeBase
+from robocache.knowledge_base import KnowledgeBase, format_record_line, ingest
 from robocache.netlink import LinkConfig
 from robocache.workload import WorkloadConfig
 
@@ -47,15 +47,13 @@ def make_sim_config(**overrides) -> SimConfig:
 
 
 def make_kb(barcodes) -> KnowledgeBase:
-    kb = KnowledgeBase()
-    for index, barcode in enumerate(barcodes):
-        kb.add(
-            BarcodeRecord.build(
-                barcode=barcode,
-                shipper_number=f"SHIP{index:05d}",
-                service_type="GRND",
-                destination_terminal=f"T{barcode[0:4]}00D",
-                delivery_exceptions="FRAGILE" if index % 3 == 0 else "",
-            )
+    return ingest(
+        format_record_line(
+            barcode,
+            shipper_number=f"SHIP{index:05d}",
+            service_type="GRND",
+            destination_terminal=f"T{barcode[0:4]}00D",
+            delivery_exceptions="FRAGILE" if index % 3 == 0 else "",
         )
-    return kb
+        for index, barcode in enumerate(barcodes)
+    )

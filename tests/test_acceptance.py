@@ -290,7 +290,6 @@ def test_a6_alert_strictly_above_threshold():
             processing_time_minutes=minutes,
             disruption_per_million_scans=0.0,
             total_comparisons=1,
-            first_decision_latency_minutes=1.0,
         )
 
     for epsilon in (1e-9, 1e-3, 1.0):

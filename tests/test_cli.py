@@ -4,7 +4,7 @@ import os
 import pytest
 
 from robocache.cli import run_cli
-from robocache.knowledge_base import BarcodeRecord
+from robocache.knowledge_base import format_record_line
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -161,9 +161,8 @@ def test_compare_rejects_mismatched_knowledge_bases(change, message, config_path
     cached_config = config_path
     if change == "kb_record":
         # Same trace, but the cached run resolves against a knowledge base with one more record.
-        extra = BarcodeRecord.build("99999999999999", "SHIP99999", "GRND", "T9999D")
         with open(os.path.join(out, "kb.dat"), "a", encoding="ascii", newline="") as fh:
-            fh.write(extra.to_line() + "\n")
+            fh.write(format_record_line("99999999999999", "SHIP99999", "GRND", "T9999D", "") + "\n")
     elif change == "baseline_without_config":
         # A raw report written before the config block existed.
         raw_path = os.path.join(out, "raw_baseline.json")
@@ -260,7 +259,22 @@ def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
     assert "wall_clock" not in json.dumps(raw)  # host time never lands in reports
 
 
-@pytest.mark.parametrize("damage", ["truncated_json", "incomplete_metrics", "directory", "string_metric", "null_metric", "bool_metric"])
+# A damaged field of a raw report: (block, key, value written in its place).
+BAD_FIELDS = {
+    "string_metric": ("metrics", "processing_time_minutes", "x"),
+    "null_metric": ("metrics", "processing_time_minutes", None),
+    "bool_metric": ("metrics", "processing_time_minutes", True),
+    "nan_metric": ("metrics", "processing_time_minutes", float("nan")),
+    "infinity_metric": ("metrics", "decision_latency_minutes", float("inf")),
+    "minus_infinity_metric": ("metrics", "decision_latency_minutes", float("-inf")),
+    "string_alert_raised": ("alert", "raised", "no"),
+    "int_alert_raised": ("alert", "raised", 0),
+    "string_alert_overrun": ("alert", "overrun_minutes", "0"),
+    "bool_alert_overrun": ("alert", "overrun_minutes", False),
+}
+
+
+@pytest.mark.parametrize("damage", ["truncated_json", "incomplete_metrics", "directory", *BAD_FIELDS])
 def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
@@ -274,10 +288,11 @@ def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_pat
         raw = json.load(open(baseline))
         del raw["metrics"]["processing_time_minutes"]
         bad.write_text(json.dumps(raw))
-    elif damage.endswith("_metric"):
+    elif damage in BAD_FIELDS:
+        block, key, value = BAD_FIELDS[damage]
         raw = json.load(open(baseline))
-        raw["metrics"]["processing_time_minutes"] = {"string_metric": "x", "null_metric": None, "bool_metric": True}[damage]
-        bad.write_text(json.dumps(raw))
+        raw[block][key] = value
+        bad.write_text(json.dumps(raw))  # json.dumps writes NaN and Infinity as bare constants
     else:
         bad.mkdir()
     capsys.readouterr()
@@ -287,6 +302,31 @@ def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_pat
         assert captured.err.startswith(f"error: {bad}: ")
         assert captured.out == ""
     assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
+
+def test_compare_and_report_ignore_a_metric_they_do_not_read(config_path, tmp_path, capsys):
+    # Raw reports written before first_decision_latency_minutes was dropped still load.
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    raw_paths = []
+    for method in ("baseline", "cached"):
+        assert run_cli(["run", "--config", config_path, "--out", out, "--method", method]) == 0
+        raw_paths.append(os.path.join(out, f"raw_{method}.json"))
+    comparison = os.path.join(out, "comparison.csv")
+
+    def compare_and_report():
+        capsys.readouterr()
+        assert run_cli(["compare", *raw_paths]) == 0
+        assert run_cli(["report", *raw_paths]) == 0
+        return capsys.readouterr(), read_bytes(comparison)
+
+    before = compare_and_report()
+    for path in raw_paths:
+        raw = json.load(open(path))
+        raw["metrics"]["first_decision_latency_minutes"] = 0.5
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+    assert compare_and_report() == before
 
 
 @pytest.mark.parametrize("name", ["kb.dat", "trace.csv"])

@@ -95,7 +95,7 @@ def test_counters_tie_out_between_methods_and_logs():
             assert counters.cache_hits == 0
             assert counters.station_messages == counters.scans
         assert len(counters.per_scan_latencies) == counters.scans
-        assert counters.db_comparisons == counters.station_messages * index_probe_cost(kb.size)
+        assert counters.db_comparisons == counters.station_messages * index_probe_cost(len(kb))
         stats = counters.link_stats
         assert stats.messages_delivered == counters.station_messages
         assert stats.retransmissions == stats.messages_lost
@@ -264,7 +264,7 @@ def test_counters_match_the_straight_line_reference_simulator(case):
     for method in ("baseline", "cached"):
         result = run(method, trace, kb, config)
         mine = result.counters
-        ref = reference_run(method, trace, kb.size, config)
+        ref = reference_run(method, trace, len(kb), config)
         assert mine.scans == ref.scans
         assert mine.cache_hits == ref.cache_hits
         assert mine.cache_misses == ref.cache_misses
