@@ -7,6 +7,8 @@ import pytest
 from robocache.errors import ConfigError, IngestError
 from robocache.knowledge_base import format_record_line, index_probe_cost, ingest, load_kb
 
+from helpers import make_kb
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -192,3 +194,67 @@ def test_a_final_line_without_a_newline_still_loads(ending, tmp_path):
     out = io.StringIO()
     load_kb(str(path)).export(out)
     assert out.getvalue() == LINES_1_2 + LINE_4
+
+
+def test_record_line_returns_the_ingested_line_or_none():
+    barcodes = ["12345678901234", "12345678901235", "98765432109876", "10000000000000"]
+    kb = make_kb(barcodes)
+    for index, barcode in enumerate(barcodes):
+        expected = format_record_line(
+            barcode,
+            shipper_number=f"SHIP{index:05d}",
+            service_type="GRND",
+            destination_terminal=f"T{barcode[0:4]}00D",
+            delivery_exceptions="FRAGILE" if index % 3 == 0 else "",
+        )
+        assert barcode in kb
+        assert kb.record_line(barcode) == expected
+    assert "99999999999999" not in kb
+    assert kb.record_line("99999999999999") is None
+
+
+def ingest_row_2(**fields):
+    """Ingest a good line 1 and a line 2 formatted from ``fields``."""
+    row = dict(
+        barcode="12345678901235",
+        shipper_number="SHIP00001",
+        service_type="GRND",
+        destination_terminal="TERM0001",
+        delivery_exceptions="",
+    )
+    row.update(fields)
+    line = format_record_line(**row)
+    with pytest.raises(IngestError) as exc_info:
+        ingest([make_line("12345678901234"), line])
+    assert exc_info.value.line_no == 2
+    return line, exc_info.value.reason
+
+
+@pytest.mark.parametrize(
+    "barcode,reason",
+    [
+        ("1234567890123", "expected 56 characters, got 55"),
+        ("1234567890123x", "barcode field '1234567890123x' is not 14 decimal digits"),
+        ("１２３４５６７８９０１２３４", "barcode field '１２３４５６７８９０１２３４' is not 14 decimal digits"),
+        ("10000000000000\n", "expected 56 characters, got 57"),
+    ],
+)
+def test_ingest_rejects_a_row_with_a_malformed_barcode(barcode, reason):
+    assert ingest_row_2(barcode=barcode)[1] == reason
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(shipper_number="SHIP0000100"),
+        dict(service_type="GRN", destination_terminal="TERM00012"),
+        dict(delivery_exceptions="FRAGILE" * 3),
+    ],
+)
+def test_ingest_refuses_a_row_with_a_field_wider_than_its_column(fields):
+    assert ingest_row_2(**fields)[1] == "expected 56 characters, got 57"
+
+
+def test_ingest_refuses_a_row_with_a_non_ascii_field():
+    line, reason = ingest_row_2(shipper_number="SHIPé")
+    assert reason == f"non-ASCII character in {line!r}"
