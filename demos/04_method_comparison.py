@@ -33,7 +33,7 @@ def main():
     for method in (MethodKind.BASELINE, MethodKind.CACHED):
         started = time.perf_counter()
         result = run(method, trace, kb, config)
-        reports[method] = summarize(result.counters, method)
+        reports[method] = summarize(result)
         counters = result.counters
         print(
             f"{method.value:>8}: {counters.scans} scans, "

@@ -20,11 +20,12 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import asdict
 from typing import Optional
 
 from .config import SimConfig, load_config
-from .errors import LineError, SimulationError
+from .errors import ConfigError, LineError, SimulationError
 from .knowledge_base import KnowledgeBase, format_record_line, ingest, load_kb, save_kb
 from .metrics import (
     METRIC_NAMES,
@@ -87,10 +88,9 @@ def cmd_generate(config: SimConfig) -> int:
     return 0
 
 
-def _raw_payload(config: SimConfig, method: MethodKind, result, report: MetricsReport, alert, trace_digest: str, kb_digest: str) -> dict:
-    counters = result.counters
+def _raw_payload(config: SimConfig, result, report: MetricsReport, alert, trace_digest: str, kb_digest: str) -> dict:
     return {
-        "method": method.value,
+        "method": result.method.value,
         "seed": config.seed,
         "trace_digest": trace_digest,
         "kb_digest": kb_digest,
@@ -103,20 +103,8 @@ def _raw_payload(config: SimConfig, method: MethodKind, result, report: MetricsR
             "raised": alert.raised,
             "overrun_minutes": alert.overrun_minutes,
         },
-        "counters": {
-            "scans": counters.scans,
-            "cache_hits": counters.cache_hits,
-            "cache_misses": counters.cache_misses,
-            "cache_comparisons": counters.cache_comparisons,
-            "db_comparisons": counters.db_comparisons,
-            "station_messages": counters.station_messages,
-            "first_issued_at_ms": counters.first_issued_at,
-            "final_clock_ms": counters.final_clock,
-            "total_processing_ms": counters.total_processing_ms,
-            "max_decided_at_ms": counters.max_decided_at,
-            "link": asdict(counters.link_stats),
-        },
-        "per_scan_latencies_ms": counters.per_scan_latencies,
+        "counters": result.counters.to_dict(),
+        "per_scan_latencies_ms": result.counters.per_scan_latencies,
     }
 
 
@@ -138,14 +126,16 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
     trace_digest = _file_digest(config.trace_path)
     kb_digest = _file_digest(config.kb_path)
 
+    started = time.perf_counter()
     result = run_simulation(method, trace, kb, config)
-    report = summarize(result.counters, method)
+    wall_clock_ms = (time.perf_counter() - started) * 1000.0
+    report = summarize(result)
     alert = check_alert(report, AlertPolicy(config.alert_threshold_minutes))
 
     # Finite config values can still overflow simulated time to inf; encode
     # the raw report before writing any file so such a run leaves none.
     try:
-        raw = json.dumps(_raw_payload(config, method, result, report, alert, trace_digest, kb_digest), sort_keys=True, allow_nan=False)
+        raw = json.dumps(_raw_payload(config, result, report, alert, trace_digest, kb_digest), sort_keys=True, allow_nan=False)
     except ValueError:
         raise SimulationError("the run produced a non-finite value (simulated time overflowed); no report written") from None
 
@@ -166,7 +156,7 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
     print(format_report(report))
     print(f"report: {csv_path}")
     print(f"raw:    {raw_path}")
-    print(f"host wall clock: {result.counters.wall_clock_of_run:.0f} ms", file=sys.stderr)
+    print(f"host wall clock: {wall_clock_ms:.0f} ms", file=sys.stderr)
     if alert.raised:
         print(f"ALERT overrun_minutes={alert.overrun_minutes!r}", file=sys.stderr)
         return 2
@@ -174,15 +164,19 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
 
 
 def _number(name: str, value) -> float:
-    """``value`` if it is a JSON number; TypeError for anything else, a bool included."""
+    """``value`` if it is a JSON number >= 0; TypeError for a non-number (a bool included), ValueError below 0."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} is {value!r}, not a number")
+    if value < 0:
+        raise ValueError(f"{name} is {value!r}, below 0")
     return value
 
 
 def _report_from_raw(raw: dict) -> MetricsReport:
-    metrics = raw["metrics"]
-    return MetricsReport(MethodKind(raw["method"]), **{name: _number(f"metric {name}", metrics[name]) for name in METRIC_NAMES})
+    metrics = {name: _number(f"metric {name}", raw["metrics"][name]) for name in METRIC_NAMES}
+    if not isinstance(metrics["total_comparisons"], int):
+        raise TypeError(f"metric total_comparisons is {metrics['total_comparisons']!r}, not an integer")
+    return MetricsReport(MethodKind(raw["method"]), **metrics)
 
 
 def _refuse_constant(name: str):
@@ -196,11 +190,14 @@ def _load_raw(path: str) -> tuple[dict, MetricsReport, AlertResult]:
             # The writer refuses NaN and Infinity (allow_nan=False); so does the reader.
             raw = json.load(fh, parse_constant=_refuse_constant)
         report = _report_from_raw(raw)
-        raised = raw["alert"]["raised"]
-        if not isinstance(raised, bool):
-            raise TypeError(f"alert raised is {raised!r}, not a bool")
-        alert = AlertResult(raised, _number("alert overrun_minutes", raw["alert"]["overrun_minutes"]))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        stored = raw["alert"]
+        if not isinstance(stored["raised"], bool):
+            raise TypeError(f"alert raised is {stored['raised']!r}, not a bool")
+        # `run` derives the alert from the metrics; a stored one that does not follow is refused.
+        alert = check_alert(report, AlertPolicy(_number("alert threshold_minutes", stored["threshold_minutes"])))
+        if AlertResult(stored["raised"], _number("alert overrun_minutes", stored["overrun_minutes"])) != alert:
+            raise ValueError(f"alert raised={stored['raised']!r}, overrun_minutes={stored['overrun_minutes']!r} does not follow from the metrics and threshold")
+    except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
         raise SimulationError(f"{path}: not a readable raw run report ({type(exc).__name__}: {exc})") from None
     return raw, report, alert
 
@@ -273,6 +270,10 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
         raise AssertionError(f"unhandled command {args.command}")
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # open and makedirs name their path; a failed write does not.
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename is not None else f"error: {exc}", file=sys.stderr)
         return 1
 
 

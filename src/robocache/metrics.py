@@ -14,20 +14,13 @@ processing time strictly exceeds the policy threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError, ValidationError
-from .simulator import MethodKind, RunCounters
+from .simulator import MethodKind, RunResult
 
 MS_PER_MINUTE = 60_000.0
-
-METRIC_NAMES = (
-    "decision_latency_minutes",
-    "processing_time_minutes",
-    "disruption_per_million_scans",
-    "total_comparisons",
-)
 
 RATIO_NAMES = ("latency_ratio", "processing_ratio", "disruption_ratio", "comparisons_ratio")
 
@@ -41,12 +34,11 @@ class MetricsReport:
     total_comparisons: int
 
     def row_values(self) -> Tuple[float, float, float, int]:
-        return (
-            self.decision_latency_minutes,
-            self.processing_time_minutes,
-            self.disruption_per_million_scans,
-            self.total_comparisons,
-        )
+        return tuple(getattr(self, name) for name in METRIC_NAMES)
+
+
+# The four report rows, in order: every MetricsReport field but the method.
+METRIC_NAMES = tuple(f.name for f in fields(MetricsReport) if f.name != "method")
 
 
 @dataclass(frozen=True)
@@ -71,16 +63,16 @@ class AlertResult:
     overrun_minutes: float
 
 
-def summarize(counters: RunCounters, method) -> MetricsReport:
-    """Reduce one finished run to the four report rows."""
-    method = MethodKind(method)
+def summarize(result: RunResult) -> MetricsReport:
+    """Reduce one finished run to the four report rows, under its own method."""
+    counters = result.counters
     latencies = counters.per_scan_latencies
     if not latencies:
         raise ValidationError("run produced no decisions; nothing to summarize")
     mean_latency_ms = sum(latencies) / len(latencies)
     disruption_events = counters.link_stats.lock_events + counters.link_stats.messages_lost
     return MetricsReport(
-        method=method,
+        method=result.method,
         decision_latency_minutes=mean_latency_ms / MS_PER_MINUTE,
         processing_time_minutes=counters.total_processing_ms / MS_PER_MINUTE,
         disruption_per_million_scans=disruption_events * 1_000_000.0 / counters.scans,

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import List, Tuple
@@ -58,13 +57,26 @@ class RunCounters:
     first_issued_at: float = 0.0
     final_clock: float = 0.0
     max_decided_at: float = 0.0
-    # Host seconds, informational only; excluded from digests and report
-    # files so identical runs stay byte-identical.
-    wall_clock_of_run: float = 0.0
 
     @property
     def total_processing_ms(self) -> float:
         return self.final_clock - self.first_issued_at
+
+    def to_dict(self) -> dict:
+        """The counters under their output names: the raw report's block, hashed by result_digest."""
+        return {
+            "scans": self.scans,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "cache_comparisons": self.cache_comparisons,
+            "db_comparisons": self.db_comparisons,
+            "station_messages": self.station_messages,
+            "first_issued_at_ms": self.first_issued_at,
+            "final_clock_ms": self.final_clock,
+            "total_processing_ms": self.total_processing_ms,
+            "max_decided_at_ms": self.max_decided_at,
+            "link": asdict(self.link_stats),
+        }
 
 
 @dataclass
@@ -80,21 +92,20 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
 
     ``sim_config`` supplies the link config, the run seed, cache
     capacity and the per-probe costs (see config.SimConfig). Every trace
-    barcode must be well formed and resolve in ``kb``; both are checked
-    once per distinct barcode before the replay starts, so a malformed
-    key raises ValidationError and a missing record MissingRecordError
-    (a data error, not a modeled outcome).
+    barcode must resolve in ``kb``, checked once per distinct barcode
+    before the replay starts. A key the KB lacks raises ValidationError
+    if it is malformed and MissingRecordError otherwise (a data error,
+    not a modeled outcome); a KB key is well formed by construction.
     """
     method = MethodKind(method)
     if not trace:
         raise ValidationError("trace is empty; nothing to simulate")
-    started = time.perf_counter()
 
     # Every station resolution costs the same indexed search.
     db_comparisons_per_resolve = index_probe_cost(len(kb))
     for barcode in dict.fromkeys([event.barcode for event in trace]):
-        validate_barcode(barcode)
         if barcode not in kb:
+            validate_barcode(barcode)
             raise MissingRecordError(barcode)
     # Every barcode is trusted from here on, so the loop drives the caches
     # through their unchecked path and fetches record lines directly.
@@ -159,7 +170,6 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
         first_issued_at=first_issued,
         final_clock=clock,
         max_decided_at=max_decided,
-        wall_clock_of_run=(time.perf_counter() - started) * 1000.0,
     )
 
     snapshots = [caches[robot_id].snapshot() for robot_id in sorted(caches)]
@@ -167,27 +177,19 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
 
 
 def result_digest(result: RunResult) -> str:
-    """SHA-256 over the full counter stream of a run.
+    """SHA-256 of the run's deterministic record.
 
-    Covers every counter, every per-scan latency and the final cache
-    snapshots; deliberately excludes host wall-clock time.
+    Hashes the method, ``RunCounters.to_dict()``, every per-scan latency
+    and the final cache rows, so it can be recomputed from the
+    ``method``, ``counters`` and ``per_scan_latencies_ms`` of the raw
+    report plus the snapshot files that ``run --snapshots`` writes.
+    Host time is no part of a run's result.
     """
-    c = result.counters
-    payload = {
+    record = {
         "method": result.method.value,
-        "scans": c.scans,
-        "cache_hits": c.cache_hits,
-        "cache_misses": c.cache_misses,
-        "cache_comparisons": c.cache_comparisons,
-        "db_comparisons": c.db_comparisons,
-        "station_messages": c.station_messages,
-        "first_issued_at": c.first_issued_at,
-        "final_clock": c.final_clock,
-        "max_decided_at": c.max_decided_at,
-        "per_scan_latencies": c.per_scan_latencies,
-        "link": asdict(c.link_stats),
+        "counters": result.counters.to_dict(),
+        "per_scan_latencies_ms": result.counters.per_scan_latencies,
         "snapshots": result.snapshots,
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
-

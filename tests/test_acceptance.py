@@ -177,8 +177,8 @@ def test_a3_desk_scale_preset_reproduces_reference_ratios():
     config = load_config(desk_scale_path())
     trace = generate(config.workload)
     kb = build_kb_for_workload(config.workload.unique_barcodes)
-    baseline = summarize(run(MethodKind.BASELINE, trace, kb, config).counters, MethodKind.BASELINE)
-    cached = summarize(run(MethodKind.CACHED, trace, kb, config).counters, MethodKind.CACHED)
+    baseline = summarize(run(MethodKind.BASELINE, trace, kb, config))
+    cached = summarize(run(MethodKind.CACHED, trace, kb, config))
     table = compare(baseline, cached)
     elapsed = time.perf_counter() - started
     details = []

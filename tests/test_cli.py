@@ -1,10 +1,15 @@
+import errno
+import hashlib
 import json
 import os
 
 import pytest
 
 from robocache.cli import run_cli
-from robocache.knowledge_base import format_record_line
+from robocache.config import load_config
+from robocache.knowledge_base import format_record_line, load_kb
+from robocache.simulator import result_digest, run
+from robocache.workload import read_trace
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -247,7 +252,7 @@ def test_snapshots_flag_writes_per_robot_files(config_path, tmp_path):
 def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
     out = str(tmp_path / "out")
     assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
-    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached"]) == 0
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached", "--snapshots"]) == 0
     raw = json.load(open(os.path.join(out, "raw_cached.json")))
     assert raw["method"] == "cached"
     assert len(raw["trace_digest"]) == 64
@@ -257,6 +262,19 @@ def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
     assert counters["station_messages"] == counters["cache_misses"]
     assert len(raw["per_scan_latencies_ms"]) == 1500
     assert "wall_clock" not in json.dumps(raw)  # host time never lands in reports
+
+    # The same run in process: its counters are the raw block, and its digest
+    # can be recomputed from the raw report plus the snapshot files.
+    config = load_config(config_path, output_dir_override=out)
+    result = run("cached", read_trace(config.trace_path), load_kb(config.kb_path), config)
+    assert counters == result.counters.to_dict()
+    snapshots = []
+    for robot in range(len(result.snapshots)):
+        with open(os.path.join(out, f"snapshot_cached_robot{robot}.csv")) as fh:
+            snapshots.append([[barcode, int(hits)] for barcode, hits in (line.split(",") for line in fh.read().splitlines())])
+    record = {name: raw[name] for name in ("method", "counters", "per_scan_latencies_ms")}
+    blob = json.dumps({**record, "snapshots": snapshots}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert result_digest(result) == hashlib.sha256(blob).hexdigest()
 
 
 # A damaged field of a raw report: (block, key, value written in its place).
@@ -271,6 +289,11 @@ BAD_FIELDS = {
     "int_alert_raised": ("alert", "raised", 0),
     "string_alert_overrun": ("alert", "overrun_minutes", "0"),
     "bool_alert_overrun": ("alert", "overrun_minutes", False),
+    "negative_metric": ("metrics", "processing_time_minutes", -5),
+    "fractional_total_comparisons": ("metrics", "total_comparisons", 1.5),
+    "alert_raised_below_threshold": ("alert", "raised", True),
+    "overrun_below_threshold": ("alert", "overrun_minutes", 3.0),
+    "zero_threshold": ("alert", "threshold_minutes", 0),
 }
 
 
@@ -364,3 +387,29 @@ def test_run_names_the_input_file_holding_a_malformed_line(name, line_3, reason,
     assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 1
     assert capsys.readouterr().err == f"error: {path}: line 3: {reason}\n"
     assert sorted(os.listdir(out)) == ["kb.dat", "trace.csv"]
+
+
+@pytest.mark.parametrize("case", ["run_trace_is_a_directory", "compare_out_is_a_directory", "generate_out_under_a_file"])
+def test_a_path_the_os_refuses_is_an_error_line(case, config_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    if case == "generate_out_under_a_file":
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path, code = str(blocker / "out"), errno.ENOTDIR
+        argv = ["generate", "--config", config_path, "--out", path]
+    else:
+        assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+        if case == "run_trace_is_a_directory":
+            path, code = os.path.join(out, "trace.csv"), errno.EISDIR
+            os.remove(path)
+            os.mkdir(path)
+            argv = ["run", "--config", config_path, "--out", out, "--method", "baseline"]
+        else:
+            for method in ("baseline", "cached"):
+                assert run_cli(["run", "--config", config_path, "--out", out, "--method", method]) == 0
+            path, code = str(tmp_path / "existing"), errno.EISDIR
+            os.mkdir(path)
+            argv = ["compare", os.path.join(out, "raw_baseline.json"), os.path.join(out, "raw_cached.json"), "--out", path]
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: {os.strerror(code)}\n"

@@ -32,12 +32,12 @@ def wide_cache_20k():
 
 PINS = {
     "desk": {
-        "baseline": "e95902aeddd2884901a17a8bf0cf34156cb4652637c48931b13b75f71dfc15fb",
-        "cached": "95b682bdda775c5a34a765bcf27c410988407635f0f3c1ef45e081118007008f",
+        "baseline": "aec5a2d0635192f15c5f21461977ef678dc851cf6208fd09306a3dc647cc8fef",
+        "cached": "1d9537a7b3b989a41ac552818436261ee65c499f7cef7570357e1c5997680bcd",
     },
     "wide-cache": {
-        "baseline": "d75ae57e9f0f69f5575d06b59a1fd5b2add056ea63c8ac2880cde0ddb23edd89",
-        "cached": "deaa3ec85f94ff828af1f39b02a307ea60db141688d1915574aeb7cb4a41939f",
+        "baseline": "cae987bc30044e510c4621eaea564bcaf2c29cb8e39a869c0dfdbcfefb0ef917",
+        "cached": "2eae72bc6c4b3d4a0d2c259658216ed51b0942f6754bce04d655d651b6715ed5",
     },
 }
 CONFIGS = {"desk": desk_20k, "wide-cache": wide_cache_20k}

@@ -25,31 +25,31 @@ B = "10000000000002"
 C = "10000000000003"
 
 
-def run_counters(method, barcodes, **config_overrides):
+def run_result(method, barcodes, **config_overrides):
     trace = [ScanEvent(0, b, i * 100.0) for i, b in enumerate(barcodes)]
     kb = make_kb(sorted(set(barcodes)))
-    return run(method, trace, kb, make_sim_config(**config_overrides)).counters
+    return run(method, trace, kb, make_sim_config(**config_overrides))
 
 
 def test_single_scan_mean_latency_in_minutes():
     # 510ms = 0.0085 minutes exactly
-    counters = run_counters("baseline", [A])
-    report = summarize(counters, "baseline")
+    report = summarize(run_result("baseline", [A]))
     assert report.decision_latency_minutes == pytest.approx(0.0085)
 
 
 def test_zero_loss_zero_lock_run_has_zero_disruption():
-    counters = run_counters("cached", [A, B, A, C, A])
-    report = summarize(counters, "cached")
+    result = run_result("cached", [A, B, A, C, A])
+    counters = result.counters
+    report = summarize(result)
     assert report.disruption_per_million_scans == 0.0
     assert report.total_comparisons == counters.cache_comparisons + counters.db_comparisons
 
 
 def test_summarize_rejects_a_run_with_no_decisions():
-    counters = run_counters("baseline", [A])
-    empty = dataclasses.replace(counters, per_scan_latencies=[])
+    result = run_result("baseline", [A])
+    empty = dataclasses.replace(result, counters=dataclasses.replace(result.counters, per_scan_latencies=[]))
     with pytest.raises(ValidationError):
-        summarize(empty, "baseline")
+        summarize(empty)
 
 
 def make_report(method, latency, processing, disruption, comparisons):
@@ -159,10 +159,11 @@ def test_comparisons_ratio_below_one_when_hits_are_shallow():
     assert index_probe_cost(len(kb)) == 4
     trace = [Event(0, keys[0], i * 10.0) for i in range(31)]
     config = make_sim_config()
-    baseline = summarize(run("baseline", trace, kb, config).counters, "baseline")
-    cached_counters = run("cached", trace, kb, config).counters
+    baseline = summarize(run("baseline", trace, kb, config))
+    cached_result = run("cached", trace, kb, config)
+    cached_counters = cached_result.counters
     assert cached_counters.cache_hits == 30
-    cached = summarize(cached_counters, "cached")
+    cached = summarize(cached_result)
     table = compare(baseline, cached)
     assert table.ratios["comparisons_ratio"] < 1.0
 
@@ -190,7 +191,7 @@ def test_skewed_lossy_trace_improves_all_four_rows():
         ),
         seed=31,
     )
-    baseline = summarize(run("baseline", trace, kb, config).counters, "baseline")
-    cached = summarize(run("cached", trace, kb, config).counters, "cached")
+    baseline = summarize(run("baseline", trace, kb, config))
+    cached = summarize(run("cached", trace, kb, config))
     table = compare(baseline, cached)
     assert all(ratio is not None and ratio < 1.0 for ratio in table.ratios.values())

@@ -131,7 +131,7 @@ def test_different_seeds_may_change_the_digest_under_loss():
 def test_golden_digest_of_the_hand_traced_fixture_run():
     kb = make_kb([A, B, C])
     digests = {result_digest(run("cached", trace_of([A, B, A, C, A]), kb, make_sim_config())) for _ in range(2)}
-    assert digests == {"bc48f613a9126540f662c29782624f6901c45ca01ce5674c82ff65acbdce3bca"}
+    assert digests == {"b3af8d6ed2b43190d2aa390f18f81894ab53e4d2e14c541bb69f5fb02c487d1d"}
 
 
 def test_simulated_clock_never_goes_backward():
