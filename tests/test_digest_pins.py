@@ -4,7 +4,8 @@ Two 20k-scan configs, both methods each: the desk-scale preset cut to
 20,000 scans (3 slots, hit ratio about 0.45), and the same preset widened
 to 64 slots over 20,000 keys at skew 1.0 (about 45 probes per lookup).
 The synthesized knowledge base is pinned too, as the sha256 of its
-exported record file at three sizes.
+exported record file at three sizes, and so is each config's trace CSV,
+as the sha256 of what save_trace writes for generate's trace.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from robocache.cli import build_kb_for_workload
 from robocache.config import load_config
 from robocache.presets import desk_scale_path
 from robocache.simulator import result_digest, run
-from robocache.workload import generate
+from robocache.workload import generate, load_trace, save_trace
 
 
 def desk_20k():
@@ -64,3 +65,20 @@ def test_synthesized_knowledge_base_bytes_are_pinned(records):
     out = io.StringIO()
     build_kb_for_workload(records).export(out)
     assert hashlib.sha256(out.getvalue().encode("ascii")).hexdigest() == KB_PINS[records]
+
+
+TRACE_PINS = {
+    "desk": "8a7b67c78d6a90ce5171df0a6d68378b3fe9bf58b25486db8af097ca9059f462",
+    "wide-cache": "4365dc9846d54fcdddc911a8bacfb38eb53eac54e0ceae266e34df3ffebf2c67",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_PINS))
+def test_generated_trace_bytes_are_pinned_and_round_trip(name):
+    out = io.StringIO()
+    save_trace(generate(CONFIGS[name]().workload), out)
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == TRACE_PINS[name]
+    again = io.StringIO()
+    save_trace(load_trace(io.StringIO(text, newline="")), again)
+    assert again.getvalue() == text
