@@ -2,8 +2,9 @@
 """Exercise the satellite link model: latency, loss, locks.
 
 Sends a handful of requests through a lossy link and prints each round
-trip, then pushes 100k requests through to show the loss and lock rates
-converging on their configured probabilities.
+trip (round_trip returns when the response lands, how many copies were
+lost and any lock stall), then pushes 100k requests through to show the
+loss and lock rates converging on their configured probabilities.
 """
 
 import random
@@ -23,18 +24,18 @@ def main():
 
     print("ten requests over a lossy link (one-way 250 ms, timeout 600 ms):")
     for i in range(10):
-        outcome = link.transmit(now=0.0)
-        parts = [f"round trip {outcome.delivered_at:7.1f} ms"]
-        if outcome.losses:
-            parts.append(f"{outcome.losses} loss(es)")
-        if outcome.lock_stall_applied:
-            parts.append(f"lock stall {outcome.lock_stall_applied:.0f} ms")
+        delivered_at, losses, stall = link.round_trip(now=0.0)
+        parts = [f"round trip {delivered_at:7.1f} ms"]
+        if losses:
+            parts.append(f"{losses} loss(es)")
+        if stall:
+            parts.append(f"lock stall {stall:.0f} ms")
         print(f"  request {i}: " + ", ".join(parts))
 
     n = 100_000
     link = SatelliteLink(config, random.Random(99))
     for _ in range(n):
-        link.transmit(now=0.0)
+        link.round_trip(now=0.0)
     stats = link.stats
     print(f"\nafter {n} requests:")
     print(f"  messages sent     {stats.messages_sent} (includes {stats.retransmissions} retransmissions)")

@@ -3,8 +3,10 @@
 
 Replays the same 300k-scan trace under both methods: every scan to the
 station (baseline) versus a three-slot hit-ordered cache per robot
-(cached). The closing table mirrors the four report rows and their
-cached/baseline ratios.
+(cached). generate() returns the trace as a Trace, three columns checked
+once when it is built, and run() replays those columns as they are. The
+closing table mirrors the four report rows and their cached/baseline
+ratios.
 """
 
 import time
@@ -27,6 +29,7 @@ def main():
     )
 
     trace = generate(config.workload)
+    print(f"trace: {len(trace)} scans from {len(set(trace.robot_ids))} robots\n")
     kb = build_kb_for_workload(config.workload.unique_barcodes)
 
     reports = {}

@@ -36,7 +36,7 @@ from .metrics import (
     compare,
     summarize,
 )
-from .netlink import LinkConfig, LinkStats, SatelliteLink, TransmitOutcome
+from .netlink import LinkConfig, LinkStats, SatelliteLink
 from .simulator import (
     MethodKind,
     RunCounters,
@@ -45,7 +45,7 @@ from .simulator import (
     run,
 )
 from .workload import (
-    ScanEvent,
+    Trace,
     WorkloadConfig,
     barcode_for_rank,
     generate,
@@ -76,11 +76,10 @@ __all__ = [
     "RunCounters",
     "RunResult",
     "SatelliteLink",
-    "ScanEvent",
     "SimConfig",
     "SimulationError",
+    "Trace",
     "TraceFormatError",
-    "TransmitOutcome",
     "ValidationError",
     "WorkloadConfig",
     "barcode_for_rank",

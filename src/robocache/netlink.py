@@ -6,7 +6,7 @@ attempt limit, so every request is eventually answered. Locks happen at
 the station while a request is serviced and stall only that request.
 
 All draws come from the single seeded generator handed to the link at
-construction, one loss run plus one lock draw per transmit, so a run's
+construction, one loss run plus one lock draw per round trip, so a run's
 outcome sequence is a pure function of (config, seed, call order).
 """
 
@@ -56,29 +56,26 @@ class LinkStats:
         return self.messages_sent - self.messages_lost
 
 
-@dataclass(frozen=True)
-class TransmitOutcome:
-    delivered_at: float
-    losses: int
-    lock_stall_applied: float
-
-
 class SatelliteLink:
     """One request/response channel; owned by a single simulation run."""
 
     def __init__(self, config: LinkConfig, rng: random.Random):
         self.config = config
         self._rng = rng
-        self.stats = LinkStats()
+        self._requests = self._losses = self._lock_events = 0
+        self._stall_ms = 0.0
 
-    def transmit(self, now: float) -> TransmitOutcome:
-        """Send one request at ``now`` and report when its response lands.
+    @property
+    def stats(self) -> LinkStats:
+        """The counts so far; each lost copy was sent again, so losses are also retransmissions."""
+        losses = self._losses
+        return LinkStats(self._requests + losses, losses, losses, self._lock_events, self._stall_ms)
 
-        The round trip completes after any retransmissions and after any
-        lock stall at the station:
+    def round_trip(self, now: float) -> tuple[float, int, float]:
+        """Send one request at ``now``; return (delivered_at, losses, stall).
 
-            delivered_at = now + losses * retransmit_timeout
-                               + 2 * one_way_latency + lock_stall
+        The response lands after any retransmissions and any lock stall at
+        the station: now + losses * retransmit_timeout + 2 * one_way_latency + stall.
         """
         cfg = self.config
         losses = 0
@@ -87,15 +84,9 @@ class SatelliteLink:
         stall = 0.0
         if self._rng.random() < cfg.lock_probability:
             stall = cfg.lock_stall_ms
-            self.stats.lock_events += 1
-        self.stats.messages_sent += 1 + losses
-        self.stats.messages_lost += losses
-        self.stats.retransmissions += losses
-        self.stats.total_stall_time_ms += stall
-        delivered_at = (
-            now
-            + losses * cfg.retransmit_timeout_ms
-            + 2 * cfg.one_way_latency_ms
-            + stall
-        )
-        return TransmitOutcome(delivered_at=delivered_at, losses=losses, lock_stall_applied=stall)
+            self._lock_events += 1
+            self._stall_ms += stall
+        self._requests += 1
+        self._losses += losses
+        delivered_at = now + losses * cfg.retransmit_timeout_ms + 2 * cfg.one_way_latency_ms + stall
+        return delivered_at, losses, stall

@@ -32,11 +32,11 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import List, Tuple
 
-from .cache import HitOrderedCache, validate_barcode
+from .cache import HitOrderedCache
 from .errors import MissingRecordError, ValidationError
 from .knowledge_base import KnowledgeBase, index_probe_cost
 from .netlink import LinkStats, SatelliteLink
-from .workload import ScanEvent
+from .workload import Trace
 
 
 class MethodKind(str, Enum):
@@ -87,15 +87,15 @@ class RunResult:
     snapshots: List[Tuple[Tuple[str, int], ...]]
 
 
-def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunResult:
+def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     """Replay ``trace`` under one method and return counters and snapshots.
 
     ``sim_config`` supplies the link config, the run seed, cache
-    capacity and the per-probe costs (see config.SimConfig). Every trace
-    barcode must resolve in ``kb``, checked once per distinct barcode
-    before the replay starts. A key the KB lacks raises ValidationError
-    if it is malformed and MissingRecordError otherwise (a data error,
-    not a modeled outcome); a KB key is well formed by construction.
+    capacity and the per-probe costs (see config.SimConfig). The Trace
+    checked its own values when it was built; every barcode must also
+    resolve in ``kb``, checked once per distinct barcode before the
+    replay starts. A key the KB lacks raises MissingRecordError (a data
+    error, not a modeled outcome).
     """
     method = MethodKind(method)
     if not trace:
@@ -103,19 +103,18 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
 
     # Every station resolution costs the same indexed search.
     db_comparisons_per_resolve = index_probe_cost(len(kb))
-    for barcode in dict.fromkeys([event.barcode for event in trace]):
+    for barcode in dict.fromkeys(trace.barcodes):
         if barcode not in kb:
-            validate_barcode(barcode)
             raise MissingRecordError(barcode)
     # Every barcode is trusted from here on, so the loop drives the caches
     # through their unchecked path and fetches record lines directly.
 
     cached = method is MethodKind.CACHED
-    robot_ids = dict.fromkeys([event.robot_id for event in trace]) if cached else ()
+    robot_ids = dict.fromkeys(trace.robot_ids) if cached else ()
     caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
 
     link = SatelliteLink(sim_config.link, random.Random(sim_config.seed))
-    transmit = link.transmit
+    round_trip = link.round_trip
     line_of = kb.record_line
     cache_probe_ms = sim_config.cache_probe_time_ms
     service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
@@ -123,15 +122,13 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
     record_latency = latencies.append
     cache_hits = cache_comparisons = 0
 
-    first_issued = trace[0].issued_at
+    first_issued = trace.issued_at[0]
     clock = first_issued
     max_decided = first_issued
 
-    for event in trace:
-        issued = event.issued_at
+    for robot_id, barcode, issued in zip(trace.robot_ids, trace.barcodes, trace.issued_at):
         if cached:
-            cache = caches[event.robot_id]
-            barcode = event.barcode
+            cache = caches[robot_id]
             slot = cache.probe(barcode)
             if slot >= 0:
                 cache_hits += 1
@@ -142,15 +139,15 @@ def run(method, trace: List[ScanEvent], kb: KnowledgeBase, sim_config) -> RunRes
             else:
                 comparisons = len(cache)
                 probe_ms = comparisons * cache_probe_ms
-                outcome = transmit(issued + probe_ms)
-                decided_at = outcome.delivered_at + service_ms
-                work_ms = probe_ms + service_ms + outcome.lock_stall_applied
+                delivered_at, _, stall = round_trip(issued + probe_ms)
+                decided_at = delivered_at + service_ms
+                work_ms = probe_ms + service_ms + stall
                 cache.admit(barcode, line_of(barcode))
             cache_comparisons += comparisons
         else:
-            outcome = transmit(issued)
-            decided_at = outcome.delivered_at + service_ms
-            work_ms = service_ms + outcome.lock_stall_applied
+            delivered_at, _, stall = round_trip(issued)
+            decided_at = delivered_at + service_ms
+            work_ms = service_ms + stall
         record_latency(decided_at - issued)
         clock += work_ms
         if decided_at > max_decided:

@@ -2,21 +2,23 @@
 
 generate() draws barcode popularity from a Zipf law over a fixed key
 universe (exponent 0 degenerates to uniform), spaces arrivals with
-exponential gaps and deals events round robin across robots. A trace is
+exponential gaps and deals scans round robin across robots. A trace is
 a pure function of its config, including the seed; the draw order (one
 block of key draws, then one block of gap draws) is part of that
 contract and pinned by a golden trace in the test suite.
 
 Trace CSV format: one header line ``robot_id,barcode,issued_at_ms``
-followed by one line per event, UTF-8, "\n" newlines. Timestamps are
-written with repr so export and import round-trip exactly.
+followed by one line per scan, UTF-8, "\n" newlines. Timestamps are
+written with repr so export and import round-trip exactly; a timestamp
+field is plain ASCII with no whitespace, "_" or sign.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, List, TextIO
+from typing import Iterable, TextIO, Tuple
 
 import numpy as np
 
@@ -31,10 +33,34 @@ _MAX_UNIQUE = 9 * 10**13
 
 
 @dataclass(frozen=True)
-class ScanEvent:
-    robot_id: int
-    barcode: str
-    issued_at: float
+class Trace:
+    """Scans as three columns: scan i is (robot_ids[i], barcodes[i], issued_at[i]).
+
+    Building one is the one check on a trace's values; tuple columns keep it valid.
+    """
+
+    robot_ids: Tuple[int, ...]
+    barcodes: Tuple[str, ...]
+    issued_at: Tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        for name in ("robot_ids", "barcodes", "issued_at"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        robot_ids, barcodes, times = self.robot_ids, self.barcodes, self.issued_at
+        if not len(robot_ids) == len(barcodes) == len(times):
+            raise ValidationError(f"trace columns differ in length: {len(robot_ids)}, {len(barcodes)}, {len(times)}")
+        if not set(map(type, robot_ids)) <= {int} or min(robot_ids, default=0) < 0:
+            raise ValidationError("every robot id must be an int >= 0")
+        for barcode in dict.fromkeys(barcodes):
+            validate_barcode(barcode)
+        if not (set(map(type, times)) <= {int, float} and all(map(isfinite, times)) and min(times, default=0) >= 0):
+            raise ValidationError("every issue time must be a finite int or float >= 0")
+        # operator.le, not a dunder: int.__le__(5, 3.0) is NotImplemented (truthy), float.__le__(5, ...) raises.
+        if not all(map(operator.le, times, times[1:])):
+            raise ValidationError("issue times must not decrease")
+
+    def __len__(self) -> int:
+        return len(self.barcodes)
 
 
 @dataclass(frozen=True)
@@ -78,7 +104,7 @@ def zipf_probabilities(unique_barcodes: int, skew: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate(config: WorkloadConfig) -> List[ScanEvent]:
+def generate(config: WorkloadConfig) -> Trace:
     """Materialise the whole trace for ``config``."""
     rng = np.random.default_rng(config.seed)
     cumulative = np.cumsum(zipf_probabilities(config.unique_barcodes, config.skew))
@@ -87,27 +113,22 @@ def generate(config: WorkloadConfig) -> List[ScanEvent]:
     ranks = np.searchsorted(cumulative, key_draws, side="right")
     gaps = rng.exponential(config.inter_arrival_ms, config.total_scans)
     times = np.cumsum(gaps)
-    robots = config.robots
-    return [
-        ScanEvent(robot_id=i % robots, barcode=barcode_for_rank(int(rank)), issued_at=float(t))
-        for i, (rank, t) in enumerate(zip(ranks, times))
-    ]
+    robot_ids = [i % config.robots for i in range(config.total_scans)]
+    return Trace(robot_ids, list(map(barcode_for_rank, ranks.tolist())), times.tolist())
 
 
-def save_trace(events: Iterable[ScanEvent], stream: TextIO) -> None:
-    stream.write(TRACE_HEADER + "\n")
-    for event in events:
-        stream.write(f"{event.robot_id},{event.barcode},{event.issued_at!r}\n")
+def save_trace(trace: Trace, stream: TextIO) -> None:
+    rows = map("{},{},{!r}\n".format, trace.robot_ids, trace.barcodes, trace.issued_at)
+    stream.write(TRACE_HEADER + "\n" + "".join(rows))
 
 
-def load_trace(stream: Iterable[str]) -> List[ScanEvent]:
+def load_trace(stream: Iterable[str]) -> Trace:
     """Parse a trace CSV, enforcing field shape and non-decreasing time.
 
     A zero-byte source yields an empty trace; any content must start
     with the standard header line.
     """
-    events: List[ScanEvent] = []
-    previous_time = None
+    robot_ids, barcodes, times = [], [], []
     for line_no, raw in enumerate(stream, start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
         if line_no == 1:
@@ -131,25 +152,31 @@ def load_trace(stream: Iterable[str]) -> List[ScanEvent]:
             validate_barcode(barcode)
         except ValidationError as exc:
             raise TraceFormatError(line_no, str(exc)) from None
+        # float() would also take "1_0", " 5", "5\r" or full-width digits.
+        if not time_field.isascii() or "_" in time_field or time_field != time_field.strip():
+            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a plain ASCII number")
         try:
             issued_at = float(time_field)
         except ValueError:
             raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a number") from None
         if not isfinite(issued_at) or issued_at < 0:
             raise TraceFormatError(line_no, f"issued_at_ms {time_field} is not a finite non-negative time")
-        if previous_time is not None and issued_at < previous_time:
-            raise TraceFormatError(line_no, f"issued_at_ms decreased ({issued_at!r} after {previous_time!r})")
-        previous_time = issued_at
-        events.append(ScanEvent(robot_id=robot_id, barcode=barcode, issued_at=issued_at))
-    return events
+        if time_field[:1] in ("+", "-"):
+            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} has a sign")
+        if times and issued_at < times[-1]:
+            raise TraceFormatError(line_no, f"issued_at_ms decreased ({issued_at!r} after {times[-1]!r})")
+        robot_ids.append(robot_id)
+        barcodes.append(barcode)
+        times.append(issued_at)
+    return Trace(robot_ids, barcodes, times)
 
 
-def write_trace(events: Iterable[ScanEvent], path: str) -> None:
+def write_trace(trace: Trace, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        save_trace(events, fh)
+        save_trace(trace, fh)
 
 
-def read_trace(path: str) -> List[ScanEvent]:
+def read_trace(path: str) -> Trace:
     # A byte that does not decode becomes a lone surrogate, which every
     # field check in load_trace rejects with its line number.
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from robocache.config import SimConfig
 from robocache.knowledge_base import KnowledgeBase, format_record_line, ingest
 from robocache.netlink import LinkConfig
-from robocache.workload import WorkloadConfig
+from robocache.workload import Trace, WorkloadConfig
 
 
 def make_sim_config(**overrides) -> SimConfig:
@@ -44,6 +44,17 @@ def make_sim_config(**overrides) -> SimConfig:
     )
     values.update(overrides)
     return SimConfig(**values)
+
+
+def make_trace(rows) -> Trace:
+    """A Trace from (robot_id, barcode, issued_at) rows."""
+    rows = list(rows)
+    return Trace(*zip(*rows)) if rows else Trace((), (), ())
+
+
+def rows_of(trace: Trace) -> list:
+    """The (robot_id, barcode, issued_at) rows of a Trace, in trace order."""
+    return list(zip(trace.robot_ids, trace.barcodes, trace.issued_at))
 
 
 def make_kb(barcodes) -> KnowledgeBase:

@@ -96,11 +96,11 @@ def reference_run(method, trace, db_size, sim_config) -> ReferenceCounters:
         round_trip = losses * link.retransmit_timeout_ms + 2 * link.one_way_latency_ms + stall
         return round_trip, stall
 
-    for event in trace:
+    for robot_id, barcode in zip(trace.robot_ids, trace.barcodes):
         out.scans += 1
         if method == "cached":
-            cache = caches.setdefault(event.robot_id, ReferenceCache(sim_config.cache_capacity))
-            hit, _, comparisons = cache.lookup(event.barcode)
+            cache = caches.setdefault(robot_id, ReferenceCache(sim_config.cache_capacity))
+            hit, _, comparisons = cache.lookup(barcode)
             out.cache_comparisons += comparisons
             probe_ms = comparisons * sim_config.cache_probe_time_ms
             if hit:
@@ -115,7 +115,7 @@ def reference_run(method, trace, db_size, sim_config) -> ReferenceCounters:
                 service_ms = db_cost * sim_config.db_probe_time_ms
                 out.latencies.append(probe_ms + round_trip + service_ms)
                 out.total_work_ms += probe_ms + service_ms + stall
-                cache.insert(event.barcode, None)
+                cache.insert(barcode, None)
         else:
             out.station_messages += 1
             round_trip, stall = transmit()

@@ -18,7 +18,6 @@ from robocache.metrics import AlertPolicy, MetricsReport, check_alert, compare, 
 from robocache.presets import desk_scale_path
 from robocache.simulator import MethodKind, run
 from robocache.workload import (
-    ScanEvent,
     WorkloadConfig,
     barcode_for_rank,
     generate,
@@ -26,7 +25,7 @@ from robocache.workload import (
     save_trace,
 )
 
-from helpers import make_kb, make_sim_config
+from helpers import make_kb, make_sim_config, make_trace, rows_of
 from reference import ReferenceCache
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -123,10 +122,8 @@ def _random_trace(rng, length, keyspace, robots):
     events = []
     for index in range(length):
         now += rng.expovariate(0.2)
-        events.append(
-            ScanEvent(robot_id=index % robots, barcode=barcode_for_rank(rng.randrange(keyspace)), issued_at=now)
-        )
-    return events
+        events.append((index % robots, barcode_for_rank(rng.randrange(keyspace)), now))
+    return make_trace(events)
 
 
 def test_a2_station_traffic_reduction_property():
@@ -138,7 +135,7 @@ def test_a2_station_traffic_reduction_property():
         keyspace = rng.randint(2, 64)
         length = rng.randint(1, 8) if trial % 2 else rng.randint(1, 60)
         trace = _random_trace(rng, length, keyspace, robots)
-        unique_in_trace = len({event.barcode for event in trace})
+        unique_in_trace = len(set(trace.barcodes))
 
         # retention-free regime: capacity covers every key, so a repeat
         # within one robot's stream is exactly a hit
@@ -148,11 +145,11 @@ def test_a2_station_traffic_reduction_property():
         assert baseline.station_messages == len(trace)
         per_robot_repeat = False
         seen = {}
-        for event in trace:
-            robot_seen = seen.setdefault(event.robot_id, set())
-            if event.barcode in robot_seen:
+        for robot_id, barcode, _ in rows_of(trace):
+            robot_seen = seen.setdefault(robot_id, set())
+            if barcode in robot_seen:
                 per_robot_repeat = True
-            robot_seen.add(event.barcode)
+            robot_seen.add(barcode)
         if per_robot_repeat:
             strict_cases += 1
             assert cached.station_messages < baseline.station_messages
@@ -344,7 +341,7 @@ def test_a7_round_trips_and_zipf_partial_masses():
             inter_arrival_ms=1.0, seed=0x7A7,
         )
     )
-    counts = Counter(event.barcode for event in zipf_events)
+    counts = Counter(zipf_events.barcodes)
     weights = [rank ** -skew for rank in range(1, unique + 1)]
     total_weight = sum(weights)
     checked = []

@@ -16,9 +16,8 @@ from robocache.metrics import (
     summarize,
 )
 from robocache.simulator import MethodKind, run
-from robocache.workload import ScanEvent
 
-from helpers import make_kb, make_sim_config
+from helpers import make_kb, make_sim_config, make_trace
 
 A = "10000000000001"
 B = "10000000000002"
@@ -26,7 +25,7 @@ C = "10000000000003"
 
 
 def run_result(method, barcodes, **config_overrides):
-    trace = [ScanEvent(0, b, i * 100.0) for i, b in enumerate(barcodes)]
+    trace = make_trace((0, b, i * 100.0) for i, b in enumerate(barcodes))
     kb = make_kb(sorted(set(barcodes)))
     return run(method, trace, kb, make_sim_config(**config_overrides))
 
@@ -152,12 +151,10 @@ def test_single_method_report_csv_shape():
 def test_comparisons_ratio_below_one_when_hits_are_shallow():
     # repeated single barcode: hits at depth 1 vs a 4-probe indexed search
     # over a 16-record knowledge base
-    from robocache.workload import ScanEvent as Event
-
     keys = [f"100000000000{n:02d}" for n in range(16)]
     kb = make_kb(keys)
     assert index_probe_cost(len(kb)) == 4
-    trace = [Event(0, keys[0], i * 10.0) for i in range(31)]
+    trace = make_trace((0, keys[0], i * 10.0) for i in range(31))
     config = make_sim_config()
     baseline = summarize(run("baseline", trace, kb, config))
     cached_result = run("cached", trace, kb, config)
@@ -176,7 +173,7 @@ def test_skewed_lossy_trace_improves_all_four_rows():
         total_scans=4000, unique_barcodes=50, skew=1.4, robots=2, inter_arrival_ms=1.0, seed=31
     )
     trace = generate(workload)
-    kb = make_kb(sorted({event.barcode for event in trace}))
+    kb = make_kb(sorted(set(trace.barcodes)))
     config = make_sim_config(
         workload=workload,
         cache_capacity=8,

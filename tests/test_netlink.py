@@ -20,10 +20,10 @@ def make_config(**overrides):
 
 def test_lossless_lockless_round_trip_is_exactly_two_one_way_latencies():
     link = SatelliteLink(make_config(), random.Random(1))
-    outcome = link.transmit(now=1000.0)
-    assert outcome.delivered_at == 1500.0
-    assert outcome.losses == 0
-    assert outcome.lock_stall_applied == 0.0
+    delivered_at, losses, stall = link.round_trip(now=1000.0)
+    assert delivered_at == 1500.0
+    assert losses == 0
+    assert stall == 0.0
     assert link.stats.messages_sent == 1
     assert link.stats.messages_lost == 0
 
@@ -53,12 +53,12 @@ def test_delivery_time_accounts_for_losses_and_stall():
     for _ in range(200):
         before = (link.stats.messages_lost, link.stats.lock_events)
         now = 50.0
-        outcome = link.transmit(now)
+        delivered_at, losses, stall = link.round_trip(now)
         lost = link.stats.messages_lost - before[0]
         locked = link.stats.lock_events - before[1]
-        assert outcome.losses == lost
-        assert outcome.lock_stall_applied == (40.0 if locked else 0.0)
-        assert outcome.delivered_at == now + lost * 600.0 + 500.0 + outcome.lock_stall_applied
+        assert losses == lost
+        assert stall == (40.0 if locked else 0.0)
+        assert delivered_at == now + lost * 600.0 + 500.0 + stall
 
 
 def test_mean_losses_match_geometric_distribution():
@@ -66,7 +66,7 @@ def test_mean_losses_match_geometric_distribution():
     link = SatelliteLink(make_config(loss_probability=0.5), random.Random(42))
     n = 10_000
     for _ in range(n):
-        link.transmit(now=0.0)
+        link.round_trip(now=0.0)
     mean_losses = link.stats.messages_lost / n
     assert abs(mean_losses - 1.0) <= 0.05
     assert link.stats.retransmissions == link.stats.messages_lost
@@ -77,7 +77,7 @@ def test_lock_rate_converges_to_lock_probability():
     link = SatelliteLink(make_config(lock_probability=0.3), random.Random(7))
     n = 100_000
     for _ in range(n):
-        link.transmit(now=0.0)
+        link.round_trip(now=0.0)
     delivered = link.stats.messages_delivered
     assert delivered == n
     rate = link.stats.lock_events / delivered
@@ -90,7 +90,7 @@ def test_identical_seed_and_call_order_give_identical_outcomes():
 
     def stream():
         link = SatelliteLink(config, random.Random(99))
-        return [link.transmit(now=float(i)) for i in range(500)], link.stats
+        return [link.round_trip(now=float(i)) for i in range(500)], link.stats
 
     first_outcomes, first_stats = stream()
     second_outcomes, second_stats = stream()

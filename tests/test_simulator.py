@@ -8,9 +8,9 @@ from robocache.errors import MissingRecordError, ValidationError
 from robocache.knowledge_base import index_probe_cost
 from robocache.netlink import LinkConfig
 from robocache.simulator import MethodKind, result_digest, run
-from robocache.workload import ScanEvent, WorkloadConfig, barcode_for_rank, generate
+from robocache.workload import WorkloadConfig, barcode_for_rank, generate
 
-from helpers import make_kb, make_sim_config
+from helpers import make_kb, make_sim_config, make_trace, rows_of
 from reference import reference_run
 
 
@@ -22,10 +22,7 @@ A, B, C = key(1), key(2), key(3)
 
 
 def trace_of(barcodes, robot_id=0, spacing=100.0):
-    return [
-        ScanEvent(robot_id=robot_id, barcode=barcode, issued_at=index * spacing)
-        for index, barcode in enumerate(barcodes)
-    ]
+    return make_trace((robot_id, barcode, index * spacing) for index, barcode in enumerate(barcodes))
 
 
 def lossy_link():
@@ -103,7 +100,7 @@ def test_counters_tie_out_between_methods_and_logs():
 
 def test_empty_trace_is_rejected():
     with pytest.raises(ValidationError):
-        run("cached", [], make_kb([A]), make_sim_config())
+        run("cached", make_trace([]), make_kb([A]), make_sim_config())
 
 
 def test_unknown_barcode_is_a_data_error_naming_it():
@@ -147,8 +144,8 @@ def random_trace(rng, length, keyspace, robots):
     events = []
     for index, barcode in enumerate(barcodes):
         now += rng.expovariate(1.0 / 5.0)
-        events.append(ScanEvent(robot_id=index % robots, barcode=barcode, issued_at=now))
-    return events
+        events.append((index % robots, barcode, now))
+    return make_trace(events)
 
 
 def test_station_traffic_dominance_on_random_traces():
@@ -177,11 +174,11 @@ def test_equality_holds_exactly_when_no_robot_sees_a_repeat():
         baseline = run("baseline", trace, kb, config)
         per_robot = {}
         repeat = False
-        for event in trace:
-            seen = per_robot.setdefault(event.robot_id, set())
-            if event.barcode in seen:
+        for robot_id, barcode, _ in rows_of(trace):
+            seen = per_robot.setdefault(robot_id, set())
+            if barcode in seen:
                 repeat = True
-            seen.add(event.barcode)
+            seen.add(barcode)
         if repeat:
             saw_strict = True
             assert cached.counters.station_messages < baseline.counters.station_messages
@@ -285,7 +282,7 @@ def test_generated_workload_runs_end_to_end():
         total_scans=2000, unique_barcodes=30, skew=1.1, robots=3, inter_arrival_ms=1.0, seed=5
     )
     trace = generate(workload)
-    kb = make_kb(sorted({event.barcode for event in trace}))
+    kb = make_kb(sorted(set(trace.barcodes)))
     config = make_sim_config(workload=workload, cache_capacity=6, link=lossy_link(), seed=5)
     cached = run(MethodKind.CACHED, trace, kb, config)
     baseline = run(MethodKind.BASELINE, trace, kb, config)
@@ -294,12 +291,10 @@ def test_generated_workload_runs_end_to_end():
     assert cached.counters.scans == baseline.counters.scans == 2000
 
 
-@pytest.mark.parametrize("method", ["baseline", "cached"])
-def test_malformed_barcode_in_an_in_memory_trace_is_rejected_at_entry(method):
-    kb = make_kb([A, B])
+def test_malformed_barcode_in_an_in_memory_trace_is_rejected_at_entry():
+    # Building the Trace is the check, so no run() ever sees the bad key.
     # A trailing newline makes a 15-character key, not a barcode.
     for bad in ("1000000000000x", "10000000000000\n"):
-        trace = trace_of([A, B, A]) + [ScanEvent(robot_id=0, barcode=bad, issued_at=400.0)]
         with pytest.raises(ValidationError) as exc_info:
-            run(method, trace, kb, make_sim_config())
+            trace_of([A, B, A, bad])
         assert repr(bad) in str(exc_info.value)

@@ -5,9 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from robocache.errors import ConfigError, TraceFormatError
+from robocache.errors import ConfigError, TraceFormatError, ValidationError
 from robocache.workload import (
-    ScanEvent,
+    Trace,
     WorkloadConfig,
     barcode_for_rank,
     generate,
@@ -17,7 +17,10 @@ from robocache.workload import (
     zipf_probabilities,
 )
 
+from helpers import make_trace, rows_of
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+A = "12345678901234"
 
 
 def make_config(**overrides):
@@ -50,15 +53,15 @@ def test_barcodes_are_always_14_digits():
 def test_single_key_universe_repeats_one_barcode():
     events = generate(make_config(unique_barcodes=1))
     assert len(events) == 100
-    assert {event.barcode for event in events} == {"10000000000000"}
+    assert set(events.barcodes) == {"10000000000000"}
 
 
 def test_trace_shape_and_round_robin_assignment():
     config = make_config(robots=3)
     events = generate(config)
     assert len(events) == config.total_scans
-    assert [event.robot_id for event in events[:6]] == [0, 1, 2, 0, 1, 2]
-    times = [event.issued_at for event in events]
+    assert [robot_id for robot_id, _, _ in rows_of(events)[:6]] == [0, 1, 2, 0, 1, 2]
+    times = [issued_at for _, _, issued_at in rows_of(events)]
     assert times == sorted(times)
 
 
@@ -90,21 +93,21 @@ def test_export_import_round_trip_is_identity():
 
 
 def test_empty_file_loads_as_empty_trace():
-    assert load_trace(io.StringIO("")) == []
+    assert load_trace(io.StringIO("")) == make_trace([])
 
 
 def test_header_only_file_loads_as_empty_trace():
-    assert load_trace(io.StringIO("robot_id,barcode,issued_at_ms\n")) == []
+    assert load_trace(io.StringIO("robot_id,barcode,issued_at_ms\n")) == make_trace([])
 
 
 def test_hand_written_fixture_loads_field_for_field():
     with open(os.path.join(FIXTURES, "trace_3.csv"), newline="") as fh:
         events = load_trace(fh)
-    assert events == [
-        ScanEvent(0, "12345678901234", 0.0),
-        ScanEvent(1, "98765432109876", 5.5),
-        ScanEvent(0, "12345678901234", 9.25),
-    ]
+    assert events == make_trace([
+        (0, "12345678901234", 0.0),
+        (1, "98765432109876", 5.5),
+        (0, "12345678901234", 9.25),
+    ])
 
 
 @pytest.mark.parametrize(
@@ -122,6 +125,12 @@ def test_hand_written_fixture_loads_field_for_field():
         ("robot_id,barcode,issued_at_ms\n+1,12345678901234,4.0\n", 2),
         ("robot_id,barcode,issued_at_ms\n0,12345678901234,4.0\n0,12345678901234,3.9\n", 3),
         ("robot_id,barcode,issued_at_ms\n0,12345678901234,nan\n", 2),
+        ("robot_id,barcode,issued_at_ms\n0,12345678901234,1.0\n0,12345678901234,1_0\n", 3),
+        ("robot_id,barcode,issued_at_ms\n0,12345678901234, 5 \n", 2),
+        ("robot_id,barcode,issued_at_ms\n0,12345678901234,５\n", 2),
+        ("robot_id,barcode,issued_at_ms\n0,12345678901234,5\r\n", 2),
+        ("robot_id,barcode,issued_at_ms\n0,12345678901234,+5\n", 2),
+        ("robot_id,barcode,issued_at_ms\n0,12345678901234,-0.0\n", 2),
     ],
 )
 def test_malformed_lines_carry_their_line_number(body, bad_line):
@@ -147,6 +156,66 @@ def test_robot_id_errors_name_the_field(robot_field, reason):
 
 
 @pytest.mark.parametrize(
+    "time_field,reason",
+    [
+        ("-5", "issued_at_ms -5 is not a finite non-negative time"),
+        ("-0.0", "issued_at_ms '-0.0' has a sign"),
+        ("+5", "issued_at_ms '+5' has a sign"),
+        ("1_0", "issued_at_ms '1_0' is not a plain ASCII number"),
+        (" 5", "issued_at_ms ' 5' is not a plain ASCII number"),
+        ("5\r", "issued_at_ms '5\\r' is not a plain ASCII number"),
+        ("５", "issued_at_ms '５' is not a plain ASCII number"),
+        ("", "issued_at_ms '' is not a number"),
+    ],
+)
+def test_issued_at_errors_name_the_field(time_field, reason):
+    with pytest.raises(TraceFormatError) as exc_info:
+        load_trace(io.StringIO(f"robot_id,barcode,issued_at_ms\n0,12345678901234,{time_field}\n"))
+    assert exc_info.value.reason == reason
+
+
+def test_exponent_times_as_repr_writes_them_load_and_round_trip():
+    body = "robot_id,barcode,issued_at_ms\n0,12345678901234,1e-05\n0,12345678901234,1.5e+16\n"
+    trace = load_trace(io.StringIO(body))
+    assert trace.issued_at == (1e-05, 1.5e16)
+    out = io.StringIO()
+    save_trace(trace, out)
+    assert out.getvalue() == body
+
+
+@pytest.mark.parametrize(
+    "robot_ids,barcodes,issued_at",
+    [
+        pytest.param((0, 0), (A,), (0.0,), id="columns-differ-in-length"),
+        pytest.param((0,), (A, A), (0.0, 1.0), id="robot-column-short"),
+        pytest.param((True,), (A,), (0.0,), id="bool-robot-id"),
+        pytest.param((-3,), (A,), (0.0,), id="negative-robot-id"),
+        pytest.param((1.0,), (A,), (0.0,), id="float-robot-id"),
+        pytest.param((0,), ("1234567890123x",), (0.0,), id="malformed-barcode"),
+        pytest.param((0,), (12345678901234,), (0.0,), id="int-barcode"),
+        pytest.param((0,), (A,), (float("nan"),), id="nan-time"),
+        pytest.param((0,), (A,), (float("inf"),), id="inf-time"),
+        pytest.param((0,), (A,), (-1.0,), id="negative-time"),
+        pytest.param((0,), (A,), (True,), id="bool-time"),
+        pytest.param((0,), (A,), ("5",), id="str-time"),
+        pytest.param((0, 0), (A, A), (1000.0, 0.0), id="decreasing-times"),
+        pytest.param((0, 0), (A, A), (5.0, 3), id="decreasing-float-then-int"),
+        pytest.param((0, 0), (A, A), (5, 3.0), id="decreasing-int-then-float"),
+    ],
+)
+def test_trace_constructor_rejects_each_invalid_value(robot_ids, barcodes, issued_at):
+    with pytest.raises(ValidationError):
+        Trace(robot_ids, barcodes, issued_at)
+
+
+def test_trace_columns_are_tuples_and_int_times_are_accepted():
+    trace = Trace([0, 2], [A, A], [3, 5.0])
+    assert (trace.robot_ids, trace.barcodes, trace.issued_at) == ((0, 2), (A, A), (3, 5.0))
+    assert len(trace) == 2 and trace
+    assert not Trace((), (), ())
+
+
+@pytest.mark.parametrize(
     "line",
     [b"\xff,12345678901234,4.0", b"0,1234567890123\xff,4.0", b"0,12345678901234,4.\xff", b"0,12345678901234,4.0\xff"],
 )
@@ -169,7 +238,7 @@ def test_top_rank_mass_matches_analytic_partial_sums():
     unique, skew, samples = 10_000, 1.2, 1_000_000
     config = make_config(total_scans=samples, unique_barcodes=unique, skew=skew, robots=4, seed=77)
     events = generate(config)
-    counts = Counter(event.barcode for event in events)
+    counts = Counter(events.barcodes)
 
     weights = [rank ** -skew for rank in range(1, unique + 1)]
     total_weight = sum(weights)
