@@ -22,11 +22,23 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from typing import Optional
+from itertools import chain
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .config import SimConfig, load_config
 from .errors import ConfigError, LineError, SimulationError
-from .knowledge_base import KnowledgeBase, format_record_line, ingest, load_kb, save_kb
+from .knowledge_base import (
+    BARCODE_WIDTH,
+    SERVICE_WIDTH,
+    SHIPPER_WIDTH,
+    KnowledgeBase,
+    format_record_line,
+    ingest,
+    load_kb,
+    save_kb,
+)
 from .metrics import (
     METRIC_NAMES,
     AlertPolicy,
@@ -45,22 +57,67 @@ from .simulator import run as run_simulation
 from .workload import barcode_for_rank, generate, read_trace, write_trace
 
 _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
+# Rank r's service type is _SERVICE_TYPES[r % 4] and it is held for
+# inspection when r % 13 == 0, so every field but the digits repeats every
+# 52 ranks.
+_FIELD_PERIOD = 52
+# Blocks of ranks keep every array and string the build makes small beside
+# the lines that ingest keeps.
+_BLOCK_RANKS = 4096
 
 
-def _synth_line(rank: int) -> str:
-    """Deterministic knowledge-base record line for one workload rank."""
-    barcode = barcode_for_rank(rank)
-    return format_record_line(
-        barcode,
-        f"SHIP{rank % 100000:05d}",
-        _SERVICE_TYPES[rank % len(_SERVICE_TYPES)],
-        f"T{barcode[0:4]}{barcode[12:14]}D",
-        "HOLD FOR INSPECTION" if rank % 13 == 0 else "",
+def _write_digits(rows: np.ndarray, start: int, values: np.ndarray, width: int) -> None:
+    """Write ``values`` (consumed) as ``width`` zero-padded ASCII digits into columns ``start`` onward."""
+    digit = np.empty_like(values)
+    for column in reversed(range(start, start + width)):
+        np.divmod(values, 10, out=(values, digit))
+        rows[:, column] = digit
+    rows[:, start : start + width] += ord("0")
+
+
+def _record_line_blocks(unique_barcodes: int) -> Iterator[list[str]]:
+    """The record lines of ranks 0 to ``unique_barcodes`` - 1, in lists of _BLOCK_RANKS ranks.
+
+    A block is filled as one byte array: each row starts as the formatted
+    line of its rank modulo 52 with zero digits, and the digits are then
+    written a column at a time.
+    """
+    shipper_digits = BARCODE_WIDTH + len("SHIP")
+    terminal_digits = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + len("T")
+    templates = "".join(
+        format_record_line(
+            "0" * BARCODE_WIDTH,
+            "SHIP00000",
+            _SERVICE_TYPES[rank % len(_SERVICE_TYPES)],
+            "T000000D",
+            "HOLD FOR INSPECTION" if rank % 13 == 0 else "",
+        )
+        + "\n"
+        for rank in range(_FIELD_PERIOD)
     )
+    template_rows = np.frombuffer(templates.encode("ascii"), np.uint8).reshape(_FIELD_PERIOD, -1)
+    # barcode_for_rank(r) is the digits of barcode_for_rank(0) + r, below 10**14 for every rank.
+    first_barcode = int(barcode_for_rank(0))
+    for start in range(0, unique_barcodes, _BLOCK_RANKS):
+        ranks = np.arange(start, min(start + _BLOCK_RANKS, unique_barcodes), dtype=np.int64)
+        rows = template_rows[ranks % _FIELD_PERIOD]
+        _write_digits(rows, 0, ranks + first_barcode, BARCODE_WIDTH)
+        _write_digits(rows, shipper_digits, ranks % 100000, 5)
+        rows[:, terminal_digits : terminal_digits + 4] = rows[:, 0:4]
+        rows[:, terminal_digits + 4 : terminal_digits + 6] = rows[:, 12:14]
+        # The last piece is the empty string after the block's last newline.
+        yield str(memoryview(rows), "ascii").split("\n")[:-1]
 
 
 def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
-    return ingest([_synth_line(rank) for rank in range(unique_barcodes)])
+    """The synthetic knowledge base of a workload: one record per rank.
+
+    Rank r has barcode_for_rank(r), shipper SHIP + r % 100000 in five
+    digits, service type _SERVICE_TYPES[r % 4], terminal T + barcode
+    digits 1-4 and 13-14 + D, and the exception HOLD FOR INSPECTION when
+    r % 13 == 0.
+    """
+    return ingest(chain.from_iterable(_record_line_blocks(unique_barcodes)))
 
 
 def _file_digest(path: str) -> str:

@@ -8,13 +8,16 @@ Record line layout (ASCII, newline terminated, 56 characters):
     cols 29-36  destination terminal
     cols 37-56  delivery exceptions (all spaces means none)
 
-``format_record_line`` is the one place that pads fields into this
-layout. The database holds each record as its validated line, keyed by
-barcode: ``ingest`` checks the whole input at once and walks it line by
-line only to name the first bad line, ``record_line`` returns one line,
-and ``export`` writes the lines back in one piece. No field is ever
-parsed back out of a line: a cached miss in the simulator caches the
-record line, the form in which the station sends the record.
+The column widths are the ``*_WIDTH`` constants below.
+``format_record_line`` pads fields into them, and the synthetic
+knowledge base of a workload (``cli.build_kb_for_workload``) takes its
+column offsets from them. The database holds each record as its
+validated line, keyed by barcode: ``ingest`` checks the whole input at
+once and walks it line by line only to name the first bad line,
+``record_line`` returns one line, and ``export`` writes the lines back
+in one piece. No field is ever parsed back out of a line: a cached miss
+in the simulator caches the record line, the form in which the station
+sends the record.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Lookup cost is modeled as an indexed

@@ -10,15 +10,20 @@ contract and pinned by a golden trace in the test suite.
 Trace CSV format: one header line ``robot_id,barcode,issued_at_ms``
 followed by one line per scan, UTF-8, "\n" newlines. Timestamps are
 written with repr so export and import round-trip exactly; a timestamp
-field is plain ASCII with no whitespace, "_" or sign.
+field is plain ASCII with no whitespace, "_" or sign. ``load_trace`` and
+``read_trace`` check the whole text at once, block by block, and build
+the columns from it; only a text that fails a check is walked line by
+line, which names the first bad line and its reason.
 """
 
 from __future__ import annotations
 
+import io
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from math import isfinite
-from typing import Iterable, TextIO, Tuple
+from typing import Iterable, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -30,6 +35,10 @@ TRACE_HEADER = "robot_id,barcode,issued_at_ms"
 # rank 0 maps to "10000000000000"; every rank below 9e13 stays 14 digits
 _RANK_BASE = 10_000_000_000_000
 _MAX_UNIQUE = 9 * 10**13
+_BLOCK_CHARS = 1 << 16
+# Every character a plain time field may hold, and the comma between two:
+# deleting them from a block's ASCII time text must leave nothing.
+_TIME_CHARS = b",0123456789.eE+-"
 
 
 @dataclass(frozen=True)
@@ -125,11 +134,70 @@ def save_trace(trace: Trace, stream: TextIO) -> None:
 def load_trace(stream: Iterable[str]) -> Trace:
     """Parse a trace CSV, enforcing field shape and non-decreasing time.
 
-    A zero-byte source yields an empty trace; any content must start
-    with the standard header line.
+    ``stream`` yields the lines of the file, as an open text file does. A
+    zero-byte source yields an empty trace; any content must start with
+    the standard header line. The whole text is checked at once; only
+    when a check fails is it walked line by line, so the error carries the
+    1-based number and the reason of the first bad line.
     """
+    lines = list(stream)
+    trace = _parse_columns("".join(lines))
+    return _walk_lines(lines) if trace is None else trace
+
+
+def _parse_columns(text: str) -> Optional[Trace]:
+    """The trace in ``text`` if the whole text passes at once, else None.
+
+    Accepts only what _walk_lines accepts, with the same values: the
+    header, then lines that each end in "\n" and hold exactly two commas,
+    ASCII-digit robot ids and times of plain ASCII number characters with
+    no leading sign. The Trace constructor checks the barcodes, the time
+    values and their order.
+    """
+    header = TRACE_HEADER + "\n"
+    if not text.startswith(header) or not text.endswith("\n") or "\r" in text:
+        return None
     robot_ids, barcodes, times = [], [], []
-    for line_no, raw in enumerate(stream, start=1):
+    distinct = {}  # one str per distinct barcode, shared by all its scans
+    start = len(header)
+    while start < len(text):
+        # Whole lines, about _BLOCK_CHARS at a time: only one block's
+        # split fields are held beside the columns.
+        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
+        block = text[start : end - 1]
+        start = end
+        # Two commas on every line, not 2n in all: a 4-field line and then
+        # a 2-field line would pass as two rows.
+        if set(map(str.count, block.split("\n"), repeat(","))) != {2}:
+            return None
+        fields = block.replace("\n", ",").split(",")
+        robot_col, barcode_col, time_col = fields[0::3], fields[1::3], fields[2::3]
+        robot_text = "".join(robot_col)
+        # A comma before every time field, so a leading sign shows as ",+" or ",-".
+        time_text = "," + ",".join(time_col)
+        if not (robot_text.isascii() and robot_text.isdigit()):
+            return None
+        if not time_text.isascii() or time_text.encode().translate(None, _TIME_CHARS):
+            return None
+        if ",+" in time_text or ",-" in time_text:
+            return None
+        try:
+            # int() refuses an empty field and one longer than it converts.
+            robot_ids += map(int, robot_col)
+            times += map(float, time_col)
+        except ValueError:
+            return None
+        barcodes += map(distinct.setdefault, barcode_col, barcode_col)
+    try:
+        return Trace(robot_ids, barcodes, times)
+    except ValidationError:
+        return None
+
+
+def _walk_lines(lines: Iterable[str]) -> Trace:
+    """Parse the trace line by line; raises at the first bad line with its number and reason."""
+    robot_ids, barcodes, times = [], [], []
+    for line_no, raw in enumerate(lines, start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
         if line_no == 1:
             if line != TRACE_HEADER:
@@ -147,7 +215,10 @@ def load_trace(stream: Iterable[str]) -> Trace:
                     raise TraceFormatError(line_no, f"robot_id {robot_field} is negative")
                 raise TraceFormatError(line_no, f"robot_id {robot_field!r} has a sign")
             raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer")
-        robot_id = int(robot_field)
+        try:
+            robot_id = int(robot_field)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise TraceFormatError(line_no, f"robot_id of {len(robot_field)} digits is too long") from None
         try:
             validate_barcode(barcode)
         except ValidationError as exc:
@@ -178,6 +249,10 @@ def write_trace(trace: Trace, path: str) -> None:
 
 def read_trace(path: str) -> Trace:
     # A byte that does not decode becomes a lone surrogate, which every
-    # field check in load_trace rejects with its line number.
+    # field check rejects with its line number.
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        return load_trace(fh)
+        text = fh.read()
+    trace = _parse_columns(text)
+    # newline="" splits the walk's lines where the file's own are split,
+    # at a lone "\r" too.
+    return _walk_lines(io.StringIO(text, newline="")) if trace is None else trace

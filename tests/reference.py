@@ -6,12 +6,25 @@ no bubbling, no sequence bookkeeping. reference_run replays a trace with
 straight-line arithmetic, its own ReferenceCache instances and its own
 random stream. Neither touches the production implementations beyond
 shared dataclasses for inputs.
+
+synth_record_line formats one synthetic knowledge-base line per rank, the
+way cli.build_kb_for_workload formatted them before it filled all lines at
+once. reference_load_trace is the trace-file line walk as it stood before
+the whole-input parse, kept verbatim.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from math import isfinite
+
+from robocache.cache import validate_barcode
+from robocache.errors import TraceFormatError, ValidationError
+from robocache.knowledge_base import format_record_line
+from robocache.workload import TRACE_HEADER, Trace, barcode_for_rank
+
+_SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
 
 
 class ReferenceCache:
@@ -127,3 +140,64 @@ def reference_run(method, trace, db_size, sim_config) -> ReferenceCounters:
 
     out.final_rows = {robot_id: cache.rows() for robot_id, cache in caches.items()}
     return out
+
+
+def synth_record_line(rank: int) -> str:
+    """Deterministic knowledge-base record line for one workload rank."""
+    barcode = barcode_for_rank(rank)
+    return format_record_line(
+        barcode,
+        f"SHIP{rank % 100000:05d}",
+        _SERVICE_TYPES[rank % len(_SERVICE_TYPES)],
+        f"T{barcode[0:4]}{barcode[12:14]}D",
+        "HOLD FOR INSPECTION" if rank % 13 == 0 else "",
+    )
+
+
+def reference_load_trace(stream) -> Trace:
+    """Parse a trace CSV, enforcing field shape and non-decreasing time.
+
+    A zero-byte source yields an empty trace; any content must start
+    with the standard header line.
+    """
+    robot_ids, barcodes, times = [], [], []
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw[:-1] if raw.endswith("\n") else raw
+        if line_no == 1:
+            if line != TRACE_HEADER:
+                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {line!r}")
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise TraceFormatError(line_no, f"expected 3 comma-separated fields, got {len(parts)}")
+        robot_field, barcode, time_field = parts
+        # ASCII digits only: int() would also take "1_0", " 1" or full-width digits.
+        if not (robot_field.isascii() and robot_field.isdigit()):
+            sign, unsigned = robot_field[:1], robot_field[1:]
+            if sign in ("-", "+") and unsigned.isascii() and unsigned.isdigit():
+                if sign == "-" and int(unsigned) > 0:
+                    raise TraceFormatError(line_no, f"robot_id {robot_field} is negative")
+                raise TraceFormatError(line_no, f"robot_id {robot_field!r} has a sign")
+            raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer")
+        robot_id = int(robot_field)
+        try:
+            validate_barcode(barcode)
+        except ValidationError as exc:
+            raise TraceFormatError(line_no, str(exc)) from None
+        # float() would also take "1_0", " 5", "5\r" or full-width digits.
+        if not time_field.isascii() or "_" in time_field or time_field != time_field.strip():
+            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a plain ASCII number")
+        try:
+            issued_at = float(time_field)
+        except ValueError:
+            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a number") from None
+        if not isfinite(issued_at) or issued_at < 0:
+            raise TraceFormatError(line_no, f"issued_at_ms {time_field} is not a finite non-negative time")
+        if time_field[:1] in ("+", "-"):
+            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} has a sign")
+        if times and issued_at < times[-1]:
+            raise TraceFormatError(line_no, f"issued_at_ms decreased ({issued_at!r} after {times[-1]!r})")
+        robot_ids.append(robot_id)
+        barcodes.append(barcode)
+        times.append(issued_at)
+    return Trace(robot_ids, barcodes, times)

@@ -371,9 +371,10 @@ def test_run_rejects_an_input_file_with_an_undecodable_byte(name, config_path, t
     "name,line_3,reason",
     [
         ("trace.csv", b"1_0,10000000000000,4.0", "robot_id '1_0' is not an integer"),
+        ("trace.csv", b"7" * 5000 + b",10000000000000,4.0", "robot_id of 5000 digits is too long"),
         ("kb.dat", b"10000000000002SHIP00002", "expected 56 characters, got 23"),
     ],
-    ids=["trace", "kb"],
+    ids=["trace", "trace-robot-id-too-long", "kb"],
 )
 def test_run_names_the_input_file_holding_a_malformed_line(name, line_3, reason, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")

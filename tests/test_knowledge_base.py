@@ -4,10 +4,12 @@ import os
 
 import pytest
 
+from robocache.cli import build_kb_for_workload
 from robocache.errors import ConfigError, IngestError
 from robocache.knowledge_base import format_record_line, index_probe_cost, ingest, load_kb
 
 from helpers import make_kb
+from reference import synth_record_line
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -258,3 +260,12 @@ def test_ingest_refuses_a_row_with_a_field_wider_than_its_column(fields):
 def test_ingest_refuses_a_row_with_a_non_ascii_field():
     line, reason = ingest_row_2(shipper_number="SHIPé")
     assert reason == f"non-ASCII character in {line!r}"
+
+
+# Record counts on both sides of each field period: 4 service types, the
+# exception every 13th rank, their 52-rank cycle and the 100,000 shipper numbers.
+@pytest.mark.parametrize("records", [0, 1, 4, 13, 14, 52, 53, 100, 101, 1300, 1301, 100001])
+def test_synthesized_knowledge_base_matches_the_per_rank_lines(records):
+    out = io.StringIO()
+    build_kb_for_workload(records).export(out)
+    assert out.getvalue() == "".join(synth_record_line(rank) + "\n" for rank in range(records))

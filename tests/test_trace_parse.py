@@ -1,20 +1,30 @@
 """Trace-file parsing: every refused line keeps its exact line number and reason.
 
-Each case puts one bad line on line 3, after a good line 2, and loads the
-file both from an in-memory stream (``load_trace``) and from disk
-(``read_trace``). The expected line numbers and reasons are the line
+Each parity case puts one bad line on line 3, after a good line 2, and
+loads the file both from an in-memory stream (``load_trace``) and from
+disk (``read_trace``). The expected line numbers and reasons are the line
 walk's. A file read from disk splits lines on a lone "\\r" as well, so
 the two cases holding one have a reason of their own for ``read_trace``.
+A differential fuzz holds both entry points to the walk kept verbatim in
+``reference.py``, and a tripwire checks that a generated trace loads
+without the walk.
 """
 
 import io
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import robocache.workload
+from robocache.config import load_config
 from robocache.errors import TraceFormatError
-from robocache.workload import load_trace, read_trace
+from robocache.presets import desk_scale_path
+from robocache.workload import generate, load_trace, read_trace, write_trace
 
 from helpers import make_trace
+from reference import reference_load_trace
 
 HEADER = "robot_id,barcode,issued_at_ms\n"
 LINE_2 = "0,10000000000000,1.0\n"
@@ -53,6 +63,8 @@ REFUSED = [
     ("barcode-empty", on_line_3("0,,2.0"), (3, BAD_KEY.format("")), None),
     ("time-underscore", time_line("1_0"), (3, "issued_at_ms '1_0' is not a plain ASCII number"), None),
     ("time-spaces", time_line(" 5 "), (3, "issued_at_ms ' 5 ' is not a plain ASCII number"), None),
+    ("time-trailing-space", time_line("5 "), (3, "issued_at_ms '5 ' is not a plain ASCII number"), None),
+    ("time-leading-tab", time_line("\t5"), (3, "issued_at_ms '\\t5' is not a plain ASCII number"), None),
     ("time-full-width", time_line("５"), (3, "issued_at_ms '５' is not a plain ASCII number"), None),
     ("time-crlf", time_line("5\r"), (3, "issued_at_ms '5\\r' is not a plain ASCII number"), None),
     ("time-plus", time_line("+5"), (3, "issued_at_ms '+5' has a sign"), None),
@@ -99,3 +111,74 @@ def test_a_last_line_without_a_newline_still_loads(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8")
     assert read_trace(str(path)) == expected
+
+
+# Robot ids of one and two digits, repeated barcodes, and the time forms
+# save_trace writes (a zero, an exponent, an integer-valued float).
+FUZZ_BASE = (
+    HEADER
+    + "0,10000000000000,0.0\n"
+    + "12,10000000000007,1e-05\n"
+    + "3,10000000000000,2.5\n"
+    + "0,98765432109876,2.5\n"
+    + "7,10000000000007,1000.0\n"
+    + "1,10000000000001,1.5e+16\n"
+)
+# What each inserted character tests: field and line structure, the CR the
+# bulk parse refuses, "_" and signs, whitespace, non-ASCII digits and
+# letters, the surrogate an undecodable byte becomes, and valid characters.
+FUZZ_CHARS = [",", "\n", "\r", "_", "+", "-", " ", "\t", "５", "é", "\udcff", "0", "9", ".", "e"]
+
+
+@st.composite
+def mutated_traces(draw):
+    text = FUZZ_BASE
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["insert", "delete", "swap-rows"]))
+        # Half the edits land at a field's edge, where a field check must look.
+        edges = [at for at, char in enumerate(text) if char in ",\n"]
+        at = draw(st.sampled_from(edges) | st.integers(0, len(text)) if edges else st.integers(0, len(text)))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from(FUZZ_CHARS)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif kind == "swap-rows":
+            rows = text.split("\n")
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+            text = "\n".join(rows)
+    return text
+
+
+def outcome(load, source):
+    """The Trace that ``load(source)`` returns, or the (line, reason) it raises."""
+    try:
+        return load(source)
+    except TraceFormatError as exc:
+        return exc.line_no, exc.reason
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_traces())
+def test_loading_a_mutated_trace_matches_the_line_walk(text, tmp_path):
+    for newline in ("\n", ""):
+        expected = outcome(reference_load_trace, io.StringIO(text, newline=newline))
+        assert outcome(load_trace, io.StringIO(text, newline=newline)) == expected, newline
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert outcome(read_trace, str(path)) == expected
+
+
+def test_a_generated_trace_loads_without_the_line_walk(monkeypatch, tmp_path):
+    config = load_config(desk_scale_path())
+    trace = generate(replace(config.workload, total_scans=20_000))
+    path = tmp_path / "trace.csv"
+    write_trace(trace, str(path))
+
+    def walk_refused(lines):
+        raise AssertionError("a valid trace fell back to the line walk")
+
+    monkeypatch.setattr(robocache.workload, "_walk_lines", walk_refused)
+    assert read_trace(str(path)) == trace
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert load_trace(fh) == trace

@@ -147,6 +147,7 @@ def test_malformed_lines_carry_their_line_number(body, bad_line):
         ("+1", "robot_id '+1' has a sign"),
         ("1_0", "robot_id '1_0' is not an integer"),
         ("", "robot_id '' is not an integer"),
+        ("7" * 5000, "robot_id of 5000 digits is too long"),
     ],
 )
 def test_robot_id_errors_name_the_field(robot_field, reason):
