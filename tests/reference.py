@@ -10,7 +10,10 @@ shared dataclasses for inputs.
 synth_record_line formats one synthetic knowledge-base line per rank, the
 way cli.build_kb_for_workload formatted them before it filled all lines at
 once. reference_load_trace is the trace-file line walk as it stood before
-the whole-input parse, kept verbatim.
+the whole-input parse, kept verbatim. reference_ingest is the
+knowledge-base ingest as it stood while the database was a dict of lines,
+kept verbatim with its line check; it returns the text that the
+database's export wrote.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import random
 from math import isfinite
 
 from robocache.cache import validate_barcode
-from robocache.errors import TraceFormatError, ValidationError
-from robocache.knowledge_base import format_record_line
+from robocache.errors import IngestError, TraceFormatError, ValidationError
+from robocache.knowledge_base import BARCODE_WIDTH, LINE_WIDTH, format_record_line
 from robocache.workload import TRACE_HEADER, Trace, barcode_for_rank
 
 _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
@@ -201,3 +204,52 @@ def reference_load_trace(stream) -> Trace:
         barcodes.append(barcode)
         times.append(issued_at)
     return Trace(robot_ids, barcodes, times)
+
+
+def reference_check_line(line: str, line_no: int) -> str:
+    """The barcode of one fixed-width line (newline already stripped).
+
+    Raises IngestError with ``line_no`` and the reason the line is bad.
+    """
+    if len(line) != LINE_WIDTH:
+        raise IngestError(line_no, f"expected {LINE_WIDTH} characters, got {len(line)}")
+    barcode = line[0:BARCODE_WIDTH]
+    try:
+        validate_barcode(barcode)
+    except ValidationError:
+        raise IngestError(line_no, f"barcode field {barcode!r} is not 14 decimal digits") from None
+    if not line.isascii():
+        raise IngestError(line_no, f"non-ASCII character in {line!r}")
+    return barcode
+
+
+def reference_ingest(source) -> str:
+    """Ingest fixed-width record lines and return the text export writes.
+
+    ``source`` yields lines with or without their trailing "\n" (an open
+    text file does). Raises IngestError at the first bad line.
+    """
+    lines = [raw[:-1] if raw.endswith("\n") else raw for raw in source]
+    barcodes = [line[0:BARCODE_WIDTH] for line in lines]
+    by_barcode = dict(zip(barcodes, lines))
+    if not (
+        set(map(len, lines)) == {LINE_WIDTH}
+        and all(map(str.isascii, lines))
+        and "".join(barcodes).isdigit()
+        and len(by_barcode) == len(lines)
+    ):
+        # Some line is bad (or there are none): the first bad line raises
+        # with its number and reason.
+        seen: set[str] = set()
+        for line_no, line in enumerate(lines, start=1):
+            barcode = reference_check_line(line, line_no)
+            if barcode in seen:
+                raise IngestError(line_no, f"duplicate barcode {barcode}")
+            seen.add(barcode)
+    return "\n".join(by_barcode.values()) + "\n" if by_barcode else ""
+
+
+def reference_load_kb(path: str) -> str:
+    """reference_ingest of a record file, read as the file reader read it."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
+        return reference_ingest(fh)

@@ -3,13 +3,15 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from robocache.cli import build_kb_for_workload
 from robocache.errors import ConfigError, IngestError
-from robocache.knowledge_base import format_record_line, index_probe_cost, ingest, load_kb
+from robocache.knowledge_base import LINE_WIDTH, format_record_line, index_probe_cost, ingest, load_kb
 
 from helpers import make_kb
-from reference import synth_record_line
+from reference import reference_ingest, reference_load_kb, synth_record_line
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -269,3 +271,98 @@ def test_synthesized_knowledge_base_matches_the_per_rank_lines(records):
     out = io.StringIO()
     build_kb_for_workload(records).export(out)
     assert out.getvalue() == "".join(synth_record_line(rank) + "\n" for rank in range(records))
+
+
+# Five good lines: the smallest and largest barcodes, two neighbours, and
+# fields that are not all spaces.
+FUZZ_LINES = [
+    make_line("00000000000001"),
+    make_line("12345678901234", exceptions="FRAGILE"),
+    make_line("99999999999999", shipper="SHIP99999", service="AIR1"),
+    make_line("12345678901235", terminal="T1234035D"),
+    make_line("50000000000000", exceptions="HOLD FOR INSPECTION"),
+]
+FUZZ_BASE = "".join(line + "\n" for line in FUZZ_LINES)
+# What each inserted or replacing character tests: line structure, the CR
+# a file reader also ends a line at, a non-digit, a non-ASCII character, the
+# surrogate an undecodable byte decodes to, a non-ASCII digit and valid characters.
+FUZZ_CHARS = ["\n", "\r", "\r\n", "x", "é", "\udcff", "５", "0", "9", " "]
+
+FUZZ_EDITS = [
+    "insert",
+    "delete",
+    "replace",
+    "replace-in-fields",
+    "crlf-55",
+    "duplicate",
+    "swap",
+    "drop-final-newline",
+    "empty",
+]
+
+
+@st.composite
+def mutated_kb_texts(draw):
+    text = FUZZ_BASE
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(FUZZ_EDITS))
+        # Half the edits land at a line end or in a barcode column.
+        targets = [at for at, char in enumerate(text) if char == "\n" or at % (LINE_WIDTH + 1) < 14]
+        at = draw(st.sampled_from(targets) | st.integers(0, len(text)) if targets else st.integers(0, len(text)))
+        rows = text.split("\n")
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from(FUZZ_CHARS)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif kind == "replace":
+            text = text[:at] + draw(st.sampled_from(FUZZ_CHARS)) + text[at + 1 :]
+        elif kind == "replace-in-fields":
+            column = draw(st.integers(14, LINE_WIDTH - 1))
+            rows[i] = rows[i][:column] + draw(st.sampled_from(FUZZ_CHARS)) + rows[i][column + 1 :]
+            text = "\n".join(rows)
+        elif kind == "crlf-55":
+            # 55 characters and "\r\n": as long as a good line with its "\n".
+            rows[i] = rows[i][: LINE_WIDTH - 1] + "\r"
+            text = "\n".join(rows)
+        elif kind == "duplicate":
+            rows.insert(j, rows[i])
+            text = "\n".join(rows)
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+            text = "\n".join(rows)
+        elif kind == "drop-final-newline":
+            text = text.removesuffix("\n")
+        else:
+            text = ""
+    return text
+
+
+def ingest_outcome(read, source):
+    """The text a knowledge base read by ``read(source)`` exports, or the (line, reason) it raises."""
+    try:
+        kb = read(source)
+    except IngestError as exc:
+        return exc.line_no, exc.reason
+    out = io.StringIO()
+    kb.export(out)
+    return out.getvalue()
+
+
+def reference_outcome(read, source):
+    try:
+        return read(source)
+    except IngestError as exc:
+        return exc.line_no, exc.reason
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_kb_texts())
+def test_ingesting_a_mutated_record_text_matches_the_line_walk(text, tmp_path):
+    stream_lines = list(io.StringIO(text))
+    assert ingest_outcome(ingest, io.StringIO(text)) == reference_outcome(reference_ingest, stream_lines)
+    bare_lines = [line.removesuffix("\n") for line in stream_lines]
+    assert ingest_outcome(ingest, bare_lines) == reference_outcome(reference_ingest, bare_lines)
+    path = tmp_path / "kb.dat"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert ingest_outcome(load_kb, str(path)) == reference_outcome(reference_load_kb, str(path))
