@@ -22,7 +22,6 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -35,7 +34,7 @@ from .knowledge_base import (
     SHIPPER_WIDTH,
     KnowledgeBase,
     format_record_line,
-    ingest,
+    ingest_text,
     load_kb,
     save_kb,
 )
@@ -61,8 +60,8 @@ _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
 # inspection when r % 13 == 0, so every field but the digits repeats every
 # 52 ranks.
 _FIELD_PERIOD = 52
-# Blocks of ranks keep every array and string the build makes small beside
-# the lines that ingest keeps.
+# Blocks of ranks keep every array the build makes small beside the text
+# that the knowledge base keeps.
 _BLOCK_RANKS = 4096
 
 
@@ -75,10 +74,10 @@ def _write_digits(rows: np.ndarray, start: int, values: np.ndarray, width: int) 
     rows[:, start : start + width] += ord("0")
 
 
-def _record_line_blocks(unique_barcodes: int) -> Iterator[list[str]]:
-    """The record lines of ranks 0 to ``unique_barcodes`` - 1, in lists of _BLOCK_RANKS ranks.
+def _record_text_blocks(unique_barcodes: int) -> Iterator[str]:
+    """The record text of ranks 0 to ``unique_barcodes`` - 1, in blocks of _BLOCK_RANKS ranks.
 
-    A block is filled as one byte array: each row starts as the formatted
+    Every line ends in "\n". A block is filled as one byte array: each row starts as the formatted
     line of its rank modulo 52 with zero digits, and the digits are then
     written a column at a time.
     """
@@ -105,8 +104,7 @@ def _record_line_blocks(unique_barcodes: int) -> Iterator[list[str]]:
         _write_digits(rows, shipper_digits, ranks % 100000, 5)
         rows[:, terminal_digits : terminal_digits + 4] = rows[:, 0:4]
         rows[:, terminal_digits + 4 : terminal_digits + 6] = rows[:, 12:14]
-        # The last piece is the empty string after the block's last newline.
-        yield str(memoryview(rows), "ascii").split("\n")[:-1]
+        yield str(memoryview(rows), "ascii")
 
 
 def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
@@ -117,7 +115,7 @@ def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
     digits 1-4 and 13-14 + D, and the exception HOLD FOR INSPECTION when
     r % 13 == 0.
     """
-    return ingest(chain.from_iterable(_record_line_blocks(unique_barcodes)))
+    return ingest_text("".join(_record_text_blocks(unique_barcodes)))
 
 
 def _file_digest(path: str) -> str:

@@ -11,13 +11,15 @@ Record line layout (ASCII, newline terminated, 56 characters):
 The column widths are the ``*_WIDTH`` constants below.
 ``format_record_line`` pads fields into them, and the synthetic
 knowledge base of a workload (``cli.build_kb_for_workload``) takes its
-column offsets from them. The database holds each record as its
-validated line, keyed by barcode: ``ingest`` checks the whole input at
-once and walks it line by line only to name the first bad line,
-``record_line`` returns one line, and ``export`` writes the lines back
-in one piece. No field is ever parsed back out of a line: a cached miss
-in the simulator caches the record line, the form in which the station
-sends the record.
+column offsets from them. The database holds its validated file text
+as one string, plus a sorted int64 index of the barcodes (every 14-digit
+barcode fits in an int64). ``ingest_text`` checks the whole text at
+once, on a byte view of it, and walks it line by line only to name the
+first bad line. ``record_lines`` looks a batch of barcodes up in the
+index at once and slices their lines out of the text, and ``export``
+writes the text back in one piece. No field is ever parsed back out of
+a line: a cached miss in the simulator caches the record line, the form
+in which the station sends the record.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Lookup cost is modeled as an indexed
@@ -26,10 +28,13 @@ search: ceil(log2(N)) probes over N records, never less than one.
 
 from __future__ import annotations
 
+import io
 from typing import Iterable, Optional, TextIO
 
+import numpy as np
+
 from .cache import validate_barcode
-from .errors import ConfigError, IngestError, ValidationError
+from .errors import ConfigError, IngestError, MissingRecordError, ValidationError
 
 BARCODE_WIDTH = 14
 SHIPPER_WIDTH = 10
@@ -37,6 +42,8 @@ SERVICE_WIDTH = 4
 TERMINAL_WIDTH = 8
 EXCEPTIONS_WIDTH = 20
 LINE_WIDTH = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + TERMINAL_WIDTH + EXCEPTIONS_WIDTH
+# A line and its "\n": the stride of a record in the text.
+RECORD_WIDTH = LINE_WIDTH + 1
 
 
 def format_record_line(
@@ -85,27 +92,131 @@ def _check_line(line: str, line_no: int) -> str:
     return barcode
 
 
-class KnowledgeBase:
-    """All record lines, keyed by barcode, in ingest order."""
+def _keys(columns: np.ndarray) -> Optional[np.ndarray]:
+    """The int64 value of each row of ASCII barcode characters, or None if one is not a digit."""
+    digits = columns - ord("0")  # below "0" wraps round to 10 or more
+    if not (digits < 10).all():
+        return None
+    keys = np.zeros(len(digits), np.int64)
+    for column in digits.T:
+        keys *= 10
+        keys += column
+    return keys
 
-    def __init__(self) -> None:
-        self._lines: dict[str, str] = {}
+
+def _rows(text: str) -> np.ndarray:
+    """ASCII ``text`` of whole RECORD_WIDTH-character records, one uint8 row per record."""
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, RECORD_WIDTH)
+
+
+def _barcode_keys(barcodes: list[str]) -> np.ndarray:
+    """The int64 value of each barcode; ValidationError names the first that is not 14 ASCII digits."""
+    text = "".join(barcodes)
+    if set(map(len, barcodes)) <= {BARCODE_WIDTH} and text.isascii():
+        keys = _keys(np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, BARCODE_WIDTH))
+        if keys is not None:
+            return keys
+    for barcode in barcodes:
+        validate_barcode(barcode)
+    raise AssertionError("every barcode passed validate_barcode but not the bulk check")
+
+
+class KnowledgeBase:
+    """All record lines as one text in ingest order, indexed by barcode."""
+
+    def __init__(self, text: str, keys: np.ndarray) -> None:
+        # ``text`` holds whole records, each line with its "\n"; ``keys``
+        # is the barcode of each, in text order.
+        self._text = text
+        self._order = np.argsort(keys)
+        self._sorted_keys = keys[self._order]
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self._sorted_keys)
 
     def __contains__(self, barcode: str) -> bool:
-        return barcode in self._lines
+        return self.record_line(barcode) is not None
 
     def record_line(self, barcode: str) -> Optional[str]:
         """The stored fixed-width line of ``barcode``, or None if it has no record."""
-        return self._lines.get(barcode)
+        try:
+            return self.record_lines((barcode,))[barcode]
+        except (MissingRecordError, ValidationError):
+            return None
+
+    def require(self, barcodes: Iterable[str]) -> None:
+        """Raise MissingRecordError naming the first of ``barcodes``, in the given order, that has no record.
+
+        ValidationError names the first that is not 14 ASCII digits.
+        """
+        self._line_starts(list(barcodes))
+
+    def record_lines(self, barcodes: Iterable[str]) -> dict[str, str]:
+        """The stored line of each of ``barcodes``, keyed by barcode; raises as ``require``."""
+        barcodes = list(barcodes)
+        starts = self._line_starts(barcodes)
+        text = self._text
+        return {barcode: text[start : start + LINE_WIDTH] for barcode, start in zip(barcodes, starts)}
+
+    def _line_starts(self, barcodes: list[str]) -> list[int]:
+        """The offset in the text of each barcode's line; raises as ``require``."""
+        keys = _barcode_keys(barcodes)
+        # Searched in ascending order, neighbouring queries share their path.
+        by_key = np.argsort(keys)
+        at = np.empty_like(by_key)
+        at[by_key] = np.searchsorted(self._sorted_keys, keys[by_key])
+        found = at < len(self)
+        found[found] = self._sorted_keys[at[found]] == keys[found]
+        if not found.all():
+            raise MissingRecordError(barcodes[int(found.argmin())])
+        return (self._order[at] * RECORD_WIDTH).tolist()
 
     def export(self, stream: TextIO) -> None:
         """Write all records in ingest order; exact inverse of ingest."""
-        if self._lines:
-            stream.write("\n".join(self._lines.values()))
-            stream.write("\n")
+        stream.write(self._text)
+
+
+def _from_text(text: str) -> Optional[KnowledgeBase]:
+    """The knowledge base of ``text`` if the whole text passes at once, else None.
+
+    Accepts only what _walk accepts, with the same lines: whole records,
+    each a line of LINE_WIDTH characters and its "\n" (so no "\n" inside
+    a line), no "\r" (a file reader also ends a line there), ASCII only,
+    14 digits in every barcode column and no barcode twice.
+    """
+    records, rest = divmod(len(text), RECORD_WIDTH)
+    if rest or text.count("\n") != records or "\r" in text or not text.isascii():
+        return None
+    rows = _rows(text)
+    keys = _keys(rows[:, :BARCODE_WIDTH])
+    if keys is None or not (rows[:, LINE_WIDTH] == ord("\n")).all():
+        return None
+    kb = KnowledgeBase(text, keys)
+    # Sorted, a barcode given twice sits beside itself.
+    return None if (kb._sorted_keys[1:] == kb._sorted_keys[:-1]).any() else kb
+
+
+def _walk(lines: Iterable[str]) -> list[str]:
+    """Check the input line by line; raises at the first bad line with its number and reason.
+
+    Returns the lines, each without its "\n".
+    """
+    checked = []
+    seen: set[str] = set()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw[:-1] if raw.endswith("\n") else raw
+        barcode = _check_line(line, line_no)
+        if barcode in seen:
+            raise IngestError(line_no, f"duplicate barcode {barcode}")
+        seen.add(barcode)
+        checked.append(line)
+    return checked
+
+
+def _from_lines(lines: list[str]) -> KnowledgeBase:
+    """The knowledge base of lines that passed _walk."""
+    text = "".join(line + "\n" for line in lines)
+    return KnowledgeBase(text, _keys(_rows(text)[:, :BARCODE_WIDTH]))
 
 
 def ingest(source: Iterable[str]) -> KnowledgeBase:
@@ -117,33 +228,27 @@ def ingest(source: Iterable[str]) -> KnowledgeBase:
     walked line by line, so the error carries the 1-based number and the
     reason of the first bad line.
     """
-    lines = [raw[:-1] if raw.endswith("\n") else raw for raw in source]
-    barcodes = [line[0:BARCODE_WIDTH] for line in lines]
-    by_barcode = dict(zip(barcodes, lines))
-    if not (
-        set(map(len, lines)) == {LINE_WIDTH}
-        and all(map(str.isascii, lines))
-        and "".join(barcodes).isdigit()
-        and len(by_barcode) == len(lines)
-    ):
-        # Some line is bad (or there are none): the first bad line raises
-        # with its number and reason.
-        seen: set[str] = set()
-        for line_no, line in enumerate(lines, start=1):
-            barcode = _check_line(line, line_no)
-            if barcode in seen:
-                raise IngestError(line_no, f"duplicate barcode {barcode}")
-            seen.add(barcode)
-    kb = KnowledgeBase()
-    kb._lines = by_barcode
-    return kb
+    lines = list(source)
+    # Only when every item is one whole record is the joined text the same lines.
+    kb = _from_text("".join(lines)) if set(map(len, lines)) == {RECORD_WIDTH} else None
+    return _from_lines(_walk(lines)) if kb is None else kb
+
+
+def ingest_text(text: str) -> KnowledgeBase:
+    """Build a knowledge base from the whole text of a record file.
+
+    Lines end where a file opened with ``newline=""`` ends them, at a lone
+    "\r" too; otherwise as ``ingest``.
+    """
+    kb = _from_text(text)
+    return _from_lines(_walk(io.StringIO(text, newline=""))) if kb is None else kb
 
 
 def load_kb(path: str) -> KnowledgeBase:
     # A byte that is not ASCII decodes to a lone surrogate, which
-    # ingest rejects with its line number.
+    # ingest_text rejects with its line number.
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
-        return ingest(fh)
+        return ingest_text(fh.read())
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:

@@ -33,7 +33,7 @@ from enum import Enum
 from typing import List, Tuple
 
 from .cache import HitOrderedCache
-from .errors import MissingRecordError, ValidationError
+from .errors import ValidationError
 from .knowledge_base import KnowledgeBase, index_probe_cost
 from .netlink import LinkStats, SatelliteLink
 from .workload import Trace
@@ -93,8 +93,9 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     ``sim_config`` supplies the link config, the run seed, cache
     capacity and the per-probe costs (see config.SimConfig). The Trace
     checked its own values when it was built; every barcode must also
-    resolve in ``kb``, checked once per distinct barcode before the
-    replay starts. A key the KB lacks raises MissingRecordError (a data
+    resolve in ``kb``, checked by one bulk lookup of the distinct
+    barcodes before the replay starts. A key the KB lacks raises
+    MissingRecordError naming the first such key in trace order (a data
     error, not a modeled outcome).
     """
     method = MethodKind(method)
@@ -103,19 +104,21 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
 
     # Every station resolution costs the same indexed search.
     db_comparisons_per_resolve = index_probe_cost(len(kb))
-    for barcode in dict.fromkeys(trace.barcodes):
-        if barcode not in kb:
-            raise MissingRecordError(barcode)
-    # Every barcode is trusted from here on, so the loop drives the caches
-    # through their unchecked path and fetches record lines directly.
-
+    # One bulk lookup of the distinct barcodes raises MissingRecordError
+    # for a barcode without a record. Every barcode is trusted from here
+    # on, so the loop drives the caches through their unchecked path; the
+    # cached replay admits record lines from the small dict it returns.
+    distinct_barcodes = dict.fromkeys(trace.barcodes)
     cached = method is MethodKind.CACHED
+    if cached:
+        line_of = kb.record_lines(distinct_barcodes)
+    else:
+        kb.require(distinct_barcodes)
     robot_ids = dict.fromkeys(trace.robot_ids) if cached else ()
     caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
 
     link = SatelliteLink(sim_config.link, random.Random(sim_config.seed))
     round_trip = link.round_trip
-    line_of = kb.record_line
     cache_probe_ms = sim_config.cache_probe_time_ms
     service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
     latencies: List[float] = []
@@ -142,7 +145,7 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
                 delivered_at, _, stall = round_trip(issued + probe_ms)
                 decided_at = delivered_at + service_ms
                 work_ms = probe_ms + service_ms + stall
-                cache.admit(barcode, line_of(barcode))
+                cache.admit(barcode, line_of[barcode])
             cache_comparisons += comparisons
         else:
             delivered_at, _, stall = round_trip(issued)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import robocache.knowledge_base
 from robocache.cli import build_kb_for_workload
-from robocache.errors import ConfigError, IngestError
-from robocache.knowledge_base import LINE_WIDTH, format_record_line, index_probe_cost, ingest, load_kb
+from robocache.errors import ConfigError, IngestError, MissingRecordError, ValidationError
+from robocache.knowledge_base import LINE_WIDTH, format_record_line, index_probe_cost, ingest, load_kb, save_kb
 
 from helpers import make_kb
 from reference import reference_ingest, reference_load_kb, synth_record_line
@@ -133,6 +134,16 @@ FAULTS = {
         make_line("12345678901234") + "\n",
         dict.fromkeys(["ingest", "load_kb"], "duplicate barcode 12345678901234"),
     ),
+    # The length of two good lines, with a "\n" where a field character was ...
+    "newline_in_a_field": (
+        make_line("12345678901236")[:30] + "\n" + make_line("12345678901236")[31:] + "\n",
+        dict.fromkeys(["ingest", "load_kb"], "expected 56 characters, got 30"),
+    ),
+    # ... or a line one short, then one a digit long: the barcode columns still hold digits.
+    "newline_one_early": (
+        make_line("12345678901236")[:-1] + "\n" + "1" + make_line("12345678901238") + "\n",
+        dict.fromkeys(["ingest", "load_kb"], "expected 56 characters, got 55"),
+    ),
     # A file read by load_kb also ends a line at a lone "\r"; a text stream does not.
     "lone_cr": (
         make_line("12345678901236", shipper="SHIP\r0001") + "\n",
@@ -198,6 +209,41 @@ def test_a_final_line_without_a_newline_still_loads(ending, tmp_path):
     out = io.StringIO()
     load_kb(str(path)).export(out)
     assert out.getvalue() == LINES_1_2 + LINE_4
+
+
+def test_record_lines_returns_the_line_of_each_barcode_and_names_the_first_missing():
+    barcodes = ["12345678901234", "00000000000001", "99999999999999", "50000000000000"]
+    kb = ingest(make_line(barcode) for barcode in barcodes)
+    assert kb.record_lines(reversed(barcodes)) == {barcode: make_line(barcode) for barcode in barcodes}
+    assert kb.record_lines([]) == {}
+    kb.require(barcodes)
+    # Sorted, the missing barcodes come in the reverse of their given order.
+    for lookup in (kb.record_lines, kb.require):
+        with pytest.raises(MissingRecordError) as exc_info:
+            lookup(["12345678901234", "99999999999998", "50000000000001", "00000000000000"])
+        assert exc_info.value.barcode == "99999999999998"
+    with pytest.raises(MissingRecordError):
+        ingest([]).require(["12345678901234"])
+
+
+@pytest.mark.parametrize(
+    "barcode",
+    ["1234567890123", "123456789012345", "1234567890123x", "１２３４５６７８９０１２３４", "1234567 901234", ""],
+)
+def test_record_lines_refuses_a_malformed_barcode_and_record_line_finds_none(barcode):
+    kb = ingest([make_line("12345678901234")])
+    with pytest.raises(ValidationError) as exc_info:
+        kb.record_lines(["12345678901234", barcode])
+    assert repr(barcode) in str(exc_info.value)
+    assert kb.record_line(barcode) is None
+    assert barcode not in kb
+
+
+def test_a_barcode_of_13_and_one_of_15_digits_are_refused_together():
+    # Joined, they hold 28 digits, as two good barcodes would.
+    kb = ingest([make_line("12345678901234")])
+    with pytest.raises(ValidationError):
+        kb.record_lines(["1234567890123", "412345678901234"])
 
 
 def test_record_line_returns_the_ingested_line_or_none():
@@ -366,3 +412,20 @@ def test_ingesting_a_mutated_record_text_matches_the_line_walk(text, tmp_path):
     path = tmp_path / "kb.dat"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert ingest_outcome(load_kb, str(path)) == reference_outcome(reference_load_kb, str(path))
+
+
+def test_a_built_knowledge_base_and_its_file_load_without_the_line_walk(monkeypatch, tmp_path):
+    def walk_refused(lines):
+        raise AssertionError("a valid record text fell back to the line walk")
+
+    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+    kb = build_kb_for_workload(20_000)
+    path = tmp_path / "kb.dat"
+    save_kb(kb, str(path))
+    built = io.StringIO()
+    kb.export(built)
+    loaded = io.StringIO()
+    load_kb(str(path)).export(loaded)
+    assert loaded.getvalue() == built.getvalue() == path.read_text(encoding="ascii")
+    with open(path, encoding="ascii", newline="") as fh:
+        assert len(ingest(fh)) == 20_000
