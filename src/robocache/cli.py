@@ -77,9 +77,9 @@ def _write_digits(rows: np.ndarray, start: int, values: np.ndarray, width: int) 
 def _record_text_blocks(unique_barcodes: int) -> Iterator[str]:
     """The record text of ranks 0 to ``unique_barcodes`` - 1, in blocks of _BLOCK_RANKS ranks.
 
-    Every line ends in "\n". A block is filled as one byte array: each row starts as the formatted
-    line of its rank modulo 52 with zero digits, and the digits are then
-    written a column at a time.
+    Every line ends in "\n". A block is filled as one byte array: each
+    row starts as the formatted line of its rank modulo 52 with zero
+    digits, and the digits are then written a column at a time.
     """
     shipper_digits = BARCODE_WIDTH + len("SHIP")
     terminal_digits = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + len("T")

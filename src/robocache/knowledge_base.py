@@ -104,16 +104,16 @@ def _keys(columns: np.ndarray) -> Optional[np.ndarray]:
     return keys
 
 
-def _rows(text: str) -> np.ndarray:
-    """ASCII ``text`` of whole RECORD_WIDTH-character records, one uint8 row per record."""
-    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, RECORD_WIDTH)
+def _rows(text: str, width: int) -> np.ndarray:
+    """ASCII ``text`` of whole ``width``-character rows as a uint8 array, one row each."""
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, width)
 
 
 def _barcode_keys(barcodes: list[str]) -> np.ndarray:
     """The int64 value of each barcode; ValidationError names the first that is not 14 ASCII digits."""
     text = "".join(barcodes)
     if set(map(len, barcodes)) <= {BARCODE_WIDTH} and text.isascii():
-        keys = _keys(np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, BARCODE_WIDTH))
+        keys = _keys(_rows(text, BARCODE_WIDTH))
         if keys is not None:
             return keys
     for barcode in barcodes:
@@ -149,17 +149,17 @@ class KnowledgeBase:
 
         ValidationError names the first that is not 14 ASCII digits.
         """
-        self._line_starts(list(barcodes))
+        self._line_numbers(list(barcodes))
 
     def record_lines(self, barcodes: Iterable[str]) -> dict[str, str]:
         """The stored line of each of ``barcodes``, keyed by barcode; raises as ``require``."""
         barcodes = list(barcodes)
-        starts = self._line_starts(barcodes)
+        starts = (self._line_numbers(barcodes) * RECORD_WIDTH).tolist()
         text = self._text
         return {barcode: text[start : start + LINE_WIDTH] for barcode, start in zip(barcodes, starts)}
 
-    def _line_starts(self, barcodes: list[str]) -> list[int]:
-        """The offset in the text of each barcode's line; raises as ``require``."""
+    def _line_numbers(self, barcodes: list[str]) -> np.ndarray:
+        """The 0-based number of each barcode's line in the text; raises as ``require``."""
         keys = _barcode_keys(barcodes)
         # Searched in ascending order, neighbouring queries share their path.
         by_key = np.argsort(keys)
@@ -169,7 +169,7 @@ class KnowledgeBase:
         found[found] = self._sorted_keys[at[found]] == keys[found]
         if not found.all():
             raise MissingRecordError(barcodes[int(found.argmin())])
-        return (self._order[at] * RECORD_WIDTH).tolist()
+        return self._order[at]
 
     def export(self, stream: TextIO) -> None:
         """Write all records in ingest order; exact inverse of ingest."""
@@ -187,7 +187,7 @@ def _from_text(text: str) -> Optional[KnowledgeBase]:
     records, rest = divmod(len(text), RECORD_WIDTH)
     if rest or text.count("\n") != records or "\r" in text or not text.isascii():
         return None
-    rows = _rows(text)
+    rows = _rows(text, RECORD_WIDTH)
     keys = _keys(rows[:, :BARCODE_WIDTH])
     if keys is None or not (rows[:, LINE_WIDTH] == ord("\n")).all():
         return None
@@ -196,10 +196,10 @@ def _from_text(text: str) -> Optional[KnowledgeBase]:
     return None if (kb._sorted_keys[1:] == kb._sorted_keys[:-1]).any() else kb
 
 
-def _walk(lines: Iterable[str]) -> list[str]:
-    """Check the input line by line; raises at the first bad line with its number and reason.
+def _walk(lines: Iterable[str]) -> KnowledgeBase:
+    """The knowledge base of ``lines``, checked one at a time.
 
-    Returns the lines, each without its "\n".
+    Raises at the first bad line with its number and reason.
     """
     checked = []
     seen: set[str] = set()
@@ -210,13 +210,8 @@ def _walk(lines: Iterable[str]) -> list[str]:
             raise IngestError(line_no, f"duplicate barcode {barcode}")
         seen.add(barcode)
         checked.append(line)
-    return checked
-
-
-def _from_lines(lines: list[str]) -> KnowledgeBase:
-    """The knowledge base of lines that passed _walk."""
-    text = "".join(line + "\n" for line in lines)
-    return KnowledgeBase(text, _keys(_rows(text)[:, :BARCODE_WIDTH]))
+    text = "".join(line + "\n" for line in checked)
+    return KnowledgeBase(text, _keys(_rows(text, RECORD_WIDTH)[:, :BARCODE_WIDTH]))
 
 
 def ingest(source: Iterable[str]) -> KnowledgeBase:
@@ -231,7 +226,7 @@ def ingest(source: Iterable[str]) -> KnowledgeBase:
     lines = list(source)
     # Only when every item is one whole record is the joined text the same lines.
     kb = _from_text("".join(lines)) if set(map(len, lines)) == {RECORD_WIDTH} else None
-    return _from_lines(_walk(lines)) if kb is None else kb
+    return _walk(lines) if kb is None else kb
 
 
 def ingest_text(text: str) -> KnowledgeBase:
@@ -241,7 +236,7 @@ def ingest_text(text: str) -> KnowledgeBase:
     "\r" too; otherwise as ``ingest``.
     """
     kb = _from_text(text)
-    return _from_lines(_walk(io.StringIO(text, newline=""))) if kb is None else kb
+    return _walk(io.StringIO(text, newline="")) if kb is None else kb
 
 
 def load_kb(path: str) -> KnowledgeBase:
