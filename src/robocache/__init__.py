@@ -23,7 +23,7 @@ from .errors import (
 from .knowledge_base import (
     KnowledgeBase,
     index_probe_cost,
-    ingest,
+    ingest_text,
     load_kb,
     save_kb,
 )
@@ -49,7 +49,7 @@ from .workload import (
     WorkloadConfig,
     barcode_for_rank,
     generate,
-    load_trace,
+    parse_trace,
     read_trace,
     save_trace,
     write_trace,
@@ -87,10 +87,10 @@ __all__ = [
     "compare",
     "generate",
     "index_probe_cost",
-    "ingest",
+    "ingest_text",
     "load_config",
     "load_kb",
-    "load_trace",
+    "parse_trace",
     "read_trace",
     "result_digest",
     "run",

@@ -13,6 +13,8 @@ cost.
 ``lookup`` and ``insert`` validate their key. ``probe`` and ``admit`` are
 the unchecked path underneath them, for a caller (the simulator) that has
 validated every key once up front; both paths share one promote/evict rule.
+``validate_barcode`` checks one key and ``barcode_keys`` a batch at once;
+both hold the same barcode rule.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .errors import ConfigError, DuplicateKeyError, ValidationError
+
+BARCODE_WIDTH = 14
 
 
 def validate_barcode(barcode: str) -> str:
@@ -29,11 +35,44 @@ def validate_barcode(barcode: str) -> str:
     Raises ValidationError otherwise; a malformed key is never treated
     as a plain miss.
     """
-    if not (isinstance(barcode, str) and len(barcode) == 14 and barcode.isascii() and barcode.isdigit()):
+    if not (isinstance(barcode, str) and len(barcode) == BARCODE_WIDTH and barcode.isascii() and barcode.isdigit()):
         raise ValidationError(
             f"malformed barcode key {barcode!r}: expected exactly 14 decimal digits"
         )
     return barcode
+
+
+def ascii_rows(text: str, width: int) -> np.ndarray:
+    """ASCII ``text`` of whole ``width``-character rows as a uint8 array, one row each."""
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, width)
+
+
+def digit_keys(columns: np.ndarray) -> Optional[np.ndarray]:
+    """The int64 value of each row of ASCII barcode characters, or None if one is not a digit."""
+    digits = columns - ord("0")  # below "0" wraps round to 10 or more
+    if not (digits < 10).all():
+        return None
+    keys = np.zeros(len(digits), np.int64)
+    for column in digits.T:
+        keys *= 10
+        keys += column
+    return keys
+
+
+def barcode_keys(barcodes: list[str]) -> np.ndarray:
+    """The int64 value of each barcode; ValidationError names the first that is not 14 ASCII digits."""
+    try:
+        text = "".join(barcodes)
+    except TypeError:  # a barcode that is not a str, which validate_barcode names
+        pass
+    else:
+        if set(map(len, barcodes)) <= {BARCODE_WIDTH} and text.isascii():
+            keys = digit_keys(ascii_rows(text, BARCODE_WIDTH))
+            if keys is not None:
+                return keys
+    for barcode in barcodes:
+        validate_barcode(barcode)
+    raise AssertionError("every barcode passed validate_barcode but not the bulk check")
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,15 @@ The column widths are the ``*_WIDTH`` constants below.
 knowledge base of a workload (``cli.build_kb_for_workload``) takes its
 column offsets from them. The database holds its validated file text
 as one string, plus a sorted int64 index of the barcodes (every 14-digit
-barcode fits in an int64). ``ingest_text`` checks the whole text at
-once, on a byte view of it, and walks it line by line only to name the
-first bad line. ``record_lines`` looks a batch of barcodes up in the
-index at once and slices their lines out of the text, and ``export``
-writes the text back in one piece. No field is ever parsed back out of
-a line: a cached miss in the simulator caches the record line, the form
-in which the station sends the record.
+barcode fits in an int64). ``ingest_text`` is the one parser of a record
+file's text, and ``load_kb`` feeds it a file: it checks the whole text
+at once, on a byte view of it, and walks it line by line only to name
+the first bad line. ``record_lines`` looks a batch of barcodes up in the
+index at once (``cache.barcode_keys`` checks them) and slices their
+lines out of the text, and ``export`` writes the text back in one
+piece. No field is ever parsed back out of a line: a cached miss in the
+simulator caches the record line, the form in which the station sends
+the record.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Lookup cost is modeled as an indexed
@@ -33,10 +35,9 @@ from typing import Iterable, Optional, TextIO
 
 import numpy as np
 
-from .cache import validate_barcode
+from .cache import BARCODE_WIDTH, ascii_rows, barcode_keys, digit_keys, validate_barcode
 from .errors import ConfigError, IngestError, MissingRecordError, ValidationError
 
-BARCODE_WIDTH = 14
 SHIPPER_WIDTH = 10
 SERVICE_WIDTH = 4
 TERMINAL_WIDTH = 8
@@ -55,7 +56,7 @@ def format_record_line(
 ) -> str:
     """Pad the fields into one fixed-width line (without the trailing newline).
 
-    No field is checked: ``ingest`` refuses the line if a field overflows
+    No field is checked: ``ingest_text`` refuses the line if a field overflows
     its column (the line is then longer than ``LINE_WIDTH``), the barcode
     is malformed or a character is not ASCII.
     """
@@ -90,35 +91,6 @@ def _check_line(line: str, line_no: int) -> str:
     if not line.isascii():
         raise IngestError(line_no, f"non-ASCII character in {line!r}")
     return barcode
-
-
-def _keys(columns: np.ndarray) -> Optional[np.ndarray]:
-    """The int64 value of each row of ASCII barcode characters, or None if one is not a digit."""
-    digits = columns - ord("0")  # below "0" wraps round to 10 or more
-    if not (digits < 10).all():
-        return None
-    keys = np.zeros(len(digits), np.int64)
-    for column in digits.T:
-        keys *= 10
-        keys += column
-    return keys
-
-
-def _rows(text: str, width: int) -> np.ndarray:
-    """ASCII ``text`` of whole ``width``-character rows as a uint8 array, one row each."""
-    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, width)
-
-
-def _barcode_keys(barcodes: list[str]) -> np.ndarray:
-    """The int64 value of each barcode; ValidationError names the first that is not 14 ASCII digits."""
-    text = "".join(barcodes)
-    if set(map(len, barcodes)) <= {BARCODE_WIDTH} and text.isascii():
-        keys = _keys(_rows(text, BARCODE_WIDTH))
-        if keys is not None:
-            return keys
-    for barcode in barcodes:
-        validate_barcode(barcode)
-    raise AssertionError("every barcode passed validate_barcode but not the bulk check")
 
 
 class KnowledgeBase:
@@ -160,7 +132,7 @@ class KnowledgeBase:
 
     def _line_numbers(self, barcodes: list[str]) -> np.ndarray:
         """The 0-based number of each barcode's line in the text; raises as ``require``."""
-        keys = _barcode_keys(barcodes)
+        keys = barcode_keys(barcodes)
         # Searched in ascending order, neighbouring queries share their path.
         by_key = np.argsort(keys)
         at = np.empty_like(by_key)
@@ -172,7 +144,7 @@ class KnowledgeBase:
         return self._order[at]
 
     def export(self, stream: TextIO) -> None:
-        """Write all records in ingest order; exact inverse of ingest."""
+        """Write all records in ingest order; ``ingest_text`` of what it writes gives them back."""
         stream.write(self._text)
 
 
@@ -187,8 +159,8 @@ def _from_text(text: str) -> Optional[KnowledgeBase]:
     records, rest = divmod(len(text), RECORD_WIDTH)
     if rest or text.count("\n") != records or "\r" in text or not text.isascii():
         return None
-    rows = _rows(text, RECORD_WIDTH)
-    keys = _keys(rows[:, :BARCODE_WIDTH])
+    rows = ascii_rows(text, RECORD_WIDTH)
+    keys = digit_keys(rows[:, :BARCODE_WIDTH])
     if keys is None or not (rows[:, LINE_WIDTH] == ord("\n")).all():
         return None
     kb = KnowledgeBase(text, keys)
@@ -196,14 +168,15 @@ def _from_text(text: str) -> Optional[KnowledgeBase]:
     return None if (kb._sorted_keys[1:] == kb._sorted_keys[:-1]).any() else kb
 
 
-def _walk(lines: Iterable[str]) -> KnowledgeBase:
-    """The knowledge base of ``lines``, checked one at a time.
+def _walk(text: str) -> KnowledgeBase:
+    """The knowledge base of ``text``, checked one line at a time.
 
-    Raises at the first bad line with its number and reason.
+    Lines end where a file opened with ``newline=""`` ends them, at a
+    lone "\r" too. Raises at the first bad line with its number and reason.
     """
     checked = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(io.StringIO(text, newline=""), start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
         barcode = _check_line(line, line_no)
         if barcode in seen:
@@ -211,32 +184,20 @@ def _walk(lines: Iterable[str]) -> KnowledgeBase:
         seen.add(barcode)
         checked.append(line)
     text = "".join(line + "\n" for line in checked)
-    return KnowledgeBase(text, _keys(_rows(text, RECORD_WIDTH)[:, :BARCODE_WIDTH]))
-
-
-def ingest(source: Iterable[str]) -> KnowledgeBase:
-    """Build a knowledge base from fixed-width record lines.
-
-    ``source`` yields lines with or without their trailing "\n" (an open
-    text file does). Each line must match the layout documented at module
-    top. The input is checked as a whole; only when a check fails is it
-    walked line by line, so the error carries the 1-based number and the
-    reason of the first bad line.
-    """
-    lines = list(source)
-    # Only when every item is one whole record is the joined text the same lines.
-    kb = _from_text("".join(lines)) if set(map(len, lines)) == {RECORD_WIDTH} else None
-    return _walk(lines) if kb is None else kb
+    return KnowledgeBase(text, digit_keys(ascii_rows(text, RECORD_WIDTH)[:, :BARCODE_WIDTH]))
 
 
 def ingest_text(text: str) -> KnowledgeBase:
     """Build a knowledge base from the whole text of a record file.
 
-    Lines end where a file opened with ``newline=""`` ends them, at a lone
-    "\r" too; otherwise as ``ingest``.
+    Each line must match the layout documented at module top; the last
+    may omit its "\n". Lines end where a file opened with ``newline=""``
+    ends them, at a lone "\r" too. The text is checked as a whole; only
+    when a check fails is it walked line by line, so the error carries the
+    1-based number and the reason of the first bad line.
     """
     kb = _from_text(text)
-    return _walk(io.StringIO(text, newline="")) if kb is None else kb
+    return _walk(text) if kb is None else kb
 
 
 def load_kb(path: str) -> KnowledgeBase:

@@ -10,10 +10,11 @@ contract and pinned by a golden trace in the test suite.
 Trace CSV format: one header line ``robot_id,barcode,issued_at_ms``
 followed by one line per scan, UTF-8, "\n" newlines. Timestamps are
 written with repr so export and import round-trip exactly; a timestamp
-field is plain ASCII with no whitespace, "_" or sign. ``load_trace`` and
-``read_trace`` check the whole text at once, block by block, and build
-the columns from it; only a text that fails a check is walked line by
-line, which names the first bad line and its reason.
+field is plain ASCII with no whitespace, "_" or sign. ``parse_trace`` is
+the one parser of a trace's text, and ``read_trace`` feeds it a file: it
+checks the whole text at once, block by block, and builds the columns
+from it; only a text that fails a check is walked line by line, which
+names the first bad line and its reason.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import operator
 from dataclasses import dataclass
 from itertools import repeat
 from math import isfinite
-from typing import Iterable, Optional, TextIO, Tuple
+from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
-from .cache import validate_barcode
+from .cache import barcode_keys, validate_barcode
 from .errors import ConfigError, TraceFormatError, ValidationError
 
 TRACE_HEADER = "robot_id,barcode,issued_at_ms"
@@ -60,8 +61,8 @@ class Trace:
             raise ValidationError(f"trace columns differ in length: {len(robot_ids)}, {len(barcodes)}, {len(times)}")
         if not set(map(type, robot_ids)) <= {int} or min(robot_ids, default=0) < 0:
             raise ValidationError("every robot id must be an int >= 0")
-        for barcode in dict.fromkeys(barcodes):
-            validate_barcode(barcode)
+        # One bulk check of the distinct barcodes, in trace order.
+        barcode_keys(list(dict.fromkeys(barcodes)))
         if not (set(map(type, times)) <= {int, float} and all(map(isfinite, times)) and min(times, default=0) >= 0):
             raise ValidationError("every issue time must be a finite int or float >= 0")
         # operator.le, not a dunder: int.__le__(5, 3.0) is NotImplemented (truthy), float.__le__(5, ...) raises.
@@ -131,18 +132,17 @@ def save_trace(trace: Trace, stream: TextIO) -> None:
     stream.write(TRACE_HEADER + "\n" + "".join(rows))
 
 
-def load_trace(stream: Iterable[str]) -> Trace:
-    """Parse a trace CSV, enforcing field shape and non-decreasing time.
+def parse_trace(text: str) -> Trace:
+    """Parse the text of a trace CSV, enforcing field shape and non-decreasing time.
 
-    ``stream`` yields the lines of the file, as an open text file does. A
-    zero-byte source yields an empty trace; any content must start with
-    the standard header line. The whole text is checked at once; only
+    An empty text yields an empty trace; any content must start with the
+    standard header line. Lines end where a file opened with ``newline=""``
+    ends them, at a lone "\r" too. The whole text is checked at once; only
     when a check fails is it walked line by line, so the error carries the
     1-based number and the reason of the first bad line.
     """
-    lines = list(stream)
-    trace = _parse_columns("".join(lines))
-    return _walk_lines(lines) if trace is None else trace
+    trace = _parse_columns(text)
+    return _walk_lines(text) if trace is None else trace
 
 
 def _parse_columns(text: str) -> Optional[Trace]:
@@ -194,10 +194,10 @@ def _parse_columns(text: str) -> Optional[Trace]:
         return None
 
 
-def _walk_lines(lines: Iterable[str]) -> Trace:
+def _walk_lines(text: str) -> Trace:
     """Parse the trace line by line; raises at the first bad line with its number and reason."""
     robot_ids, barcodes, times = [], [], []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(io.StringIO(text, newline=""), start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
         if line_no == 1:
             if line != TRACE_HEADER:
@@ -251,8 +251,4 @@ def read_trace(path: str) -> Trace:
     # A byte that does not decode becomes a lone surrogate, which every
     # field check rejects with its line number.
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        text = fh.read()
-    trace = _parse_columns(text)
-    # newline="" splits the walk's lines where the file's own are split,
-    # at a lone "\r" too.
-    return _walk_lines(io.StringIO(text, newline="")) if trace is None else trace
+        return parse_trace(fh.read())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from robocache.config import SimConfig
-from robocache.knowledge_base import KnowledgeBase, format_record_line, ingest
+from robocache.knowledge_base import KnowledgeBase, format_record_line, ingest_text
 from robocache.netlink import LinkConfig
 from robocache.workload import Trace, WorkloadConfig
 
@@ -58,13 +58,16 @@ def rows_of(trace: Trace) -> list:
 
 
 def make_kb(barcodes) -> KnowledgeBase:
-    return ingest(
-        format_record_line(
-            barcode,
-            shipper_number=f"SHIP{index:05d}",
-            service_type="GRND",
-            destination_terminal=f"T{barcode[0:4]}00D",
-            delivery_exceptions="FRAGILE" if index % 3 == 0 else "",
+    return ingest_text(
+        "".join(
+            format_record_line(
+                barcode,
+                shipper_number=f"SHIP{index:05d}",
+                service_type="GRND",
+                destination_terminal=f"T{barcode[0:4]}00D",
+                delivery_exceptions="FRAGILE" if index % 3 == 0 else "",
+            )
+            + "\n"
+            for index, barcode in enumerate(barcodes)
         )
-        for index, barcode in enumerate(barcodes)
     )

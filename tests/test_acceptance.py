@@ -13,7 +13,7 @@ from collections import Counter
 from robocache.cache import HitOrderedCache
 from robocache.cli import build_kb_for_workload, run_cli
 from robocache.config import load_config
-from robocache.knowledge_base import ingest, load_kb
+from robocache.knowledge_base import ingest_text, load_kb
 from robocache.metrics import AlertPolicy, MetricsReport, check_alert, compare, summarize
 from robocache.presets import desk_scale_path
 from robocache.simulator import MethodKind, run
@@ -21,7 +21,7 @@ from robocache.workload import (
     WorkloadConfig,
     barcode_for_rank,
     generate,
-    load_trace,
+    parse_trace,
     save_trace,
 )
 
@@ -317,7 +317,7 @@ def test_a7_round_trips_and_zipf_partial_masses():
     first_export = io.StringIO()
     generated_kb.export(first_export)
     second_export = io.StringIO()
-    ingest(io.StringIO(first_export.getvalue())).export(second_export)
+    ingest_text(first_export.getvalue()).export(second_export)
     assert second_export.getvalue() == first_export.getvalue()
 
     # trace CSV round trip
@@ -327,7 +327,7 @@ def test_a7_round_trips_and_zipf_partial_masses():
     events = generate(workload)
     first_csv = io.StringIO()
     save_trace(events, first_csv)
-    reloaded = load_trace(io.StringIO(first_csv.getvalue()))
+    reloaded = parse_trace(first_csv.getvalue())
     assert reloaded == events
     second_csv = io.StringIO()
     save_trace(reloaded, second_csv)

@@ -1,11 +1,9 @@
 """Trace-file parsing: every refused line keeps its exact line number and reason.
 
 Each parity case puts one bad line on line 3, after a good line 2, and
-loads the file both from an in-memory stream (``load_trace``) and from
-disk (``read_trace``). The expected line numbers and reasons are the line
-walk's. A file read from disk splits lines on a lone "\\r" as well, so
-the two cases holding one have a reason of their own for ``read_trace``.
-A differential fuzz holds both entry points to the walk kept verbatim in
+loads the file both from its text (``parse_trace``) and from disk
+(``read_trace``); both give the line walk's line number and reason. A
+differential fuzz holds both to the walk kept verbatim in
 ``reference.py``, and a tripwire checks that a generated trace loads
 without the walk.
 """
@@ -21,7 +19,7 @@ import robocache.workload
 from robocache.config import load_config
 from robocache.errors import TraceFormatError
 from robocache.presets import desk_scale_path
-from robocache.workload import generate, load_trace, read_trace, write_trace
+from robocache.workload import generate, parse_trace, read_trace, write_trace
 
 from helpers import make_trace
 from reference import reference_load_trace
@@ -43,71 +41,71 @@ def time_line(field):
     return on_line_3(f"0,10000000000000,{field}")
 
 
-# (id, file text, (line, reason) from load_trace, (line, reason) from read_trace if it differs)
+# (id, file text, (line, reason))
 REFUSED = [
     ("bad-header", "robot,barcode,issued_at_ms\n" + LINE_2,
-     (1, "expected header 'robot_id,barcode,issued_at_ms', got 'robot,barcode,issued_at_ms'"), None),
-    ("header-repeated", on_line_3(HEADER[:-1]), (3, "robot_id 'robot_id' is not an integer"), None),
-    ("2-fields", on_line_3("0,10000000000000"), (3, "expected 3 comma-separated fields, got 2"), None),
-    ("4-fields", on_line_3("0,10000000000000,2.0,1"), (3, "expected 3 comma-separated fields, got 4"), None),
-    ("robot-negative", robot_line("-1"), (3, "robot_id -1 is negative"), None),
-    ("robot-minus-zero", robot_line("-0"), (3, "robot_id '-0' has a sign"), None),
-    ("robot-plus", robot_line("+1"), (3, "robot_id '+1' has a sign"), None),
-    ("robot-underscore", robot_line("1_0"), (3, "robot_id '1_0' is not an integer"), None),
-    ("robot-empty", robot_line(""), (3, "robot_id '' is not an integer"), None),
-    ("robot-full-width", robot_line("７"), (3, "robot_id '７' is not an integer"), None),
-    ("robot-space", robot_line(" 1"), (3, "robot_id ' 1' is not an integer"), None),
-    ("barcode-letter", on_line_3("0,1000000000000x,2.0"), (3, BAD_KEY.format("1000000000000x")), None),
-    ("barcode-short", on_line_3("0,123,2.0"), (3, BAD_KEY.format("123")), None),
-    ("barcode-long", on_line_3("0,100000000000000,2.0"), (3, BAD_KEY.format("100000000000000")), None),
-    ("barcode-empty", on_line_3("0,,2.0"), (3, BAD_KEY.format("")), None),
-    ("time-underscore", time_line("1_0"), (3, "issued_at_ms '1_0' is not a plain ASCII number"), None),
-    ("time-spaces", time_line(" 5 "), (3, "issued_at_ms ' 5 ' is not a plain ASCII number"), None),
-    ("time-trailing-space", time_line("5 "), (3, "issued_at_ms '5 ' is not a plain ASCII number"), None),
-    ("time-leading-tab", time_line("\t5"), (3, "issued_at_ms '\\t5' is not a plain ASCII number"), None),
-    ("time-full-width", time_line("５"), (3, "issued_at_ms '５' is not a plain ASCII number"), None),
-    ("time-crlf", time_line("5\r"), (3, "issued_at_ms '5\\r' is not a plain ASCII number"), None),
-    ("time-plus", time_line("+5"), (3, "issued_at_ms '+5' has a sign"), None),
-    ("time-minus-zero", time_line("-0.0"), (3, "issued_at_ms '-0.0' has a sign"), None),
-    ("time-negative", time_line("-5"), (3, "issued_at_ms -5 is not a finite non-negative time"), None),
-    ("time-nan", time_line("nan"), (3, "issued_at_ms nan is not a finite non-negative time"), None),
-    ("time-inf", time_line("inf"), (3, "issued_at_ms inf is not a finite non-negative time"), None),
-    ("time-word", time_line("abc"), (3, "issued_at_ms 'abc' is not a number"), None),
-    ("time-empty", time_line(""), (3, "issued_at_ms '' is not a number"), None),
-    ("time-decreases", time_line("0.5"), (3, "issued_at_ms decreased (0.5 after 1.0)"), None),
-    ("lone-cr-in-a-field", on_line_3("0,1000000\r0000000,2.0"),
-     (3, BAD_KEY.format("1000000\r0000000")), (3, "expected 3 comma-separated fields, got 2")),
+     (1, "expected header 'robot_id,barcode,issued_at_ms', got 'robot,barcode,issued_at_ms'")),
+    ("header-repeated", on_line_3(HEADER[:-1]), (3, "robot_id 'robot_id' is not an integer")),
+    ("2-fields", on_line_3("0,10000000000000"), (3, "expected 3 comma-separated fields, got 2")),
+    ("4-fields", on_line_3("0,10000000000000,2.0,1"), (3, "expected 3 comma-separated fields, got 4")),
+    ("robot-negative", robot_line("-1"), (3, "robot_id -1 is negative")),
+    ("robot-minus-zero", robot_line("-0"), (3, "robot_id '-0' has a sign")),
+    ("robot-plus", robot_line("+1"), (3, "robot_id '+1' has a sign")),
+    ("robot-underscore", robot_line("1_0"), (3, "robot_id '1_0' is not an integer")),
+    ("robot-empty", robot_line(""), (3, "robot_id '' is not an integer")),
+    ("robot-full-width", robot_line("７"), (3, "robot_id '７' is not an integer")),
+    ("robot-space", robot_line(" 1"), (3, "robot_id ' 1' is not an integer")),
+    ("barcode-letter", on_line_3("0,1000000000000x,2.0"), (3, BAD_KEY.format("1000000000000x"))),
+    ("barcode-short", on_line_3("0,123,2.0"), (3, BAD_KEY.format("123"))),
+    ("barcode-long", on_line_3("0,100000000000000,2.0"), (3, BAD_KEY.format("100000000000000"))),
+    ("barcode-empty", on_line_3("0,,2.0"), (3, BAD_KEY.format(""))),
+    ("time-underscore", time_line("1_0"), (3, "issued_at_ms '1_0' is not a plain ASCII number")),
+    ("time-spaces", time_line(" 5 "), (3, "issued_at_ms ' 5 ' is not a plain ASCII number")),
+    ("time-trailing-space", time_line("5 "), (3, "issued_at_ms '5 ' is not a plain ASCII number")),
+    ("time-leading-tab", time_line("\t5"), (3, "issued_at_ms '\\t5' is not a plain ASCII number")),
+    ("time-full-width", time_line("５"), (3, "issued_at_ms '５' is not a plain ASCII number")),
+    ("time-crlf", time_line("5\r"), (3, "issued_at_ms '5\\r' is not a plain ASCII number")),
+    ("time-plus", time_line("+5"), (3, "issued_at_ms '+5' has a sign")),
+    ("time-minus-zero", time_line("-0.0"), (3, "issued_at_ms '-0.0' has a sign")),
+    ("time-negative", time_line("-5"), (3, "issued_at_ms -5 is not a finite non-negative time")),
+    ("time-nan", time_line("nan"), (3, "issued_at_ms nan is not a finite non-negative time")),
+    ("time-inf", time_line("inf"), (3, "issued_at_ms inf is not a finite non-negative time")),
+    ("time-word", time_line("abc"), (3, "issued_at_ms 'abc' is not a number")),
+    ("time-empty", time_line(""), (3, "issued_at_ms '' is not a number")),
+    ("time-decreases", time_line("0.5"), (3, "issued_at_ms decreased (0.5 after 1.0)")),
+    # A lone "\r" ends a line, as it does in a file opened with newline="".
+    ("lone-cr-in-a-field", on_line_3("0,1000000\r0000000,2.0"), (3, "expected 3 comma-separated fields, got 2")),
     ("lone-cr-ends-a-line", on_line_3("0,10000000000000,2.0\r0,10000000000000,3.0"),
-     (3, "expected 3 comma-separated fields, got 5"), (3, "issued_at_ms '2.0\\r' is not a plain ASCII number")),
+     (3, "issued_at_ms '2.0\\r' is not a plain ASCII number")),
     # What read_trace decodes an undecodable byte to: a lone surrogate.
-    ("undecodable-byte", on_line_3("0,1000000000000\udcff,2.0"), (3, BAD_KEY.format("1000000000000\udcff")), None),
-    ("two-faults", on_line_3("x,10000000000000,2.0\n0,10000000000000,-1"), (3, "robot_id 'x' is not an integer"), None),
+    ("undecodable-byte", on_line_3("0,1000000000000\udcff,2.0"), (3, BAD_KEY.format("1000000000000\udcff"))),
+    ("two-faults", on_line_3("x,10000000000000,2.0\n0,10000000000000,-1"), (3, "robot_id 'x' is not an integer")),
     # A flat split of the whole body would read these 4 + 2 fields as two good rows.
     ("4-then-2-fields", HEADER + "0,10000000000000,1.0,1\n10000000000001,2.0\n",
-     (2, "expected 3 comma-separated fields, got 4"), None),
+     (2, "expected 3 comma-separated fields, got 4")),
 ]
 
 
 @pytest.mark.parametrize(
-    "text,expected,expected_from_file",
-    [pytest.param(text, expected, from_file, id=name) for name, text, expected, from_file in REFUSED],
+    "text,expected",
+    [pytest.param(text, expected, id=name) for name, text, expected in REFUSED],
 )
-def test_each_refused_line_keeps_its_line_number_and_reason(text, expected, expected_from_file, tmp_path):
+def test_each_refused_line_keeps_its_line_number_and_reason(text, expected, tmp_path):
     with pytest.raises(TraceFormatError) as exc_info:
-        load_trace(io.StringIO(text))
+        parse_trace(text)
     assert (exc_info.value.line_no, exc_info.value.reason) == expected
 
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(TraceFormatError) as exc_info:
         read_trace(str(path))
-    assert (exc_info.value.line_no, exc_info.value.reason) == (expected_from_file or expected)
+    assert (exc_info.value.line_no, exc_info.value.reason) == expected
 
 
 def test_a_last_line_without_a_newline_still_loads(tmp_path):
     text = HEADER + LINE_2 + "1,10000000000001,2.5"
     expected = make_trace([(0, "10000000000000", 1.0), (1, "10000000000001", 2.5)])
-    assert load_trace(io.StringIO(text)) == expected
+    assert parse_trace(text) == expected
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8")
     assert read_trace(str(path)) == expected
@@ -161,9 +159,8 @@ def outcome(load, source):
 @settings(derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=mutated_traces())
 def test_loading_a_mutated_trace_matches_the_line_walk(text, tmp_path):
-    for newline in ("\n", ""):
-        expected = outcome(reference_load_trace, io.StringIO(text, newline=newline))
-        assert outcome(load_trace, io.StringIO(text, newline=newline)) == expected, newline
+    expected = outcome(reference_load_trace, io.StringIO(text, newline=""))
+    assert outcome(parse_trace, text) == expected
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert outcome(read_trace, str(path)) == expected
@@ -180,5 +177,3 @@ def test_a_generated_trace_loads_without_the_line_walk(monkeypatch, tmp_path):
 
     monkeypatch.setattr(robocache.workload, "_walk_lines", walk_refused)
     assert read_trace(str(path)) == trace
-    with open(path, encoding="utf-8", newline="") as fh:
-        assert load_trace(fh) == trace

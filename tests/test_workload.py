@@ -11,7 +11,7 @@ from robocache.workload import (
     WorkloadConfig,
     barcode_for_rank,
     generate,
-    load_trace,
+    parse_trace,
     read_trace,
     save_trace,
     zipf_probabilities,
@@ -85,24 +85,23 @@ def test_export_import_round_trip_is_identity():
     events = generate(make_config(total_scans=500))
     out = io.StringIO()
     save_trace(events, out)
-    assert load_trace(io.StringIO(out.getvalue())) == events
+    assert parse_trace(out.getvalue()) == events
     # and a second export is byte-identical
     again = io.StringIO()
-    save_trace(load_trace(io.StringIO(out.getvalue())), again)
+    save_trace(parse_trace(out.getvalue()), again)
     assert again.getvalue() == out.getvalue()
 
 
 def test_empty_file_loads_as_empty_trace():
-    assert load_trace(io.StringIO("")) == make_trace([])
+    assert parse_trace("") == make_trace([])
 
 
 def test_header_only_file_loads_as_empty_trace():
-    assert load_trace(io.StringIO("robot_id,barcode,issued_at_ms\n")) == make_trace([])
+    assert parse_trace("robot_id,barcode,issued_at_ms\n") == make_trace([])
 
 
 def test_hand_written_fixture_loads_field_for_field():
-    with open(os.path.join(FIXTURES, "trace_3.csv"), newline="") as fh:
-        events = load_trace(fh)
+    events = read_trace(os.path.join(FIXTURES, "trace_3.csv"))
     assert events == make_trace([
         (0, "12345678901234", 0.0),
         (1, "98765432109876", 5.5),
@@ -135,7 +134,7 @@ def test_hand_written_fixture_loads_field_for_field():
 )
 def test_malformed_lines_carry_their_line_number(body, bad_line):
     with pytest.raises(TraceFormatError) as exc_info:
-        load_trace(io.StringIO(body))
+        parse_trace(body)
     assert exc_info.value.line_no == bad_line
 
 
@@ -152,7 +151,7 @@ def test_malformed_lines_carry_their_line_number(body, bad_line):
 )
 def test_robot_id_errors_name_the_field(robot_field, reason):
     with pytest.raises(TraceFormatError) as exc_info:
-        load_trace(io.StringIO(f"robot_id,barcode,issued_at_ms\n{robot_field},12345678901234,4.0\n"))
+        parse_trace(f"robot_id,barcode,issued_at_ms\n{robot_field},12345678901234,4.0\n")
     assert exc_info.value.reason == reason
 
 
@@ -171,13 +170,13 @@ def test_robot_id_errors_name_the_field(robot_field, reason):
 )
 def test_issued_at_errors_name_the_field(time_field, reason):
     with pytest.raises(TraceFormatError) as exc_info:
-        load_trace(io.StringIO(f"robot_id,barcode,issued_at_ms\n0,12345678901234,{time_field}\n"))
+        parse_trace(f"robot_id,barcode,issued_at_ms\n0,12345678901234,{time_field}\n")
     assert exc_info.value.reason == reason
 
 
 def test_exponent_times_as_repr_writes_them_load_and_round_trip():
     body = "robot_id,barcode,issued_at_ms\n0,12345678901234,1e-05\n0,12345678901234,1.5e+16\n"
-    trace = load_trace(io.StringIO(body))
+    trace = parse_trace(body)
     assert trace.issued_at == (1e-05, 1.5e16)
     out = io.StringIO()
     save_trace(trace, out)
