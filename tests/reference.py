@@ -14,6 +14,12 @@ the whole-input parse, kept verbatim. reference_ingest is the
 knowledge-base ingest as it stood while the database was a dict of lines,
 kept verbatim with its line check; it returns the text that the
 database's export wrote.
+
+ReferenceLink and reference_replay are the satellite link and the replay
+loop as they stood while the link answered one request per call, kept
+verbatim: one ``random()`` loss run and one lock draw per round trip, and
+the latency, clock and stall sums in scan order. They hold the engine to
+every output bit, where reference_run holds it to the counts.
 """
 
 from __future__ import annotations
@@ -21,10 +27,13 @@ from __future__ import annotations
 import math
 import random
 from math import isfinite
+from typing import List
 
-from robocache.cache import validate_barcode
+from robocache.cache import HitOrderedCache, validate_barcode
 from robocache.errors import IngestError, TraceFormatError, ValidationError
-from robocache.knowledge_base import BARCODE_WIDTH, LINE_WIDTH, format_record_line
+from robocache.knowledge_base import BARCODE_WIDTH, LINE_WIDTH, KnowledgeBase, format_record_line, index_probe_cost
+from robocache.netlink import LinkConfig, LinkStats
+from robocache.simulator import MethodKind, RunCounters, RunResult
 from robocache.workload import TRACE_HEADER, Trace, barcode_for_rank
 
 _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
@@ -253,3 +262,119 @@ def reference_load_kb(path: str) -> str:
     """reference_ingest of a record file, read as the file reader read it."""
     with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
         return reference_ingest(fh)
+
+
+class ReferenceLink:
+    """One request/response channel; owned by a single simulation run."""
+
+    def __init__(self, config: LinkConfig, rng: random.Random):
+        self.config = config
+        self._rng = rng
+        self._requests = self._losses = self._lock_events = 0
+        self._stall_ms = 0.0
+
+    @property
+    def stats(self) -> LinkStats:
+        """The counts so far; each lost copy was sent again, so losses are also retransmissions."""
+        losses = self._losses
+        return LinkStats(self._requests + losses, losses, losses, self._lock_events, self._stall_ms)
+
+    def round_trip(self, now: float) -> tuple[float, int, float]:
+        """Send one request at ``now``; return (delivered_at, losses, stall).
+
+        The response lands after any retransmissions and any lock stall at
+        the station: now + losses * retransmit_timeout + 2 * one_way_latency + stall.
+        """
+        cfg = self.config
+        losses = 0
+        while self._rng.random() < cfg.loss_probability:
+            losses += 1
+        stall = 0.0
+        if self._rng.random() < cfg.lock_probability:
+            stall = cfg.lock_stall_ms
+            self._lock_events += 1
+            self._stall_ms += stall
+        self._requests += 1
+        self._losses += losses
+        delivered_at = now + losses * cfg.retransmit_timeout_ms + 2 * cfg.one_way_latency_ms + stall
+        return delivered_at, losses, stall
+
+
+def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
+    """The replay with one ReferenceLink call per station request."""
+    method = MethodKind(method)
+    if not trace:
+        raise ValidationError("trace is empty; nothing to simulate")
+
+    # Every station resolution costs the same indexed search.
+    db_comparisons_per_resolve = index_probe_cost(len(kb))
+    # One bulk lookup of the distinct barcodes raises MissingRecordError
+    # for a barcode without a record. Every barcode is trusted from here
+    # on, so the loop drives the caches through their unchecked path; the
+    # cached replay admits record lines from the small dict it returns.
+    distinct_barcodes = dict.fromkeys(trace.barcodes)
+    cached = method is MethodKind.CACHED
+    if cached:
+        line_of = kb.record_lines(distinct_barcodes)
+    else:
+        kb.require(distinct_barcodes)
+    robot_ids = dict.fromkeys(trace.robot_ids) if cached else ()
+    caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
+
+    link = ReferenceLink(sim_config.link, random.Random(sim_config.seed))
+    round_trip = link.round_trip
+    cache_probe_ms = sim_config.cache_probe_time_ms
+    service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
+    latencies: List[float] = []
+    record_latency = latencies.append
+    cache_hits = cache_comparisons = 0
+
+    first_issued = trace.issued_at[0]
+    clock = first_issued
+    max_decided = first_issued
+
+    for robot_id, barcode, issued in zip(trace.robot_ids, trace.barcodes, trace.issued_at):
+        if cached:
+            cache = caches[robot_id]
+            slot = cache.probe(barcode)
+            if slot >= 0:
+                cache_hits += 1
+                comparisons = slot + 1
+                probe_ms = comparisons * cache_probe_ms
+                decided_at = issued + probe_ms
+                work_ms = probe_ms
+            else:
+                comparisons = len(cache)
+                probe_ms = comparisons * cache_probe_ms
+                delivered_at, _, stall = round_trip(issued + probe_ms)
+                decided_at = delivered_at + service_ms
+                work_ms = probe_ms + service_ms + stall
+                cache.admit(barcode, line_of[barcode])
+            cache_comparisons += comparisons
+        else:
+            delivered_at, _, stall = round_trip(issued)
+            decided_at = delivered_at + service_ms
+            work_ms = service_ms + stall
+        record_latency(decided_at - issued)
+        clock += work_ms
+        if decided_at > max_decided:
+            max_decided = decided_at
+
+    scans = len(trace)
+    station_messages = scans - cache_hits
+    counters = RunCounters(
+        scans=scans,
+        cache_hits=cache_hits,
+        cache_misses=station_messages if cached else 0,
+        cache_comparisons=cache_comparisons,
+        db_comparisons=station_messages * db_comparisons_per_resolve,
+        station_messages=station_messages,
+        per_scan_latencies=latencies,
+        link_stats=link.stats,
+        first_issued_at=first_issued,
+        final_clock=clock,
+        max_decided_at=max_decided,
+    )
+
+    snapshots = [caches[robot_id].snapshot() for robot_id in sorted(caches)]
+    return RunResult(method=method, counters=counters, snapshots=snapshots)

@@ -1,8 +1,11 @@
 """Pinned result digests: any change to the replay engine must keep these bits.
 
-Two 20k-scan configs, both methods each: the desk-scale preset cut to
-20,000 scans (3 slots, hit ratio about 0.45), and the same preset widened
-to 64 slots over 20,000 keys at skew 1.0 (about 45 probes per lookup).
+Four 20k-scan configs, both methods each: the desk-scale preset cut to
+20,000 scans (3 slots, hit ratio about 0.45); the same preset widened
+to 64 slots over 20,000 keys at skew 1.0 (about 45 probes per lookup);
+churn, 200,000 keys at skew 0 over a link that loses 30% of its copies
+(almost every scan misses); and a harsh link, the desk preset at loss 0.9
+and lock 0.5 (about ten copies and half a lock per request).
 The synthesized knowledge base is pinned too, as the sha256 of its
 exported record file at three sizes, and so is each config's trace CSV,
 as the sha256 of what save_trace writes for generate's trace.
@@ -31,6 +34,20 @@ def wide_cache_20k():
     return replace(config, cache_capacity=64, workload=replace(config.workload, unique_barcodes=20_000, skew=1.0))
 
 
+def churn_20k():
+    config = desk_20k()
+    return replace(
+        config,
+        link=replace(config.link, loss_probability=0.30),
+        workload=replace(config.workload, unique_barcodes=200_000, skew=0.0),
+    )
+
+
+def harsh_link_20k():
+    config = desk_20k()
+    return replace(config, link=replace(config.link, loss_probability=0.9, lock_probability=0.5))
+
+
 PINS = {
     "desk": {
         "baseline": "aec5a2d0635192f15c5f21461977ef678dc851cf6208fd09306a3dc647cc8fef",
@@ -40,8 +57,16 @@ PINS = {
         "baseline": "cae987bc30044e510c4621eaea564bcaf2c29cb8e39a869c0dfdbcfefb0ef917",
         "cached": "2eae72bc6c4b3d4a0d2c259658216ed51b0942f6754bce04d655d651b6715ed5",
     },
+    "churn": {
+        "baseline": "6432436bed5ac6714952f3d9b6afcc9fca6bb23a8d27a22974c5792914038cbb",
+        "cached": "59cb669522c91aa0de7733a894232945ef09130d1c2e8febabfa08c60851503e",
+    },
+    "harsh-link": {
+        "baseline": "2de0b1dc584cfec2f91d7c0687117c203a92a9a7c77897638f3a39e968367650",
+        "cached": "30b09c5a065e534f54148b042564f6ad6e90b484302eea9b0ce0089792e9e0ec",
+    },
 }
-CONFIGS = {"desk": desk_20k, "wide-cache": wide_cache_20k}
+CONFIGS = {"desk": desk_20k, "wide-cache": wide_cache_20k, "churn": churn_20k, "harsh-link": harsh_link_20k}
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
