@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Exercise the satellite link model: latency, loss, locks.
 
-Sends a handful of requests through a lossy link and prints each round
-trip (round_trip returns when the response lands, how many copies were
-lost and any lock stall), then pushes 100k requests through to show the
-loss and lock rates converging on their configured probabilities.
+Sends ten requests through a lossy link in one bulk call and prints each
+round trip (round_trip returns, per request, when the response lands, how
+many copies were lost and any lock stall), then pushes 100k requests
+through in a second call to show the loss and lock rates converging on
+their configured probabilities.
 """
 
-import random
+import numpy as np
 
 from robocache import LinkConfig, SatelliteLink
 
@@ -20,22 +21,21 @@ def main():
         lock_stall_ms=40.0,
         retransmit_timeout_ms=600.0,
     )
-    link = SatelliteLink(config, random.Random(7))
+    link = SatelliteLink(config, seed=7)
 
     print("ten requests over a lossy link (one-way 250 ms, timeout 600 ms):")
+    delivered_at, losses, stall = link.round_trip(np.zeros(10))
     for i in range(10):
-        delivered_at, losses, stall = link.round_trip(now=0.0)
-        parts = [f"round trip {delivered_at:7.1f} ms"]
-        if losses:
-            parts.append(f"{losses} loss(es)")
-        if stall:
-            parts.append(f"lock stall {stall:.0f} ms")
+        parts = [f"round trip {delivered_at[i]:7.1f} ms"]
+        if losses[i]:
+            parts.append(f"{losses[i]} loss(es)")
+        if stall[i]:
+            parts.append(f"lock stall {stall[i]:.0f} ms")
         print(f"  request {i}: " + ", ".join(parts))
 
     n = 100_000
-    link = SatelliteLink(config, random.Random(99))
-    for _ in range(n):
-        link.round_trip(now=0.0)
+    link = SatelliteLink(config, seed=99)
+    link.round_trip(np.zeros(n))
     stats = link.stats
     print(f"\nafter {n} requests:")
     print(f"  messages sent     {stats.messages_sent} (includes {stats.retransmissions} retransmissions)")

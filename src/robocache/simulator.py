@@ -19,6 +19,20 @@ trip on the latency axis and the station work on the processing axis,
 which is why a warm cache compresses total processing less sharply than
 it compresses decision latency.
 
+A run makes two passes. The cached method's one Python loop drives the
+robots' caches and keeps each scan's hit slot or, for a miss, how many
+rows it compared; the baseline is every scan a miss that compared none.
+Then one array pass sends every miss over the link in a single
+``SatelliteLink.round_trip`` call and does the arithmetic in the float
+order of one scan at a time:
+
+* a miss is decided at ``((((issued + probe) + losses * timeout) +
+  2 * one_way) + stall) + service`` and a hit at ``issued + probe``; the
+  latency is the decision time minus ``issued``;
+* a miss's work is ``(probe + service) + stall``, a hit's ``probe``;
+* the clock is the sequential sum of the works from the first issue
+  time (``np.add.accumulate``, never the pairwise ``np.sum``).
+
 Runs are deterministic: all randomness flows from the run seed through
 the link.
 """
@@ -27,10 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import List, Tuple
+
+import numpy as np
 
 from .cache import HitOrderedCache
 from .errors import ValidationError
@@ -87,6 +102,9 @@ class RunResult:
     snapshots: List[Tuple[Tuple[str, int], ...]]
 
 
+# Overflow gives inf silently, as Python float arithmetic does; the CLI
+# refuses a non-finite result.
+@np.errstate(over="ignore", invalid="ignore")
 def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     """Replay ``trace`` under one method and return counters and snapshots.
 
@@ -110,66 +128,56 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     # cached replay admits record lines from the small dict it returns.
     distinct_barcodes = dict.fromkeys(trace.barcodes)
     cached = method is MethodKind.CACHED
+    caches = {}
     if cached:
         line_of = kb.record_lines(distinct_barcodes)
-    else:
-        kb.require(distinct_barcodes)
-    robot_ids = dict.fromkeys(trace.robot_ids) if cached else ()
-    caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
-
-    link = SatelliteLink(sim_config.link, random.Random(sim_config.seed))
-    round_trip = link.round_trip
-    cache_probe_ms = sim_config.cache_probe_time_ms
-    service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
-    latencies: List[float] = []
-    record_latency = latencies.append
-    cache_hits = cache_comparisons = 0
-
-    first_issued = trace.issued_at[0]
-    clock = first_issued
-    max_decided = first_issued
-
-    for robot_id, barcode, issued in zip(trace.robot_ids, trace.barcodes, trace.issued_at):
-        if cached:
+        caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in dict.fromkeys(trace.robot_ids)}
+        # Each scan's hit slot, or ~rows (below 0) for a miss that compared
+        # all ``rows`` rows of its robot's cache.
+        outcomes: List[int] = []
+        record_outcome = outcomes.append
+        for robot_id, barcode in zip(trace.robot_ids, trace.barcodes):
             cache = caches[robot_id]
             slot = cache.probe(barcode)
-            if slot >= 0:
-                cache_hits += 1
-                comparisons = slot + 1
-                probe_ms = comparisons * cache_probe_ms
-                decided_at = issued + probe_ms
-                work_ms = probe_ms
-            else:
-                comparisons = len(cache)
-                probe_ms = comparisons * cache_probe_ms
-                delivered_at, _, stall = round_trip(issued + probe_ms)
-                decided_at = delivered_at + service_ms
-                work_ms = probe_ms + service_ms + stall
+            if slot < 0:
+                slot = ~len(cache)
                 cache.admit(barcode, line_of[barcode])
-            cache_comparisons += comparisons
-        else:
-            delivered_at, _, stall = round_trip(issued)
-            decided_at = delivered_at + service_ms
-            work_ms = service_ms + stall
-        record_latency(decided_at - issued)
-        clock += work_ms
-        if decided_at > max_decided:
-            max_decided = decided_at
+            record_outcome(slot)
+        outcome = np.array(outcomes, np.int64)
+    else:
+        kb.require(distinct_barcodes)
+        # Every scan a miss that compared no rows.
+        outcome = np.full(len(trace), ~0, np.int64)
 
+    hit = outcome >= 0
+    miss = ~hit
+    comparisons = np.where(hit, outcome + 1, ~outcome)
+    probe_ms = comparisons * sim_config.cache_probe_time_ms
+    service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
+    issued = np.array(trace.issued_at, np.float64)
+    decided = issued + probe_ms
+    work = probe_ms
+    link = SatelliteLink(sim_config.link, sim_config.seed)
+    delivered, _, stall = link.round_trip(decided[miss])
+    decided[miss] = delivered + service_ms
+    work[miss] = work[miss] + service_ms + stall
+
+    first_issued = trace.issued_at[0]
+    cache_hits = int(np.count_nonzero(hit))
     scans = len(trace)
     station_messages = scans - cache_hits
     counters = RunCounters(
         scans=scans,
         cache_hits=cache_hits,
         cache_misses=station_messages if cached else 0,
-        cache_comparisons=cache_comparisons,
+        cache_comparisons=int(comparisons.sum()),
         db_comparisons=station_messages * db_comparisons_per_resolve,
         station_messages=station_messages,
-        per_scan_latencies=latencies,
+        per_scan_latencies=(decided - issued).tolist(),
         link_stats=link.stats,
         first_issued_at=first_issued,
-        final_clock=clock,
-        max_decided_at=max_decided,
+        final_clock=float(np.add.accumulate(np.append(first_issued, work))[-1]),
+        max_decided_at=max(first_issued, float(decided.max())),
     )
 
     snapshots = [caches[robot_id].snapshot() for robot_id in sorted(caches)]

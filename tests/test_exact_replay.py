@@ -15,7 +15,7 @@ from robocache.netlink import LinkConfig
 from robocache.simulator import result_digest, run
 from robocache.workload import WorkloadConfig, barcode_for_rank, generate
 
-from helpers import make_kb, make_sim_config
+from helpers import make_kb, make_sim_config, make_trace
 from reference import reference_replay
 
 
@@ -98,3 +98,23 @@ def test_a_long_lossy_trace_matches_the_per_request_reference_bit_for_bit():
     )
     kb = make_kb([barcode_for_rank(rank) for rank in range(workload.unique_barcodes)])
     assert_same_replay(generate(workload), kb, config)
+
+
+def test_a_miss_after_a_probe_sums_its_work_in_scan_order():
+    # The second scan misses after one probe and locks: its work is
+    # (0.1 + 0.4) + 0.2, and the clock ends one ulp below what
+    # 0.1 + (0.4 + 0.2) would give. Integer issue times are accepted too.
+    a, b = barcode_for_rank(0), barcode_for_rank(1)
+    kb = make_kb([a, b])
+    config = make_sim_config(
+        link=link_config(3.0, 0.0, 0.99, 0.2, 0.0),
+        cache_capacity=2,
+        cache_probe_time_ms=0.1,
+        db_probe_time_ms=0.4,
+        seed=3,
+    )
+    trace = make_trace([(0, a, 0), (0, b, 7)])
+    assert_same_replay(trace, kb, config)
+    cached = run("cached", trace, kb, config).counters
+    assert cached.link_stats.lock_events == 2
+    assert cached.final_clock == (0 + ((0.0 + 0.4) + 0.2)) + ((0.1 + 0.4) + 0.2) == 1.3
