@@ -172,7 +172,8 @@ def _walk(text: str) -> KnowledgeBase:
     """The knowledge base of ``text``, checked one line at a time.
 
     Lines end where a file opened with ``newline=""`` ends them, at a
-    lone "\r" too. Raises at the first bad line with its number and reason.
+    lone "\r" too, and a line that keeps a "\r" is refused. Raises at the
+    first bad line with its number and reason.
     """
     checked = []
     seen: set[str] = set()
@@ -181,6 +182,9 @@ def _walk(text: str) -> KnowledgeBase:
         barcode = _check_line(line, line_no)
         if barcode in seen:
             raise IngestError(line_no, f"duplicate barcode {barcode}")
+        if "\r" in line:
+            # A line of 55 characters and "\r\n" has the right length.
+            raise IngestError(line_no, 'carriage return in the line; a record line ends in "\\n" only')
         seen.add(barcode)
         checked.append(line)
     text = "".join(line + "\n" for line in checked)
@@ -192,7 +196,8 @@ def ingest_text(text: str) -> KnowledgeBase:
 
     Each line must match the layout documented at module top; the last
     may omit its "\n". Lines end where a file opened with ``newline=""``
-    ends them, at a lone "\r" too. The text is checked as a whole; only
+    ends them, at a lone "\r" too, and no line may hold a "\r", so what
+    ``export`` writes always loads again. The text is checked as a whole; only
     when a check fails is it walked line by line, so the error carries the
     1-based number and the reason of the first bad line.
     """

@@ -62,7 +62,11 @@ class Trace:
         if not set(map(type, robot_ids)) <= {int} or min(robot_ids, default=0) < 0:
             raise ValidationError("every robot id must be an int >= 0")
         # One bulk check of the distinct barcodes, in trace order.
-        barcode_keys(list(dict.fromkeys(barcodes)))
+        try:
+            distinct = list(dict.fromkeys(barcodes))
+        except TypeError:  # an unhashable barcode, which barcode_keys names
+            distinct = list(barcodes)
+        barcode_keys(distinct)
         if not (set(map(type, times)) <= {int, float} and all(map(isfinite, times)) and min(times, default=0) >= 0):
             raise ValidationError("every issue time must be a finite int or float >= 0")
         # operator.le, not a dunder: int.__le__(5, 3.0) is NotImplemented (truthy), float.__le__(5, ...) raises.

@@ -111,12 +111,15 @@ def test_index_probe_cost_bounds_hold_for_small_sizes():
 LINES_1_2 = make_line("12345678901234") + "\n" + make_line("12345678901235") + "\n"
 LINE_4 = make_line("12345678901237") + "\n"
 TOO_LONG = "expected 56 characters, got 57"
+CR_IN_LINE = 'carriage return in the line; a record line ends in "\\n" only'
 READERS = ["ingest_text", "load_kb"]
 FAULTS = {
     # name: (bad line 3 with its line end, {reader: reason})
     "short": ("too short\n", dict.fromkeys(READERS, "expected 56 characters, got 9")),
     "long": (make_line("12345678901236") + "X\n", dict.fromkeys(READERS, TOO_LONG)),
     "crlf": (make_line("12345678901236") + "\r\n", dict.fromkeys(READERS, TOO_LONG)),
+    # 55 characters and "\r\n" are as long as a good line and its "\n".
+    "crlf_55": (make_line("12345678901236")[:-1] + "\r\n", dict.fromkeys(READERS, CR_IN_LINE)),
     "empty": ("\n", dict.fromkeys(READERS, "expected 56 characters, got 0")),
     "barcode": (
         make_line("1234567890123x") + "\n",
@@ -398,21 +401,35 @@ def ingest_outcome(read, source):
     return out.getvalue()
 
 
-def reference_outcome(read, source):
+def reference_outcome(read, source, text):
+    """What the line walk gives for ``text`` read by ``read(source)``, with a "\r" in a line refused.
+
+    The verbatim walk keeps a "\r" that ends a line of the right length
+    (55 characters and "\r\n"), which the readers refuse at the first
+    such line it passes before any line it refuses.
+    """
     try:
-        return read(source)
+        outcome = read(source)
     except IngestError as exc:
-        return exc.line_no, exc.reason
+        outcome = exc.line_no, exc.reason
+    lines = [raw.removesuffix("\n") for raw in io.StringIO(text, newline="")]
+    passed = len(lines) if isinstance(outcome, str) else outcome[0] - 1
+    for line_no, line in enumerate(lines[:passed], start=1):
+        if "\r" in line:
+            return line_no, CR_IN_LINE
+    return outcome
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=mutated_kb_texts())
 def test_ingesting_a_mutated_record_text_matches_the_line_walk(text, tmp_path):
     built = ingest_outcome(ingest_text, text)
-    assert built == reference_outcome(reference_ingest, io.StringIO(text, newline=""))
+    assert built == reference_outcome(reference_ingest, io.StringIO(text, newline=""), text)
     path = tmp_path / "kb.dat"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    assert ingest_outcome(load_kb, str(path)) == reference_outcome(reference_load_kb, str(path))
+    with open(path, encoding="ascii", errors="surrogateescape", newline="") as fh:
+        file_text = fh.read()
+    assert ingest_outcome(load_kb, str(path)) == reference_outcome(reference_load_kb, str(path), file_text)
     if isinstance(built, str):
         # A knowledge base that ingest_text builds survives a save and a reload.
         save_kb(ingest_text(text), str(path))

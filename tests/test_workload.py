@@ -193,6 +193,7 @@ def test_exponent_times_as_repr_writes_them_load_and_round_trip():
         pytest.param((1.0,), (A,), (0.0,), id="float-robot-id"),
         pytest.param((0,), ("1234567890123x",), (0.0,), id="malformed-barcode"),
         pytest.param((0,), (12345678901234,), (0.0,), id="int-barcode"),
+        pytest.param((0,), (["1"],), (0.0,), id="unhashable-barcode"),
         pytest.param((0,), (A,), (float("nan"),), id="nan-time"),
         pytest.param((0,), (A,), (float("inf"),), id="inf-time"),
         pytest.param((0,), (A,), (-1.0,), id="negative-time"),
