@@ -34,7 +34,7 @@ from .errors import ConfigError
 
 # The most random() values drawn at once; a block is sized to the requests
 # left, so a short run draws less.
-_BLOCK_DRAWS = 1 << 15
+_BLOCK_DRAWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,11 @@ class SatelliteLink:
         """The next block of random() values, about enough for ``requests`` more requests."""
         loss_p = self.config.loss_probability
         count = min(_BLOCK_DRAWS, int(requests * (2 + loss_p / (1 - loss_p)) * 1.05) + 64)
-        # random() is (a >> 5, b >> 6) of two 32-bit outputs, as a 53-bit fraction.
-        raw = self._bits.random_raw(2 * count)
-        return ((raw[0::2] >> 5) * 67108864.0 + (raw[1::2] >> 6)) / 9007199254740992.0
+        # random() is (a >> 5, b >> 6) of two 32-bit outputs, as a 53-bit
+        # fraction: (a * 2**26 + b) / 2**53, exact at every step.
+        pairs = self._bits.random_raw(2 * count).reshape(-1, 2)
+        pairs >>= np.array([5, 6], np.uint64)
+        draws = pairs[:, 0] * 67108864.0
+        draws += pairs[:, 1]
+        draws /= 9007199254740992.0
+        return draws
