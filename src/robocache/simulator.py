@@ -22,16 +22,17 @@ it compresses decision latency.
 A run makes two passes. The cached method's one Python loop drives the
 robots' caches and keeps each scan's hit slot or, for a miss, how many
 rows it compared; the baseline is every scan a miss that compared none.
-Then one array pass sends every miss over the link in a single
-``SatelliteLink.round_trip`` call and does the arithmetic in the float
-order of one scan at a time:
+Then an array pass, over chunks of ``_CHUNK_SCANS`` scans, sends each
+chunk's misses over the link in one ``SatelliteLink.round_trip`` call
+and does the arithmetic in the float order of one scan at a time:
 
 * a miss is decided at ``((((issued + probe) + losses * timeout) +
   2 * one_way) + stall) + service`` and a hit at ``issued + probe``; the
   latency is the decision time minus ``issued``;
 * a miss's work is ``(probe + service) + stall``, a hit's ``probe``;
 * the clock is the sequential sum of the works from the first issue
-  time (``np.add.accumulate``, never the pairwise ``np.sum``).
+  time (``np.add.accumulate``, carried from chunk to chunk, never the
+  pairwise ``np.sum``).
 
 Runs are deterministic: all randomness flows from the run seed through
 the link.
@@ -52,6 +53,9 @@ from .errors import ValidationError
 from .knowledge_base import KnowledgeBase, index_probe_cost
 from .netlink import LinkStats, SatelliteLink
 from .workload import Trace
+
+# Scans per array pass: the pass's arrays stay a few MB however long the trace.
+_CHUNK_SCANS = 1 << 13
 
 
 class MethodKind(str, Enum):
@@ -143,41 +147,48 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
                 slot = ~len(cache)
                 cache.admit(barcode, line_of[barcode])
             record_outcome(slot)
-        outcome = np.array(outcomes, np.int64)
     else:
         kb.require(distinct_barcodes)
-        # Every scan a miss that compared no rows.
-        outcome = np.full(len(trace), ~0, np.int64)
 
-    hit = outcome >= 0
-    miss = ~hit
-    comparisons = np.where(hit, outcome + 1, ~outcome)
-    probe_ms = comparisons * sim_config.cache_probe_time_ms
     service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
-    issued = np.array(trace.issued_at, np.float64)
-    decided = issued + probe_ms
-    work = probe_ms
     link = SatelliteLink(sim_config.link, sim_config.seed)
-    delivered, _, stall = link.round_trip(decided[miss])
-    decided[miss] = delivered + service_ms
-    work[miss] = work[miss] + service_ms + stall
-
+    latencies: List[float] = []
+    cache_hits = cache_comparisons = 0
     first_issued = trace.issued_at[0]
-    cache_hits = int(np.count_nonzero(hit))
+    clock = max_decided = first_issued
+    # Chunks keep the arrays of a long trace small beside its latency list.
+    for start in range(0, len(trace), _CHUNK_SCANS):
+        issued = np.array(trace.issued_at[start : start + _CHUNK_SCANS], np.float64)
+        # The baseline: every scan a miss that compared no rows.
+        slots = np.array(outcomes[start : start + _CHUNK_SCANS]) if cached else np.full(len(issued), ~0)
+        hit = slots >= 0
+        miss = ~hit
+        comparisons = np.where(hit, slots + 1, ~slots)
+        work = comparisons * sim_config.cache_probe_time_ms  # the probes; a miss adds its station work
+        decided = issued + work
+        delivered, _, stall = link.round_trip(decided[miss])
+        decided[miss] = delivered + service_ms
+        work[miss] = work[miss] + service_ms + stall
+        cache_hits += int(np.count_nonzero(hit))
+        cache_comparisons += int(comparisons.sum())
+        clock = float(np.add.accumulate(np.append(clock, work))[-1])
+        max_decided = max(max_decided, float(decided.max()))
+        latencies += (decided - issued).tolist()
+
     scans = len(trace)
     station_messages = scans - cache_hits
     counters = RunCounters(
         scans=scans,
         cache_hits=cache_hits,
         cache_misses=station_messages if cached else 0,
-        cache_comparisons=int(comparisons.sum()),
+        cache_comparisons=cache_comparisons,
         db_comparisons=station_messages * db_comparisons_per_resolve,
         station_messages=station_messages,
-        per_scan_latencies=(decided - issued).tolist(),
+        per_scan_latencies=latencies,
         link_stats=link.stats,
         first_issued_at=first_issued,
-        final_clock=float(np.add.accumulate(np.append(first_issued, work))[-1]),
-        max_decided_at=max(first_issued, float(decided.max())),
+        final_clock=clock,
+        max_decided_at=max_decided,
     )
 
     snapshots = [caches[robot_id].snapshot() for robot_id in sorted(caches)]

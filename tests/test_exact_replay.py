@@ -8,9 +8,11 @@ lock stall 0 and loss in [0.9, 0.999], whose long loss runs take many
 draws per request; capacity 1 and one-scan traces are drawn too.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from robocache import simulator
 from robocache.netlink import LinkConfig
 from robocache.simulator import result_digest, run
 from robocache.workload import WorkloadConfig, barcode_for_rank, generate
@@ -83,8 +85,26 @@ def test_replay_matches_the_per_request_reference_bit_for_bit(case):
     assert_same_replay(generate(workload), kb, config)
 
 
+@pytest.mark.parametrize("chunk_scans", [1, 2, 7, 64])
+def test_every_chunking_of_the_array_pass_matches_the_per_request_reference(monkeypatch, chunk_scans):
+    # The clock, the stall total and the link's draws carry across chunks.
+    monkeypatch.setattr(simulator, "_CHUNK_SCANS", chunk_scans)
+    workload = WorkloadConfig(total_scans=300, unique_barcodes=25, skew=1.1, robots=3, inter_arrival_ms=0.7, seed=4)
+    config = make_sim_config(
+        workload=workload,
+        link=link_config(3.2, 0.4, 0.3, 15.0, 28.6),
+        cache_capacity=3,
+        cache_probe_time_ms=0.44,
+        db_probe_time_ms=0.3,
+        seed=17,
+    )
+    kb = make_kb([barcode_for_rank(rank) for rank in range(workload.unique_barcodes)])
+    assert_same_replay(generate(workload), kb, config)
+
+
 def test_a_long_lossy_trace_matches_the_per_request_reference_bit_for_bit():
-    # 40,000 requests at loss 0.3 take about 97,000 draws.
+    # 40,000 requests at loss 0.3 take about 97,000 draws: many chunks of
+    # scans and blocks of draws.
     workload = WorkloadConfig(
         total_scans=40_000, unique_barcodes=3_000, skew=0.8, robots=3, inter_arrival_ms=1.0, seed=11
     )
