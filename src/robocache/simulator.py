@@ -19,12 +19,13 @@ trip on the latency axis and the station work on the processing axis,
 which is why a warm cache compresses total processing less sharply than
 it compresses decision latency.
 
-A run makes two passes. The cached method's one Python loop drives the
-robots' caches and keeps each scan's hit slot or, for a miss, how many
-rows it compared; the baseline is every scan a miss that compared none.
-Then an array pass, over chunks of ``_CHUNK_SCANS`` scans, sends each
-chunk's misses over the link in one ``SatelliteLink.round_trip`` call
-and does the arithmetic in the float order of one scan at a time:
+A run walks the trace in chunks of ``_CHUNK_SCANS`` scans, so its arrays
+stay small at any trace length. In each chunk the cached method's Python
+loop drives the robots' caches and records each scan's hit slot or, for
+a miss, how many rows it compared; the baseline is every scan a miss
+that compared none. Then one array pass sends the chunk's misses over
+the link in one ``SatelliteLink.round_trip`` call and does the
+arithmetic in the float order of one scan at a time:
 
 * a miss is decided at ``((((issued + probe) + losses * timeout) +
   2 * one_way) + stall) + service`` and a hit at ``issued + probe``; the
@@ -106,6 +107,25 @@ class RunResult:
     snapshots: List[Tuple[Tuple[str, int], ...]]
 
 
+def _cache_outcomes(caches, line_of, robot_ids, barcodes) -> List[int]:
+    """Drive each scan's robot cache, in order, through its unchecked path.
+
+    Returns each scan's hit slot, or ~rows (below 0) for a miss that
+    compared all ``rows`` rows of its robot's cache and then admitted the
+    barcode's record line.
+    """
+    outcomes: List[int] = []
+    record_outcome = outcomes.append
+    for robot_id, barcode in zip(robot_ids, barcodes):
+        cache = caches[robot_id]
+        slot = cache.probe(barcode)
+        if slot < 0:
+            slot = ~len(cache)
+            cache.admit(barcode, line_of[barcode])
+        record_outcome(slot)
+    return outcomes
+
+
 # Overflow gives inf silently, as Python float arithmetic does; the CLI
 # refuses a non-finite result.
 @np.errstate(over="ignore", invalid="ignore")
@@ -132,23 +152,12 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     # cached replay admits record lines from the small dict it returns.
     distinct_barcodes = dict.fromkeys(trace.barcodes)
     cached = method is MethodKind.CACHED
-    caches = {}
     if cached:
         line_of = kb.record_lines(distinct_barcodes)
-        caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in dict.fromkeys(trace.robot_ids)}
-        # Each scan's hit slot, or ~rows (below 0) for a miss that compared
-        # all ``rows`` rows of its robot's cache.
-        outcomes: List[int] = []
-        record_outcome = outcomes.append
-        for robot_id, barcode in zip(trace.robot_ids, trace.barcodes):
-            cache = caches[robot_id]
-            slot = cache.probe(barcode)
-            if slot < 0:
-                slot = ~len(cache)
-                cache.admit(barcode, line_of[barcode])
-            record_outcome(slot)
     else:
         kb.require(distinct_barcodes)
+    robot_ids = dict.fromkeys(trace.robot_ids) if cached else ()
+    caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
 
     service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
     link = SatelliteLink(sim_config.link, sim_config.seed)
@@ -158,9 +167,12 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     clock = max_decided = first_issued
     # Chunks keep the arrays of a long trace small beside its latency list.
     for start in range(0, len(trace), _CHUNK_SCANS):
-        issued = np.array(trace.issued_at[start : start + _CHUNK_SCANS], np.float64)
-        # The baseline: every scan a miss that compared no rows.
-        slots = np.array(outcomes[start : start + _CHUNK_SCANS]) if cached else np.full(len(issued), ~0)
+        stop = start + _CHUNK_SCANS
+        issued = np.array(trace.issued_at[start:stop], np.float64)
+        if cached:
+            slots = np.array(_cache_outcomes(caches, line_of, trace.robot_ids[start:stop], trace.barcodes[start:stop]))
+        else:
+            slots = np.full(len(issued), ~0)  # every scan a miss that compared no rows
         hit = slots >= 0
         miss = ~hit
         comparisons = np.where(hit, slots + 1, ~slots)
