@@ -161,7 +161,7 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
 
     service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
     link = SatelliteLink(sim_config.link, sim_config.seed)
-    latencies: List[float] = []
+    latencies: List[float] = [0.0] * len(trace)
     cache_hits = cache_comparisons = 0
     first_issued = trace.issued_at[0]
     clock = max_decided = first_issued
@@ -185,7 +185,7 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
         cache_comparisons += int(comparisons.sum())
         clock = float(np.add.accumulate(np.append(clock, work))[-1])
         max_decided = max(max_decided, float(decided.max()))
-        latencies += (decided - issued).tolist()
+        latencies[start:stop] = (decided - issued).tolist()
 
     scans = len(trace)
     station_messages = scans - cache_hits
