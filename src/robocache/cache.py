@@ -10,9 +10,11 @@ of the list, and when the cache is full the bottom row is evicted to
 make room. Every probe is counted so callers can account for search
 cost.
 
-``lookup`` and ``insert`` validate their key. ``probe`` and ``admit`` are
-the unchecked path underneath them, for a caller (the simulator) that has
-validated every key once up front; both paths share one promote/evict rule.
+``replay`` runs one robot's scans through the cache in one call: every
+hit is promoted and every miss admitted, with no payload. It holds the one
+promote/evict rule and does not validate its keys, for a caller (the
+simulator) that has validated every key once up front. ``lookup`` and
+``insert`` validate their key and do their one step through ``replay``.
 ``validate_barcode`` checks one key and ``barcode_keys`` a batch at once;
 both hold the same barcode rule.
 """
@@ -20,7 +22,7 @@ both hold the same barcode rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +61,7 @@ def digit_keys(columns: np.ndarray) -> Optional[np.ndarray]:
     return keys
 
 
-def barcode_keys(barcodes: list[str]) -> np.ndarray:
+def barcode_keys(barcodes: Sequence[str]) -> np.ndarray:
     """The int64 value of each barcode; ValidationError names the first that is not 14 ASCII digits."""
     try:
         text = "".join(barcodes)
@@ -97,6 +99,7 @@ class HitOrderedCache:
         # list scan. A row's position alone records the equal-counter order.
         self._keys: list[str] = []
         self._hits: list[int] = []
+        # Every resident barcode, with its payload (None if ``replay`` admitted it).
         self._payloads: dict[str, object] = {}
 
     def __len__(self) -> int:
@@ -111,9 +114,9 @@ class HitOrderedCache:
         has been scanned and the cache is left unchanged.
         """
         validate_barcode(barcode)
-        slot = self.probe(barcode)
-        if slot < 0:
+        if barcode not in self._payloads:
             return LookupResult(hit=False, payload=None, comparisons=len(self._keys))
+        (slot,) = self.replay((barcode,))
         return LookupResult(hit=True, payload=self._payloads[barcode], comparisons=slot + 1)
 
     def insert(self, barcode: str, payload: object) -> Optional[str]:
@@ -127,49 +130,54 @@ class HitOrderedCache:
         validate_barcode(barcode)
         if barcode in self._payloads:
             raise DuplicateKeyError(f"barcode {barcode} already cached; look up before inserting")
-        return self.admit(barcode, payload)
-
-    def probe(self, barcode: str) -> int:
-        """Unchecked lookup: the 0-based hit slot, or -1 on a miss.
-
-        A hit costs slot + 1 comparisons and a miss ``len(self)``; a hit
-        is counted and promoted exactly as in ``lookup``. ``barcode`` must
-        already be validated.
-        """
-        if barcode not in self._payloads:
-            return -1
-        keys = self._keys
-        counts = self._hits
-        slot = keys.index(barcode)
-        hits = counts[slot] + 1
-        # Bubble past strictly smaller counters only; overtaking an equal
-        # counter would reorder rows whose counts tie.
-        dest = slot
-        while dest > 0 and counts[dest - 1] < hits:
-            dest -= 1
-        if dest == slot:
-            counts[slot] = hits
-        else:
-            del keys[slot], counts[slot]
-            keys.insert(dest, barcode)
-            counts.insert(dest, hits)
-        return slot
-
-    def admit(self, barcode: str, payload: object) -> Optional[str]:
-        """Unchecked insert right after ``probe`` missed ``barcode``.
-
-        Same effect and return value as ``insert``, without validating the
-        key or checking for a duplicate.
-        """
-        evicted = None
-        if len(self._keys) == self.capacity:
-            evicted = self._keys.pop()
-            self._hits.pop()
-            del self._payloads[evicted]
-        self._keys.append(barcode)
-        self._hits.append(1)
+        evicted = self._keys[-1] if len(self._keys) == self.capacity else None
+        self.replay((barcode,))
         self._payloads[barcode] = payload
         return evicted
+
+    def replay(self, barcodes: Iterable[str]) -> List[int]:
+        """Look each of ``barcodes`` up in turn, admitting every miss; the one promote/evict rule.
+
+        Returns each scan's 0-based hit slot (slot + 1 comparisons), or
+        ~rows for a miss that compared all ``rows`` rows. A hit is counted
+        and promoted as in ``lookup``; a miss then enters as in ``insert``,
+        with no payload. The barcodes are not validated.
+        """
+        keys = self._keys
+        counts = self._hits
+        resident = self._payloads
+        capacity = self.capacity
+        rows = len(keys)
+        slots: List[int] = []
+        record = slots.append
+        for barcode in barcodes:
+            if barcode in resident:
+                slot = keys.index(barcode)
+                hits = counts[slot] + 1
+                # Bubble past strictly smaller counters only; overtaking an
+                # equal counter would reorder rows whose counts tie.
+                dest = slot
+                while dest and counts[dest - 1] < hits:
+                    dest -= 1
+                if dest == slot:
+                    counts[slot] = hits
+                else:
+                    del keys[slot], counts[slot]
+                    keys.insert(dest, barcode)
+                    counts.insert(dest, hits)
+                record(slot)
+            else:
+                record(~rows)
+                if rows == capacity:  # the new row takes the evicted bottom row's place
+                    del resident[keys[-1]]
+                    keys[-1] = barcode
+                    counts[-1] = 1
+                else:
+                    keys.append(barcode)
+                    counts.append(1)
+                    rows += 1
+                resident[barcode] = None
+        return slots
 
     def snapshot(self) -> Tuple[Tuple[str, int], ...]:
         """Copy the current (barcode, hits) rows, top first, without touching the cache."""

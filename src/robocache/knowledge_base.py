@@ -18,10 +18,12 @@ file's text, and ``load_kb`` feeds it a file: it checks the whole text
 at once, on a byte view of it, and walks it line by line only to name
 the first bad line. ``record_lines`` looks a batch of barcodes up in the
 index at once (``cache.barcode_keys`` checks them) and slices their
-lines out of the text, and ``export`` writes the text back in one
-piece. No field is ever parsed back out of a line: a cached miss in the
-simulator caches the record line, the form in which the station sends
-the record.
+lines out of the text; ``require`` only checks that each has a record,
+and ``require_keys`` does the same for barcodes whose keys the caller
+has already computed, as the simulator does once per run with the keys
+its ``Trace`` keeps. ``export`` writes the text back in one piece. No
+field is ever parsed back out of a line, and the simulator reads no
+line: a cached miss caches its barcode with no payload.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Lookup cost is modeled as an indexed
@@ -31,7 +33,7 @@ search: ceil(log2(N)) probes over N records, never less than one.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -121,18 +123,22 @@ class KnowledgeBase:
 
         ValidationError names the first that is not 14 ASCII digits.
         """
-        self._line_numbers(list(barcodes))
+        barcodes = list(barcodes)
+        self.require_keys(barcodes, barcode_keys(barcodes))
+
+    def require_keys(self, barcodes: Sequence[str], keys: np.ndarray) -> None:
+        """``require`` for barcodes whose int64 keys (``cache.barcode_keys``) are known: ``keys[i]`` is that of ``barcodes[i]``."""
+        self._line_numbers(barcodes, keys)
 
     def record_lines(self, barcodes: Iterable[str]) -> dict[str, str]:
         """The stored line of each of ``barcodes``, keyed by barcode; raises as ``require``."""
         barcodes = list(barcodes)
-        starts = (self._line_numbers(barcodes) * RECORD_WIDTH).tolist()
+        starts = (self._line_numbers(barcodes, barcode_keys(barcodes)) * RECORD_WIDTH).tolist()
         text = self._text
         return {barcode: text[start : start + LINE_WIDTH] for barcode, start in zip(barcodes, starts)}
 
-    def _line_numbers(self, barcodes: list[str]) -> np.ndarray:
-        """The 0-based number of each barcode's line in the text; raises as ``require``."""
-        keys = barcode_keys(barcodes)
+    def _line_numbers(self, barcodes: Sequence[str], keys: np.ndarray) -> np.ndarray:
+        """The 0-based number of each barcode's line in the text, given its key; raises MissingRecordError as ``require``."""
         # Searched in ascending order, neighbouring queries share their path.
         by_key = np.argsort(keys)
         at = np.empty_like(by_key)

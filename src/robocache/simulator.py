@@ -20,12 +20,14 @@ which is why a warm cache compresses total processing less sharply than
 it compresses decision latency.
 
 A run walks the trace in chunks of ``_CHUNK_SCANS`` scans, so its arrays
-stay small at any trace length. In each chunk the cached method's Python
-loop drives the robots' caches and records each scan's hit slot or, for
-a miss, how many rows it compared; the baseline is every scan a miss
-that compared none. Then one array pass sends the chunk's misses over
-the link in one ``SatelliteLink.round_trip`` call and does the
-arithmetic in the float order of one scan at a time:
+stay small at any trace length. In each chunk the cached method groups
+the scans by robot, keeping each robot's in trace order, replays each
+robot's through its cache in one ``HitOrderedCache.replay`` call and
+scatters each scan's hit slot or, for a miss, how many rows it compared
+back to the scan's place; the baseline is every scan a miss that
+compared none. Then one array pass sends the chunk's misses over the
+link in one ``SatelliteLink.round_trip`` call and does the arithmetic
+in the float order of one scan at a time:
 
 * a miss is decided at ``((((issued + probe) + losses * timeout) +
   2 * one_way) + stall) + service`` and a hit at ``issued + probe``; the
@@ -35,8 +37,9 @@ arithmetic in the float order of one scan at a time:
   time (``np.add.accumulate``, carried from chunk to chunk, never the
   pairwise ``np.sum``).
 
-Runs are deterministic: all randomness flows from the run seed through
-the link.
+The replay reads no record text: a cached miss admits its barcode with
+no payload, since no output reads a cached record. Runs are
+deterministic: all randomness flows from the run seed through the link.
 """
 
 from __future__ import annotations
@@ -107,22 +110,25 @@ class RunResult:
     snapshots: List[Tuple[Tuple[str, int], ...]]
 
 
-def _cache_outcomes(caches, line_of, robot_ids, barcodes) -> List[int]:
-    """Drive each scan's robot cache, in order, through its unchecked path.
+def _cache_outcomes(caches, number_of, robot_ids, barcodes) -> np.ndarray:
+    """Replay each robot's scans, in trace order, through its cache in one call.
 
-    Returns each scan's hit slot, or ~rows (below 0) for a miss that
-    compared all ``rows`` rows of its robot's cache and then admitted the
-    barcode's record line.
+    Scan i is ``barcodes[i]`` on robot ``robot_ids[i]``, whose cache is
+    ``caches[number_of[robot_ids[i]]]``. Returns each scan's hit slot, or
+    ~rows (below 0) for a miss that compared all ``rows`` rows of its
+    robot's cache and then admitted the barcode.
     """
-    outcomes: List[int] = []
-    record_outcome = outcomes.append
-    for robot_id, barcode in zip(robot_ids, barcodes):
-        cache = caches[robot_id]
-        slot = cache.probe(barcode)
-        if slot < 0:
-            slot = ~len(cache)
-            cache.admit(barcode, line_of[barcode])
-        record_outcome(slot)
+    numbers = np.fromiter(map(number_of.__getitem__, robot_ids), np.intp, len(robot_ids))
+    # A stable sort groups the scans by robot and keeps each robot's in trace order.
+    order = np.argsort(numbers, kind="stable")
+    grouped = numbers[order]
+    bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(order)]
+    grouped_barcodes = np.fromiter(barcodes, object, len(order))[order].tolist()
+    slots: List[int] = []
+    for start, stop in zip(bounds, bounds[1:]):
+        slots += caches[grouped[start]].replay(grouped_barcodes[start:stop])
+    outcomes = np.empty(len(order), np.int64)
+    outcomes[order] = np.fromiter(slots, np.int64, len(order))
     return outcomes
 
 
@@ -135,10 +141,10 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     ``sim_config`` supplies the link config, the run seed, cache
     capacity and the per-probe costs (see config.SimConfig). The Trace
     checked its own values when it was built; every barcode must also
-    resolve in ``kb``, checked by one bulk lookup of the distinct
-    barcodes before the replay starts. A key the KB lacks raises
-    MissingRecordError naming the first such key in trace order (a data
-    error, not a modeled outcome).
+    resolve in ``kb``, checked by one bulk lookup of the keys of its
+    distinct barcodes (``Trace.distinct``) before the replay starts. A
+    key the KB lacks raises MissingRecordError naming the first such key
+    in trace order (a data error, not a modeled outcome).
     """
     method = MethodKind(method)
     if not trace:
@@ -146,18 +152,17 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
 
     # Every station resolution costs the same indexed search.
     db_comparisons_per_resolve = index_probe_cost(len(kb))
-    # One bulk lookup of the distinct barcodes raises MissingRecordError
-    # for a barcode without a record. Every barcode is trusted from here
-    # on, so the loop drives the caches through their unchecked path; the
-    # cached replay admits record lines from the small dict it returns.
-    distinct_barcodes = dict.fromkeys(trace.barcodes)
+    # One bulk lookup of the trace's distinct barcodes, by the keys the
+    # Trace computed, raises MissingRecordError for a barcode without a
+    # record. Every barcode is trusted from here on, so the caches replay
+    # it unchecked; no record text is needed, since no output reads it.
+    kb.require_keys(*trace.distinct)
     cached = method is MethodKind.CACHED
-    if cached:
-        line_of = kb.record_lines(distinct_barcodes)
-    else:
-        kb.require(distinct_barcodes)
-    robot_ids = dict.fromkeys(trace.robot_ids) if cached else ()
-    caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
+    # Robots are numbered in order of first scan, so an id of any size
+    # indexes an array; robot number k owns caches[k].
+    robots = dict.fromkeys(trace.robot_ids) if cached else ()
+    number_of = {robot_id: number for number, robot_id in enumerate(robots)}
+    caches = [HitOrderedCache(sim_config.cache_capacity) for _ in robots]
 
     service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
     link = SatelliteLink(sim_config.link, sim_config.seed)
@@ -170,7 +175,7 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
         stop = start + _CHUNK_SCANS
         issued = np.array(trace.issued_at[start:stop], np.float64)
         if cached:
-            slots = np.array(_cache_outcomes(caches, line_of, trace.robot_ids[start:stop], trace.barcodes[start:stop]))
+            slots = _cache_outcomes(caches, number_of, trace.robot_ids[start:stop], trace.barcodes[start:stop])
         else:
             slots = np.full(len(issued), ~0)  # every scan a miss that compared no rows
         hit = slots >= 0
@@ -203,7 +208,7 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
         max_decided_at=max_decided,
     )
 
-    snapshots = [caches[robot_id].snapshot() for robot_id in sorted(caches)]
+    snapshots = [caches[number_of[robot_id]].snapshot() for robot_id in sorted(number_of)]
     return RunResult(method=method, counters=counters, snapshots=snapshots)
 
 

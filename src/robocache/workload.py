@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import io
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from math import isfinite
 from typing import Optional, TextIO, Tuple
@@ -46,12 +46,16 @@ _TIME_CHARS = b",0123456789.eE+-"
 class Trace:
     """Scans as three columns: scan i is (robot_ids[i], barcodes[i], issued_at[i]).
 
-    Building one is the one check on a trace's values; tuple columns keep it valid.
+    Building one is the one check on a trace's values; tuple columns keep it
+    valid. ``distinct`` is derived from the columns: the distinct barcodes in
+    first-occurrence order and the int64 key of each (``cache.barcode_keys``),
+    which the replay looks up in the knowledge base.
     """
 
     robot_ids: Tuple[int, ...]
     barcodes: Tuple[str, ...]
     issued_at: Tuple[float, ...]
+    distinct: Tuple[Tuple[str, ...], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("robot_ids", "barcodes", "issued_at"):
@@ -63,10 +67,10 @@ class Trace:
             raise ValidationError("every robot id must be an int >= 0")
         # One bulk check of the distinct barcodes, in trace order.
         try:
-            distinct = list(dict.fromkeys(barcodes))
+            distinct = tuple(dict.fromkeys(barcodes))
         except TypeError:  # an unhashable barcode, which barcode_keys names
-            distinct = list(barcodes)
-        barcode_keys(distinct)
+            distinct = barcodes
+        object.__setattr__(self, "distinct", (distinct, barcode_keys(distinct)))
         if not (set(map(type, times)) <= {int, float} and all(map(isfinite, times)) and min(times, default=0) >= 0):
             raise ValidationError("every issue time must be a finite int or float >= 0")
         # operator.le, not a dunder: int.__le__(5, 3.0) is NotImplemented (truthy), float.__le__(5, ...) raises.

@@ -18,8 +18,10 @@ database's export wrote.
 ReferenceLink and reference_replay are the satellite link and the replay
 loop as they stood while the link answered one request per call, kept
 verbatim: one ``random()`` loss run and one lock draw per round trip, and
-the latency, clock and stall sums in scan order. They hold the engine to
-every output bit, where reference_run holds it to the counts.
+the latency, clock and stall sums in scan order. The one change since is
+that the loop drives each robot's cache one scan at a time through the
+checked ``lookup``/``insert``. They hold the engine to every output bit,
+where reference_run holds it to the counts.
 """
 
 from __future__ import annotations
@@ -309,9 +311,8 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
     # Every station resolution costs the same indexed search.
     db_comparisons_per_resolve = index_probe_cost(len(kb))
     # One bulk lookup of the distinct barcodes raises MissingRecordError
-    # for a barcode without a record. Every barcode is trusted from here
-    # on, so the loop drives the caches through their unchecked path; the
-    # cached replay admits record lines from the small dict it returns.
+    # for a barcode without a record; the cached replay inserts record
+    # lines from the small dict it returns.
     distinct_barcodes = dict.fromkeys(trace.barcodes)
     cached = method is MethodKind.CACHED
     if cached:
@@ -336,20 +337,19 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
     for robot_id, barcode, issued in zip(trace.robot_ids, trace.barcodes, trace.issued_at):
         if cached:
             cache = caches[robot_id]
-            slot = cache.probe(barcode)
-            if slot >= 0:
+            found = cache.lookup(barcode)
+            comparisons = found.comparisons
+            if found.hit:
                 cache_hits += 1
-                comparisons = slot + 1
                 probe_ms = comparisons * cache_probe_ms
                 decided_at = issued + probe_ms
                 work_ms = probe_ms
             else:
-                comparisons = len(cache)
                 probe_ms = comparisons * cache_probe_ms
                 delivered_at, _, stall = round_trip(issued + probe_ms)
                 decided_at = delivered_at + service_ms
                 work_ms = probe_ms + service_ms + stall
-                cache.admit(barcode, line_of[barcode])
+                cache.insert(barcode, line_of[barcode])
             cache_comparisons += comparisons
         else:
             delivered_at, _, stall = round_trip(issued)

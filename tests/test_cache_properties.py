@@ -1,8 +1,9 @@
 """Stateful property test: HitOrderedCache against the brute-force ReferenceCache.
 
 Hypothesis drives one cache through random mixes of the checked path
-(lookup, insert) and the unchecked path (probe, admit) and mirrors every
-step on a ReferenceCache. After each step the rows and the payloads must
+(lookup, insert) and whole key lists replayed in one ``replay`` call, and
+mirrors every step on a ReferenceCache: a replayed miss is a reference
+insert with no payload. After each step the rows and the payloads must
 agree, and rows with equal hits must keep the order in which their counts
 were earned (tracked here by the test's own per-key stamps).
 """
@@ -42,17 +43,18 @@ class CacheAgainstReference(RuleBasedStateMachine):
             assert self.cache.insert(barcode, "p" + barcode) == self.ref.insert(barcode, "p" + barcode)
         self.counted(barcode)
 
-    @rule(barcode=keys)
-    def probe_then_admit(self, barcode):
-        slot = self.cache.probe(barcode)
-        hit, _, comparisons = self.ref.lookup(barcode)
-        if hit:
-            assert slot + 1 == comparisons
-        else:
-            assert slot == -1
-            assert len(self.cache) == comparisons
-            assert self.cache.admit(barcode, "p" + barcode) == self.ref.insert(barcode, "p" + barcode)
-        self.counted(barcode)
+    @rule(barcodes=st.lists(keys, max_size=12))
+    def replay(self, barcodes):
+        slots = self.cache.replay(barcodes)
+        assert len(slots) == len(barcodes)
+        for barcode, slot in zip(barcodes, slots):
+            hit, _, comparisons = self.ref.lookup(barcode)
+            if hit:
+                assert slot + 1 == comparisons
+            else:
+                assert ~slot == comparisons == len(self.ref.entries)
+                self.ref.insert(barcode, None)
+            self.counted(barcode)
 
     @rule(barcode=keys)
     def lookup_without_insert(self, barcode):

@@ -1,12 +1,17 @@
 """The replay against reference_replay, bit for bit.
 
-reference_replay is the replay with one per-request link call, kept
-verbatim. Every case compares ``result_digest``, ``to_dict()``, every
+reference_replay is the replay with one per-request link call and one
+checked cache lookup per scan. Every case compares ``result_digest``, ``to_dict()``, every
 per-scan latency and every snapshot row with ``==``: a speed-up that moves
 one float bit fails here. The drawn link configs reach loss 0, lock 0,
 lock stall 0 and loss in [0.9, 0.999], whose long loss runs take many
-draws per request; capacity 1 and one-scan traces are drawn too.
+draws per request; capacity 1 and one-scan traces are drawn too. Generated
+traces deal robots round robin, so hand-built ones put them in any order:
+sparse, unsorted ids, runs of one robot, and chunks that hold one robot
+or miss one.
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -100,6 +105,53 @@ def test_every_chunking_of_the_array_pass_matches_the_per_request_reference(monk
     )
     kb = make_kb([barcode_for_rank(rank) for rank in range(workload.unique_barcodes)])
     assert_same_replay(generate(workload), kb, config)
+
+
+@st.composite
+def robot_order_cases(draw):
+    """A hand-built trace whose robots take runs of scans in any order, and a small chunk size.
+
+    Robot ids are sparse and unsorted, one past the int64 range among them.
+    With runs of up to 12 scans and chunks of 1 to 9, a chunk often holds
+    one robot only and misses the others.
+    """
+    robot_ids = draw(st.lists(st.sampled_from([0, 7, 1000, 3, 2**64 + 5]), min_size=1, max_size=4, unique=True))
+    runs = draw(st.lists(st.tuples(st.sampled_from(robot_ids), st.integers(1, 12)), min_size=1, max_size=10))
+    unique_barcodes = draw(st.integers(1, 8))
+    rows, issued = [], 0.0
+    for robot_id, length in runs:
+        for rank in draw(st.lists(st.integers(0, unique_barcodes - 1), min_size=length, max_size=length)):
+            issued += draw(st.floats(0.0, 20.0))
+            rows.append((robot_id, barcode_for_rank(rank), issued))
+    config = make_sim_config(
+        link=link_config(3.2, draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5)), 15.0, 28.6),
+        cache_capacity=draw(st.integers(1, 4)),
+        cache_probe_time_ms=0.44,
+        db_probe_time_ms=0.3,
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return rows, unique_barcodes, config, draw(st.integers(1, 9))
+
+
+@example(
+    case=(
+        [(1000, barcode_for_rank(0), 0.0)] * 3
+        + [(0, barcode_for_rank(0), 1.0)] * 2
+        + [(7, barcode_for_rank(1), 2.0)]
+        + [(1000, barcode_for_rank(1), 3.0)] * 2,
+        2,
+        make_sim_config(link=link_config(3.2, 0.3, 0.1, 15.0, 28.6), cache_capacity=1, seed=5),
+        2,
+    )
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=robot_order_cases())
+def test_robots_in_any_order_match_the_per_request_reference_bit_for_bit(case):
+    rows, unique_barcodes, config, chunk_scans = case
+    kb = make_kb([barcode_for_rank(rank) for rank in range(unique_barcodes)])
+    # A fixture cannot be reset between Hypothesis examples; the patch is.
+    with mock.patch.object(simulator, "_CHUNK_SCANS", chunk_scans):
+        assert_same_replay(make_trace(rows), kb, config)
 
 
 def test_a_long_lossy_trace_matches_the_per_request_reference_bit_for_bit():

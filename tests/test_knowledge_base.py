@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import robocache.knowledge_base
+from robocache.cache import barcode_keys
 from robocache.cli import build_kb_for_workload
 from robocache.errors import ConfigError, IngestError, MissingRecordError, ValidationError
 from robocache.knowledge_base import LINE_WIDTH, format_record_line, index_probe_cost, ingest_text, load_kb, save_kb
@@ -217,8 +218,9 @@ def test_record_lines_returns_the_line_of_each_barcode_and_names_the_first_missi
     assert kb.record_lines(reversed(barcodes)) == {barcode: make_line(barcode) for barcode in barcodes}
     assert kb.record_lines([]) == {}
     kb.require(barcodes)
+    kb.require_keys(barcodes, barcode_keys(barcodes))
     # Sorted, the missing barcodes come in the reverse of their given order.
-    for lookup in (kb.record_lines, kb.require):
+    for lookup in (kb.record_lines, kb.require, lambda barcodes: kb.require_keys(barcodes, barcode_keys(barcodes))):
         with pytest.raises(MissingRecordError) as exc_info:
             lookup(["12345678901234", "99999999999998", "50000000000001", "00000000000000"])
         assert exc_info.value.barcode == "99999999999998"

@@ -216,6 +216,23 @@ def test_trace_columns_are_tuples_and_int_times_are_accepted():
     assert not Trace((), (), ())
 
 
+def test_a_trace_keeps_its_distinct_barcodes_in_first_occurrence_order_with_their_keys():
+    b = "00000000000007"
+    trace = Trace([0, 1, 0, 2], [A, b, A, b], [0.0, 1.0, 2.0, 3.0])
+    barcodes, keys = trace.distinct
+    assert barcodes == (A, b)
+    assert keys.dtype == np.int64 and keys.tolist() == [12345678901234, 7]
+    # Derived from the columns: not a constructor argument, not compared, not shown.
+    assert trace == Trace([0, 1, 0, 2], [A, b, A, b], [0.0, 1.0, 2.0, 3.0])
+    assert "distinct" not in repr(trace)
+    with pytest.raises(TypeError):
+        Trace([0], [A], [0.0], distinct=((A,), keys[:1]))
+    assert Trace((), (), ()).distinct[0] == ()
+    generated = generate(make_config())
+    assert generated.distinct[0] == tuple(dict.fromkeys(generated.barcodes))
+    assert generated.distinct[1].tolist() == [int(barcode) for barcode in generated.distinct[0]]
+
+
 @pytest.mark.parametrize(
     "line",
     [b"\xff,12345678901234,4.0", b"0,1234567890123\xff,4.0", b"0,12345678901234,4.\xff", b"0,12345678901234,4.0\xff"],
