@@ -30,12 +30,12 @@ from .config import SimConfig, load_config
 from .errors import ConfigError, LineError, SimulationError
 from .knowledge_base import (
     BARCODE_WIDTH,
+    KB_ENCODING,
     SERVICE_WIDTH,
     SHIPPER_WIDTH,
     KnowledgeBase,
     format_record_line,
     ingest_text,
-    load_kb,
     save_kb,
 )
 from .metrics import (
@@ -53,7 +53,7 @@ from .metrics import (
     summarize,
 )
 from .simulator import run as run_simulation
-from .workload import barcode_for_rank, generate, read_trace, write_trace
+from .workload import TRACE_ENCODING, barcode_for_rank, generate, parse_trace, write_trace
 
 _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
 # Rank r's service type is _SERVICE_TYPES[r % 4] and it is held for
@@ -118,14 +118,6 @@ def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
     return ingest_text("".join(_record_text_blocks(unique_barcodes)))
 
 
-def _file_digest(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _ensure_parent(path: str) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
@@ -163,10 +155,20 @@ def _raw_payload(config: SimConfig, result, report: MetricsReport, alert, trace_
     }
 
 
-def _read_input(read, path: str):
-    """``read(path)``, with a malformed line reported as ``<path>: line N: ...``."""
+def _read_input(path: str, encoding: str, parse):
+    """``parse`` of the file at ``path`` and the SHA-256 hex of its bytes, read once.
+
+    The bytes are decoded as the file readers (``read_trace``, ``load_kb``)
+    decode them, from ``encoding`` with ``surrogateescape`` and no newline
+    translation. A malformed line is reported as ``<path>: line N: ...``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    text = data.decode(encoding, "surrogateescape")
+    del data  # the parse makes copies of its own; the bytes need not stay beside them
     try:
-        return read(path)
+        return parse(text), digest
     except LineError as exc:
         raise SimulationError(f"{path}: {exc}") from None
 
@@ -176,10 +178,8 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
         if not os.path.exists(path):
             print(f"error: {what} file not found: {path} (run `generate` first)", file=sys.stderr)
             return 1
-    trace = _read_input(read_trace, config.trace_path)
-    kb = _read_input(load_kb, config.kb_path)
-    trace_digest = _file_digest(config.trace_path)
-    kb_digest = _file_digest(config.kb_path)
+    trace, trace_digest = _read_input(config.trace_path, TRACE_ENCODING, parse_trace)
+    kb, kb_digest = _read_input(config.kb_path, KB_ENCODING, ingest_text)
 
     started = time.perf_counter()
     result = run_simulation(method, trace, kb, config)

@@ -47,6 +47,10 @@ EXCEPTIONS_WIDTH = 20
 LINE_WIDTH = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + TERMINAL_WIDTH + EXCEPTIONS_WIDTH
 # A line and its "\n": the stride of a record in the text.
 RECORD_WIDTH = LINE_WIDTH + 1
+# Read with errors="surrogateescape" and newline="": a byte that is not
+# ASCII reaches ingest_text as a lone surrogate, which it rejects with its
+# line number.
+KB_ENCODING = "ascii"
 
 
 def format_record_line(
@@ -212,12 +216,10 @@ def ingest_text(text: str) -> KnowledgeBase:
 
 
 def load_kb(path: str) -> KnowledgeBase:
-    # A byte that is not ASCII decodes to a lone surrogate, which
-    # ingest_text rejects with its line number.
-    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
+    with open(path, "r", encoding=KB_ENCODING, errors="surrogateescape", newline="") as fh:
         return ingest_text(fh.read())
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with open(path, "w", encoding=KB_ENCODING, newline="") as fh:
         kb.export(fh)

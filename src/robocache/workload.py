@@ -32,6 +32,10 @@ from .cache import barcode_keys, validate_barcode
 from .errors import ConfigError, TraceFormatError, ValidationError
 
 TRACE_HEADER = "robot_id,barcode,issued_at_ms"
+# Read with errors="surrogateescape" and newline="": a byte that does not
+# decode reaches the parser as a lone surrogate, which every field check
+# rejects with its line number.
+TRACE_ENCODING = "utf-8"
 
 # rank 0 maps to "10000000000000"; every rank below 9e13 stays 14 digits
 _RANK_BASE = 10_000_000_000_000
@@ -251,12 +255,10 @@ def _walk_lines(text: str) -> Trace:
 
 
 def write_trace(trace: Trace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding=TRACE_ENCODING, newline="") as fh:
         save_trace(trace, fh)
 
 
 def read_trace(path: str) -> Trace:
-    # A byte that does not decode becomes a lone surrogate, which every
-    # field check rejects with its line number.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, "r", encoding=TRACE_ENCODING, errors="surrogateescape", newline="") as fh:
         return parse_trace(fh.read())

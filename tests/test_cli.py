@@ -277,6 +277,17 @@ def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
     assert result_digest(result) == hashlib.sha256(blob).hexdigest()
 
 
+def test_raw_report_digests_are_the_sha256_of_the_input_files(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    config = load_config(config_path, output_dir_override=out)
+    for method in ("baseline", "cached"):
+        assert run_cli(["run", "--config", config_path, "--out", out, "--method", method]) == 0
+        raw = json.load(open(os.path.join(out, f"raw_{method}.json")))
+        assert raw["trace_digest"] == hashlib.sha256(read_bytes(config.trace_path)).hexdigest()
+        assert raw["kb_digest"] == hashlib.sha256(read_bytes(config.kb_path)).hexdigest()
+
+
 # A damaged field of a raw report: (block, key, value written in its place).
 BAD_FIELDS = {
     "string_metric": ("metrics", "processing_time_minutes", "x"),
