@@ -1,14 +1,14 @@
 """The replay against reference_replay, bit for bit.
 
 reference_replay is the replay with one per-request link call and one
-checked cache lookup per scan. Every case compares ``result_digest``, ``to_dict()``, every
-per-scan latency and every snapshot row with ``==``: a speed-up that moves
-one float bit fails here. The drawn link configs reach loss 0, lock 0,
-lock stall 0 and loss in [0.9, 0.999], whose long loss runs take many
-draws per request; capacity 1 and one-scan traces are drawn too. Generated
-traces deal robots round robin, so hand-built ones put them in any order:
-sparse, unsorted ids, runs of one robot, and chunks that hold one robot
-or miss one.
+checked cache lookup per scan. Every case compares ``result_digest``,
+``to_dict()``, every per-scan latency and every snapshot row with ``==``:
+a speed-up that moves one float bit fails here. The drawn link configs
+reach loss 0, lock 0, lock stall 0 and loss in [0.9, 0.999], whose long
+loss runs take many draws per request; capacity 1 and one-scan traces are
+drawn too. Generated traces deal robots round robin, so hand-built ones
+put them in any order: sparse, unsorted ids, runs of one robot, and
+chunks that hold one robot or miss one.
 """
 
 from unittest import mock
