@@ -16,8 +16,10 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -52,6 +54,7 @@ from .metrics import (
     report_csv,
     summarize,
 )
+from .simulator import LATENCIES_KEY, dumps_record
 from .simulator import run as run_simulation
 from .workload import TRACE_ENCODING, barcode_for_rank, generate, parse_trace, write_trace
 
@@ -151,7 +154,7 @@ def _raw_payload(config: SimConfig, result, report: MetricsReport, alert, trace_
             "overrun_minutes": alert.overrun_minutes,
         },
         "counters": result.counters.to_dict(),
-        "per_scan_latencies_ms": result.counters.per_scan_latencies,
+        LATENCIES_KEY: result.counters.per_scan_latencies,
     }
 
 
@@ -190,7 +193,7 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
     # Finite config values can still overflow simulated time to inf; encode
     # the raw report before writing any file so such a run leaves none.
     try:
-        raw = json.dumps(_raw_payload(config, result, report, alert, trace_digest, kb_digest), sort_keys=True, allow_nan=False)
+        raw = dumps_record(_raw_payload(config, result, report, alert, trace_digest, kb_digest), (", ", ": "))
     except ValueError:
         raise SimulationError("the run produced a non-finite value (simulated time overflowed); no report written") from None
 
@@ -219,9 +222,16 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
 
 
 def _number(name: str, value) -> float:
-    """``value`` if it is a JSON number >= 0; TypeError for a non-number (a bool included), ValueError below 0."""
+    """``value`` if it is a finite JSON number >= 0.
+
+    TypeError for a non-number (a bool included), ValueError below 0 or
+    for a literal that overflowed to inf (such as ``1e400``), and
+    OverflowError for an integer too large for a float.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} is {value!r}, not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is {value!r}, not a finite number")
     if value < 0:
         raise ValueError(f"{name} is {value!r}, below 0")
     return value
@@ -243,7 +253,9 @@ def _load_raw(path: str) -> tuple[dict, MetricsReport, AlertResult]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             # The writer refuses NaN and Infinity (allow_nan=False); so does the reader.
-            raw = json.load(fh, parse_constant=_refuse_constant)
+            # A run repeats few distinct latencies, so each distinct number text
+            # is parsed once per file; float of the same text is the same value.
+            raw = json.load(fh, parse_constant=_refuse_constant, parse_float=functools.cache(float))
         report = _report_from_raw(raw)
         stored = raw["alert"]
         if not isinstance(stored["raised"], bool):
@@ -252,7 +264,7 @@ def _load_raw(path: str) -> tuple[dict, MetricsReport, AlertResult]:
         alert = check_alert(report, AlertPolicy(_number("alert threshold_minutes", stored["threshold_minutes"])))
         if AlertResult(stored["raised"], _number("alert overrun_minutes", stored["overrun_minutes"])) != alert:
             raise ValueError(f"alert raised={stored['raised']!r}, overrun_minutes={stored['overrun_minutes']!r} does not follow from the metrics and threshold")
-    except (OSError, ValueError, KeyError, TypeError, ConfigError) as exc:
+    except (OSError, ValueError, OverflowError, KeyError, TypeError, ConfigError) as exc:
         raise SimulationError(f"{path}: not a readable raw run report ({type(exc).__name__}: {exc})") from None
     return raw, report, alert
 

@@ -60,6 +60,8 @@ from .workload import Trace
 
 # Scans per array pass: the pass's arrays stay a few MB however long the trace.
 _CHUNK_SCANS = 1 << 13
+# The key of the per-scan latency list in the raw report and the digest record.
+LATENCIES_KEY = "per_scan_latencies_ms"
 
 
 class MethodKind(str, Enum):
@@ -212,6 +214,40 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     return RunResult(method=method, counters=counters, snapshots=snapshots)
 
 
+def _latencies_json(latencies: List[float], separator: str) -> str:
+    """The JSON array text of the floats ``latencies``, items joined by ``separator``.
+
+    Each distinct value is formatted once, by ``float.__repr__`` as
+    ``json.dumps`` formats it. Values are told apart by their float64
+    bits, so 0.0 and -0.0 each keep their own text. A non-finite value
+    raises ValueError, as ``json.dumps(..., allow_nan=False)`` does.
+    """
+    bits = np.array(latencies, np.float64).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    values = distinct.view(np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"Out of range float values are not JSON compliant: {float(values[~finite][0])!r}")
+    texts = list(map(float.__repr__, values.tolist()))
+    return "[" + separator.join(map(texts.__getitem__, index.tolist())) + "]"
+
+
+def dumps_record(record: dict, separators: Tuple[str, str]) -> str:
+    """``json.dumps(record, sort_keys=True, separators=separators, allow_nan=False)``.
+
+    ``record[LATENCIES_KEY]`` is a list of floats; the record is dumped
+    with ``[]`` there and the list's text, formatted once per distinct
+    value, is spliced in at that one key. The bytes are json.dumps's.
+    """
+    item_separator, key_separator = separators
+    text = json.dumps({**record, LATENCIES_KEY: []}, sort_keys=True, separators=separators, allow_nan=False)
+    key = f'"{LATENCIES_KEY}"{key_separator}'
+    if text.count(key) != 1:
+        raise AssertionError(f"{key!r} does not occur exactly once in the record")
+    head, _, tail = text.partition(key + "[]")
+    return head + key + _latencies_json(record[LATENCIES_KEY], item_separator) + tail
+
+
 def result_digest(result: RunResult) -> str:
     """SHA-256 of the run's deterministic record.
 
@@ -219,13 +255,16 @@ def result_digest(result: RunResult) -> str:
     and the final cache rows, so it can be recomputed from the
     ``method``, ``counters`` and ``per_scan_latencies_ms`` of the raw
     report plus the snapshot files that ``run --snapshots`` writes.
+    The record is encoded by ``dumps_record``, as the raw report is, so
+    the latency list is formatted once per distinct value and a
+    non-finite value raises ValueError (such a run writes no report).
     Host time is no part of a run's result.
     """
     record = {
         "method": result.method.value,
         "counters": result.counters.to_dict(),
-        "per_scan_latencies_ms": result.counters.per_scan_latencies,
+        LATENCIES_KEY: result.counters.per_scan_latencies,
         "snapshots": result.snapshots,
     }
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    blob = dumps_record(record, (",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()

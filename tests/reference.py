@@ -22,10 +22,16 @@ the latency, clock and stall sums in scan order. The one change since is
 that the loop drives each robot's cache one scan at a time through the
 checked ``lookup``/``insert``. They hold the engine to every output bit,
 where reference_run holds it to the counts.
+
+reference_raw_text and reference_result_digest are the raw report's
+encoding and result_digest as they stood while each was one
+``json.dumps`` of the whole record, kept verbatim.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from math import isfinite
@@ -378,3 +384,20 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
 
     snapshots = [caches[robot_id].snapshot() for robot_id in sorted(caches)]
     return RunResult(method=method, counters=counters, snapshots=snapshots)
+
+
+def reference_raw_text(payload: dict) -> str:
+    """The text of a raw run report, without its final newline."""
+    return json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
+def reference_result_digest(result: RunResult) -> str:
+    """SHA-256 of the run's deterministic record."""
+    record = {
+        "method": result.method.value,
+        "counters": result.counters.to_dict(),
+        "per_scan_latencies_ms": result.counters.per_scan_latencies,
+        "snapshots": result.snapshots,
+    }
+    blob = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()

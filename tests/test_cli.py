@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from robocache.cli import run_cli
+from robocache.cli import _load_raw, run_cli
 from robocache.config import load_config
 from robocache.knowledge_base import format_record_line, load_kb
 from robocache.simulator import result_digest, run
@@ -306,9 +306,17 @@ BAD_FIELDS = {
     "overrun_below_threshold": ("alert", "overrun_minutes", 3.0),
     "zero_threshold": ("alert", "threshold_minutes", 0),
 }
+# A number literal too large for a float, written into the file text
+# (json.dumps would write Infinity, which the reader refuses as a constant).
+TOO_LARGE = {
+    "overflowing_metric": ("metrics", "decision_latency_minutes", "1e400"),
+    "overflowing_alert_overrun": ("alert", "overrun_minutes", "1e400"),
+    "overflowing_alert_threshold": ("alert", "threshold_minutes", "1e400"),
+    "integer_past_float_range": ("metrics", "total_comparisons", "1" + "0" * 400),
+}
 
 
-@pytest.mark.parametrize("damage", ["truncated_json", "incomplete_metrics", "directory", *BAD_FIELDS])
+@pytest.mark.parametrize("damage", ["truncated_json", "incomplete_metrics", "directory", *BAD_FIELDS, *TOO_LARGE])
 def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
@@ -327,6 +335,11 @@ def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_pat
         raw = json.load(open(baseline))
         raw[block][key] = value
         bad.write_text(json.dumps(raw))  # json.dumps writes NaN and Infinity as bare constants
+    elif damage in TOO_LARGE:
+        block, key, literal = TOO_LARGE[damage]
+        raw = json.load(open(baseline))
+        raw[block][key] = "@"
+        bad.write_text(json.dumps(raw).replace('"@"', literal))
     else:
         bad.mkdir()
     capsys.readouterr()
@@ -336,6 +349,32 @@ def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_pat
         assert captured.err.startswith(f"error: {bad}: ")
         assert captured.out == ""
     assert not os.path.exists(os.path.join(out, "comparison.csv"))
+
+
+def test_a_raw_report_loads_as_json_load_reads_it(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached"]) == 0
+    path = os.path.join(out, "raw_cached.json")
+    loaded = _load_raw(path)[0]
+    expected = json.load(open(path))
+    assert loaded == expected
+    # == takes -0.0 for 0.0; the hex of each latency does not.
+    assert [value.hex() for value in loaded["per_scan_latencies_ms"]] == [value.hex() for value in expected["per_scan_latencies_ms"]]
+
+
+def test_a_number_text_repeated_in_a_raw_report_loads_as_equal_floats(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 0
+    path = os.path.join(out, "raw_baseline.json")
+    raw = json.load(open(path))
+    raw["per_scan_latencies_ms"] = "@"
+    with open(path, "w") as fh:
+        fh.write(json.dumps(raw).replace('"@"', "[" + ", ".join(["0.1", "-0.0"] * 5000) + "]"))
+    latencies = _load_raw(path)[0]["per_scan_latencies_ms"]
+    assert latencies == [0.1, -0.0] * 5000
+    assert {value.hex() for value in latencies[1::2]} == {(-0.0).hex()}
 
 
 def test_compare_and_report_ignore_a_metric_they_do_not_read(config_path, tmp_path, capsys):
