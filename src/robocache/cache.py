@@ -44,11 +44,6 @@ def validate_barcode(barcode: str) -> str:
     return barcode
 
 
-def ascii_rows(text: str, width: int) -> np.ndarray:
-    """ASCII ``text`` of whole ``width``-character rows as a uint8 array, one row each."""
-    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, width)
-
-
 def digit_keys(columns: np.ndarray) -> Optional[np.ndarray]:
     """The int64 value of each row of ASCII barcode characters, or None if one is not a digit."""
     digits = columns - ord("0")  # below "0" wraps round to 10 or more
@@ -69,7 +64,7 @@ def barcode_keys(barcodes: Sequence[str]) -> np.ndarray:
         pass
     else:
         if set(map(len, barcodes)) <= {BARCODE_WIDTH} and text.isascii():
-            keys = digit_keys(ascii_rows(text, BARCODE_WIDTH))
+            keys = digit_keys(np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, BARCODE_WIDTH))
             if keys is not None:
                 return keys
     for barcode in barcodes:

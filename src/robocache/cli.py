@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,12 +32,12 @@ from .config import SimConfig, load_config
 from .errors import ConfigError, LineError, SimulationError
 from .knowledge_base import (
     BARCODE_WIDTH,
-    KB_ENCODING,
+    RECORD_WIDTH,
     SERVICE_WIDTH,
     SHIPPER_WIDTH,
     KnowledgeBase,
     format_record_line,
-    ingest_text,
+    ingest_bytes,
     save_kb,
 )
 from .metrics import (
@@ -56,15 +56,15 @@ from .metrics import (
 )
 from .simulator import LATENCIES_KEY, dumps_record
 from .simulator import run as run_simulation
-from .workload import TRACE_ENCODING, barcode_for_rank, generate, parse_trace, write_trace
+from .workload import barcode_for_rank, generate, parse_trace_bytes, write_trace
 
 _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
 # Rank r's service type is _SERVICE_TYPES[r % 4] and it is held for
 # inspection when r % 13 == 0, so every field but the digits repeats every
 # 52 ranks.
 _FIELD_PERIOD = 52
-# Blocks of ranks keep every array the build makes small beside the text
-# that the knowledge base keeps.
+# Blocks of ranks keep every array the build makes small beside the
+# record bytes that the knowledge base keeps.
 _BLOCK_RANKS = 4096
 
 
@@ -77,12 +77,12 @@ def _write_digits(rows: np.ndarray, start: int, values: np.ndarray, width: int) 
     rows[:, start : start + width] += ord("0")
 
 
-def _record_text_blocks(unique_barcodes: int) -> Iterator[str]:
-    """The record text of ranks 0 to ``unique_barcodes`` - 1, in blocks of _BLOCK_RANKS ranks.
+def _record_bytes(unique_barcodes: int) -> bytearray:
+    """The record file of ranks 0 to ``unique_barcodes`` - 1; every line ends in "\n".
 
-    Every line ends in "\n". A block is filled as one byte array: each
-    row starts as the formatted line of its rank modulo 52 with zero
-    digits, and the digits are then written a column at a time.
+    One buffer is filled through a numpy view of it, _BLOCK_RANKS ranks
+    at a time: each row starts as the formatted line of its rank modulo
+    52 with zero digits, and the digits are then written a column at a time.
     """
     shipper_digits = BARCODE_WIDTH + len("SHIP")
     terminal_digits = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + len("T")
@@ -100,14 +100,17 @@ def _record_text_blocks(unique_barcodes: int) -> Iterator[str]:
     template_rows = np.frombuffer(templates.encode("ascii"), np.uint8).reshape(_FIELD_PERIOD, -1)
     # barcode_for_rank(r) is the digits of barcode_for_rank(0) + r, below 10**14 for every rank.
     first_barcode = int(barcode_for_rank(0))
+    data = bytearray(unique_barcodes * RECORD_WIDTH)
+    records = np.frombuffer(data, np.uint8).reshape(unique_barcodes, RECORD_WIDTH)
     for start in range(0, unique_barcodes, _BLOCK_RANKS):
         ranks = np.arange(start, min(start + _BLOCK_RANKS, unique_barcodes), dtype=np.int64)
-        rows = template_rows[ranks % _FIELD_PERIOD]
+        rows = records[start : start + len(ranks)]
+        rows[:] = template_rows[ranks % _FIELD_PERIOD]
         _write_digits(rows, 0, ranks + first_barcode, BARCODE_WIDTH)
         _write_digits(rows, shipper_digits, ranks % 100000, 5)
         rows[:, terminal_digits : terminal_digits + 4] = rows[:, 0:4]
         rows[:, terminal_digits + 4 : terminal_digits + 6] = rows[:, 12:14]
-        yield str(memoryview(rows), "ascii")
+    return data
 
 
 def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
@@ -118,7 +121,7 @@ def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
     digits 1-4 and 13-14 + D, and the exception HOLD FOR INSPECTION when
     r % 13 == 0.
     """
-    return ingest_text("".join(_record_text_blocks(unique_barcodes)))
+    return ingest_bytes(_record_bytes(unique_barcodes))
 
 
 def _ensure_parent(path: str) -> None:
@@ -158,20 +161,18 @@ def _raw_payload(config: SimConfig, result, report: MetricsReport, alert, trace_
     }
 
 
-def _read_input(path: str, encoding: str, parse):
-    """``parse`` of the file at ``path`` and the SHA-256 hex of its bytes, read once.
+def _read_input(path: str, parse):
+    """``parse`` of the bytes of the file at ``path`` and their SHA-256 hex, read once.
 
-    The bytes are decoded as the file readers (``read_trace``, ``load_kb``)
-    decode them, from ``encoding`` with ``surrogateescape`` and no newline
-    translation. A malformed line is reported as ``<path>: line N: ...``.
+    ``parse`` is the byte parser that the file reader (``read_trace``,
+    ``load_kb``) hands the same bytes to. A malformed line is reported as
+    ``<path>: line N: ...``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     digest = hashlib.sha256(data).hexdigest()
-    text = data.decode(encoding, "surrogateescape")
-    del data  # the parse makes copies of its own; the bytes need not stay beside them
     try:
-        return parse(text), digest
+        return parse(data), digest
     except LineError as exc:
         raise SimulationError(f"{path}: {exc}") from None
 
@@ -181,8 +182,8 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
         if not os.path.exists(path):
             print(f"error: {what} file not found: {path} (run `generate` first)", file=sys.stderr)
             return 1
-    trace, trace_digest = _read_input(config.trace_path, TRACE_ENCODING, parse_trace)
-    kb, kb_digest = _read_input(config.kb_path, KB_ENCODING, ingest_text)
+    trace, trace_digest = _read_input(config.trace_path, parse_trace_bytes)
+    kb, kb_digest = _read_input(config.kb_path, ingest_bytes)
 
     started = time.perf_counter()
     result = run_simulation(method, trace, kb, config)

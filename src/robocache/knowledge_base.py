@@ -11,19 +11,22 @@ Record line layout (ASCII, newline terminated, 56 characters):
 The column widths are the ``*_WIDTH`` constants below.
 ``format_record_line`` pads fields into them, and the synthetic
 knowledge base of a workload (``cli.build_kb_for_workload``) takes its
-column offsets from them. The database holds its validated file text
-as one string, plus a sorted int64 index of the barcodes (every 14-digit
-barcode fits in an int64). ``ingest_text`` is the one parser of a record
-file's text, and ``load_kb`` feeds it a file: it checks the whole text
-at once, on a byte view of it, and walks it line by line only to name
-the first bad line. ``record_lines`` looks a batch of barcodes up in the
-index at once (``cache.barcode_keys`` checks them) and slices their
-lines out of the text; ``require`` only checks that each has a record,
-and ``require_keys`` does the same for barcodes whose keys the caller
-has already computed, as the simulator does once per run with the keys
-its ``Trace`` keeps. ``export`` writes the text back in one piece. No
-field is ever parsed back out of a line, and the simulator reads no
-line: a cached miss caches its barcode with no payload.
+column offsets from them. The database holds its record file's bytes,
+as they were read or built, plus a sorted int64 index of the barcodes
+(every 14-digit barcode fits in an int64). ``ingest_bytes`` is the one
+parser of a record file: it checks the whole buffer in place, through a
+numpy view of it, and decodes and walks it line by line only to name
+the first bad line. ``load_kb`` feeds it a file's bytes and
+``ingest_text`` the ASCII encoding of a str (a str that is not ASCII
+goes straight to the walk). ``record_lines`` looks a batch of barcodes
+up in the index at once (``cache.barcode_keys`` checks them) and decodes
+only their lines; ``require`` only checks that each has a record, and
+``require_keys`` does the same for barcodes whose keys the caller has
+already computed, as the simulator does once per run with the keys its
+``Trace`` keeps. ``save_kb`` writes the bytes back in one piece, and
+``export`` writes them to a text stream as text. No field is ever
+parsed back out of a line, and the simulator reads no line: a cached
+miss caches its barcode with no payload.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Lookup cost is modeled as an indexed
@@ -33,11 +36,11 @@ search: ceil(log2(N)) probes over N records, never less than one.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .cache import BARCODE_WIDTH, ascii_rows, barcode_keys, digit_keys, validate_barcode
+from .cache import BARCODE_WIDTH, barcode_keys, digit_keys, validate_barcode
 from .errors import ConfigError, IngestError, MissingRecordError, ValidationError
 
 SHIPPER_WIDTH = 10
@@ -45,12 +48,11 @@ SERVICE_WIDTH = 4
 TERMINAL_WIDTH = 8
 EXCEPTIONS_WIDTH = 20
 LINE_WIDTH = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + TERMINAL_WIDTH + EXCEPTIONS_WIDTH
-# A line and its "\n": the stride of a record in the text.
+# A line and its "\n": the stride of a record in the file.
 RECORD_WIDTH = LINE_WIDTH + 1
-# Read with errors="surrogateescape" and newline="": a byte that is not
-# ASCII reaches ingest_text as a lone surrogate, which it rejects with its
-# line number.
-KB_ENCODING = "ascii"
+
+# A record file's bytes: bytes as read, or the bytearray a build filled.
+RecordData = Union[bytes, bytearray]
 
 
 def format_record_line(
@@ -62,7 +64,7 @@ def format_record_line(
 ) -> str:
     """Pad the fields into one fixed-width line (without the trailing newline).
 
-    No field is checked: ``ingest_text`` refuses the line if a field overflows
+    No field is checked: ``ingest_bytes`` refuses the line if a field overflows
     its column (the line is then longer than ``LINE_WIDTH``), the barcode
     is malformed or a character is not ASCII.
     """
@@ -100,12 +102,12 @@ def _check_line(line: str, line_no: int) -> str:
 
 
 class KnowledgeBase:
-    """All record lines as one text in ingest order, indexed by barcode."""
+    """All record lines as the bytes of their file, in ingest order, indexed by barcode."""
 
-    def __init__(self, text: str, keys: np.ndarray) -> None:
-        # ``text`` holds whole records, each line with its "\n"; ``keys``
-        # is the barcode of each, in text order.
-        self._text = text
+    def __init__(self, data: RecordData, keys: np.ndarray) -> None:
+        # ``data`` holds whole ASCII records, each line with its "\n";
+        # ``keys`` is the barcode of each, in file order.
+        self._data = data
         self._order = np.argsort(keys)
         self._sorted_keys = keys[self._order]
 
@@ -138,11 +140,11 @@ class KnowledgeBase:
         """The stored line of each of ``barcodes``, keyed by barcode; raises as ``require``."""
         barcodes = list(barcodes)
         starts = (self._line_numbers(barcodes, barcode_keys(barcodes)) * RECORD_WIDTH).tolist()
-        text = self._text
-        return {barcode: text[start : start + LINE_WIDTH] for barcode, start in zip(barcodes, starts)}
+        data = self._data
+        return {barcode: data[start : start + LINE_WIDTH].decode("ascii") for barcode, start in zip(barcodes, starts)}
 
     def _line_numbers(self, barcodes: Sequence[str], keys: np.ndarray) -> np.ndarray:
-        """The 0-based number of each barcode's line in the text, given its key; raises MissingRecordError as ``require``."""
+        """The 0-based number of each barcode's line in the file, given its key; raises MissingRecordError as ``require``."""
         # Searched in ascending order, neighbouring queries share their path.
         by_key = np.argsort(keys)
         at = np.empty_like(by_key)
@@ -154,26 +156,32 @@ class KnowledgeBase:
         return self._order[at]
 
     def export(self, stream: TextIO) -> None:
-        """Write all records in ingest order; ``ingest_text`` of what it writes gives them back."""
-        stream.write(self._text)
+        """Write all records in ingest order as text; ``ingest_text`` of what it writes gives them back."""
+        stream.write(self._data.decode("ascii"))
 
 
-def _from_text(text: str) -> Optional[KnowledgeBase]:
-    """The knowledge base of ``text`` if the whole text passes at once, else None.
+def _rows(data: RecordData) -> np.ndarray:
+    """The records of ``data`` as a uint8 array viewing its bytes, one row each."""
+    return np.frombuffer(data, np.uint8).reshape(-1, RECORD_WIDTH)
 
-    Accepts only what _walk accepts, with the same lines: whole records,
-    each a line of LINE_WIDTH characters and its "\n" (so no "\n" inside
-    a line), no "\r" (a file reader also ends a line there), ASCII only,
-    14 digits in every barcode column and no barcode twice.
+
+def _from_bytes(data: RecordData) -> Optional[KnowledgeBase]:
+    """The knowledge base of ``data`` if the whole buffer passes at once, else None.
+
+    Accepts only what _walk accepts of its text, with the same lines:
+    whole records, each a line of LINE_WIDTH bytes and its "\n" (so no
+    "\n" inside a line), no "\r" (a file reader also ends a line there),
+    ASCII only, 14 digits in every barcode column and no barcode twice.
+    The checks read ``data`` in place and copy no record.
     """
-    records, rest = divmod(len(text), RECORD_WIDTH)
-    if rest or text.count("\n") != records or "\r" in text or not text.isascii():
+    records, rest = divmod(len(data), RECORD_WIDTH)
+    if rest or data.count(b"\n") != records or b"\r" in data or not data.isascii():
         return None
-    rows = ascii_rows(text, RECORD_WIDTH)
+    rows = _rows(data)
     keys = digit_keys(rows[:, :BARCODE_WIDTH])
     if keys is None or not (rows[:, LINE_WIDTH] == ord("\n")).all():
         return None
-    kb = KnowledgeBase(text, keys)
+    kb = KnowledgeBase(data, keys)
     # Sorted, a barcode given twice sits beside itself.
     return None if (kb._sorted_keys[1:] == kb._sorted_keys[:-1]).any() else kb
 
@@ -197,29 +205,39 @@ def _walk(text: str) -> KnowledgeBase:
             raise IngestError(line_no, 'carriage return in the line; a record line ends in "\\n" only')
         seen.add(barcode)
         checked.append(line)
-    text = "".join(line + "\n" for line in checked)
-    return KnowledgeBase(text, digit_keys(ascii_rows(text, RECORD_WIDTH)[:, :BARCODE_WIDTH]))
+    data = "".join(line + "\n" for line in checked).encode("ascii")
+    return KnowledgeBase(data, digit_keys(_rows(data)[:, :BARCODE_WIDTH]))
 
 
-def ingest_text(text: str) -> KnowledgeBase:
-    """Build a knowledge base from the whole text of a record file.
+def ingest_bytes(data: RecordData) -> KnowledgeBase:
+    """Build a knowledge base from the bytes of a record file, which it keeps.
 
     Each line must match the layout documented at module top; the last
     may omit its "\n". Lines end where a file opened with ``newline=""``
     ends them, at a lone "\r" too, and no line may hold a "\r", so what
-    ``export`` writes always loads again. The text is checked as a whole; only
-    when a check fails is it walked line by line, so the error carries the
-    1-based number and the reason of the first bad line.
+    ``save_kb`` writes always loads again. The bytes are checked as a
+    whole; only when a check fails are they decoded (a byte that is not
+    ASCII as a lone surrogate) and walked line by line, so the error
+    carries the 1-based number and the reason of the first bad line.
     """
-    kb = _from_text(text)
-    return _walk(text) if kb is None else kb
+    kb = _from_bytes(data)
+    return _walk(data.decode("ascii", "surrogateescape")) if kb is None else kb
+
+
+def ingest_text(text: str) -> KnowledgeBase:
+    """``ingest_bytes`` of a record file's text, given as a str.
+
+    A text that is not ASCII cannot pass, so it is walked at once for
+    the first bad line; a non-ASCII character there is named as itself.
+    """
+    return ingest_bytes(text.encode("ascii")) if text.isascii() else _walk(text)
 
 
 def load_kb(path: str) -> KnowledgeBase:
-    with open(path, "r", encoding=KB_ENCODING, errors="surrogateescape", newline="") as fh:
-        return ingest_text(fh.read())
+    with open(path, "rb") as fh:
+        return ingest_bytes(fh.read())
 
 
 def save_kb(kb: KnowledgeBase, path: str) -> None:
-    with open(path, "w", encoding=KB_ENCODING, newline="") as fh:
-        kb.export(fh)
+    with open(path, "wb") as fh:
+        fh.write(kb._data)

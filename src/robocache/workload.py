@@ -11,10 +11,11 @@ Trace CSV format: one header line ``robot_id,barcode,issued_at_ms``
 followed by one line per scan, UTF-8, "\n" newlines. Timestamps are
 written with repr so export and import round-trip exactly; a timestamp
 field is plain ASCII with no whitespace, "_" or sign. ``parse_trace`` is
-the one parser of a trace's text, and ``read_trace`` feeds it a file: it
-checks the whole text at once, block by block, and builds the columns
-from it; only a text that fails a check is walked line by line, which
-names the first bad line and its reason.
+the one parser of a trace's text, and ``parse_trace_bytes`` feeds it a
+file's bytes, which ``read_trace`` reads: it checks the whole text at
+once, block by block, and builds the columns from it; only a text that
+fails a check is walked line by line, which names the first bad line and
+its reason.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import io
 import operator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from math import isfinite
 from typing import Optional, TextIO, Tuple
 
@@ -32,15 +33,17 @@ from .cache import barcode_keys, validate_barcode
 from .errors import ConfigError, TraceFormatError, ValidationError
 
 TRACE_HEADER = "robot_id,barcode,issued_at_ms"
-# Read with errors="surrogateescape" and newline="": a byte that does not
-# decode reaches the parser as a lone surrogate, which every field check
-# rejects with its line number.
+# Decoded with errors="surrogateescape": a byte that does not decode
+# reaches the parser as a lone surrogate, which every field check rejects
+# with its line number.
 TRACE_ENCODING = "utf-8"
 
 # rank 0 maps to "10000000000000"; every rank below 9e13 stays 14 digits
 _RANK_BASE = 10_000_000_000_000
 _MAX_UNIQUE = 9 * 10**13
 _BLOCK_CHARS = 1 << 16
+# Rows per write of save_trace: only one block's text is held at a time.
+_WRITE_ROWS = 8192
 # Every character a plain time field may hold, and the comma between two:
 # deleting them from a block's ASCII time text must leave nothing.
 _TIME_CHARS = b",0123456789.eE+-"
@@ -141,7 +144,9 @@ def generate(config: WorkloadConfig) -> Trace:
 
 def save_trace(trace: Trace, stream: TextIO) -> None:
     rows = map("{},{},{!r}\n".format, trace.robot_ids, trace.barcodes, trace.issued_at)
-    stream.write(TRACE_HEADER + "\n" + "".join(rows))
+    stream.write(TRACE_HEADER + "\n")
+    for _ in range(0, len(trace), _WRITE_ROWS):
+        stream.write("".join(islice(rows, _WRITE_ROWS)))
 
 
 def parse_trace(text: str) -> Trace:
@@ -259,6 +264,11 @@ def write_trace(trace: Trace, path: str) -> None:
         save_trace(trace, fh)
 
 
+def parse_trace_bytes(data: bytes) -> Trace:
+    """``parse_trace`` of a trace file's bytes, decoded with no newline translation."""
+    return parse_trace(data.decode(TRACE_ENCODING, "surrogateescape"))
+
+
 def read_trace(path: str) -> Trace:
-    with open(path, "r", encoding=TRACE_ENCODING, errors="surrogateescape", newline="") as fh:
-        return parse_trace(fh.read())
+    with open(path, "rb") as fh:
+        return parse_trace_bytes(fh.read())

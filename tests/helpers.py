@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 from robocache.config import SimConfig
 from robocache.knowledge_base import KnowledgeBase, format_record_line, ingest_text
 from robocache.netlink import LinkConfig
@@ -71,3 +73,19 @@ def make_kb(barcodes) -> KnowledgeBase:
             for index, barcode in enumerate(barcodes)
         )
     )
+
+
+def traced_peak(call) -> int:
+    """The most memory ``call()`` held at once, in bytes beyond what was held before it.
+
+    tracemalloc counts numpy's buffers too, so the figure does not depend
+    on the host.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 
 import robocache.knowledge_base
 from robocache.cache import barcode_keys
-from robocache.cli import build_kb_for_workload
+from robocache.cli import _read_input, build_kb_for_workload
 from robocache.errors import ConfigError, IngestError, MissingRecordError, ValidationError
-from robocache.knowledge_base import LINE_WIDTH, format_record_line, index_probe_cost, ingest_text, load_kb, save_kb
+from robocache.knowledge_base import (
+    LINE_WIDTH,
+    format_record_line,
+    index_probe_cost,
+    ingest_bytes,
+    ingest_text,
+    load_kb,
+    save_kb,
+)
 
-from helpers import make_kb
+from helpers import make_kb, traced_peak
 from reference import reference_ingest, reference_load_kb, synth_record_line
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -113,7 +121,7 @@ LINES_1_2 = make_line("12345678901234") + "\n" + make_line("12345678901235") + "
 LINE_4 = make_line("12345678901237") + "\n"
 TOO_LONG = "expected 56 characters, got 57"
 CR_IN_LINE = 'carriage return in the line; a record line ends in "\\n" only'
-READERS = ["ingest_text", "load_kb"]
+READERS = ["ingest_text", "load_kb", "ingest_bytes"]
 FAULTS = {
     # name: (bad line 3 with its line end, {reader: reason})
     "short": ("too short\n", dict.fromkeys(READERS, "expected 56 characters, got 9")),
@@ -126,12 +134,13 @@ FAULTS = {
         make_line("1234567890123x") + "\n",
         dict.fromkeys(READERS, "barcode field '1234567890123x' is not 14 decimal digits"),
     ),
-    # load_kb reads ASCII, so the two UTF-8 bytes of "é" are two characters there.
+    # The byte readers take the two UTF-8 bytes of "é" as two characters.
     "non_ascii_shipper": (
         make_line("12345678901236", shipper="SHIPé") + "\n",
         {
             "ingest_text": "non-ASCII character in '12345678901236SHIPé     GRNDTERM0001                    '",
             "load_kb": TOO_LONG,
+            "ingest_bytes": TOO_LONG,
         },
     ),
     "duplicate_of_line_1": (
@@ -163,6 +172,8 @@ def good_file_with(line_3):
 def read_via(reader, text, tmp_path):
     if reader == "ingest_text":
         return ingest_text(text)
+    if reader == "ingest_bytes":
+        return ingest_bytes(text.encode("utf-8"))
     path = tmp_path / "kb.dat"
     path.write_bytes(text.encode("utf-8"))
     return load_kb(str(path))
@@ -178,12 +189,14 @@ def test_a_bad_line_3_is_rejected_with_the_same_line_number_and_reason(fault, re
     assert (exc_info.value.line_no, exc_info.value.reason) == (3, reasons[reader])
 
 
-def test_an_undecodable_byte_on_line_3_is_rejected_by_load_kb(tmp_path):
+@pytest.mark.parametrize("reader", ["load_kb", "ingest_bytes"])
+def test_an_undecodable_byte_on_line_3_is_rejected_by_the_byte_readers(reader, tmp_path):
     bad = make_line("12345678901236", shipper="SHIP\xff").encode("latin-1") + b"\n"
+    data = LINES_1_2.encode("ascii") + bad + LINE_4.encode("ascii")
     path = tmp_path / "kb.dat"
-    path.write_bytes(LINES_1_2.encode("ascii") + bad + LINE_4.encode("ascii"))
+    path.write_bytes(data)
     with pytest.raises(IngestError) as exc_info:
-        load_kb(str(path))
+        load_kb(str(path)) if reader == "load_kb" else ingest_bytes(data)
     assert exc_info.value.line_no == 3
     assert exc_info.value.reason == "non-ASCII character in '12345678901236SHIP\\udcff     GRNDTERM0001                    '"
 
@@ -427,11 +440,15 @@ def reference_outcome(read, source, text):
 def test_ingesting_a_mutated_record_text_matches_the_line_walk(text, tmp_path):
     built = ingest_outcome(ingest_text, text)
     assert built == reference_outcome(reference_ingest, io.StringIO(text, newline=""), text)
+    data = text.encode("utf-8", "surrogateescape")
     path = tmp_path / "kb.dat"
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    path.write_bytes(data)
     with open(path, encoding="ascii", errors="surrogateescape", newline="") as fh:
         file_text = fh.read()
-    assert ingest_outcome(load_kb, str(path)) == reference_outcome(reference_load_kb, str(path), file_text)
+    loaded = reference_outcome(reference_load_kb, str(path), file_text)
+    assert ingest_outcome(load_kb, str(path)) == loaded
+    # The bytes a build fills are a bytearray.
+    assert ingest_outcome(ingest_bytes, data) == ingest_outcome(ingest_bytes, bytearray(data)) == loaded
     if isinstance(built, str):
         # A knowledge base that ingest_text builds survives a save and a reload.
         save_kb(ingest_text(text), str(path))
@@ -451,3 +468,25 @@ def test_a_built_knowledge_base_and_its_file_load_without_the_line_walk(monkeypa
     loaded = io.StringIO()
     load_kb(str(path)).export(loaded)
     assert loaded.getvalue() == built.getvalue() == path.read_text(encoding="ascii")
+
+
+MEMORY_RECORDS = 200_000
+
+
+@pytest.fixture(scope="module")
+def large_kb_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("kb") / "kb.dat"
+    save_kb(build_kb_for_workload(MEMORY_RECORDS), str(path))
+    return str(path)
+
+
+# What cmd_run does with the knowledge-base file: hash its bytes and parse them.
+@pytest.mark.parametrize("step", ["build_kb_for_workload", "load_kb", "run_input"])
+def test_building_or_reading_a_knowledge_base_holds_little_beside_its_bytes(step, large_kb_file):
+    call = {
+        "build_kb_for_workload": lambda: build_kb_for_workload(MEMORY_RECORDS),
+        "load_kb": lambda: load_kb(large_kb_file),
+        "run_input": lambda: _read_input(large_kb_file, ingest_bytes),
+    }[step]
+    ratio = traced_peak(call) / os.path.getsize(large_kb_file)
+    assert ratio <= 1.6, f"{step} peaked at {ratio:.2f}x the file size"

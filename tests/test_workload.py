@@ -14,10 +14,11 @@ from robocache.workload import (
     parse_trace,
     read_trace,
     save_trace,
+    write_trace,
     zipf_probabilities,
 )
 
-from helpers import make_trace, rows_of
+from helpers import make_trace, rows_of, traced_peak
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 A = "12345678901234"
@@ -90,6 +91,23 @@ def test_export_import_round_trip_is_identity():
     again = io.StringIO()
     save_trace(parse_trace(out.getvalue()), again)
     assert again.getvalue() == out.getvalue()
+
+
+# save_trace writes 8,192 rows at a time: no rows, one, and both sides of one and two blocks.
+@pytest.mark.parametrize("scans", [0, 1, 8191, 8192, 8193, 16385])
+def test_save_trace_writes_the_header_and_one_line_per_scan_across_its_write_blocks(scans):
+    trace = make_trace((index % 3, barcode_for_rank(index % 7), index / 4) for index in range(scans))
+    out = io.StringIO()
+    save_trace(trace, out)
+    lines = "".join(f"{robot_id},{barcode},{issued_at!r}\n" for robot_id, barcode, issued_at in rows_of(trace))
+    assert out.getvalue() == "robot_id,barcode,issued_at_ms\n" + lines
+
+
+def test_write_trace_never_holds_the_whole_file_text(tmp_path):
+    trace = generate(make_config(total_scans=100_000, unique_barcodes=2000, robots=4))
+    path = tmp_path / "trace.csv"
+    peak = traced_peak(lambda: write_trace(trace, str(path)))
+    assert peak <= os.path.getsize(path), f"write_trace peaked at {peak / os.path.getsize(path):.2f}x the file size"
 
 
 def test_empty_file_loads_as_empty_trace():
