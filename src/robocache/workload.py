@@ -10,12 +10,13 @@ contract and pinned by a golden trace in the test suite.
 Trace CSV format: one header line ``robot_id,barcode,issued_at_ms``
 followed by one line per scan, UTF-8, "\n" newlines. Timestamps are
 written with repr so export and import round-trip exactly; a timestamp
-field is plain ASCII with no whitespace, "_" or sign. ``parse_trace`` is
-the one parser of a trace's text, and ``parse_trace_bytes`` feeds it a
-file's bytes, which ``read_trace`` reads: it checks the whole text at
-once, block by block, and builds the columns from it; only a text that
-fails a check is walked line by line, which names the first bad line and
-its reason.
+field is plain ASCII with no whitespace, "_" or sign.
+``parse_trace_bytes`` is the one parser of a trace file's bytes, which
+``read_trace`` reads: it checks them block by block, decoding one block
+of whole lines at a time, and builds the columns from them; only bytes
+that fail a check are decoded whole and walked line by line, which names
+the first bad line and its reason. ``parse_trace`` hands it the ASCII
+encoding of a str; a str that is not ASCII goes straight to the walk.
 """
 
 from __future__ import annotations
@@ -149,39 +150,52 @@ def save_trace(trace: Trace, stream: TextIO) -> None:
         stream.write("".join(islice(rows, _WRITE_ROWS)))
 
 
-def parse_trace(text: str) -> Trace:
-    """Parse the text of a trace CSV, enforcing field shape and non-decreasing time.
+def parse_trace_bytes(data: bytes) -> Trace:
+    """Parse the bytes of a trace CSV, enforcing field shape and non-decreasing time.
 
-    An empty text yields an empty trace; any content must start with the
+    An empty file yields an empty trace; any content must start with the
     standard header line. Lines end where a file opened with ``newline=""``
-    ends them, at a lone "\r" too. The whole text is checked at once; only
-    when a check fails is it walked line by line, so the error carries the
-    1-based number and the reason of the first bad line.
+    ends them, at a lone "\r" too. The bytes are checked block by block;
+    only when a check fails are they decoded from UTF-8 (a byte that does
+    not decode as a lone surrogate) and walked line by line, so the error
+    carries the 1-based number and the reason of the first bad line.
     """
-    trace = _parse_columns(text)
-    return _walk_lines(text) if trace is None else trace
+    trace = _parse_columns(data)
+    return _walk_lines(data.decode(TRACE_ENCODING, "surrogateescape")) if trace is None else trace
 
 
-def _parse_columns(text: str) -> Optional[Trace]:
-    """The trace in ``text`` if the whole text passes at once, else None.
+def parse_trace(text: str) -> Trace:
+    """``parse_trace_bytes`` of the text of a trace CSV, given as a str.
 
-    Accepts only what _walk_lines accepts, with the same values: the
-    header, then lines that each end in "\n" and hold exactly two commas,
-    ASCII-digit robot ids and times of plain ASCII number characters with
-    no leading sign. The Trace constructor checks the barcodes, the time
-    values and their order.
+    A text that is not ASCII cannot pass, so it is walked at once for the
+    first bad line; a character there is named as itself.
     """
-    header = TRACE_HEADER + "\n"
-    if not text.startswith(header) or not text.endswith("\n") or "\r" in text:
+    return parse_trace_bytes(text.encode("ascii")) if text.isascii() else _walk_lines(text)
+
+
+def _parse_columns(data: bytes) -> Optional[Trace]:
+    """The trace in ``data`` if all of it passes block by block, else None.
+
+    Accepts only what _walk_lines accepts of its text, with the same
+    values: the header, then ASCII lines that each end in "\n" and hold
+    exactly two commas, digit robot ids and times of plain number
+    characters with no leading sign. The Trace constructor checks the
+    barcodes, the time values and their order.
+    """
+    header = (TRACE_HEADER + "\n").encode()
+    if not data.startswith(header) or not data.endswith(b"\n") or b"\r" in data:
         return None
     robot_ids, barcodes, times = [], [], []
     distinct = {}  # one str per distinct barcode, shared by all its scans
     start = len(header)
-    while start < len(text):
+    while start < len(data):
         # Whole lines, about _BLOCK_CHARS at a time: only one block's
-        # split fields are held beside the columns.
-        end = text.find("\n", start + _BLOCK_CHARS) + 1 or len(text)
-        block = text[start : end - 1]
+        # text and split fields are held beside the columns.
+        end = data.find(b"\n", start + _BLOCK_CHARS) + 1 or len(data)
+        try:
+            block = data[start : end - 1].decode("ascii")
+        except UnicodeDecodeError:
+            return None
         start = end
         # Two commas on every line, not 2n in all: a 4-field line and then
         # a 2-field line would pass as two rows.
@@ -192,9 +206,7 @@ def _parse_columns(text: str) -> Optional[Trace]:
         robot_text = "".join(robot_col)
         # A comma before every time field, so a leading sign shows as ",+" or ",-".
         time_text = "," + ",".join(time_col)
-        if not (robot_text.isascii() and robot_text.isdigit()):
-            return None
-        if not time_text.isascii() or time_text.encode().translate(None, _TIME_CHARS):
+        if not robot_text.isdigit() or time_text.encode().translate(None, _TIME_CHARS):
             return None
         if ",+" in time_text or ",-" in time_text:
             return None
@@ -262,11 +274,6 @@ def _walk_lines(text: str) -> Trace:
 def write_trace(trace: Trace, path: str) -> None:
     with open(path, "w", encoding=TRACE_ENCODING, newline="") as fh:
         save_trace(trace, fh)
-
-
-def parse_trace_bytes(data: bytes) -> Trace:
-    """``parse_trace`` of a trace file's bytes, decoded with no newline translation."""
-    return parse_trace(data.decode(TRACE_ENCODING, "surrogateescape"))
 
 
 def read_trace(path: str) -> Trace:

@@ -11,6 +11,8 @@ from robocache.knowledge_base import format_record_line, load_kb
 from robocache.simulator import result_digest, run
 from robocache.workload import read_trace
 
+from reference import synth_record_line
+
 CONFIG_TEMPLATE = """\
 [run]
 seed = 1234
@@ -417,14 +419,27 @@ def test_run_rejects_an_input_file_with_an_undecodable_byte(name, config_path, t
     assert sorted(os.listdir(out)) == ["kb.dat", "trace.csv"]
 
 
+KB_LINE_3 = synth_record_line(2)
+# An undecodable byte reaches the line check as a lone surrogate.
+KB_LINE_3_UNDECODABLE = KB_LINE_3[:20] + "\udcff" + KB_LINE_3[21:]
+
+
 @pytest.mark.parametrize(
     "name,line_3,reason",
     [
         ("trace.csv", b"1_0,10000000000000,4.0", "robot_id '1_0' is not an integer"),
         ("trace.csv", b"7" * 5000 + b",10000000000000,4.0", "robot_id of 5000 digits is too long"),
         ("kb.dat", b"10000000000002SHIP00002", "expected 56 characters, got 23"),
+        ("kb.dat", KB_LINE_3[:18].encode() + b"\r" + KB_LINE_3[19:].encode(), "expected 56 characters, got 19"),
+        ("kb.dat", b"1000000000000x" + KB_LINE_3[14:].encode(), "barcode field '1000000000000x' is not 14 decimal digits"),
+        ("kb.dat", synth_record_line(0).encode(), "duplicate barcode 10000000000000"),
+        (
+            "kb.dat",
+            KB_LINE_3_UNDECODABLE.encode("ascii", "surrogateescape"),
+            f"non-ASCII character in {KB_LINE_3_UNDECODABLE!r}",
+        ),
     ],
-    ids=["trace", "trace-robot-id-too-long", "kb"],
+    ids=["trace", "trace-robot-id-too-long", "kb", "kb-lone-cr", "kb-barcode", "kb-duplicate", "kb-undecodable"],
 )
 def test_run_names_the_input_file_holding_a_malformed_line(name, line_3, reason, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")
