@@ -3,10 +3,11 @@
 
 Replays the same 300k-scan trace under both methods: every scan to the
 station (baseline) versus a three-slot hit-ordered cache per robot
-(cached). generate() returns the trace as a Trace, three columns checked
-once when it is built, and run() replays those columns as they are. The
-closing table mirrors the four report rows and their cached/baseline
-ratios.
+(cached). generate() fills a Trace's numpy columns (int64 barcode keys,
+float64 issue times, robot numbers) straight from its draws, checked once
+when it is built, and run() replays them a chunk of array slices at a
+time. The closing table mirrors the four report rows and their
+cached/baseline ratios.
 """
 
 import time
@@ -29,7 +30,7 @@ def main():
     )
 
     trace = generate(config.workload)
-    print(f"trace: {len(trace)} scans from {len(set(trace.robot_ids))} robots\n")
+    print(f"trace: {len(trace)} scans from {len(trace.robot_ids)} robots\n")
     kb = build_kb_for_workload(config.workload.unique_barcodes)
 
     reports = {}

@@ -13,10 +13,11 @@ cost.
 ``replay`` runs one robot's scans through the cache in one call: every
 hit is promoted and every miss admitted, with no payload. It holds the one
 promote/evict rule and does not validate its keys, for a caller (the
-simulator) that has validated every key once up front. ``lookup`` and
-``insert`` validate their key and do their one step through ``replay``.
-``validate_barcode`` checks one key and ``barcode_keys`` a batch at once;
-both hold the same barcode rule.
+simulator) that has validated every key once up front; the simulator
+replays each barcode as its int key and names a row by ``barcode_text``
+of it. ``lookup`` and ``insert`` validate their key and do their one step
+through ``replay``. ``validate_barcode`` checks one key and
+``barcode_keys`` a batch at once; both hold the same barcode rule.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import numpy as np
 from .errors import ConfigError, DuplicateKeyError, ValidationError
 
 BARCODE_WIDTH = 14
+# The text of a barcode's int key; ``BARCODE_FORMAT.__mod__`` formats a batch at C speed.
+BARCODE_FORMAT = f"%0{BARCODE_WIDTH}d"
 
 
 def validate_barcode(barcode: str) -> str:
@@ -42,6 +45,11 @@ def validate_barcode(barcode: str) -> str:
             f"malformed barcode key {barcode!r}: expected exactly 14 decimal digits"
         )
     return barcode
+
+
+def barcode_text(key: int) -> str:
+    """The barcode whose int key is ``key`` (0 <= key < 10**14): 14 digits, zero-padded."""
+    return BARCODE_FORMAT % key
 
 
 def digit_keys(columns: np.ndarray) -> Optional[np.ndarray]:
@@ -92,10 +100,11 @@ class HitOrderedCache:
         self.capacity = capacity
         # Row i is (_keys[i], _hits[i]), top row first: a probe is a C-level
         # list scan. A row's position alone records the equal-counter order.
-        self._keys: list[str] = []
+        self._keys: list = []
         self._hits: list[int] = []
-        # Every resident barcode, with its payload (None if ``replay`` admitted it).
-        self._payloads: dict[str, object] = {}
+        # Every resident barcode (or the int key ``replay`` was given), with
+        # its payload (None if ``replay`` admitted it).
+        self._payloads: dict = {}
 
     def __len__(self) -> int:
         return len(self._keys)

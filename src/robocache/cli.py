@@ -273,7 +273,13 @@ def _load_raw(path: str) -> tuple[dict, MetricsReport, AlertResult]:
 def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -> int:
     base_raw, base_report, _ = _load_raw(baseline_path)
     cached_raw, cached_report, _ = _load_raw(cached_path)
-    for field, inputs in (("trace_digest", "traces"), ("kb_digest", "knowledge bases"), ("config", "link or station terms")):
+    refusals = (
+        ("trace_digest", "traces"),
+        ("kb_digest", "knowledge bases"),
+        ("config", "link or station terms"),
+        ("seed", "run seeds"),
+    )
+    for field, inputs in refusals:
         # .get: a raw report written before the config block existed is refused, not a crash.
         if base_raw.get(field) != cached_raw.get(field):
             print(f"error: reports come from different {inputs} ({field} mismatch); not comparable", file=sys.stderr)

@@ -21,9 +21,9 @@ the first bad line. ``load_kb`` feeds it a file's bytes and
 goes straight to the walk). ``record_lines`` looks a batch of barcodes
 up in the index at once (``cache.barcode_keys`` checks them) and decodes
 only their lines; ``require`` only checks that each has a record, and
-``require_keys`` does the same for barcodes whose keys the caller has
-already computed, as the simulator does once per run with the keys its
-``Trace`` keeps. ``save_kb`` writes the bytes back in one piece, and
+``require_keys`` does the same for barcodes given as their int64 keys,
+as the simulator does once per run with the distinct keys of its
+``Trace``. ``save_kb`` writes the bytes back in one piece, and
 ``export`` writes them to a text stream as text. No field is ever
 parsed back out of a line, and the simulator reads no line: a cached
 miss caches its barcode with no payload.
@@ -36,11 +36,11 @@ search: ceil(log2(N)) probes over N records, never less than one.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Optional, TextIO, Union
 
 import numpy as np
 
-from .cache import BARCODE_WIDTH, barcode_keys, digit_keys, validate_barcode
+from .cache import BARCODE_WIDTH, barcode_keys, barcode_text, digit_keys, validate_barcode
 from .errors import ConfigError, IngestError, MissingRecordError, ValidationError
 
 SHIPPER_WIDTH = 10
@@ -129,22 +129,25 @@ class KnowledgeBase:
 
         ValidationError names the first that is not 14 ASCII digits.
         """
-        barcodes = list(barcodes)
-        self.require_keys(barcodes, barcode_keys(barcodes))
+        self.require_keys(barcode_keys(list(barcodes)))
 
-    def require_keys(self, barcodes: Sequence[str], keys: np.ndarray) -> None:
-        """``require`` for barcodes whose int64 keys (``cache.barcode_keys``) are known: ``keys[i]`` is that of ``barcodes[i]``."""
-        self._line_numbers(barcodes, keys)
+    def require_keys(self, keys: np.ndarray) -> None:
+        """``require`` for barcodes given as their int64 keys (``cache.barcode_keys``).
+
+        MissingRecordError names the first key without a record, in the
+        given order, by its barcode text (``cache.barcode_text``).
+        """
+        self._line_numbers(keys)
 
     def record_lines(self, barcodes: Iterable[str]) -> dict[str, str]:
         """The stored line of each of ``barcodes``, keyed by barcode; raises as ``require``."""
         barcodes = list(barcodes)
-        starts = (self._line_numbers(barcodes, barcode_keys(barcodes)) * RECORD_WIDTH).tolist()
+        starts = (self._line_numbers(barcode_keys(barcodes)) * RECORD_WIDTH).tolist()
         data = self._data
         return {barcode: data[start : start + LINE_WIDTH].decode("ascii") for barcode, start in zip(barcodes, starts)}
 
-    def _line_numbers(self, barcodes: Sequence[str], keys: np.ndarray) -> np.ndarray:
-        """The 0-based number of each barcode's line in the file, given its key; raises MissingRecordError as ``require``."""
+    def _line_numbers(self, keys: np.ndarray) -> np.ndarray:
+        """The 0-based number of each key's line in the file; raises MissingRecordError as ``require_keys``."""
         # Searched in ascending order, neighbouring queries share their path.
         by_key = np.argsort(keys)
         at = np.empty_like(by_key)
@@ -152,7 +155,7 @@ class KnowledgeBase:
         found = at < len(self)
         found[found] = self._sorted_keys[at[found]] == keys[found]
         if not found.all():
-            raise MissingRecordError(barcodes[int(found.argmin())])
+            raise MissingRecordError(barcode_text(int(keys[found.argmin()])))
         return self._order[at]
 
     def export(self, stream: TextIO) -> None:

@@ -19,13 +19,14 @@ trip on the latency axis and the station work on the processing axis,
 which is why a warm cache compresses total processing less sharply than
 it compresses decision latency.
 
-A run walks the trace in chunks of ``_CHUNK_SCANS`` scans, so its arrays
-stay small at any trace length. In each chunk the cached method groups
-the scans by robot, keeping each robot's in trace order, replays each
-robot's through its cache in one ``HitOrderedCache.replay`` call and
-scatters each scan's hit slot or, for a miss, how many rows it compared
-back to the scan's place; the baseline is every scan a miss that
-compared none. Then one array pass sends the chunk's misses over the
+A run walks the trace's numpy columns in chunks of ``_CHUNK_SCANS``
+scans, so its arrays stay small at any trace length; a chunk is a slice
+of each column, with no copy. In each chunk the cached method groups the
+scans by robot number (one cache per robot, numbered in order of first
+scan), keeping each robot's in trace order, replays each robot's int keys
+through its cache in one ``HitOrderedCache.replay`` call and scatters
+each scan's hit slot or, for a miss, how many rows it compared back to
+the scan's place; the baseline is every scan a miss that compared none. Then one array pass sends the chunk's misses over the
 link in one ``SatelliteLink.round_trip`` call and does the arithmetic
 in the float order of one scan at a time:
 
@@ -37,9 +38,11 @@ in the float order of one scan at a time:
   time (``np.add.accumulate``, carried from chunk to chunk, never the
   pairwise ``np.sum``).
 
-The replay reads no record text: a cached miss admits its barcode with
-no payload, since no output reads a cached record. Runs are
-deterministic: all randomness flows from the run seed through the link.
+The replay reads no record text: a cached miss admits its key with no
+payload, since no output reads a cached record. A key becomes barcode
+text again only in the final cache rows and in MissingRecordError. Runs
+are deterministic: all randomness flows from the run seed through the
+link.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .cache import HitOrderedCache
-from .errors import ValidationError
+from .cache import HitOrderedCache, barcode_text
+from .errors import MissingRecordError, ValidationError
 from .knowledge_base import KnowledgeBase, index_probe_cost
 from .netlink import LinkStats, SatelliteLink
 from .workload import Trace
@@ -112,25 +115,24 @@ class RunResult:
     snapshots: List[Tuple[Tuple[str, int], ...]]
 
 
-def _cache_outcomes(caches, number_of, robot_ids, barcodes) -> np.ndarray:
+def _cache_outcomes(caches, robots, keys) -> np.ndarray:
     """Replay each robot's scans, in trace order, through its cache in one call.
 
-    Scan i is ``barcodes[i]`` on robot ``robot_ids[i]``, whose cache is
-    ``caches[number_of[robot_ids[i]]]``. Returns each scan's hit slot, or
-    ~rows (below 0) for a miss that compared all ``rows`` rows of its
-    robot's cache and then admitted the barcode.
+    Scan i is key ``keys[i]`` on robot number ``robots[i]``, whose cache is
+    ``caches[robots[i]]``. Returns each scan's hit slot, or ~rows (below 0)
+    for a miss that compared all ``rows`` rows of its robot's cache and
+    then admitted the key.
     """
-    numbers = np.fromiter(map(number_of.__getitem__, robot_ids), np.intp, len(robot_ids))
     # A stable sort groups the scans by robot and keeps each robot's in trace order.
-    order = np.argsort(numbers, kind="stable")
-    grouped = numbers[order]
+    order = np.argsort(robots, kind="stable")
+    grouped = robots[order]
     bounds = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist(), len(order)]
-    grouped_barcodes = np.fromiter(barcodes, object, len(order))[order].tolist()
+    grouped_keys = keys[order].tolist()
     slots: List[int] = []
     for start, stop in zip(bounds, bounds[1:]):
-        slots += caches[grouped[start]].replay(grouped_barcodes[start:stop])
+        slots += caches[grouped[start]].replay(grouped_keys[start:stop])
     outcomes = np.empty(len(order), np.int64)
-    outcomes[order] = np.fromiter(slots, np.int64, len(order))
+    outcomes[order] = slots
     return outcomes
 
 
@@ -142,11 +144,11 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
 
     ``sim_config`` supplies the link config, the run seed, cache
     capacity and the per-probe costs (see config.SimConfig). The Trace
-    checked its own values when it was built; every barcode must also
-    resolve in ``kb``, checked by one bulk lookup of the keys of its
-    distinct barcodes (``Trace.distinct``) before the replay starts. A
-    key the KB lacks raises MissingRecordError naming the first such key
-    in trace order (a data error, not a modeled outcome).
+    checked its own values when it was built; every key must also
+    resolve in ``kb``, checked by one bulk lookup of its distinct keys
+    before the replay starts. A key the KB lacks raises
+    MissingRecordError naming the first such barcode in trace order (a
+    data error, not a modeled outcome).
     """
     method = MethodKind(method)
     if not trace:
@@ -154,30 +156,32 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
 
     # Every station resolution costs the same indexed search.
     db_comparisons_per_resolve = index_probe_cost(len(kb))
-    # One bulk lookup of the trace's distinct barcodes, by the keys the
-    # Trace computed, raises MissingRecordError for a barcode without a
-    # record. Every barcode is trusted from here on, so the caches replay
-    # it unchecked; no record text is needed, since no output reads it.
-    kb.require_keys(*trace.distinct)
+    # One bulk lookup of the trace's distinct keys, ascending, raises
+    # MissingRecordError for a barcode without a record; a second over
+    # every scan's key names the first such barcode in trace order. Every
+    # key is trusted from here on, so the caches replay it unchecked; no
+    # record text is needed, since no output reads it.
+    ascending = np.sort(trace.keys)
+    try:
+        kb.require_keys(ascending[np.append(True, ascending[1:] != ascending[:-1])])
+    except MissingRecordError:
+        kb.require_keys(trace.keys)
     cached = method is MethodKind.CACHED
-    # Robots are numbered in order of first scan, so an id of any size
-    # indexes an array; robot number k owns caches[k].
-    robots = dict.fromkeys(trace.robot_ids) if cached else ()
-    number_of = {robot_id: number for number, robot_id in enumerate(robots)}
-    caches = [HitOrderedCache(sim_config.cache_capacity) for _ in robots]
+    # Robot number k, in order of first scan, owns caches[k].
+    caches = [HitOrderedCache(sim_config.cache_capacity) for _ in trace.robot_ids] if cached else []
 
     service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
     link = SatelliteLink(sim_config.link, sim_config.seed)
     latencies: List[float] = [0.0] * len(trace)
     cache_hits = cache_comparisons = 0
-    first_issued = trace.issued_at[0]
+    first_issued = float(trace.issued_at[0])
     clock = max_decided = first_issued
     # Chunks keep the arrays of a long trace small beside its latency list.
     for start in range(0, len(trace), _CHUNK_SCANS):
         stop = start + _CHUNK_SCANS
-        issued = np.array(trace.issued_at[start:stop], np.float64)
+        issued = trace.issued_at[start:stop]
         if cached:
-            slots = _cache_outcomes(caches, number_of, trace.robot_ids[start:stop], trace.barcodes[start:stop])
+            slots = _cache_outcomes(caches, trace.robots[start:stop], trace.keys[start:stop])
         else:
             slots = np.full(len(issued), ~0)  # every scan a miss that compared no rows
         hit = slots >= 0
@@ -210,7 +214,9 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
         max_decided_at=max_decided,
     )
 
-    snapshots = [caches[number_of[robot_id]].snapshot() for robot_id in sorted(number_of)]
+    # Rows name their barcodes as text, robots in id order.
+    by_id = sorted(range(len(caches)), key=trace.robot_ids.__getitem__)
+    snapshots = [tuple((barcode_text(key), hits) for key, hits in caches[number].snapshot()) for number in by_id]
     return RunResult(method=method, counters=counters, snapshots=snapshots)
 
 

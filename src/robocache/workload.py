@@ -1,19 +1,24 @@
 """Synthetic scan traces with controlled popularity skew.
 
-generate() draws barcode popularity from a Zipf law over a fixed key
-universe (exponent 0 degenerates to uniform), spaces arrivals with
-exponential gaps and deals scans round robin across robots. A trace is
-a pure function of its config, including the seed; the draw order (one
-block of key draws, then one block of gap draws) is part of that
-contract and pinned by a golden trace in the test suite.
+A ``Trace`` holds its scans as numpy columns: int64 barcode keys (a
+barcode's 14 digits read as one integer), float64 issue times and robot
+numbers, with the robot ids themselves held once each. generate() draws
+barcode popularity from a Zipf law over a fixed key universe (exponent 0
+degenerates to uniform), spaces arrivals with exponential gaps and deals
+scans round robin across robots, filling the columns straight from its
+draws. A trace is a pure function of its config, including the seed; the
+draw order (one block of key draws, then one block of gap draws) is part
+of that contract and pinned by a golden trace in the test suite.
 
 Trace CSV format: one header line ``robot_id,barcode,issued_at_ms``
-followed by one line per scan, UTF-8, "\n" newlines. Timestamps are
-written with repr so export and import round-trip exactly; a timestamp
-field is plain ASCII with no whitespace, "_" or sign.
+followed by one line per scan, UTF-8, "\n" newlines. A barcode is written
+as its key's 14 zero-padded digits, the one place besides the replay's
+snapshots and its missing-record error where a key becomes text.
+Timestamps are written with repr so export and import round-trip
+exactly; a timestamp field is plain ASCII with no whitespace, "_" or sign.
 ``parse_trace_bytes`` is the one parser of a trace file's bytes, which
 ``read_trace`` reads: it checks them block by block, decoding one block
-of whole lines at a time, and builds the columns from them; only bytes
+of whole lines at a time, and fills the columns from them; only bytes
 that fail a check are decoded whole and walked line by line, which names
 the first bad line and its reason. ``parse_trace`` hands it the ASCII
 encoding of a str; a str that is not ASCII goes straight to the walk.
@@ -22,15 +27,14 @@ encoding of a str; a str that is not ASCII goes straight to the walk.
 from __future__ import annotations
 
 import io
-import operator
-from dataclasses import dataclass, field
-from itertools import islice, repeat
+from dataclasses import dataclass
+from itertools import repeat
 from math import isfinite
 from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
-from .cache import barcode_keys, validate_barcode
+from .cache import BARCODE_FORMAT, barcode_keys, validate_barcode
 from .errors import ConfigError, TraceFormatError, ValidationError
 
 TRACE_HEADER = "robot_id,barcode,issued_at_ms"
@@ -42,6 +46,8 @@ TRACE_ENCODING = "utf-8"
 # rank 0 maps to "10000000000000"; every rank below 9e13 stays 14 digits
 _RANK_BASE = 10_000_000_000_000
 _MAX_UNIQUE = 9 * 10**13
+# Every 14-digit barcode's key lies below this.
+_KEY_LIMIT = 10**14
 _BLOCK_CHARS = 1 << 16
 # Rows per write of save_trace: only one block's text is held at a time.
 _WRITE_ROWS = 8192
@@ -50,43 +56,100 @@ _WRITE_ROWS = 8192
 _TIME_CHARS = b",0123456789.eE+-"
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Scans as three columns: scan i is (robot_ids[i], barcodes[i], issued_at[i]).
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """A view of ``column`` that refuses writes."""
+    view = column.view()
+    view.flags.writeable = False
+    return view
 
-    Building one is the one check on a trace's values; tuple columns keep it
-    valid. ``distinct`` is derived from the columns: the distinct barcodes in
-    first-occurrence order and the int64 key of each (``cache.barcode_keys``),
-    which the replay looks up in the knowledge base.
+
+@dataclass(frozen=True, init=False, eq=False)
+class Trace:
+    """Scans as columns: scan i is robot ``robot_ids[robots[i]]`` scanning key ``keys[i]`` at ``issued_at[i]``.
+
+    ``keys`` (int64) holds each barcode's 14 digits as one integer, whose
+    text is ``cache.barcode_text`` of it; ``issued_at`` is float64.
+    ``robots`` numbers the robots in order of first scan and ``robot_ids``
+    holds the id of each number once, as a Python int of any size. Building
+    one is the one check on a trace's values; its columns are read-only
+    views, which keeps it valid.
     """
 
+    robots: np.ndarray
     robot_ids: Tuple[int, ...]
-    barcodes: Tuple[str, ...]
-    issued_at: Tuple[float, ...]
-    distinct: Tuple[Tuple[str, ...], np.ndarray] = field(init=False, repr=False, compare=False)
+    keys: np.ndarray
+    issued_at: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in ("robot_ids", "barcodes", "issued_at"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        robot_ids, barcodes, times = self.robot_ids, self.barcodes, self.issued_at
-        if not len(robot_ids) == len(barcodes) == len(times):
-            raise ValidationError(f"trace columns differ in length: {len(robot_ids)}, {len(barcodes)}, {len(times)}")
+    def __init__(self, robot_ids, barcodes, issued_at, robots: Optional[np.ndarray] = None) -> None:
+        """Check and hold one trace; ValidationError names what is wrong.
+
+        Built by hand, each column has a value per scan: ``robot_ids``
+        ints >= 0, ``barcodes`` 14-digit strs (one ``barcode_keys`` check)
+        and ``issued_at`` ints or floats, which are held as float64.
+        ``generate`` and the parser pass arrays instead, checked in numpy:
+        the int64 keys as ``barcodes``, float64 times, and each scan's robot
+        number as ``robots``, with ``robot_ids`` the distinct ids by number.
+        """
+        robot_ids = tuple(robot_ids)
+        if not (isinstance(barcodes, np.ndarray) and barcodes.dtype == np.int64 and barcodes.ndim == 1):
+            barcodes = tuple(barcodes)
+        if not (isinstance(issued_at, np.ndarray) and issued_at.dtype == np.float64 and issued_at.ndim == 1):
+            issued_at = tuple(issued_at)
+        lengths = (len(robot_ids) if robots is None else len(robots), len(barcodes), len(issued_at))
+        if len(set(lengths)) != 1:
+            raise ValidationError(f"trace columns differ in length: {lengths[0]}, {lengths[1]}, {lengths[2]}")
         if not set(map(type, robot_ids)) <= {int} or min(robot_ids, default=0) < 0:
             raise ValidationError("every robot id must be an int >= 0")
-        # One bulk check of the distinct barcodes, in trace order.
-        try:
-            distinct = tuple(dict.fromkeys(barcodes))
-        except TypeError:  # an unhashable barcode, which barcode_keys names
-            distinct = barcodes
-        object.__setattr__(self, "distinct", (distinct, barcode_keys(distinct)))
-        if not (set(map(type, times)) <= {int, float} and all(map(isfinite, times)) and min(times, default=0) >= 0):
+        if robots is None:
+            scan_ids, robot_ids = robot_ids, tuple(dict.fromkeys(robot_ids))
+            number_of = dict(zip(robot_ids, range(len(robot_ids))))
+            robots = np.fromiter(map(number_of.__getitem__, scan_ids), np.intp, len(scan_ids))
+        elif len(set(robot_ids)) != len(robot_ids) or not _numbers_by_first_scan(robots, len(robot_ids)):
+            raise ValidationError("robot numbers must number distinct robot ids in order of first scan")
+        if isinstance(barcodes, np.ndarray):
+            keys = barcodes
+            if len(keys) and not (keys.min() >= 0 and keys.max() < _KEY_LIMIT):
+                raise ValidationError(f"every barcode key must lie in [0, {_KEY_LIMIT})")
+        else:
+            keys = barcode_keys(barcodes)
+        times = issued_at if isinstance(issued_at, np.ndarray) else None
+        if times is None and set(map(type, issued_at)) <= {int, float}:
+            try:
+                times = np.array(issued_at, np.float64)
+            except OverflowError:  # an int too large for a float
+                pass
+        if times is None or not (np.isfinite(times).all() and (times >= 0).all()):
             raise ValidationError("every issue time must be a finite int or float >= 0")
-        # operator.le, not a dunder: int.__le__(5, 3.0) is NotImplemented (truthy), float.__le__(5, ...) raises.
-        if not all(map(operator.le, times, times[1:])):
+        if not (times[1:] >= times[:-1]).all():
             raise ValidationError("issue times must not decrease")
+        object.__setattr__(self, "robots", _read_only(robots))
+        object.__setattr__(self, "robot_ids", robot_ids)
+        object.__setattr__(self, "keys", _read_only(keys))
+        object.__setattr__(self, "issued_at", _read_only(times))
 
     def __len__(self) -> int:
-        return len(self.barcodes)
+        return len(self.keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.robot_ids == other.robot_ids and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in ((self.robots, other.robots), (self.keys, other.keys), (self.issued_at, other.issued_at))
+        )
+
+
+def _numbers_by_first_scan(robots, count: int) -> bool:
+    """Whether ``robots`` is a 1-D integer array using each of 0..count-1, each first met after the one before."""
+    if not (isinstance(robots, np.ndarray) and robots.ndim == 1 and robots.dtype.kind in "iu"):
+        return False
+    if not len(robots):
+        return count == 0
+    # Each scan's number is at most one past the highest number before it.
+    highest = np.maximum.accumulate(robots)
+    return bool(
+        robots[0] == 0 and robots.min() >= 0 and (robots[1:] <= highest[:-1] + 1).all() and highest[-1] == count - 1
+    )
 
 
 @dataclass(frozen=True)
@@ -131,23 +194,31 @@ def zipf_probabilities(unique_barcodes: int, skew: float) -> np.ndarray:
 
 
 def generate(config: WorkloadConfig) -> Trace:
-    """Materialise the whole trace for ``config``."""
+    """Materialise the whole trace for ``config``, its columns filled straight from the draws."""
     rng = np.random.default_rng(config.seed)
     cumulative = np.cumsum(zipf_probabilities(config.unique_barcodes, config.skew))
     cumulative[-1] = 1.0
-    key_draws = rng.random(config.total_scans)
-    ranks = np.searchsorted(cumulative, key_draws, side="right")
-    gaps = rng.exponential(config.inter_arrival_ms, config.total_scans)
-    times = np.cumsum(gaps)
-    robot_ids = [i % config.robots for i in range(config.total_scans)]
-    return Trace(robot_ids, list(map(barcode_for_rank, ranks.tolist())), times.tolist())
+    keys = np.searchsorted(cumulative, rng.random(config.total_scans), side="right").astype(np.int64, copy=False)
+    keys += _RANK_BASE  # the key of barcode_for_rank(rank)
+    times = rng.exponential(config.inter_arrival_ms, config.total_scans)
+    np.cumsum(times, out=times)
+    # Round robin: robot r first scans at scan r, so its number is its id.
+    robots = np.arange(config.total_scans)
+    robots %= config.robots
+    return Trace(range(min(config.robots, config.total_scans)), keys, times, robots=robots)
 
 
 def save_trace(trace: Trace, stream: TextIO) -> None:
-    rows = map("{},{},{!r}\n".format, trace.robot_ids, trace.barcodes, trace.issued_at)
+    """Write ``trace`` as trace CSV, _WRITE_ROWS rows per write; each block formats each distinct key once."""
+    robot_texts = np.array(list(map(str, trace.robot_ids)), object)
     stream.write(TRACE_HEADER + "\n")
-    for _ in range(0, len(trace), _WRITE_ROWS):
-        stream.write("".join(islice(rows, _WRITE_ROWS)))
+    for start in range(0, len(trace), _WRITE_ROWS):
+        stop = start + _WRITE_ROWS
+        distinct, index = np.unique(trace.keys[start:stop], return_inverse=True)
+        key_texts = np.array(list(map(BARCODE_FORMAT.__mod__, distinct.tolist())), object)
+        robots = robot_texts[trace.robots[start:stop]].tolist()
+        rows = zip(robots, key_texts[index].tolist(), trace.issued_at[start:stop].tolist())
+        stream.write("".join(map("%s,%s,%r\n".__mod__, rows)))
 
 
 def parse_trace_bytes(data: bytes) -> Trace:
@@ -179,14 +250,21 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     Accepts only what _walk_lines accepts of its text, with the same
     values: the header, then ASCII lines that each end in "\n" and hold
     exactly two commas, digit robot ids and times of plain number
-    characters with no leading sign. The Trace constructor checks the
-    barcodes, the time values and their order.
+    characters with no leading sign. Each block's barcodes become keys in
+    one ``barcode_keys`` call, its times floats in one ``np.fromiter`` and
+    its robot texts numbers, with one ``int()`` per distinct robot text.
+    The Trace constructor checks the time values and their order.
     """
     header = (TRACE_HEADER + "\n").encode()
     if not data.startswith(header) or not data.endswith(b"\n") or b"\r" in data:
         return None
-    robot_ids, barcodes, times = [], [], []
-    distinct = {}  # one str per distinct barcode, shared by all its scans
+    scans = data.count(b"\n") - 1
+    robots = np.empty(scans, np.intp)
+    keys = np.empty(scans, np.int64)
+    times = np.empty(scans, np.float64)
+    number_of_text = {}  # robot text -> robot number
+    number_of_id = {}  # robot id -> robot number, in order of first scan
+    row = 0
     start = len(header)
     while start < len(data):
         # Whole lines, about _BLOCK_CHARS at a time: only one block's
@@ -210,15 +288,20 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
             return None
         if ",+" in time_text or ",-" in time_text:
             return None
+        rows = slice(row, row + len(robot_col))
+        row = rows.stop
         try:
-            # int() refuses an empty field and one longer than it converts.
-            robot_ids += map(int, robot_col)
-            times += map(float, time_col)
-        except ValueError:
+            for text in dict.fromkeys(robot_col):
+                if text not in number_of_text:
+                    # int() refuses an empty field and one longer than it converts.
+                    number_of_text[text] = number_of_id.setdefault(int(text), len(number_of_id))
+            keys[rows] = barcode_keys(barcode_col)
+            times[rows] = np.fromiter(map(float, time_col), np.float64, len(time_col))
+        except (ValueError, ValidationError):
             return None
-        barcodes += map(distinct.setdefault, barcode_col, barcode_col)
+        robots[rows] = np.fromiter(map(number_of_text.__getitem__, robot_col), np.intp, len(robot_col))
     try:
-        return Trace(robot_ids, barcodes, times)
+        return Trace(tuple(number_of_id), keys, times, robots=robots)
     except ValidationError:
         return None
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+from robocache.cache import barcode_text
 from robocache.config import SimConfig
 from robocache.knowledge_base import KnowledgeBase, format_record_line, ingest_text
 from robocache.netlink import LinkConfig
@@ -55,8 +56,16 @@ def make_trace(rows) -> Trace:
 
 
 def rows_of(trace: Trace) -> list:
-    """The (robot_id, barcode, issued_at) rows of a Trace, in trace order."""
-    return list(zip(trace.robot_ids, trace.barcodes, trace.issued_at))
+    """The (robot_id, barcode, issued_at) rows of a Trace, in trace order, each barcode as its text."""
+    return [
+        (trace.robot_ids[number], barcode_text(key), issued_at)
+        for number, key, issued_at in zip(trace.robots.tolist(), trace.keys.tolist(), trace.issued_at.tolist())
+    ]
+
+
+def barcodes_of(trace: Trace) -> list:
+    """The barcode text of each scan of a Trace, in trace order."""
+    return [barcode for _, barcode, _ in rows_of(trace)]
 
 
 def make_kb(barcodes) -> KnowledgeBase:
@@ -75,17 +84,23 @@ def make_kb(barcodes) -> KnowledgeBase:
     )
 
 
-def traced_peak(call) -> int:
-    """The most memory ``call()`` held at once, in bytes beyond what was held before it.
+def traced_memory(call):
+    """``call()``, the memory its result still holds and the most it held at once, in bytes beyond what was held before it.
 
-    tracemalloc counts numpy's buffers too, so the figure does not depend
+    tracemalloc counts numpy's buffers too, so the figures do not depend
     on the host.
     """
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+        return result, kept - before, peak - before
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(call) -> int:
+    """The most memory ``call()`` held at once, in bytes beyond what was held before it."""
+    return traced_memory(call)[2]

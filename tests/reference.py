@@ -26,6 +26,10 @@ where reference_run holds it to the counts.
 reference_raw_text and reference_result_digest are the raw report's
 encoding and result_digest as they stood while each was one
 ``json.dumps`` of the whole record, kept verbatim.
+
+reference_run and reference_replay read a trace's scans as
+(robot_id, barcode text, issued_at) rows through ``helpers.rows_of`` and
+handle one row per request.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from robocache.knowledge_base import BARCODE_WIDTH, LINE_WIDTH, KnowledgeBase, f
 from robocache.netlink import LinkConfig, LinkStats
 from robocache.simulator import MethodKind, RunCounters, RunResult
 from robocache.workload import TRACE_HEADER, Trace, barcode_for_rank
+
+from helpers import rows_of
 
 _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
 
@@ -129,7 +135,7 @@ def reference_run(method, trace, db_size, sim_config) -> ReferenceCounters:
         round_trip = losses * link.retransmit_timeout_ms + 2 * link.one_way_latency_ms + stall
         return round_trip, stall
 
-    for robot_id, barcode in zip(trace.robot_ids, trace.barcodes):
+    for robot_id, barcode, _ in rows_of(trace):
         out.scans += 1
         if method == "cached":
             cache = caches.setdefault(robot_id, ReferenceCache(sim_config.cache_capacity))
@@ -319,13 +325,14 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
     # One bulk lookup of the distinct barcodes raises MissingRecordError
     # for a barcode without a record; the cached replay inserts record
     # lines from the small dict it returns.
-    distinct_barcodes = dict.fromkeys(trace.barcodes)
+    rows = rows_of(trace)
+    distinct_barcodes = dict.fromkeys(barcode for _, barcode, _ in rows)
     cached = method is MethodKind.CACHED
     if cached:
         line_of = kb.record_lines(distinct_barcodes)
     else:
         kb.require(distinct_barcodes)
-    robot_ids = dict.fromkeys(trace.robot_ids) if cached else ()
+    robot_ids = dict.fromkeys(robot_id for robot_id, _, _ in rows) if cached else ()
     caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
 
     link = ReferenceLink(sim_config.link, random.Random(sim_config.seed))
@@ -336,11 +343,11 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
     record_latency = latencies.append
     cache_hits = cache_comparisons = 0
 
-    first_issued = trace.issued_at[0]
+    first_issued = rows[0][2]
     clock = first_issued
     max_decided = first_issued
 
-    for robot_id, barcode, issued in zip(trace.robot_ids, trace.barcodes, trace.issued_at):
+    for robot_id, barcode, issued in rows:
         if cached:
             cache = caches[robot_id]
             found = cache.lookup(barcode)

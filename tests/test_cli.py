@@ -159,13 +159,15 @@ def config_variant(config_path, tmp_path, old, new):
         ("loss_probability = 0.05|loss_probability = 0.1", "link or station terms (config mismatch)"),
         ("db_probe_time_ms = 0.4|db_probe_time_ms = 0.8", "link or station terms (config mismatch)"),
         ("baseline_without_config", "link or station terms (config mismatch)"),
+        # Same trace, KB and config block, but the link drew from another seed.
+        ("cached_seed", "run seeds (seed mismatch)"),
     ],
 )
 def test_compare_rejects_mismatched_knowledge_bases(change, message, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
     assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 0
-    cached_config = config_path
+    cached_config, cached_seed = config_path, []
     if change == "kb_record":
         # Same trace, but the cached run resolves against a knowledge base with one more record.
         with open(os.path.join(out, "kb.dat"), "a", encoding="ascii", newline="") as fh:
@@ -177,9 +179,11 @@ def test_compare_rejects_mismatched_knowledge_bases(change, message, config_path
         del raw["config"]
         with open(raw_path, "w") as fh:
             json.dump(raw, fh)
+    elif change == "cached_seed":
+        cached_seed = ["--seed", "7"]
     else:
         cached_config = config_variant(config_path, tmp_path, *change.split("|"))
-    assert run_cli(["run", "--config", cached_config, "--out", out, "--method", "cached"]) == 0
+    assert run_cli(["run", "--config", cached_config, "--out", out, "--method", "cached", *cached_seed]) == 0
     capsys.readouterr()
     code = run_cli(["compare", os.path.join(out, "raw_baseline.json"), os.path.join(out, "raw_cached.json")])
     assert code == 1

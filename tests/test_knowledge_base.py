@@ -231,9 +231,9 @@ def test_record_lines_returns_the_line_of_each_barcode_and_names_the_first_missi
     assert kb.record_lines(reversed(barcodes)) == {barcode: make_line(barcode) for barcode in barcodes}
     assert kb.record_lines([]) == {}
     kb.require(barcodes)
-    kb.require_keys(barcodes, barcode_keys(barcodes))
+    kb.require_keys(barcode_keys(barcodes))
     # Sorted, the missing barcodes come in the reverse of their given order.
-    for lookup in (kb.record_lines, kb.require, lambda barcodes: kb.require_keys(barcodes, barcode_keys(barcodes))):
+    for lookup in (kb.record_lines, kb.require, lambda barcodes: kb.require_keys(barcode_keys(barcodes))):
         with pytest.raises(MissingRecordError) as exc_info:
             lookup(["12345678901234", "99999999999998", "50000000000001", "00000000000000"])
         assert exc_info.value.barcode == "99999999999998"

@@ -17,7 +17,7 @@ from robocache.metrics import (
 )
 from robocache.simulator import MethodKind, run
 
-from helpers import make_kb, make_sim_config, make_trace
+from helpers import barcodes_of, make_kb, make_sim_config, make_trace
 
 A = "10000000000001"
 B = "10000000000002"
@@ -173,7 +173,7 @@ def test_skewed_lossy_trace_improves_all_four_rows():
         total_scans=4000, unique_barcodes=50, skew=1.4, robots=2, inter_arrival_ms=1.0, seed=31
     )
     trace = generate(workload)
-    kb = make_kb(sorted(set(trace.barcodes)))
+    kb = make_kb(sorted(set(barcodes_of(trace))))
     config = make_sim_config(
         workload=workload,
         cache_capacity=8,

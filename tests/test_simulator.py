@@ -10,7 +10,7 @@ from robocache.netlink import LinkConfig
 from robocache.simulator import MethodKind, result_digest, run
 from robocache.workload import WorkloadConfig, barcode_for_rank, generate
 
-from helpers import make_kb, make_sim_config, make_trace, rows_of
+from helpers import barcodes_of, make_kb, make_sim_config, make_trace, rows_of
 from reference import reference_run
 
 
@@ -291,7 +291,7 @@ def test_generated_workload_runs_end_to_end():
         total_scans=2000, unique_barcodes=30, skew=1.1, robots=3, inter_arrival_ms=1.0, seed=5
     )
     trace = generate(workload)
-    kb = make_kb(sorted(set(trace.barcodes)))
+    kb = make_kb(sorted(set(barcodes_of(trace))))
     config = make_sim_config(workload=workload, cache_capacity=6, link=lossy_link(), seed=5)
     cached = run(MethodKind.CACHED, trace, kb, config)
     baseline = run(MethodKind.BASELINE, trace, kb, config)
@@ -307,3 +307,29 @@ def test_malformed_barcode_in_an_in_memory_trace_is_rejected_at_entry():
         with pytest.raises(ValidationError) as exc_info:
             trace_of([A, B, A, bad])
         assert repr(bad) in str(exc_info.value)
+
+
+def test_a_zero_padded_barcode_is_named_by_its_14_digits_in_snapshots_and_errors():
+    b = "00000000000007"
+    trace = make_trace([(0, b, 0.0), (2**64 + 5, b, 1.0), (0, b, 2.0)])
+    result = run("cached", trace, make_kb([b]), make_sim_config())
+    assert result.snapshots == [((b, 2),), ((b, 1),)]
+    for method in ("baseline", "cached"):
+        with pytest.raises(MissingRecordError) as exc_info:
+            run(method, trace, make_kb([A]), make_sim_config())
+        assert exc_info.value.barcode == b
+        assert str(exc_info.value) == f"barcode {b} has no knowledge-base record"
+
+
+def test_int_issue_times_are_replayed_and_reported_as_floats():
+    # A hand-built trace holds its int times as float64, so its run reports
+    # first_issued_at_ms as 0.0, not 0, as a run of the same trace read
+    # from a file does.
+    kb = make_kb([A, B])
+    config = make_sim_config(link=lossy_link(), seed=3)
+    with_ints = run("cached", make_trace([(0, A, 0), (1, B, 7), (0, A, 9)]), kb, config)
+    with_floats = run("cached", make_trace([(0, A, 0.0), (1, B, 7.0), (0, A, 9.0)]), kb, config)
+    counters = with_ints.counters.to_dict()
+    assert type(counters["first_issued_at_ms"]) is float and repr(counters["first_issued_at_ms"]) == "0.0"
+    assert counters == with_floats.counters.to_dict()
+    assert result_digest(with_ints) == result_digest(with_floats)

@@ -18,7 +18,7 @@ from robocache.workload import (
     zipf_probabilities,
 )
 
-from helpers import make_trace, rows_of, traced_peak
+from helpers import barcodes_of, make_trace, rows_of, traced_memory, traced_peak
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 A = "12345678901234"
@@ -54,7 +54,7 @@ def test_barcodes_are_always_14_digits():
 def test_single_key_universe_repeats_one_barcode():
     events = generate(make_config(unique_barcodes=1))
     assert len(events) == 100
-    assert set(events.barcodes) == {"10000000000000"}
+    assert set(barcodes_of(events)) == {"10000000000000"}
 
 
 def test_trace_shape_and_round_robin_assignment():
@@ -195,7 +195,7 @@ def test_issued_at_errors_name_the_field(time_field, reason):
 def test_exponent_times_as_repr_writes_them_load_and_round_trip():
     body = "robot_id,barcode,issued_at_ms\n0,12345678901234,1e-05\n0,12345678901234,1.5e+16\n"
     trace = parse_trace(body)
-    assert trace.issued_at == (1e-05, 1.5e16)
+    assert trace.issued_at.tolist() == [1e-05, 1.5e16]
     out = io.StringIO()
     save_trace(trace, out)
     assert out.getvalue() == body
@@ -227,28 +227,91 @@ def test_trace_constructor_rejects_each_invalid_value(robot_ids, barcodes, issue
         Trace(robot_ids, barcodes, issued_at)
 
 
-def test_trace_columns_are_tuples_and_int_times_are_accepted():
+def test_trace_columns_are_read_only_arrays_and_int_times_are_held_as_floats():
     trace = Trace([0, 2], [A, A], [3, 5.0])
-    assert (trace.robot_ids, trace.barcodes, trace.issued_at) == ((0, 2), (A, A), (3, 5.0))
+    assert rows_of(trace) == [(0, A, 3.0), (2, A, 5.0)]
+    assert (trace.robots.tolist(), trace.robot_ids) == ([0, 1], (0, 2))
+    assert trace.keys.dtype == np.int64 and trace.keys.tolist() == [12345678901234] * 2
+    # The int time 3 is held as the float64 3.0, as a trace read from a file holds it.
+    assert trace.issued_at.dtype == np.float64 and type(trace.issued_at.tolist()[0]) is float
+    for column in (trace.robots, trace.keys, trace.issued_at):
+        with pytest.raises(ValueError):
+            column[0] = 1
     assert len(trace) == 2 and trace
     assert not Trace((), (), ())
 
 
-def test_a_trace_keeps_its_distinct_barcodes_in_first_occurrence_order_with_their_keys():
+def test_robots_are_numbered_in_order_of_first_scan_and_barcodes_held_as_their_keys():
     b = "00000000000007"
-    trace = Trace([0, 1, 0, 2], [A, b, A, b], [0.0, 1.0, 2.0, 3.0])
-    barcodes, keys = trace.distinct
-    assert barcodes == (A, b)
-    assert keys.dtype == np.int64 and keys.tolist() == [12345678901234, 7]
-    # Derived from the columns: not a constructor argument, not compared, not shown.
-    assert trace == Trace([0, 1, 0, 2], [A, b, A, b], [0.0, 1.0, 2.0, 3.0])
-    assert "distinct" not in repr(trace)
-    with pytest.raises(TypeError):
-        Trace([0], [A], [0.0], distinct=((A,), keys[:1]))
-    assert Trace((), (), ()).distinct[0] == ()
-    generated = generate(make_config())
-    assert generated.distinct[0] == tuple(dict.fromkeys(generated.barcodes))
-    assert generated.distinct[1].tolist() == [int(barcode) for barcode in generated.distinct[0]]
+    big = 2**64 + 5
+    trace = Trace([5, 1, 5, big], [A, b, A, b], [0.0, 1.0, 2.0, 3.0])
+    assert trace.robot_ids == (5, 1, big)
+    assert trace.robots.tolist() == [0, 1, 0, 2]
+    assert trace.keys.tolist() == [12345678901234, 7, 12345678901234, 7]
+    assert rows_of(trace) == [(5, A, 0.0), (1, b, 1.0), (5, A, 2.0), (big, b, 3.0)]
+    # The array columns give the same trace.
+    assert trace == Trace((5, 1, big), trace.keys, trace.issued_at, robots=trace.robots)
+    assert trace != Trace([5, 1, 5, 1], [A, b, A, b], [0.0, 1.0, 2.0, 3.0])
+    # generate fills the columns from its draws: robot r's number is r, and
+    # each key is that of barcode_for_rank of the drawn rank.
+    config = make_config(robots=3)
+    generated = generate(config)
+    rng = np.random.default_rng(config.seed)
+    cumulative = np.cumsum(zipf_probabilities(config.unique_barcodes, config.skew))
+    cumulative[-1] = 1.0
+    ranks = np.searchsorted(cumulative, rng.random(config.total_scans), side="right")
+    assert barcodes_of(generated) == [barcode_for_rank(rank) for rank in ranks.tolist()]
+    assert generated.robot_ids == (0, 1, 2)
+    assert generated.robots.tolist() == [index % 3 for index in range(config.total_scans)]
+
+
+KEYS_2 = np.array([12345678901234, 7])
+TIMES_2 = np.array([0.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "robot_ids,keys,issued_at,robots",
+    [
+        pytest.param((0, 1), KEYS_2, TIMES_2, np.array([1, 0]), id="robots-not-in-first-scan-order"),
+        pytest.param((0, 1, 2), KEYS_2, TIMES_2, np.array([0, 1]), id="robot-id-without-a-scan"),
+        pytest.param((0,), KEYS_2, TIMES_2, np.array([0, 1]), id="robot-number-without-an-id"),
+        pytest.param((0,), KEYS_2, TIMES_2, np.array([0, -1]), id="negative-robot-number"),
+        pytest.param((3, 3), KEYS_2, TIMES_2, np.array([0, 1]), id="repeated-robot-id"),
+        pytest.param((0, True), KEYS_2, TIMES_2, np.array([0, 1]), id="bool-robot-id"),
+        pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0.0, 1.0]), id="float-robot-numbers"),
+        pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0, 1, 1]), id="robot-column-long"),
+        pytest.param((0, 1), np.array([-1, 7]), TIMES_2, np.array([0, 1]), id="negative-key"),
+        pytest.param((0, 1), np.array([10**14, 7]), TIMES_2, np.array([0, 1]), id="15-digit-key"),
+        pytest.param((0, 1), np.array([7, 8], np.int32), TIMES_2, np.array([0, 1]), id="int32-keys"),
+        pytest.param((0, 1), KEYS_2, np.array([0.0, np.nan]), np.array([0, 1]), id="nan-time"),
+        pytest.param((0, 1), KEYS_2, np.array([0.0, -np.inf]), np.array([0, 1]), id="minus-inf-time"),
+        pytest.param((0, 1), KEYS_2, np.array([1.0, 0.5]), np.array([0, 1]), id="decreasing-times"),
+        pytest.param((0, 1), KEYS_2, np.array([0, 1]), np.array([0, 1]), id="int64-times"),
+    ],
+)
+def test_trace_constructor_rejects_each_invalid_array_column(robot_ids, keys, issued_at, robots):
+    with pytest.raises(ValidationError):
+        Trace(robot_ids, keys, issued_at, robots=robots)
+
+
+def test_a_zero_padded_barcode_and_a_robot_id_past_int64_save_and_reload_as_written():
+    trace = make_trace([(2**64 + 5, "00000000000007", 0.0), (0, "00000000000007", 1.5)])
+    out = io.StringIO()
+    save_trace(trace, out)
+    assert out.getvalue() == "robot_id,barcode,issued_at_ms\n18446744073709551621,00000000000007,0.0\n0,00000000000007,1.5\n"
+    assert parse_trace(out.getvalue()) == trace
+    assert rows_of(parse_trace(out.getvalue())) == [(2**64 + 5, "00000000000007", 0.0), (0, "00000000000007", 1.5)]
+
+
+def test_generate_holds_its_three_columns_and_little_more():
+    # The 300k-scan desk preset: three 8-byte columns are 24 bytes a scan.
+    config = WorkloadConfig(
+        total_scans=300_000, unique_barcodes=2000, skew=1.4, robots=4, inter_arrival_ms=1.0, seed=20260808
+    )
+    trace, kept, peak = traced_memory(lambda: generate(config))
+    assert len(trace) == config.total_scans
+    assert kept <= 32 * config.total_scans, f"generate kept {kept / config.total_scans:.1f} bytes a scan"
+    assert peak <= 64 * config.total_scans, f"generate peaked at {peak / config.total_scans:.1f} bytes a scan"
 
 
 @pytest.mark.parametrize(
@@ -274,15 +337,16 @@ def test_top_rank_mass_matches_analytic_partial_sums():
     unique, skew, samples = 10_000, 1.2, 1_000_000
     config = make_config(total_scans=samples, unique_barcodes=unique, skew=skew, robots=4, seed=77)
     events = generate(config)
-    counts = Counter(events.barcodes)
+    # Counted by int key: each barcode's 14 digits as one integer.
+    counts = Counter(events.keys.tolist())
 
     weights = [rank ** -skew for rank in range(1, unique + 1)]
     total_weight = sum(weights)
     analytic_top100 = sum(weights[:100]) / total_weight
-    empirical_top100 = sum(counts[barcode_for_rank(rank)] for rank in range(100)) / samples
+    empirical_top100 = sum(counts[int(barcode_for_rank(rank))] for rank in range(100)) / samples
     assert abs(empirical_top100 - analytic_top100) <= 0.02 * analytic_top100
 
     top_decile = unique // 10
     analytic_decile = sum(weights[:top_decile]) / total_weight
-    empirical_decile = sum(counts[barcode_for_rank(rank)] for rank in range(top_decile)) / samples
+    empirical_decile = sum(counts[int(barcode_for_rank(rank))] for rank in range(top_decile)) / samples
     assert abs(empirical_decile - analytic_decile) <= 0.02 * analytic_decile
