@@ -2,8 +2,10 @@
 """Walk through the hit-ordered cache one operation at a time.
 
 Replays the scan sequence A, B, A, C, A through a two-slot cache and
-prints the internal state after every step: probe counts, hit counters,
-the eviction, and the final holding-area snapshot.
+prints the internal state after every step: the slot each hit was found
+in, probe counts, hit counters, the eviction, and the final
+holding-area snapshot. The cache holds barcodes and hit counters only;
+a hit saves the robot its trip to the station's knowledge base.
 """
 
 from robocache import HitOrderedCache
@@ -12,6 +14,7 @@ A = "10000000000001"
 B = "10000000000002"
 C = "10000000000003"
 NAMES = {A: "A", B: "B", C: "C"}
+SCANS = (A, B, A, C, A)
 
 
 def show(cache):
@@ -23,21 +26,25 @@ def main():
     cache = HitOrderedCache(capacity=2)
     print(f"cache capacity 2, start {show(cache)}\n")
 
-    for barcode in (A, B, A, C, A):
+    hits = comparisons = 0
+    for barcode in SCANS:
         result = cache.lookup(barcode)
         name = NAMES[barcode]
+        comparisons += result.comparisons
         if result.hit:
-            print(f"scan {name}: HIT after {result.comparisons} comparison(s)")
+            hits += 1
+            print(f"scan {name}: HIT in slot {result.comparisons} ({result.comparisons} comparison(s))")
         else:
-            evicted = cache.insert(barcode, payload=f"route-for-{name}")
+            evicted = cache.insert(barcode)
             note = f", evicted {NAMES[evicted]}" if evicted else ""
-            print(f"scan {name}: miss after {result.comparisons} comparison(s), inserted{note}")
+            print(f"scan {name}: miss after {result.comparisons} comparison(s), inserted at the bottom{note}")
         print(f"         state {show(cache)}")
 
     print("\nholding-area snapshot (barcode, hits), top of cache first:")
-    for barcode, hits in cache.snapshot():
-        print(f"  {NAMES[barcode]}  {barcode}  {hits}")
-    print("\ntotals: 5 scans, 2 hits, 3 knowledge-base trips, 5 cache comparisons")
+    for slot, (barcode, count) in enumerate(cache.snapshot(), start=1):
+        print(f"  slot {slot}  {NAMES[barcode]}  {barcode}  {count}")
+    trips = len(SCANS) - hits
+    print(f"\ntotals: {len(SCANS)} scans, {hits} hits, {trips} knowledge-base trips, {comparisons} cache comparisons")
 
 
 if __name__ == "__main__":

@@ -10,14 +10,17 @@ of the list, and when the cache is full the bottom row is evicted to
 make room. Every probe is counted so callers can account for search
 cost.
 
-``replay`` runs one robot's scans through the cache in one call: every
-hit is promoted and every miss admitted, with no payload. It holds the one
-promote/evict rule and does not validate its keys, for a caller (the
-simulator) that has validated every key once up front; the simulator
-replays each barcode as its int key and names a row by ``barcode_text``
-of it. ``lookup`` and ``insert`` validate their key and do their one step
-through ``replay``. ``validate_barcode`` checks one key and
-``barcode_keys`` a batch at once; both hold the same barcode rule.
+The cache holds keys and counters only, no record: a hit saves the
+robot its trip to the station, and nothing reads what the station
+would have sent. ``replay`` runs one robot's scans through the cache in
+one call: every hit is promoted and every miss admitted. It holds the
+one promote/evict rule and does not validate its keys, for a caller
+(the simulator) that has validated every key once up front; the
+simulator replays each barcode as its int key and names a row by
+``barcode_text`` of it. ``lookup`` and ``insert`` validate their key and
+do their one step through ``replay``. ``validate_barcode`` checks one
+key and ``barcode_keys`` a batch at once; both hold the same barcode
+rule.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ def barcode_keys(barcodes: Sequence[str]) -> np.ndarray:
 @dataclass(frozen=True)
 class LookupResult:
     hit: bool
-    payload: Optional[object]
     comparisons: int
 
 
@@ -102,9 +104,8 @@ class HitOrderedCache:
         # list scan. A row's position alone records the equal-counter order.
         self._keys: list = []
         self._hits: list[int] = []
-        # Every resident barcode (or the int key ``replay`` was given), with
-        # its payload (None if ``replay`` admitted it).
-        self._payloads: dict = {}
+        # Every resident barcode (or the int key ``replay`` was given).
+        self._resident: set = set()
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -118,12 +119,12 @@ class HitOrderedCache:
         has been scanned and the cache is left unchanged.
         """
         validate_barcode(barcode)
-        if barcode not in self._payloads:
-            return LookupResult(hit=False, payload=None, comparisons=len(self._keys))
+        if barcode not in self._resident:
+            return LookupResult(hit=False, comparisons=len(self._keys))
         (slot,) = self.replay((barcode,))
-        return LookupResult(hit=True, payload=self._payloads[barcode], comparisons=slot + 1)
+        return LookupResult(hit=True, comparisons=slot + 1)
 
-    def insert(self, barcode: str, payload: object) -> Optional[str]:
+    def insert(self, barcode: str) -> Optional[str]:
         """Add a fresh row with one hit at the bottom of the list.
 
         Callers look up first, so inserting a barcode that is already
@@ -132,11 +133,10 @@ class HitOrderedCache:
         otherwise returns None.
         """
         validate_barcode(barcode)
-        if barcode in self._payloads:
+        if barcode in self._resident:
             raise DuplicateKeyError(f"barcode {barcode} already cached; look up before inserting")
         evicted = self._keys[-1] if len(self._keys) == self.capacity else None
         self.replay((barcode,))
-        self._payloads[barcode] = payload
         return evicted
 
     def replay(self, barcodes: Iterable[str]) -> List[int]:
@@ -144,12 +144,12 @@ class HitOrderedCache:
 
         Returns each scan's 0-based hit slot (slot + 1 comparisons), or
         ~rows for a miss that compared all ``rows`` rows. A hit is counted
-        and promoted as in ``lookup``; a miss then enters as in ``insert``,
-        with no payload. The barcodes are not validated.
+        and promoted as in ``lookup``; a miss then enters as in ``insert``.
+        The barcodes are not validated.
         """
         keys = self._keys
         counts = self._hits
-        resident = self._payloads
+        resident = self._resident
         capacity = self.capacity
         rows = len(keys)
         slots: List[int] = []
@@ -173,14 +173,14 @@ class HitOrderedCache:
             else:
                 record(~rows)
                 if rows == capacity:  # the new row takes the evicted bottom row's place
-                    del resident[keys[-1]]
+                    resident.remove(keys[-1])
                     keys[-1] = barcode
                     counts[-1] = 1
                 else:
                     keys.append(barcode)
                     counts.append(1)
                     rows += 1
-                resident[barcode] = None
+                resident.add(barcode)
         return slots
 
     def snapshot(self) -> Tuple[Tuple[str, int], ...]:

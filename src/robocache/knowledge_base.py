@@ -18,15 +18,13 @@ parser of a record file: it checks the whole buffer in place, through a
 numpy view of it, and decodes and walks it line by line only to name
 the first bad line. ``load_kb`` feeds it a file's bytes and
 ``ingest_text`` the ASCII encoding of a str (a str that is not ASCII
-goes straight to the walk). ``record_lines`` looks a batch of barcodes
-up in the index at once (``cache.barcode_keys`` checks them) and decodes
-only their lines; ``require`` only checks that each has a record, and
-``require_keys`` does the same for barcodes given as their int64 keys,
-as the simulator does once per run with the distinct keys of its
-``Trace``. ``save_kb`` writes the bytes back in one piece, and
-``export`` writes them to a text stream as text. No field is ever
-parsed back out of a line, and the simulator reads no line: a cached
-miss caches its barcode with no payload.
+goes straight to the walk). ``require_keys`` checks that each of a
+batch of barcodes, given as their int64 keys (``cache.barcode_keys``),
+has a record, as the simulator does once per run with the distinct keys
+of its ``Trace``. ``save_kb`` writes the bytes back in one piece, and
+``export`` writes them to a text stream as text. No line is ever looked
+up or parsed back into fields: the simulator needs only to know that a
+record exists, and a robot caches the barcode alone.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Lookup cost is modeled as an indexed
@@ -36,11 +34,11 @@ search: ceil(log2(N)) probes over N records, never less than one.
 from __future__ import annotations
 
 import io
-from typing import Iterable, Optional, TextIO, Union
+from typing import Optional, TextIO, Union
 
 import numpy as np
 
-from .cache import BARCODE_WIDTH, barcode_keys, barcode_text, digit_keys, validate_barcode
+from .cache import BARCODE_WIDTH, barcode_text, digit_keys, validate_barcode
 from .errors import ConfigError, IngestError, MissingRecordError, ValidationError
 
 SHIPPER_WIDTH = 10
@@ -108,46 +106,17 @@ class KnowledgeBase:
         # ``data`` holds whole ASCII records, each line with its "\n";
         # ``keys`` is the barcode of each, in file order.
         self._data = data
-        self._order = np.argsort(keys)
-        self._sorted_keys = keys[self._order]
+        self._sorted_keys = np.sort(keys)
 
     def __len__(self) -> int:
         return len(self._sorted_keys)
 
-    def __contains__(self, barcode: str) -> bool:
-        return self.record_line(barcode) is not None
-
-    def record_line(self, barcode: str) -> Optional[str]:
-        """The stored fixed-width line of ``barcode``, or None if it has no record."""
-        try:
-            return self.record_lines((barcode,))[barcode]
-        except (MissingRecordError, ValidationError):
-            return None
-
-    def require(self, barcodes: Iterable[str]) -> None:
-        """Raise MissingRecordError naming the first of ``barcodes``, in the given order, that has no record.
-
-        ValidationError names the first that is not 14 ASCII digits.
-        """
-        self.require_keys(barcode_keys(list(barcodes)))
-
     def require_keys(self, keys: np.ndarray) -> None:
-        """``require`` for barcodes given as their int64 keys (``cache.barcode_keys``).
+        """Raise MissingRecordError naming the first of ``keys``, in the given order, without a record.
 
-        MissingRecordError names the first key without a record, in the
-        given order, by its barcode text (``cache.barcode_text``).
+        The keys are barcodes as their int64 values (``cache.barcode_keys``);
+        the error names the key by its barcode text (``cache.barcode_text``).
         """
-        self._line_numbers(keys)
-
-    def record_lines(self, barcodes: Iterable[str]) -> dict[str, str]:
-        """The stored line of each of ``barcodes``, keyed by barcode; raises as ``require``."""
-        barcodes = list(barcodes)
-        starts = (self._line_numbers(barcode_keys(barcodes)) * RECORD_WIDTH).tolist()
-        data = self._data
-        return {barcode: data[start : start + LINE_WIDTH].decode("ascii") for barcode, start in zip(barcodes, starts)}
-
-    def _line_numbers(self, keys: np.ndarray) -> np.ndarray:
-        """The 0-based number of each key's line in the file; raises MissingRecordError as ``require_keys``."""
         # Searched in ascending order, neighbouring queries share their path.
         by_key = np.argsort(keys)
         at = np.empty_like(by_key)
@@ -156,7 +125,6 @@ class KnowledgeBase:
         found[found] = self._sorted_keys[at[found]] == keys[found]
         if not found.all():
             raise MissingRecordError(barcode_text(int(keys[found.argmin()])))
-        return self._order[at]
 
     def export(self, stream: TextIO) -> None:
         """Write all records in ingest order as text; ``ingest_text`` of what it writes gives them back."""

@@ -38,9 +38,10 @@ in the float order of one scan at a time:
   time (``np.add.accumulate``, carried from chunk to chunk, never the
   pairwise ``np.sum``).
 
-The replay reads no record text: a cached miss admits its key with no
-payload, since no output reads a cached record. A key becomes barcode
-text again only in the final cache rows and in MissingRecordError. Runs
+The replay reads no record text: the knowledge base is asked only
+whether each key has a record (``KnowledgeBase.require_keys``), and a
+cached miss admits its key alone. A key becomes barcode text again only
+in the final cache rows and in MissingRecordError. Runs
 are deterministic: all randomness flows from the run seed through the
 link.
 """

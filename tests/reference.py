@@ -18,10 +18,11 @@ database's export wrote.
 ReferenceLink and reference_replay are the satellite link and the replay
 loop as they stood while the link answered one request per call, kept
 verbatim: one ``random()`` loss run and one lock draw per round trip, and
-the latency, clock and stall sums in scan order. The one change since is
+the latency, clock and stall sums in scan order. The changes since are
 that the loop drives each robot's cache one scan at a time through the
-checked ``lookup``/``insert``. They hold the engine to every output bit,
-where reference_run holds it to the counts.
+checked ``lookup``/``insert``, and that it checks the distinct barcodes
+through ``require_keys`` and caches no record line. They hold the engine
+to every output bit, where reference_run holds it to the counts.
 
 reference_raw_text and reference_result_digest are the raw report's
 encoding and result_digest as they stood while each was one
@@ -41,7 +42,7 @@ import random
 from math import isfinite
 from typing import List
 
-from robocache.cache import HitOrderedCache, validate_barcode
+from robocache.cache import HitOrderedCache, barcode_keys, validate_barcode
 from robocache.errors import IngestError, TraceFormatError, ValidationError
 from robocache.knowledge_base import BARCODE_WIDTH, LINE_WIDTH, KnowledgeBase, format_record_line, index_probe_cost
 from robocache.netlink import LinkConfig, LinkStats
@@ -59,30 +60,31 @@ class ReferenceCache:
     def __init__(self, capacity: int):
         assert capacity >= 1
         self.capacity = capacity
-        self.entries = []  # [barcode, payload, hits], top first
+        self.entries = []  # [barcode, hits], top first
 
     def _resort(self):
-        self.entries.sort(key=lambda entry: -entry[2])  # stable
+        self.entries.sort(key=lambda entry: -entry[1])  # stable
 
     def lookup(self, barcode):
+        """(hit, comparisons) of one top-down scan; a hit is counted and re-sorted."""
         for position, entry in enumerate(self.entries):
             if entry[0] == barcode:
-                entry[2] += 1
+                entry[1] += 1
                 self._resort()
-                return True, entry[1], position + 1
-        return False, None, len(self.entries)
+                return True, position + 1
+        return False, len(self.entries)
 
-    def insert(self, barcode, payload):
+    def insert(self, barcode):
         assert all(entry[0] != barcode for entry in self.entries)
         evicted = None
         if len(self.entries) == self.capacity:
             evicted = self.entries.pop()[0]
-        self.entries.append([barcode, payload, 1])
+        self.entries.append([barcode, 1])
         self._resort()
         return evicted
 
     def rows(self):
-        return [(entry[0], entry[2]) for entry in self.entries]
+        return [(entry[0], entry[1]) for entry in self.entries]
 
 
 def reference_db_cost(record_count: int) -> int:
@@ -139,7 +141,7 @@ def reference_run(method, trace, db_size, sim_config) -> ReferenceCounters:
         out.scans += 1
         if method == "cached":
             cache = caches.setdefault(robot_id, ReferenceCache(sim_config.cache_capacity))
-            hit, _, comparisons = cache.lookup(barcode)
+            hit, comparisons = cache.lookup(barcode)
             out.cache_comparisons += comparisons
             probe_ms = comparisons * sim_config.cache_probe_time_ms
             if hit:
@@ -154,7 +156,7 @@ def reference_run(method, trace, db_size, sim_config) -> ReferenceCounters:
                 service_ms = db_cost * sim_config.db_probe_time_ms
                 out.latencies.append(probe_ms + round_trip + service_ms)
                 out.total_work_ms += probe_ms + service_ms + stall
-                cache.insert(barcode, None)
+                cache.insert(barcode)
         else:
             out.station_messages += 1
             round_trip, stall = transmit()
@@ -322,16 +324,11 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
 
     # Every station resolution costs the same indexed search.
     db_comparisons_per_resolve = index_probe_cost(len(kb))
-    # One bulk lookup of the distinct barcodes raises MissingRecordError
-    # for a barcode without a record; the cached replay inserts record
-    # lines from the small dict it returns.
+    # One bulk check of the distinct barcodes, in order of first scan,
+    # raises MissingRecordError for the first without a record.
     rows = rows_of(trace)
-    distinct_barcodes = dict.fromkeys(barcode for _, barcode, _ in rows)
+    kb.require_keys(barcode_keys(list(dict.fromkeys(barcode for _, barcode, _ in rows))))
     cached = method is MethodKind.CACHED
-    if cached:
-        line_of = kb.record_lines(distinct_barcodes)
-    else:
-        kb.require(distinct_barcodes)
     robot_ids = dict.fromkeys(robot_id for robot_id, _, _ in rows) if cached else ()
     caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
 
@@ -362,7 +359,7 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
                 delivered_at, _, stall = round_trip(issued + probe_ms)
                 decided_at = delivered_at + service_ms
                 work_ms = probe_ms + service_ms + stall
-                cache.insert(barcode, line_of[barcode])
+                cache.insert(barcode)
             cache_comparisons += comparisons
         else:
             delivered_at, _, stall = round_trip(issued)

@@ -94,14 +94,14 @@ def test_a1_oracle_equivalence_against_brute_force_cache():
         for _ in range(length):
             barcode = rng.choice(keyspace)
             mine = cache.lookup(barcode)
-            ref_hit, _, ref_comparisons = reference.lookup(barcode)
+            ref_hit, ref_comparisons = reference.lookup(barcode)
             assert mine.hit == ref_hit
             assert mine.comparisons == ref_comparisons
             if mine.hit:
                 hits += 1
             else:
                 misses += 1
-                assert cache.insert(barcode, None) == reference.insert(barcode, None)
+                assert cache.insert(barcode) == reference.insert(barcode)
             if ref_hit:
                 ref_hits += 1
             else:
@@ -253,7 +253,7 @@ def test_a5_ordering_stability_and_conservation_invariants():
                     evicted_hits += victim_hits
                 else:
                     expected_victim = None
-                assert cache.insert(barcode, None) == expected_victim
+                assert cache.insert(barcode) == expected_victim
                 inserts += 1
                 total_operations += 1
                 seq[barcode] = total_operations

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from robocache.cache import HitOrderedCache
+from robocache.cache import HitOrderedCache, barcode_keys
 from robocache.errors import ConfigError, DuplicateKeyError, ValidationError
 
 from reference import ReferenceCache
@@ -19,7 +19,6 @@ def test_lookup_on_empty_cache_is_a_zero_comparison_miss():
     cache = HitOrderedCache(capacity=4)
     result = cache.lookup(A)
     assert not result.hit
-    assert result.payload is None
     assert result.comparisons == 0
 
 
@@ -29,19 +28,40 @@ def test_malformed_keys_are_rejected_not_treated_as_misses():
         with pytest.raises(ValidationError):
             cache.lookup(bad)
         with pytest.raises(ValidationError):
-            cache.insert(bad, payload="p")
+            cache.insert(bad)
     assert len(cache) == 0
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        ["1234567890123"],
+        ["123456789012345"],
+        ["1234567890123x"],
+        ["１２３４５６７８９０１２３４"],
+        ["1234567 901234"],
+        [""],
+        # Joined, these hold 28 digits, as two good barcodes would.
+        ["1234567890123", "412345678901234"],
+        [12345678901234],
+        [None],
+    ],
+)
+def test_barcode_keys_refuses_a_malformed_barcode_by_name(malformed):
+    with pytest.raises(ValidationError) as exc_info:
+        barcode_keys(["12345678901234", *malformed])
+    assert repr(malformed[0]) in str(exc_info.value)
 
 
 def test_hit_below_larger_counter_does_not_reorder():
     # [A(3), B(1)]: hitting B makes it B(2), still below A(3)
     cache = HitOrderedCache(capacity=4)
-    cache.insert(A, "pa")
-    cache.insert(B, "pb")
+    cache.insert(A)
+    cache.insert(B)
     cache.lookup(A)
     cache.lookup(A)  # A now at 3
     result = cache.lookup(B)
-    assert result.hit and result.payload == "pb"
+    assert result.hit
     assert result.comparisons == 2
     assert cache.snapshot() == ((A, 3), (B, 2))
 
@@ -49,8 +69,8 @@ def test_hit_below_larger_counter_does_not_reorder():
 def test_hit_overtakes_strictly_smaller_counters_only():
     # [A(2), B(2)]: hitting B makes it B(3) and it passes A
     cache = HitOrderedCache(capacity=4)
-    cache.insert(A, "pa")
-    cache.insert(B, "pb")
+    cache.insert(A)
+    cache.insert(B)
     cache.lookup(A)
     cache.lookup(B)  # both at 2, order [A, B]
     assert cache.snapshot() == ((A, 2), (B, 2))
@@ -62,26 +82,26 @@ def test_hit_overtakes_strictly_smaller_counters_only():
 
 def test_insert_under_capacity_appends_at_the_bottom():
     cache = HitOrderedCache(capacity=2)
-    assert cache.insert(A, "pa") is None
-    assert cache.insert(B, "pb") is None
+    assert cache.insert(A) is None
+    assert cache.insert(B) is None
     assert cache.snapshot() == ((A, 1), (B, 1))
 
 
 def test_insert_at_capacity_evicts_the_bottom_entry():
     cache = HitOrderedCache(capacity=2)
-    cache.insert(A, "pa")
-    cache.insert(B, "pb")
+    cache.insert(A)
+    cache.insert(B)
     cache.lookup(A)  # [A(2), B(1)]
-    evicted = cache.insert(C, "pc")
+    evicted = cache.insert(C)
     assert evicted == B
     assert cache.snapshot() == ((A, 2), (C, 1))
 
 
 def test_duplicate_insert_is_a_contract_violation():
     cache = HitOrderedCache(capacity=2)
-    cache.insert(A, "pa")
+    cache.insert(A)
     with pytest.raises(DuplicateKeyError):
-        cache.insert(A, "again")
+        cache.insert(A)
 
 
 def test_capacity_must_be_a_positive_integer():
@@ -103,7 +123,7 @@ def test_hand_traced_sequence_a_b_a_c_a():
             hits += 1
         else:
             resolutions += 1
-            cache.insert(barcode, payload=f"p{barcode}")
+            cache.insert(barcode)
     assert comparisons == [0, 1, 1, 2, 1]
     assert sum(comparisons) == 5
     assert hits == 2
@@ -116,7 +136,7 @@ def test_snapshot_reflects_order_and_is_pure():
     assert cache.snapshot() == ()
     for barcode in (A, B, A, C, A):
         if not cache.lookup(barcode).hit:
-            cache.insert(barcode, payload=None)
+            cache.insert(barcode)
     snap = cache.snapshot()
     assert snap == ((A, 3), (C, 1))
     assert cache.snapshot() == snap  # repeated read, no mutation
@@ -130,7 +150,7 @@ def test_equal_hit_runs_keep_ascending_seq_order():
     for step in range(2000):
         barcode = rng.choice(keys)
         if not cache.lookup(barcode).hit:
-            cache.insert(barcode, payload=None)
+            cache.insert(barcode)
         seq[barcode] = step  # every step either hits or inserts this key
         rows = cache.snapshot()
         for (left, left_hits), (right, right_hits) in zip(rows, rows[1:]):
@@ -149,9 +169,9 @@ def test_matches_brute_force_reference_on_random_traces():
         for _ in range(rng.randint(1, 120)):
             barcode = rng.choice(keyspace)
             result = cache.lookup(barcode)
-            ref_hit, _, ref_comparisons = ref.lookup(barcode)
+            ref_hit, ref_comparisons = ref.lookup(barcode)
             assert result.hit == ref_hit
             assert result.comparisons == ref_comparisons
             if not result.hit:
-                assert cache.insert(barcode, None) == ref.insert(barcode, None)
+                assert cache.insert(barcode) == ref.insert(barcode)
             assert list(cache.snapshot()) == ref.rows()

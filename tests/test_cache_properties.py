@@ -3,9 +3,10 @@
 Hypothesis drives one cache through random mixes of the checked path
 (lookup, insert) and whole key lists replayed in one ``replay`` call, and
 mirrors every step on a ReferenceCache: a replayed miss is a reference
-insert with no payload. After each step the rows and the payloads must
-agree, and rows with equal hits must keep the order in which their counts
-were earned (tracked here by the test's own per-key stamps).
+insert. After each step the rows must agree, the resident set must hold
+exactly the barcodes of the rows, and rows with equal hits must keep the
+order in which their counts were earned (tracked here by the test's own
+per-key stamps).
 """
 
 import pytest
@@ -37,10 +38,10 @@ class CacheAgainstReference(RuleBasedStateMachine):
     @rule(barcode=keys)
     def lookup_then_insert(self, barcode):
         found = self.cache.lookup(barcode)
-        hit, payload, comparisons = self.ref.lookup(barcode)
-        assert (found.hit, found.payload, found.comparisons) == (hit, payload, comparisons)
+        hit, comparisons = self.ref.lookup(barcode)
+        assert (found.hit, found.comparisons) == (hit, comparisons)
         if not hit:
-            assert self.cache.insert(barcode, "p" + barcode) == self.ref.insert(barcode, "p" + barcode)
+            assert self.cache.insert(barcode) == self.ref.insert(barcode)
         self.counted(barcode)
 
     @rule(barcodes=st.lists(keys, max_size=12))
@@ -48,18 +49,18 @@ class CacheAgainstReference(RuleBasedStateMachine):
         slots = self.cache.replay(barcodes)
         assert len(slots) == len(barcodes)
         for barcode, slot in zip(barcodes, slots):
-            hit, _, comparisons = self.ref.lookup(barcode)
+            hit, comparisons = self.ref.lookup(barcode)
             if hit:
                 assert slot + 1 == comparisons
             else:
                 assert ~slot == comparisons == len(self.ref.entries)
-                self.ref.insert(barcode, None)
+                self.ref.insert(barcode)
             self.counted(barcode)
 
     @rule(barcode=keys)
     def lookup_without_insert(self, barcode):
         found = self.cache.lookup(barcode)
-        assert (found.hit, found.payload, found.comparisons) == self.ref.lookup(barcode)
+        assert (found.hit, found.comparisons) == self.ref.lookup(barcode)
         if found.hit:
             self.counted(barcode)
 
@@ -68,13 +69,13 @@ class CacheAgainstReference(RuleBasedStateMachine):
     def insert_of_a_resident_key_is_rejected(self, data):
         barcode = data.draw(st.sampled_from(self.ref.rows()))[0]
         with pytest.raises(DuplicateKeyError):
-            self.cache.insert(barcode, "again")
+            self.cache.insert(barcode)
 
     @invariant()
     def state_agrees(self):
         rows = self.cache.snapshot()
         assert list(rows) == self.ref.rows()
-        assert self.cache._payloads == {barcode: payload for barcode, payload, _ in self.ref.entries}
+        assert self.cache._resident == {barcode for barcode, _ in rows}
         for (upper, upper_hits), (lower, lower_hits) in zip(rows, rows[1:]):
             assert upper_hits >= lower_hits
             if upper_hits == lower_hits:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import robocache.knowledge_base
 from robocache.cache import barcode_keys
 from robocache.cli import _read_input, build_kb_for_workload
-from robocache.errors import ConfigError, IngestError, MissingRecordError, ValidationError
+from robocache.errors import ConfigError, IngestError, MissingRecordError
 from robocache.knowledge_base import (
     LINE_WIDTH,
     format_record_line,
@@ -40,8 +40,9 @@ def test_fixture_file_matches_hand_written_expected_table():
     with open(os.path.join(FIXTURES, "kb_10_expected.json")) as fh:
         expected = json.load(fh)
     assert len(kb) == len(expected) == 10
-    for row in expected:
-        assert kb.record_line(row["barcode"]) == format_record_line(**row), row["barcode"]
+    out = io.StringIO()
+    kb.export(out)
+    assert out.getvalue() == "".join(format_record_line(**row) + "\n" for row in expected)
 
 
 def test_ingest_then_export_round_trip_is_byte_identical():
@@ -225,62 +226,40 @@ def test_a_final_line_without_a_newline_still_loads(ending, tmp_path):
     assert out.getvalue() == LINES_1_2 + LINE_4
 
 
-def test_record_lines_returns_the_line_of_each_barcode_and_names_the_first_missing():
+def test_require_keys_accepts_every_record_and_names_the_first_missing():
     barcodes = ["12345678901234", "00000000000001", "99999999999999", "50000000000000"]
     kb = ingest_text("".join(make_line(barcode) + "\n" for barcode in barcodes))
-    assert kb.record_lines(reversed(barcodes)) == {barcode: make_line(barcode) for barcode in barcodes}
-    assert kb.record_lines([]) == {}
-    kb.require(barcodes)
     kb.require_keys(barcode_keys(barcodes))
+    kb.require_keys(barcode_keys(barcodes[::-1]))
+    kb.require_keys(barcode_keys([]))
     # Sorted, the missing barcodes come in the reverse of their given order.
-    for lookup in (kb.record_lines, kb.require, lambda barcodes: kb.require_keys(barcode_keys(barcodes))):
-        with pytest.raises(MissingRecordError) as exc_info:
-            lookup(["12345678901234", "99999999999998", "50000000000001", "00000000000000"])
-        assert exc_info.value.barcode == "99999999999998"
+    with pytest.raises(MissingRecordError) as exc_info:
+        kb.require_keys(barcode_keys(["12345678901234", "99999999999998", "50000000000001", "00000000000000"]))
+    assert exc_info.value.barcode == "99999999999998"
     with pytest.raises(MissingRecordError):
-        ingest_text("").require(["12345678901234"])
+        ingest_text("").require_keys(barcode_keys(["12345678901234"]))
 
 
-@pytest.mark.parametrize(
-    "malformed",
-    [
-        ["1234567890123"],
-        ["123456789012345"],
-        ["1234567890123x"],
-        ["１２３４５６７８９０１２３４"],
-        ["1234567 901234"],
-        [""],
-        # Joined, these hold 28 digits, as two good barcodes would.
-        ["1234567890123", "412345678901234"],
-        [12345678901234],
-        [None],
-    ],
-)
-def test_record_lines_refuses_a_malformed_barcode_and_record_line_finds_none(malformed):
-    kb = ingest_text(make_line("12345678901234") + "\n")
-    with pytest.raises(ValidationError) as exc_info:
-        kb.record_lines(["12345678901234", *malformed])
-    assert repr(malformed[0]) in str(exc_info.value)
-    for barcode in malformed:
-        assert kb.record_line(barcode) is None
-        assert barcode not in kb
-
-
-def test_record_line_returns_the_ingested_line_or_none():
+def test_export_writes_the_ingested_lines_in_file_order():
     barcodes = ["12345678901234", "12345678901235", "98765432109876", "10000000000000"]
     kb = make_kb(barcodes)
-    for index, barcode in enumerate(barcodes):
-        expected = format_record_line(
+    expected = [
+        format_record_line(
             barcode,
             shipper_number=f"SHIP{index:05d}",
             service_type="GRND",
             destination_terminal=f"T{barcode[0:4]}00D",
             delivery_exceptions="FRAGILE" if index % 3 == 0 else "",
         )
-        assert barcode in kb
-        assert kb.record_line(barcode) == expected
-    assert "99999999999999" not in kb
-    assert kb.record_line("99999999999999") is None
+        for index, barcode in enumerate(barcodes)
+    ]
+    out = io.StringIO()
+    kb.export(out)
+    assert out.getvalue() == "".join(line + "\n" for line in expected)
+    kb.require_keys(barcode_keys(barcodes))
+    with pytest.raises(MissingRecordError) as exc_info:
+        kb.require_keys(barcode_keys(["99999999999999"]))
+    assert exc_info.value.barcode == "99999999999999"
 
 
 def ingest_row_2(**fields):
