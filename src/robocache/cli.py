@@ -63,26 +63,24 @@ _SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
 # inspection when r % 13 == 0, so every field but the digits repeats every
 # 52 ranks.
 _FIELD_PERIOD = 52
-# Blocks of ranks keep every array the build makes small beside the
-# record bytes that the knowledge base keeps.
-_BLOCK_RANKS = 4096
-
-
-def _write_digits(rows: np.ndarray, start: int, values: np.ndarray, width: int) -> None:
-    """Write ``values`` (consumed) as ``width`` zero-padded ASCII digits into columns ``start`` onward."""
-    digit = np.empty_like(values)
-    for column in reversed(range(start, start + width)):
-        np.divmod(values, 10, out=(values, digit))
-        rows[:, column] = digit
-    rows[:, start : start + width] += ord("0")
+# barcode_for_rank(r) is the digits of barcode_for_rank(0) + r, and
+# barcode_for_rank(0), 10**13, is a multiple of 10,000; the shipper digits
+# are those of r % 100000. So over each run of 10,000 ranks from a
+# multiple of 10,000 the last four digits of both count 0000 to 9999 and
+# every other digit stays the same.
+_DIGIT_PERIOD = 10000
 
 
 def _record_bytes(unique_barcodes: int) -> bytearray:
     """The record file of ranks 0 to ``unique_barcodes`` - 1; every line ends in "\n".
 
-    One buffer is filled through a numpy view of it, _BLOCK_RANKS ranks
-    at a time: each row starts as the formatted line of its rank modulo
-    52 with zero digits, and the digits are then written a column at a time.
+    One buffer is filled in place. Every row first takes the formatted
+    line of its rank modulo 52, with zero digits, in one broadcast over
+    the 52-rank periods. Then a structured view of the buffer writes the
+    digit fields, _DIGIT_PERIOD ranks at a time, from tables of
+    zero-padded digit texts: the four-digit groups that count through a
+    run are the "0000" to "9999" table itself, and each other field is
+    one table entry for the whole run. No array per rank is made.
     """
     shipper_digits = BARCODE_WIDTH + len("SHIP")
     terminal_digits = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + len("T")
@@ -98,18 +96,47 @@ def _record_bytes(unique_barcodes: int) -> bytearray:
         for rank in range(_FIELD_PERIOD)
     )
     template_rows = np.frombuffer(templates.encode("ascii"), np.uint8).reshape(_FIELD_PERIOD, -1)
-    # barcode_for_rank(r) is the digits of barcode_for_rank(0) + r, below 10**14 for every rank.
+    # The texts "0"-"9", "00"-"99" and "0000"-"9999", each indexed by its value.
+    singles = np.frombuffer(b"0123456789", "S1")
+    pairs = np.array([b"%02d" % value for value in range(100)], "S2")
+    quads = np.empty(_DIGIT_PERIOD, "S4")
+    quad_halves = quads.view("S2").reshape(100, 100, 2)
+    quad_halves[:, :, 0] = pairs[:, np.newaxis]
+    quad_halves[:, :, 1] = pairs
+    # A view of the last two digits of each value 0 to 9999.
+    low_pairs = quads.view("S2")[1::2]
+    # The digit fields of a record, named by their first digit: barcode
+    # digits 1-2, 3-6, 7-10 and 11-14, shipper digit 1 and digits 2-5, and
+    # the terminal's copies of barcode digits 1-4 and 13-14.
+    fields = np.dtype(
+        {
+            "names": [
+                "barcode_1", "barcode_3", "barcode_7", "barcode_11", "shipper_1", "shipper_2", "terminal_1", "terminal_13"
+            ],
+            "formats": ["S2", "S4", "S4", "S4", "S1", "S4", "S4", "S2"],
+            "offsets": [0, 2, 6, 10, shipper_digits, shipper_digits + 1, terminal_digits, terminal_digits + 4],
+            "itemsize": RECORD_WIDTH,
+        }
+    )
     first_barcode = int(barcode_for_rank(0))
     data = bytearray(unique_barcodes * RECORD_WIDTH)
     records = np.frombuffer(data, np.uint8).reshape(unique_barcodes, RECORD_WIDTH)
-    for start in range(0, unique_barcodes, _BLOCK_RANKS):
-        ranks = np.arange(start, min(start + _BLOCK_RANKS, unique_barcodes), dtype=np.int64)
-        rows = records[start : start + len(ranks)]
-        rows[:] = template_rows[ranks % _FIELD_PERIOD]
-        _write_digits(rows, 0, ranks + first_barcode, BARCODE_WIDTH)
-        _write_digits(rows, shipper_digits, ranks % 100000, 5)
-        rows[:, terminal_digits : terminal_digits + 4] = rows[:, 0:4]
-        rows[:, terminal_digits + 4 : terminal_digits + 6] = rows[:, 12:14]
+    periods, rest = divmod(unique_barcodes, _FIELD_PERIOD)
+    records[: periods * _FIELD_PERIOD].reshape(periods, _FIELD_PERIOD, RECORD_WIDTH)[:] = template_rows
+    records[periods * _FIELD_PERIOD :] = template_rows[:rest]
+    digits = np.frombuffer(data, fields)
+    for start in range(0, unique_barcodes, _DIGIT_PERIOD):
+        run = digits[start : start + _DIGIT_PERIOD]
+        # Barcode digits 1-10 of every rank in the run, as one number.
+        high = (first_barcode + start) // _DIGIT_PERIOD
+        run["barcode_1"] = pairs[high // 10**8]
+        run["barcode_3"] = quads[high // 10**4 % 10**4]
+        run["barcode_7"] = quads[high % 10**4]
+        run["barcode_11"] = quads[: len(run)]
+        run["shipper_1"] = singles[start // _DIGIT_PERIOD % 10]
+        run["shipper_2"] = quads[: len(run)]
+        run["terminal_1"] = quads[high // 10**6]
+        run["terminal_13"] = low_pairs[: len(run)]
     return data
 
 

@@ -97,9 +97,13 @@ def load_config(path: str, *, seed_override: int | None = None, output_dir_overr
     """Parse an INI config file into a validated SimConfig."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"config path is not a file: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} cannot be decoded") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     for section in ("run", "workload", "link", "cache", "station", "alert"):

@@ -51,6 +51,8 @@ _KEY_LIMIT = 10**14
 _BLOCK_CHARS = 1 << 16
 # Rows per write of save_trace: only one block's text is held at a time.
 _WRITE_ROWS = 8192
+# Rows per check of the Trace constructor's array columns.
+_CHECK_ROWS = 4096
 # Every character a plain time field may hold, and the comma between two:
 # deleting them from a block's ASCII time text must leave nothing.
 _TIME_CHARS = b",0123456789.eE+-"
@@ -86,9 +88,10 @@ class Trace:
         Built by hand, each column has a value per scan: ``robot_ids``
         ints >= 0, ``barcodes`` 14-digit strs (one ``barcode_keys`` check)
         and ``issued_at`` ints or floats, which are held as float64.
-        ``generate`` and the parser pass arrays instead, checked in numpy:
-        the int64 keys as ``barcodes``, float64 times, and each scan's robot
-        number as ``robots``, with ``robot_ids`` the distinct ids by number.
+        ``generate`` and the parser pass arrays instead, checked in numpy
+        _CHECK_ROWS scans at a time: the int64 keys as ``barcodes``, float64
+        times, and each scan's robot number as ``robots``, with ``robot_ids``
+        the distinct ids by number.
         """
         robot_ids = tuple(robot_ids)
         if not (isinstance(barcodes, np.ndarray) and barcodes.dtype == np.int64 and barcodes.ndim == 1):
@@ -118,9 +121,9 @@ class Trace:
                 times = np.array(issued_at, np.float64)
             except OverflowError:  # an int too large for a float
                 pass
-        if times is None or not (np.isfinite(times).all() and (times >= 0).all()):
+        if times is None or not _holds_by_block(lambda block: np.isfinite(block).all() and (block >= 0).all(), times):
             raise ValidationError("every issue time must be a finite int or float >= 0")
-        if not (times[1:] >= times[:-1]).all():
+        if not _holds_by_block(lambda block: (block[1:] >= block[:-1]).all(), times):
             raise ValidationError("issue times must not decrease")
         object.__setattr__(self, "robots", _read_only(robots))
         object.__setattr__(self, "robot_ids", robot_ids)
@@ -139,17 +142,34 @@ class Trace:
         )
 
 
+def _holds_by_block(check, column: np.ndarray) -> bool:
+    """Whether ``check`` holds of each block of ``column``: _CHECK_ROWS rows and the first row of the next.
+
+    The arrays a check makes are a block long, small beside the column.
+    """
+    return all(check(column[start : start + _CHECK_ROWS + 1]) for start in range(0, len(column), _CHECK_ROWS))
+
+
 def _numbers_by_first_scan(robots, count: int) -> bool:
     """Whether ``robots`` is a 1-D integer array using each of 0..count-1, each first met after the one before."""
     if not (isinstance(robots, np.ndarray) and robots.ndim == 1 and robots.dtype.kind in "iu"):
         return False
     if not len(robots):
         return count == 0
-    # Each scan's number is at most one past the highest number before it.
-    highest = np.maximum.accumulate(robots)
-    return bool(
-        robots[0] == 0 and robots.min() >= 0 and (robots[1:] <= highest[:-1] + 1).all() and highest[-1] == count - 1
-    )
+    # Each scan's number is at most one past the highest number before it:
+    # the running highest number never rises by more than one.
+    highest = -1
+    for start in range(0, len(robots), _CHECK_ROWS):
+        block = robots[start : start + _CHECK_ROWS]
+        if block.min() < 0 or block[0] > highest + 1:
+            return False
+        running = np.maximum.accumulate(block)
+        if start:
+            np.maximum(running, highest, out=running)
+        if not (np.diff(running) <= 1).all():
+            return False
+        highest = int(running[-1])
+    return highest == count - 1
 
 
 @dataclass(frozen=True)

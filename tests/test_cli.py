@@ -129,6 +129,20 @@ def test_empty_workload_config_is_rejected(config_path, tmp_path, capsys):
     assert "total_scans" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["generate"], ["run", "--method", "baseline"]])
+@pytest.mark.parametrize("config", ["latin-1", "directory"])
+def test_a_config_that_cannot_be_read_is_one_error_line(command, config, tmp_path, capsys):
+    path = tmp_path / "config"
+    if config == "directory":
+        path.mkdir()
+        expected = f"config path is not a file: {path}"
+    else:
+        path.write_bytes("[run]\nseed = 1\n; café\n".encode("latin-1"))
+        expected = f"config {path} is not UTF-8 text: byte 0xe9 cannot be decoded"
+    assert run_cli([*command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_compare_rejects_mismatched_traces(config_path, tmp_path, capsys):
     first = str(tmp_path / "first")
     second = str(tmp_path / "second")

@@ -78,6 +78,26 @@ def test_missing_file_is_a_config_error():
         load_config("no/such/config.ini")
 
 
+def test_a_config_file_is_read_as_utf8(tmp_path):
+    path = tmp_path / "sim.ini"
+    path.write_bytes(GOOD_CONFIG.format(out="out").encode() + "; café\n".encode("utf-8"))
+    assert load_config(str(path)).seed == 42
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "sim.ini"
+    path.write_bytes(GOOD_CONFIG.format(out="out").encode() + "; café\n".encode("latin-1"))
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(str(path))
+    assert str(exc_info.value) == f"config {path} is not UTF-8 text: byte 0xe9 cannot be decoded"
+
+
+def test_a_directory_is_not_a_config_file(tmp_path):
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(str(tmp_path))
+    assert str(exc_info.value) == f"config path is not a file: {tmp_path}"
+
+
 def test_missing_section_is_reported(tmp_path):
     body = GOOD_CONFIG.format(out="out").replace("[alert]\nthreshold_minutes = 20\n", "")
     with pytest.raises(ConfigError) as exc_info:

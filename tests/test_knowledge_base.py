@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import robocache.cli
 import robocache.knowledge_base
 from robocache.cache import barcode_keys
 from robocache.cli import _read_input, build_kb_for_workload
@@ -20,6 +21,7 @@ from robocache.knowledge_base import (
     save_kb,
 )
 
+import reference
 from helpers import make_kb, traced_peak
 from reference import reference_ingest, reference_load_kb, synth_record_line
 
@@ -311,12 +313,31 @@ def test_ingest_refuses_a_row_with_a_non_ascii_field():
 
 
 # Record counts on both sides of each field period: 4 service types, the
-# exception every 13th rank, their 52-rank cycle and the 100,000 shipper numbers.
-@pytest.mark.parametrize("records", [0, 1, 4, 13, 14, 52, 53, 100, 101, 1300, 1301, 100001])
+# exception every 13th rank, their 52-rank cycle, the 10,000 values of the
+# last four digits, whose carry moves the digits above them, and the 100,000
+# shipper numbers; 4,095 to 4,097 and 8,193 end partway through a run of
+# 10,000 ranks.
+@pytest.mark.parametrize(
+    "records",
+    [0, 1, 4, 13, 14, 52, 53, 100, 101, 1300, 1301, 4095, 4096, 4097, 8193, 10000, 10001, 99999, 100000, 100001],
+)
 def test_synthesized_knowledge_base_matches_the_per_rank_lines(records):
     out = io.StringIO()
     build_kb_for_workload(records).export(out)
     assert out.getvalue() == "".join(synth_record_line(rank) + "\n" for rank in range(records))
+
+
+def test_the_build_carries_into_every_digit_group_of_the_barcode(monkeypatch):
+    # A real build changes barcode digits 1-6 only past 10**8 ranks; from
+    # this first barcode, rank 10,000 carries into every digit above the last four.
+    first = 19_999_999_990_000
+    for module in (robocache.cli, reference):
+        monkeypatch.setattr(module, "barcode_for_rank", lambda rank: str(first + rank))
+    out = io.StringIO()
+    build_kb_for_workload(20_001).export(out)
+    lines = out.getvalue().splitlines()
+    assert lines == [synth_record_line(rank) for rank in range(20_001)]
+    assert lines[10_000].startswith("20000000000000SHIP10000 ")
 
 
 # Five good lines: the smallest and largest barcodes, two neighbours, and

@@ -294,6 +294,36 @@ def test_trace_constructor_rejects_each_invalid_array_column(robot_ids, keys, is
         Trace(robot_ids, keys, issued_at, robots=robots)
 
 
+# The constructor checks its array columns 4,096 scans at a time.
+CHECK_ROWS = 4096
+
+
+@pytest.mark.parametrize("at", [CHECK_ROWS - 1, CHECK_ROWS, CHECK_ROWS + 1, 2 * CHECK_ROWS])
+@pytest.mark.parametrize("change", ["old-then-new-robot", "robot-skipped", "decreasing-time", "nan-time"])
+def test_the_array_checks_hold_across_their_blocks(change, at):
+    # Robots 0-9 scan first and robot 0 after them; at scan ``at`` one change
+    # is made beside a block edge.
+    scans = 2 * CHECK_ROWS + 2
+    robots = np.zeros(scans, np.intp)
+    robots[:10] = np.arange(10)
+    times = np.arange(scans, dtype=np.float64)
+    if change == "old-then-new-robot":
+        # Robot 3 again, then robot 10 for the first time: both legal.
+        robots[at : at + 2] = (3, 10)
+    elif change == "robot-skipped":
+        robots[at] = 11
+    elif change == "decreasing-time":
+        times[at] = times[at - 1] - 0.5
+    else:
+        times[at] = np.nan
+    build = lambda: Trace(range(robots.max() + 1), np.full(scans, 7, np.int64), times, robots=robots)
+    if change == "old-then-new-robot":
+        assert build().robots.tolist() == robots.tolist()
+    else:
+        with pytest.raises(ValidationError):
+            build()
+
+
 def test_a_zero_padded_barcode_and_a_robot_id_past_int64_save_and_reload_as_written():
     trace = make_trace([(2**64 + 5, "00000000000007", 0.0), (0, "00000000000007", 1.5)])
     out = io.StringIO()
@@ -312,6 +342,17 @@ def test_generate_holds_its_three_columns_and_little_more():
     assert len(trace) == config.total_scans
     assert kept <= 32 * config.total_scans, f"generate kept {kept / config.total_scans:.1f} bytes a scan"
     assert peak <= 64 * config.total_scans, f"generate peaked at {peak / config.total_scans:.1f} bytes a scan"
+
+
+def test_generate_peaks_near_the_columns_it_keeps():
+    # The constructor's checks make arrays a block long, not a scan long.
+    config = WorkloadConfig(
+        total_scans=100_000, unique_barcodes=2000, skew=1.4, robots=4, inter_arrival_ms=1.0, seed=20260808
+    )
+    generate(make_config())  # numpy imports its random generator on first use
+    trace, _, peak = traced_memory(lambda: generate(config))
+    columns = trace.robots.nbytes + trace.keys.nbytes + trace.issued_at.nbytes
+    assert peak <= 1.25 * columns, f"generate peaked at {peak / columns:.2f}x its columns"
 
 
 @pytest.mark.parametrize(
