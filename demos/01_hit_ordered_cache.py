@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Walk through the hit-ordered cache one operation at a time.
+"""Walk through the hit-ordered cache one scan at a time.
 
-Replays the scan sequence A, B, A, C, A through a two-slot cache and
-prints the internal state after every step: the slot each hit was found
+Replays the scan sequence A, B, A, C, A through a two-slot cache, one
+``replay`` call per scan, and prints the internal state after every step: the slot each hit was found
 in, probe counts, hit counters, the eviction, and the final
 holding-area snapshot. The cache holds barcodes and hit counters only;
 a hit saves the robot its trip to the station's knowledge base.
@@ -28,16 +28,20 @@ def main():
 
     hits = comparisons = 0
     for barcode in SCANS:
-        result = cache.lookup(barcode)
+        before = cache.snapshot()
+        # One scan through the cache: its 0-based hit slot, or ~rows for a miss.
+        (slot,) = cache.replay((barcode,))
         name = NAMES[barcode]
-        comparisons += result.comparisons
-        if result.hit:
+        if slot >= 0:
             hits += 1
-            print(f"scan {name}: HIT in slot {result.comparisons} ({result.comparisons} comparison(s))")
+            comparisons += slot + 1
+            print(f"scan {name}: HIT in slot {slot + 1} ({slot + 1} comparison(s))")
         else:
-            evicted = cache.insert(barcode)
+            comparisons += ~slot
+            # A miss in a full cache takes the bottom row's place.
+            evicted = before[-1][0] if len(before) == cache.capacity else None
             note = f", evicted {NAMES[evicted]}" if evicted else ""
-            print(f"scan {name}: miss after {result.comparisons} comparison(s), inserted at the bottom{note}")
+            print(f"scan {name}: miss after {~slot} comparison(s), inserted at the bottom{note}")
         print(f"         state {show(cache)}")
 
     print("\nholding-area snapshot (barcode, hits), top of cache first:")

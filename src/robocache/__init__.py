@@ -9,11 +9,10 @@ link and workload models, the deterministic simulator, and the
 four-row performance report comparing the two methods.
 """
 
-from .cache import HitOrderedCache, LookupResult, validate_barcode
+from .cache import HitOrderedCache, validate_barcode
 from .config import SimConfig, load_config
 from .errors import (
     ConfigError,
-    DuplicateKeyError,
     IngestError,
     MissingRecordError,
     SimulationError,
@@ -23,7 +22,7 @@ from .errors import (
 from .knowledge_base import (
     KnowledgeBase,
     index_probe_cost,
-    ingest_text,
+    ingest_bytes,
     load_kb,
     save_kb,
 )
@@ -49,7 +48,7 @@ from .workload import (
     WorkloadConfig,
     barcode_for_rank,
     generate,
-    parse_trace,
+    parse_trace_bytes,
     read_trace,
     save_trace,
     write_trace,
@@ -63,13 +62,11 @@ __all__ = [
     "AlertResult",
     "ComparisonTable",
     "ConfigError",
-    "DuplicateKeyError",
     "HitOrderedCache",
     "IngestError",
     "KnowledgeBase",
     "LinkConfig",
     "LinkStats",
-    "LookupResult",
     "MethodKind",
     "MetricsReport",
     "MissingRecordError",
@@ -87,10 +84,10 @@ __all__ = [
     "compare",
     "generate",
     "index_probe_cost",
-    "ingest_text",
+    "ingest_bytes",
     "load_config",
     "load_kb",
-    "parse_trace",
+    "parse_trace_bytes",
     "read_trace",
     "result_digest",
     "run",

@@ -1,11 +1,11 @@
 """Capacity-bounded cache ordered by per-row hit counters.
 
 Rows are kept sorted from most-hit to least-hit, so a top-down linear
-scan finds popular keys in one or two probes. A successful lookup
-increments the matched row's counter and lets the row bubble up past
-neighbours with strictly smaller counters; it never overtakes a row
-with an equal counter, which keeps equal-counter runs in the order the
-counts were earned. New rows always start with one hit at the bottom
+scan finds popular keys in one or two probes. A hit increments the
+matched row's counter and lets the row bubble up past neighbours with
+strictly smaller counters; it never overtakes a row with an equal
+counter, which keeps equal-counter runs in the order the counts were
+earned. New rows always start with one hit at the bottom
 of the list, and when the cache is full the bottom row is evicted to
 make room. Every probe is counted so callers can account for search
 cost.
@@ -17,20 +17,17 @@ one call: every hit is promoted and every miss admitted. It holds the
 one promote/evict rule and does not validate its keys, for a caller
 (the simulator) that has validated every key once up front; the
 simulator replays each barcode as its int key and names a row by
-``barcode_text`` of it. ``lookup`` and ``insert`` validate their key and
-do their one step through ``replay``. ``validate_barcode`` checks one
-key and ``barcode_keys`` a batch at once; both hold the same barcode
-rule.
+``barcode_text`` of it. ``validate_barcode`` checks one key and
+``barcode_keys`` a batch at once; both hold the same barcode rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DuplicateKeyError, ValidationError
+from .errors import ConfigError, ValidationError
 
 BARCODE_WIDTH = 14
 # The text of a barcode's int key; ``BARCODE_FORMAT.__mod__`` formats a batch at C speed.
@@ -83,12 +80,6 @@ def barcode_keys(barcodes: Sequence[str]) -> np.ndarray:
     raise AssertionError("every barcode passed validate_barcode but not the bulk check")
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    hit: bool
-    comparisons: int
-
-
 class HitOrderedCache:
     """Fixed-capacity store sorted by descending hit counter.
 
@@ -104,48 +95,18 @@ class HitOrderedCache:
         # list scan. A row's position alone records the equal-counter order.
         self._keys: list = []
         self._hits: list[int] = []
-        # Every resident barcode (or the int key ``replay`` was given).
+        # The key of every row.
         self._resident: set = set()
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    def lookup(self, barcode: str) -> LookupResult:
-        """Scan top-down for ``barcode``, counting one comparison per probe.
-
-        On a hit the row's counter is incremented and the row moves up
-        past strictly smaller counters; the result reports the probe
-        count before the move (position + 1). On a miss the whole list
-        has been scanned and the cache is left unchanged.
-        """
-        validate_barcode(barcode)
-        if barcode not in self._resident:
-            return LookupResult(hit=False, comparisons=len(self._keys))
-        (slot,) = self.replay((barcode,))
-        return LookupResult(hit=True, comparisons=slot + 1)
-
-    def insert(self, barcode: str) -> Optional[str]:
-        """Add a fresh row with one hit at the bottom of the list.
-
-        Callers look up first, so inserting a barcode that is already
-        resident raises DuplicateKeyError. If the cache is full the
-        bottom row is removed first and its barcode returned;
-        otherwise returns None.
-        """
-        validate_barcode(barcode)
-        if barcode in self._resident:
-            raise DuplicateKeyError(f"barcode {barcode} already cached; look up before inserting")
-        evicted = self._keys[-1] if len(self._keys) == self.capacity else None
-        self.replay((barcode,))
-        return evicted
-
     def replay(self, barcodes: Iterable[str]) -> List[int]:
         """Look each of ``barcodes`` up in turn, admitting every miss; the one promote/evict rule.
 
         Returns each scan's 0-based hit slot (slot + 1 comparisons), or
-        ~rows for a miss that compared all ``rows`` rows. A hit is counted
-        and promoted as in ``lookup``; a miss then enters as in ``insert``.
-        The barcodes are not validated.
+        ~rows for a miss that compared all ``rows`` rows. Hits and misses
+        follow the rule at module top. The barcodes are not validated.
         """
         keys = self._keys
         counts = self._hits

@@ -13,10 +13,6 @@ class ConfigError(SimulationError):
     """A configuration value, or a combination of values, is invalid."""
 
 
-class DuplicateKeyError(SimulationError):
-    """An operation would create a second entry for the same barcode."""
-
-
 class LineError(SimulationError):
     """An input file line is malformed; carries its 1-based number and the reason."""
 

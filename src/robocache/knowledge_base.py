@@ -14,27 +14,26 @@ knowledge base of a workload (``cli.build_kb_for_workload``) takes its
 column offsets from them. The database holds its record file's bytes,
 as they were read or built, plus a sorted int64 index of the barcodes
 (every 14-digit barcode fits in an int64). ``ingest_bytes`` is the one
-parser of a record file: it checks the whole buffer in place, through a
-numpy view of it, and decodes and walks it line by line only to name
-the first bad line. ``load_kb`` feeds it a file's bytes and
-``ingest_text`` the ASCII encoding of a str (a str that is not ASCII
-goes straight to the walk). ``require_keys`` checks that each of a
-batch of barcodes, given as their int64 keys (``cache.barcode_keys``),
-has a record, as the simulator does once per run with the distinct keys
-of its ``Trace``. ``save_kb`` writes the bytes back in one piece, and
-``export`` writes them to a text stream as text. No line is ever looked
-up or parsed back into fields: the simulator needs only to know that a
-record exists, and a robot caches the barcode alone.
+parser of a record file, which ``load_kb`` feeds a file's bytes: it
+checks the whole buffer in place, through a numpy view of it, and
+decodes and walks it line by line only to name the first bad line.
+``require_keys`` checks that each of a batch of barcodes, given as their
+int64 keys (``cache.barcode_keys``), has a record, as the simulator does
+once per run with the distinct keys of its ``Trace``. ``save_kb`` writes
+the bytes back in one piece, and ``export`` writes them to a text stream
+as text. No line is ever looked up or parsed back into fields: the
+simulator needs only to know that a record exists, and a robot caches
+the barcode alone.
 
 The database is read-only after ingest and safe to share across
-concurrent simulation runs. Lookup cost is modeled as an indexed
+concurrent simulation runs. Search cost is modeled as an indexed
 search: ceil(log2(N)) probes over N records, never less than one.
 """
 
 from __future__ import annotations
 
 import io
-from typing import Optional, TextIO, Union
+from typing import NoReturn, Optional, TextIO, Union
 
 import numpy as np
 
@@ -127,7 +126,7 @@ class KnowledgeBase:
             raise MissingRecordError(barcode_text(int(keys[found.argmin()])))
 
     def export(self, stream: TextIO) -> None:
-        """Write all records in ingest order as text; ``ingest_text`` of what it writes gives them back."""
+        """Write all records in ingest order as text; ``ingest_bytes`` of its ASCII encoding gives them back."""
         stream.write(self._data.decode("ascii"))
 
 
@@ -139,8 +138,8 @@ def _rows(data: RecordData) -> np.ndarray:
 def _from_bytes(data: RecordData) -> Optional[KnowledgeBase]:
     """The knowledge base of ``data`` if the whole buffer passes at once, else None.
 
-    Accepts only what _walk accepts of its text, with the same lines:
-    whole records, each a line of LINE_WIDTH bytes and its "\n" (so no
+    Accepts exactly the text that _walk passes to its end, with the same
+    lines: whole records, each a line of LINE_WIDTH bytes and its "\n" (so no
     "\n" inside a line), no "\r" (a file reader also ends a line there),
     ASCII only, 14 digits in every barcode column and no barcode twice.
     The checks read ``data`` in place and copy no record.
@@ -157,14 +156,13 @@ def _from_bytes(data: RecordData) -> Optional[KnowledgeBase]:
     return None if (kb._sorted_keys[1:] == kb._sorted_keys[:-1]).any() else kb
 
 
-def _walk(text: str) -> KnowledgeBase:
-    """The knowledge base of ``text``, checked one line at a time.
+def _walk(text: str) -> NoReturn:
+    """Raise at the first bad line of ``text``, with its number and reason.
 
     Lines end where a file opened with ``newline=""`` ends them, at a
-    lone "\r" too, and a line that keeps a "\r" is refused. Raises at the
-    first bad line with its number and reason.
+    lone "\r" too, and a line that keeps a "\r" is refused. A text with
+    no bad line, which _from_bytes accepts, ends in AssertionError.
     """
-    checked = []
     seen: set[str] = set()
     for line_no, raw in enumerate(io.StringIO(text, newline=""), start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
@@ -175,9 +173,7 @@ def _walk(text: str) -> KnowledgeBase:
             # A line of 55 characters and "\r\n" has the right length.
             raise IngestError(line_no, 'carriage return in the line; a record line ends in "\\n" only')
         seen.add(barcode)
-        checked.append(line)
-    data = "".join(line + "\n" for line in checked).encode("ascii")
-    return KnowledgeBase(data, digit_keys(_rows(data)[:, :BARCODE_WIDTH]))
+    raise AssertionError("every line passed the walk but not the bulk check")
 
 
 def ingest_bytes(data: RecordData) -> KnowledgeBase:
@@ -191,17 +187,12 @@ def ingest_bytes(data: RecordData) -> KnowledgeBase:
     ASCII as a lone surrogate) and walked line by line, so the error
     carries the 1-based number and the reason of the first bad line.
     """
+    if data and not data.endswith(b"\n"):
+        data = data + b"\n"
     kb = _from_bytes(data)
-    return _walk(data.decode("ascii", "surrogateescape")) if kb is None else kb
-
-
-def ingest_text(text: str) -> KnowledgeBase:
-    """``ingest_bytes`` of a record file's text, given as a str.
-
-    A text that is not ASCII cannot pass, so it is walked at once for
-    the first bad line; a non-ASCII character there is named as itself.
-    """
-    return ingest_bytes(text.encode("ascii")) if text.isascii() else _walk(text)
+    if kb is None:
+        _walk(data.decode("ascii", "surrogateescape"))
+    return kb
 
 
 def load_kb(path: str) -> KnowledgeBase:

@@ -146,7 +146,7 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     ``sim_config`` supplies the link config, the run seed, cache
     capacity and the per-probe costs (see config.SimConfig). The Trace
     checked its own values when it was built; every key must also
-    resolve in ``kb``, checked by one bulk lookup of its distinct keys
+    resolve in ``kb``, checked by one bulk search of its distinct keys
     before the replay starts. A key the KB lacks raises
     MissingRecordError naming the first such barcode in trace order (a
     data error, not a modeled outcome).
@@ -157,7 +157,7 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
 
     # Every station resolution costs the same indexed search.
     db_comparisons_per_resolve = index_probe_cost(len(kb))
-    # One bulk lookup of the trace's distinct keys, ascending, raises
+    # One bulk search of the trace's distinct keys, ascending, raises
     # MissingRecordError for a barcode without a record; a second over
     # every scan's key names the first such barcode in trace order. Every
     # key is trusted from here on, so the caches replay it unchecked; no

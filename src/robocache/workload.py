@@ -20,8 +20,7 @@ exactly; a timestamp field is plain ASCII with no whitespace, "_" or sign.
 ``read_trace`` reads: it checks them block by block, decoding one block
 of whole lines at a time, and fills the columns from them; only bytes
 that fail a check are decoded whole and walked line by line, which names
-the first bad line and its reason. ``parse_trace`` hands it the ASCII
-encoding of a str; a str that is not ASCII goes straight to the walk.
+the first bad line and its reason.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import io
 from dataclasses import dataclass
 from itertools import repeat
 from math import isfinite
-from typing import Optional, TextIO, Tuple
+from typing import NoReturn, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .cache import BARCODE_FORMAT, barcode_keys, validate_barcode
 from .errors import ConfigError, TraceFormatError, ValidationError
 
 TRACE_HEADER = "robot_id,barcode,issued_at_ms"
+_HEADER_LINE = (TRACE_HEADER + "\n").encode()
 # Decoded with errors="surrogateescape": a byte that does not decode
 # reaches the parser as a lone surrogate, which every field check rejects
 # with its line number.
@@ -223,9 +223,11 @@ def generate(config: WorkloadConfig) -> Trace:
     times = rng.exponential(config.inter_arrival_ms, config.total_scans)
     np.cumsum(times, out=times)
     # Round robin: robot r first scans at scan r, so its number is its id.
+    # Only robots below total_scans scan, and so the modulus fits an int64.
+    robot_count = min(config.robots, config.total_scans)
     robots = np.arange(config.total_scans)
-    robots %= config.robots
-    return Trace(range(min(config.robots, config.total_scans)), keys, times, robots=robots)
+    robots %= robot_count
+    return Trace(range(robot_count), keys, times, robots=robots)
 
 
 def save_trace(trace: Trace, stream: TextIO) -> None:
@@ -245,38 +247,33 @@ def parse_trace_bytes(data: bytes) -> Trace:
     """Parse the bytes of a trace CSV, enforcing field shape and non-decreasing time.
 
     An empty file yields an empty trace; any content must start with the
-    standard header line. Lines end where a file opened with ``newline=""``
-    ends them, at a lone "\r" too. The bytes are checked block by block;
-    only when a check fails are they decoded from UTF-8 (a byte that does
-    not decode as a lone surrogate) and walked line by line, so the error
-    carries the 1-based number and the reason of the first bad line.
+    standard header line, and the last line may omit its "\n". Lines end
+    where a file opened with ``newline=""`` ends them, at a lone "\r" too.
+    The bytes are checked block by block; only when a check fails are they
+    decoded from UTF-8 (a byte that does not decode as a lone surrogate)
+    and walked line by line, so the error carries the 1-based number and
+    the reason of the first bad line.
     """
+    if not data.endswith(b"\n"):
+        data = data + b"\n" if data else _HEADER_LINE
     trace = _parse_columns(data)
-    return _walk_lines(data.decode(TRACE_ENCODING, "surrogateescape")) if trace is None else trace
-
-
-def parse_trace(text: str) -> Trace:
-    """``parse_trace_bytes`` of the text of a trace CSV, given as a str.
-
-    A text that is not ASCII cannot pass, so it is walked at once for the
-    first bad line; a character there is named as itself.
-    """
-    return parse_trace_bytes(text.encode("ascii")) if text.isascii() else _walk_lines(text)
+    if trace is None:
+        _walk_lines(data.decode(TRACE_ENCODING, "surrogateescape"))
+    return trace
 
 
 def _parse_columns(data: bytes) -> Optional[Trace]:
     """The trace in ``data`` if all of it passes block by block, else None.
 
-    Accepts only what _walk_lines accepts of its text, with the same
-    values: the header, then ASCII lines that each end in "\n" and hold
+    Accepts exactly the text that _walk_lines passes to its end, with the
+    same values: the header, then ASCII lines that each end in "\n" and hold
     exactly two commas, digit robot ids and times of plain number
     characters with no leading sign. Each block's barcodes become keys in
     one ``barcode_keys`` call, its times floats in one ``np.fromiter`` and
     its robot texts numbers, with one ``int()`` per distinct robot text.
     The Trace constructor checks the time values and their order.
     """
-    header = (TRACE_HEADER + "\n").encode()
-    if not data.startswith(header) or not data.endswith(b"\n") or b"\r" in data:
+    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data:
         return None
     scans = data.count(b"\n") - 1
     robots = np.empty(scans, np.intp)
@@ -285,7 +282,7 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     number_of_text = {}  # robot text -> robot number
     number_of_id = {}  # robot id -> robot number, in order of first scan
     row = 0
-    start = len(header)
+    start = len(_HEADER_LINE)
     while start < len(data):
         # Whole lines, about _BLOCK_CHARS at a time: only one block's
         # text and split fields are held beside the columns.
@@ -326,9 +323,13 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
         return None
 
 
-def _walk_lines(text: str) -> Trace:
-    """Parse the trace line by line; raises at the first bad line with its number and reason."""
-    robot_ids, barcodes, times = [], [], []
+def _walk_lines(text: str) -> NoReturn:
+    """Raise at the first bad line of the trace ``text``, with its number and reason.
+
+    A text with no bad line, which _parse_columns accepts, ends in
+    AssertionError.
+    """
+    last_time = 0.0
     for line_no, raw in enumerate(io.StringIO(text, newline=""), start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
         if line_no == 1:
@@ -348,7 +349,7 @@ def _walk_lines(text: str) -> Trace:
                 raise TraceFormatError(line_no, f"robot_id {robot_field!r} has a sign")
             raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer")
         try:
-            robot_id = int(robot_field)
+            int(robot_field)
         except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
             raise TraceFormatError(line_no, f"robot_id of {len(robot_field)} digits is too long") from None
         try:
@@ -366,12 +367,10 @@ def _walk_lines(text: str) -> Trace:
             raise TraceFormatError(line_no, f"issued_at_ms {time_field} is not a finite non-negative time")
         if time_field[:1] in ("+", "-"):
             raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} has a sign")
-        if times and issued_at < times[-1]:
-            raise TraceFormatError(line_no, f"issued_at_ms decreased ({issued_at!r} after {times[-1]!r})")
-        robot_ids.append(robot_id)
-        barcodes.append(barcode)
-        times.append(issued_at)
-    return Trace(robot_ids, barcodes, times)
+        if issued_at < last_time:
+            raise TraceFormatError(line_no, f"issued_at_ms decreased ({issued_at!r} after {last_time!r})")
+        last_time = issued_at
+    raise AssertionError("every line passed the walk but not the bulk parse")
 
 
 def write_trace(trace: Trace, path: str) -> None:

@@ -6,7 +6,7 @@ import tracemalloc
 
 from robocache.cache import barcode_text
 from robocache.config import SimConfig
-from robocache.knowledge_base import KnowledgeBase, format_record_line, ingest_text
+from robocache.knowledge_base import KnowledgeBase, format_record_line, ingest_bytes
 from robocache.netlink import LinkConfig
 from robocache.workload import Trace, WorkloadConfig
 
@@ -69,7 +69,7 @@ def barcodes_of(trace: Trace) -> list:
 
 
 def make_kb(barcodes) -> KnowledgeBase:
-    return ingest_text(
+    return ingest_bytes(
         "".join(
             format_record_line(
                 barcode,
@@ -80,7 +80,7 @@ def make_kb(barcodes) -> KnowledgeBase:
             )
             + "\n"
             for index, barcode in enumerate(barcodes)
-        )
+        ).encode("ascii")
     )
 
 

@@ -19,10 +19,11 @@ ReferenceLink and reference_replay are the satellite link and the replay
 loop as they stood while the link answered one request per call, kept
 verbatim: one ``random()`` loss run and one lock draw per round trip, and
 the latency, clock and stall sums in scan order. The changes since are
-that the loop drives each robot's cache one scan at a time through the
-checked ``lookup``/``insert``, and that it checks the distinct barcodes
-through ``require_keys`` and caches no record line. They hold the engine
-to every output bit, where reference_run holds it to the counts.
+that each robot's cache is a ReferenceCache driven one scan at a time,
+so the oracle shares no cache code with the engine, and that the loop
+checks the distinct barcodes through ``require_keys`` and caches no
+record line. They hold the engine to every output bit, where
+reference_run holds it to the counts.
 
 reference_raw_text and reference_result_digest are the raw report's
 encoding and result_digest as they stood while each was one
@@ -42,7 +43,7 @@ import random
 from math import isfinite
 from typing import List
 
-from robocache.cache import HitOrderedCache, barcode_keys, validate_barcode
+from robocache.cache import barcode_keys, validate_barcode
 from robocache.errors import IngestError, TraceFormatError, ValidationError
 from robocache.knowledge_base import BARCODE_WIDTH, LINE_WIDTH, KnowledgeBase, format_record_line, index_probe_cost
 from robocache.netlink import LinkConfig, LinkStats
@@ -330,7 +331,7 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
     kb.require_keys(barcode_keys(list(dict.fromkeys(barcode for _, barcode, _ in rows))))
     cached = method is MethodKind.CACHED
     robot_ids = dict.fromkeys(robot_id for robot_id, _, _ in rows) if cached else ()
-    caches = {robot_id: HitOrderedCache(sim_config.cache_capacity) for robot_id in robot_ids}
+    caches = {robot_id: ReferenceCache(sim_config.cache_capacity) for robot_id in robot_ids}
 
     link = ReferenceLink(sim_config.link, random.Random(sim_config.seed))
     round_trip = link.round_trip
@@ -347,9 +348,8 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
     for robot_id, barcode, issued in rows:
         if cached:
             cache = caches[robot_id]
-            found = cache.lookup(barcode)
-            comparisons = found.comparisons
-            if found.hit:
+            hit, comparisons = cache.lookup(barcode)
+            if hit:
                 cache_hits += 1
                 probe_ms = comparisons * cache_probe_ms
                 decided_at = issued + probe_ms
@@ -386,7 +386,7 @@ def reference_replay(method, trace: Trace, kb: KnowledgeBase, sim_config) -> Run
         max_decided_at=max_decided,
     )
 
-    snapshots = [caches[robot_id].snapshot() for robot_id in sorted(caches)]
+    snapshots = [tuple(caches[robot_id].rows()) for robot_id in sorted(caches)]
     return RunResult(method=method, counters=counters, snapshots=snapshots)
 
 

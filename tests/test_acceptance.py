@@ -13,7 +13,7 @@ from collections import Counter
 from robocache.cache import HitOrderedCache
 from robocache.cli import build_kb_for_workload, run_cli
 from robocache.config import load_config
-from robocache.knowledge_base import ingest_text, load_kb
+from robocache.knowledge_base import ingest_bytes, load_kb
 from robocache.metrics import AlertPolicy, MetricsReport, check_alert, compare, summarize
 from robocache.presets import desk_scale_path
 from robocache.simulator import MethodKind, run
@@ -21,7 +21,7 @@ from robocache.workload import (
     WorkloadConfig,
     barcode_for_rank,
     generate,
-    parse_trace,
+    parse_trace_bytes,
     save_trace,
 )
 
@@ -93,15 +93,19 @@ def test_a1_oracle_equivalence_against_brute_force_cache():
         hits = misses = ref_hits = ref_misses = 0
         for _ in range(length):
             barcode = rng.choice(keyspace)
-            mine = cache.lookup(barcode)
+            rows = cache.snapshot()
+            (slot,) = cache.replay((barcode,))
             ref_hit, ref_comparisons = reference.lookup(barcode)
-            assert mine.hit == ref_hit
-            assert mine.comparisons == ref_comparisons
-            if mine.hit:
+            assert (slot >= 0) == ref_hit
+            assert (slot + 1 if slot >= 0 else ~slot) == ref_comparisons
+            if slot >= 0:
                 hits += 1
             else:
                 misses += 1
-                assert cache.insert(barcode) == reference.insert(barcode)
+                # The evicted key is the bottom row of a full cache before the miss.
+                evicted = rows[-1][0] if len(rows) == capacity else None
+                assert evicted == reference.insert(barcode)
+                assert all(key != evicted for key, _ in cache.snapshot())
             if ref_hit:
                 ref_hits += 1
             else:
@@ -241,24 +245,24 @@ def test_a5_ordering_stability_and_conservation_invariants():
         seq = {}  # barcode -> the operation at which its hit count last changed
         for _ in range(rng.randint(50, 400)):
             barcode = rng.choice(keyspace)
-            result = cache.lookup(barcode)
+            before = cache.snapshot()
+            (slot,) = cache.replay((barcode,))
             total_operations += 1
-            if result.hit:
-                successful_lookups += 1
-                seq[barcode] = total_operations
-            elif rng.random() < 0.9:
-                rows = cache.snapshot()
-                if len(rows) == capacity:
-                    expected_victim, victim_hits = rows[-1]
-                    evicted_hits += victim_hits
-                else:
-                    expected_victim = None
-                assert cache.insert(barcode) == expected_victim
-                inserts += 1
-                total_operations += 1
-                seq[barcode] = total_operations
-
+            seq[barcode] = total_operations
             rows = cache.snapshot()
+            if slot >= 0:
+                successful_lookups += 1
+            else:
+                inserts += 1
+                if len(before) == capacity:
+                    # A miss in a full cache evicts the bottom row.
+                    victim, victim_hits = before[-1]
+                    evicted_hits += victim_hits
+                    assert all(key != victim for key, _ in rows), "evicted key still resident"
+                else:
+                    assert len(rows) == len(before) + 1
+                assert rows[-1] == (barcode, 1), "admitted key not at the bottom with one hit"
+
             assert len(rows) <= capacity
             resident_hits = 0
             for (left, left_hits), (right, right_hits) in zip(rows, rows[1:]):
@@ -317,7 +321,7 @@ def test_a7_round_trips_and_zipf_partial_masses():
     first_export = io.StringIO()
     generated_kb.export(first_export)
     second_export = io.StringIO()
-    ingest_text(first_export.getvalue()).export(second_export)
+    ingest_bytes(first_export.getvalue().encode("ascii")).export(second_export)
     assert second_export.getvalue() == first_export.getvalue()
 
     # trace CSV round trip
@@ -327,7 +331,7 @@ def test_a7_round_trips_and_zipf_partial_masses():
     events = generate(workload)
     first_csv = io.StringIO()
     save_trace(events, first_csv)
-    reloaded = parse_trace(first_csv.getvalue())
+    reloaded = parse_trace_bytes(first_csv.getvalue().encode("ascii"))
     assert reloaded == events
     second_csv = io.StringIO()
     save_trace(reloaded, second_csv)

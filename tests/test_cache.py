@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from robocache.cache import HitOrderedCache, barcode_keys
-from robocache.errors import ConfigError, DuplicateKeyError, ValidationError
+from robocache.cache import HitOrderedCache, barcode_keys, validate_barcode
+from robocache.errors import ConfigError, ValidationError
 
 from reference import ReferenceCache
 
@@ -15,21 +15,22 @@ def key(n: int) -> str:
 A, B, C = key(1), key(2), key(3)
 
 
-def test_lookup_on_empty_cache_is_a_zero_comparison_miss():
-    cache = HitOrderedCache(capacity=4)
-    result = cache.lookup(A)
-    assert not result.hit
-    assert result.comparisons == 0
+def comparisons(slot: int) -> int:
+    """The probes behind one ``replay`` slot: slot + 1 for a hit, every row for a miss."""
+    return slot + 1 if slot >= 0 else ~slot
 
 
-def test_malformed_keys_are_rejected_not_treated_as_misses():
+def test_a_scan_of_an_empty_cache_is_a_zero_comparison_miss():
     cache = HitOrderedCache(capacity=4)
+    assert cache.replay([A]) == [~0]
+    assert cache.snapshot() == ((A, 1),)
+
+
+def test_validate_barcode_refuses_malformed_keys():
     for bad in ("", "123", "1234567890123x", "123456789012345", "1234567890123", "10000000000000\n", 42, None):
         with pytest.raises(ValidationError):
-            cache.lookup(bad)
-        with pytest.raises(ValidationError):
-            cache.insert(bad)
-    assert len(cache) == 0
+            validate_barcode(bad)
+    assert validate_barcode(A) == A
 
 
 @pytest.mark.parametrize(
@@ -56,52 +57,32 @@ def test_barcode_keys_refuses_a_malformed_barcode_by_name(malformed):
 def test_hit_below_larger_counter_does_not_reorder():
     # [A(3), B(1)]: hitting B makes it B(2), still below A(3)
     cache = HitOrderedCache(capacity=4)
-    cache.insert(A)
-    cache.insert(B)
-    cache.lookup(A)
-    cache.lookup(A)  # A now at 3
-    result = cache.lookup(B)
-    assert result.hit
-    assert result.comparisons == 2
+    cache.replay([A, B, A, A])
+    assert cache.replay([B]) == [1]  # a hit after 2 comparisons
     assert cache.snapshot() == ((A, 3), (B, 2))
 
 
 def test_hit_overtakes_strictly_smaller_counters_only():
     # [A(2), B(2)]: hitting B makes it B(3) and it passes A
     cache = HitOrderedCache(capacity=4)
-    cache.insert(A)
-    cache.insert(B)
-    cache.lookup(A)
-    cache.lookup(B)  # both at 2, order [A, B]
+    cache.replay([A, B, A, B])  # both at 2, order [A, B]
     assert cache.snapshot() == ((A, 2), (B, 2))
-    result = cache.lookup(B)
-    assert result.hit
-    assert result.comparisons == 2
+    assert cache.replay([B]) == [1]
     assert cache.snapshot() == ((B, 3), (A, 2))
 
 
-def test_insert_under_capacity_appends_at_the_bottom():
+def test_a_miss_under_capacity_enters_at_the_bottom():
     cache = HitOrderedCache(capacity=2)
-    assert cache.insert(A) is None
-    assert cache.insert(B) is None
+    assert cache.replay([A, B]) == [~0, ~1]
     assert cache.snapshot() == ((A, 1), (B, 1))
 
 
-def test_insert_at_capacity_evicts_the_bottom_entry():
+def test_a_miss_at_capacity_evicts_the_bottom_row():
     cache = HitOrderedCache(capacity=2)
-    cache.insert(A)
-    cache.insert(B)
-    cache.lookup(A)  # [A(2), B(1)]
-    evicted = cache.insert(C)
-    assert evicted == B
+    cache.replay([A, B, A])  # [A(2), B(1)]
+    assert cache.snapshot()[-1] == (B, 1)
+    assert cache.replay([C]) == [~2]
     assert cache.snapshot() == ((A, 2), (C, 1))
-
-
-def test_duplicate_insert_is_a_contract_violation():
-    cache = HitOrderedCache(capacity=2)
-    cache.insert(A)
-    with pytest.raises(DuplicateKeyError):
-        cache.insert(A)
 
 
 def test_capacity_must_be_a_positive_integer():
@@ -111,32 +92,20 @@ def test_capacity_must_be_a_positive_integer():
 
 
 def test_hand_traced_sequence_a_b_a_c_a():
-    # Lookup-then-insert-on-miss through a capacity-2 cache.
+    # Every miss is admitted into a capacity-2 cache.
     cache = HitOrderedCache(capacity=2)
-    comparisons = []
-    hits = 0
-    resolutions = 0
-    for barcode in (A, B, A, C, A):
-        result = cache.lookup(barcode)
-        comparisons.append(result.comparisons)
-        if result.hit:
-            hits += 1
-        else:
-            resolutions += 1
-            cache.insert(barcode)
-    assert comparisons == [0, 1, 1, 2, 1]
-    assert sum(comparisons) == 5
-    assert hits == 2
-    assert resolutions == 3
+    slots = cache.replay([A, B, A, C, A])
+    assert list(map(comparisons, slots)) == [0, 1, 1, 2, 1]
+    assert sum(map(comparisons, slots)) == 5
+    assert sum(slot >= 0 for slot in slots) == 2  # hits
+    assert sum(slot < 0 for slot in slots) == 3  # station resolutions
     assert cache.snapshot() == ((A, 3), (C, 1))
 
 
 def test_snapshot_reflects_order_and_is_pure():
     cache = HitOrderedCache(capacity=2)
     assert cache.snapshot() == ()
-    for barcode in (A, B, A, C, A):
-        if not cache.lookup(barcode).hit:
-            cache.insert(barcode)
+    cache.replay([A, B, A, C, A])
     snap = cache.snapshot()
     assert snap == ((A, 3), (C, 1))
     assert cache.snapshot() == snap  # repeated read, no mutation
@@ -149,9 +118,8 @@ def test_equal_hit_runs_keep_ascending_seq_order():
     seq = {}  # barcode -> the step at which its hit count last changed
     for step in range(2000):
         barcode = rng.choice(keys)
-        if not cache.lookup(barcode).hit:
-            cache.insert(barcode)
-        seq[barcode] = step  # every step either hits or inserts this key
+        cache.replay([barcode])
+        seq[barcode] = step  # every step either hits or admits this key
         rows = cache.snapshot()
         for (left, left_hits), (right, right_hits) in zip(rows, rows[1:]):
             assert left_hits >= right_hits
@@ -168,10 +136,12 @@ def test_matches_brute_force_reference_on_random_traces():
         ref = ReferenceCache(capacity)
         for _ in range(rng.randint(1, 120)):
             barcode = rng.choice(keyspace)
-            result = cache.lookup(barcode)
+            rows = cache.snapshot()
+            (slot,) = cache.replay([barcode])
             ref_hit, ref_comparisons = ref.lookup(barcode)
-            assert result.hit == ref_hit
-            assert result.comparisons == ref_comparisons
-            if not result.hit:
-                assert cache.insert(barcode) == ref.insert(barcode)
+            assert (slot >= 0) == ref_hit
+            assert comparisons(slot) == ref_comparisons
+            if not ref_hit:
+                evicted = rows[-1][0] if len(rows) == capacity else None
+                assert evicted == ref.insert(barcode)
             assert list(cache.snapshot()) == ref.rows()

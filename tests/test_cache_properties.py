@@ -1,21 +1,19 @@
 """Stateful property test: HitOrderedCache against the brute-force ReferenceCache.
 
-Hypothesis drives one cache through random mixes of the checked path
-(lookup, insert) and whole key lists replayed in one ``replay`` call, and
-mirrors every step on a ReferenceCache: a replayed miss is a reference
-insert. After each step the rows must agree, the resident set must hold
-exactly the barcodes of the rows, and rows with equal hits must keep the
-order in which their counts were earned (tracked here by the test's own
-per-key stamps).
+Hypothesis drives one cache through random mixes of one-key ``replay``
+calls and whole key lists replayed in one call, and mirrors every step
+on a ReferenceCache: a replayed miss is a reference insert, and a miss
+in a full cache must evict the reference's bottom row. After each step
+the rows must agree, the resident set must hold exactly the barcodes of
+the rows, and rows with equal hits must keep the order in which their
+counts were earned (tracked here by the test's own per-key stamps).
 """
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from robocache.cache import HitOrderedCache
-from robocache.errors import DuplicateKeyError
 
 from reference import ReferenceCache
 
@@ -31,17 +29,23 @@ class CacheAgainstReference(RuleBasedStateMachine):
         self.step = 0
 
     def counted(self, barcode):
-        """Stamp ``barcode``: it was just hit or inserted."""
+        """Stamp ``barcode``: it was just hit or admitted."""
         self.step += 1
         self.seq[barcode] = self.step
 
     @rule(barcode=keys)
-    def lookup_then_insert(self, barcode):
-        found = self.cache.lookup(barcode)
+    def replay_one(self, barcode):
+        rows = self.cache.snapshot()
+        (slot,) = self.cache.replay([barcode])
         hit, comparisons = self.ref.lookup(barcode)
-        assert (found.hit, found.comparisons) == (hit, comparisons)
-        if not hit:
-            assert self.cache.insert(barcode) == self.ref.insert(barcode)
+        if hit:
+            assert slot + 1 == comparisons
+        else:
+            assert ~slot == comparisons
+            # A miss in a full cache evicts the bottom row.
+            evicted = rows[-1][0] if len(rows) == self.cache.capacity else None
+            assert evicted == self.ref.insert(barcode)
+            assert evicted not in self.cache._resident
         self.counted(barcode)
 
     @rule(barcodes=st.lists(keys, max_size=12))
@@ -56,20 +60,6 @@ class CacheAgainstReference(RuleBasedStateMachine):
                 assert ~slot == comparisons == len(self.ref.entries)
                 self.ref.insert(barcode)
             self.counted(barcode)
-
-    @rule(barcode=keys)
-    def lookup_without_insert(self, barcode):
-        found = self.cache.lookup(barcode)
-        assert (found.hit, found.comparisons) == self.ref.lookup(barcode)
-        if found.hit:
-            self.counted(barcode)
-
-    @precondition(lambda self: len(self.cache) > 0)
-    @rule(data=st.data())
-    def insert_of_a_resident_key_is_rejected(self, data):
-        barcode = data.draw(st.sampled_from(self.ref.rows()))[0]
-        with pytest.raises(DuplicateKeyError):
-            self.cache.insert(barcode)
 
     @invariant()
     def state_agrees(self):

@@ -129,6 +129,21 @@ def test_empty_workload_config_is_rejected(config_path, tmp_path, capsys):
     assert "total_scans" in capsys.readouterr().err
 
 
+def test_generate_takes_more_robots_than_an_int64_holds(config_path, tmp_path, capsys):
+    # Only the first total_scans robots scan, round robin, so the trace is
+    # the one with a robot per scan.
+    traces = []
+    for robots in ("100000000000000000000", "1500"):
+        config = tmp_path / f"robots_{robots}.ini"
+        with open(config_path) as fh:
+            config.write_text(fh.read().replace("robots = 2", f"robots = {robots}"))
+        out = tmp_path / robots
+        assert run_cli(["generate", "--config", str(config), "--out", str(out)]) == 0
+        traces.append(read_bytes(out / "trace.csv"))
+    assert traces[0] == traces[1]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", [["generate"], ["run", "--method", "baseline"]])
 @pytest.mark.parametrize("config", ["latin-1", "directory"])
 def test_a_config_that_cannot_be_read_is_one_error_line(command, config, tmp_path, capsys):

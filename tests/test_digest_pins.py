@@ -21,7 +21,7 @@ from robocache.cli import build_kb_for_workload
 from robocache.config import load_config
 from robocache.presets import desk_scale_path
 from robocache.simulator import result_digest, run
-from robocache.workload import generate, parse_trace, save_trace
+from robocache.workload import generate, parse_trace_bytes, save_trace
 
 
 def desk_20k():
@@ -105,5 +105,5 @@ def test_generated_trace_bytes_are_pinned_and_round_trip(name):
     text = out.getvalue()
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == TRACE_PINS[name]
     again = io.StringIO()
-    save_trace(parse_trace(text), again)
+    save_trace(parse_trace_bytes(text.encode()), again)
     assert again.getvalue() == text

@@ -2,6 +2,7 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from robocache.knowledge_base import (
     format_record_line,
     index_probe_cost,
     ingest_bytes,
-    ingest_text,
     load_kb,
     save_kb,
 )
@@ -33,7 +33,7 @@ def make_line(barcode, shipper="SHIP00001", service="GRND", terminal="TERM0001",
 
 
 def test_empty_input_builds_an_empty_knowledge_base():
-    kb = ingest_text("")
+    kb = ingest_bytes(b"")
     assert len(kb) == 0
 
 
@@ -59,25 +59,26 @@ def test_ingest_then_export_round_trip_is_byte_identical():
 
 def test_short_line_is_rejected_with_its_line_number():
     with pytest.raises(IngestError) as exc_info:
-        ingest_text(make_line("12345678901234") + "\n" + "too short\n")
+        ingest_bytes((make_line("12345678901234") + "\n" + "too short\n").encode("ascii"))
     assert exc_info.value.line_no == 2
     assert "56" in exc_info.value.reason
 
 
 @pytest.mark.parametrize(
-    "barcode",
+    "barcode,reason",
     [
-        "1234567890123x",
-        "１２３４５６７８９０１２３４",  # full-width digits: str.isdigit() accepts them
-        "١٢٣٤٥٦٧٨٩٠١٢٣٤",  # Arabic-Indic digits: str.isdigit() accepts them
-        "1234567 901234",
+        ("1234567890123x", "barcode field '1234567890123x' is not 14 decimal digits"),
+        # Digits that str.isdigit() accepts are 3 (full-width) or 2 (Arabic-Indic)
+        # UTF-8 bytes each, so the line is too long.
+        ("１２３４５６７８９０１２３４", "expected 56 characters, got 84"),
+        ("١٢٣٤٥٦٧٨٩٠١٢٣٤", "expected 56 characters, got 70"),
+        ("1234567 901234", "barcode field '1234567 901234' is not 14 decimal digits"),
     ],
 )
-def test_non_numeric_barcode_is_rejected(barcode):
+def test_non_numeric_barcode_is_rejected(barcode, reason):
     with pytest.raises(IngestError) as exc_info:
-        ingest_text(make_line("12345678901234") + "\n" + make_line(barcode) + "\n")
-    assert exc_info.value.line_no == 2
-    assert "not 14 decimal digits" in exc_info.value.reason
+        ingest_bytes((make_line("12345678901234") + "\n" + make_line(barcode) + "\n").encode("utf-8"))
+    assert (exc_info.value.line_no, exc_info.value.reason) == (2, reason)
 
 
 @pytest.mark.parametrize("field", ["barcode", "shipper"])
@@ -93,13 +94,13 @@ def test_non_ascii_byte_in_a_record_file_is_rejected_with_its_line_number(field,
 def test_duplicate_barcode_is_rejected_naming_the_barcode():
     dup = make_line("12345678901234")
     with pytest.raises(IngestError) as exc_info:
-        ingest_text(dup + "\n" + dup + "\n")
+        ingest_bytes((dup + "\n" + dup + "\n").encode("ascii"))
     assert exc_info.value.line_no == 2
     assert "12345678901234" in str(exc_info.value)
 
 
 def test_index_probe_cost_of_an_empty_knowledge_base_is_a_config_error():
-    kb = ingest_text("")
+    kb = ingest_bytes(b"")
     with pytest.raises(ConfigError):
         index_probe_cost(len(kb))
 
@@ -124,47 +125,31 @@ LINES_1_2 = make_line("12345678901234") + "\n" + make_line("12345678901235") + "
 LINE_4 = make_line("12345678901237") + "\n"
 TOO_LONG = "expected 56 characters, got 57"
 CR_IN_LINE = 'carriage return in the line; a record line ends in "\\n" only'
-READERS = ["ingest_text", "load_kb", "ingest_bytes"]
+READERS = ["load_kb", "ingest_bytes"]
 FAULTS = {
-    # name: (bad line 3 with its line end, {reader: reason})
-    "short": ("too short\n", dict.fromkeys(READERS, "expected 56 characters, got 9")),
-    "long": (make_line("12345678901236") + "X\n", dict.fromkeys(READERS, TOO_LONG)),
-    "crlf": (make_line("12345678901236") + "\r\n", dict.fromkeys(READERS, TOO_LONG)),
+    # name: (bad line 3 with its line end, reason)
+    "short": ("too short\n", "expected 56 characters, got 9"),
+    "long": (make_line("12345678901236") + "X\n", TOO_LONG),
+    "crlf": (make_line("12345678901236") + "\r\n", TOO_LONG),
     # 55 characters and "\r\n" are as long as a good line and its "\n".
-    "crlf_55": (make_line("12345678901236")[:-1] + "\r\n", dict.fromkeys(READERS, CR_IN_LINE)),
-    "empty": ("\n", dict.fromkeys(READERS, "expected 56 characters, got 0")),
-    "barcode": (
-        make_line("1234567890123x") + "\n",
-        dict.fromkeys(READERS, "barcode field '1234567890123x' is not 14 decimal digits"),
-    ),
-    # The byte readers take the two UTF-8 bytes of "é" as two characters.
-    "non_ascii_shipper": (
-        make_line("12345678901236", shipper="SHIPé") + "\n",
-        {
-            "ingest_text": "non-ASCII character in '12345678901236SHIPé     GRNDTERM0001                    '",
-            "load_kb": TOO_LONG,
-            "ingest_bytes": TOO_LONG,
-        },
-    ),
-    "duplicate_of_line_1": (
-        make_line("12345678901234") + "\n",
-        dict.fromkeys(READERS, "duplicate barcode 12345678901234"),
-    ),
+    "crlf_55": (make_line("12345678901236")[:-1] + "\r\n", CR_IN_LINE),
+    "empty": ("\n", "expected 56 characters, got 0"),
+    "barcode": (make_line("1234567890123x") + "\n", "barcode field '1234567890123x' is not 14 decimal digits"),
+    # The readers take the two UTF-8 bytes of "é" as two characters.
+    "non_ascii_shipper": (make_line("12345678901236", shipper="SHIPé") + "\n", TOO_LONG),
+    "duplicate_of_line_1": (make_line("12345678901234") + "\n", "duplicate barcode 12345678901234"),
     # The length of two good lines, with a "\n" where a field character was ...
     "newline_in_a_field": (
         make_line("12345678901236")[:30] + "\n" + make_line("12345678901236")[31:] + "\n",
-        dict.fromkeys(READERS, "expected 56 characters, got 30"),
+        "expected 56 characters, got 30",
     ),
     # ... or a line one short, then one a digit long: the barcode columns still hold digits.
     "newline_one_early": (
         make_line("12345678901236")[:-1] + "\n" + "1" + make_line("12345678901238") + "\n",
-        dict.fromkeys(READERS, "expected 56 characters, got 55"),
+        "expected 56 characters, got 55",
     ),
     # Both readers also end a line at a lone "\r", as a file opened with newline="" does.
-    "lone_cr": (
-        make_line("12345678901236", shipper="SHIP\r0001") + "\n",
-        dict.fromkeys(READERS, "expected 56 characters, got 19"),
-    ),
+    "lone_cr": (make_line("12345678901236", shipper="SHIP\r0001") + "\n", "expected 56 characters, got 19"),
 }
 
 
@@ -173,8 +158,6 @@ def good_file_with(line_3):
 
 
 def read_via(reader, text, tmp_path):
-    if reader == "ingest_text":
-        return ingest_text(text)
     if reader == "ingest_bytes":
         return ingest_bytes(text.encode("utf-8"))
     path = tmp_path / "kb.dat"
@@ -185,11 +168,11 @@ def read_via(reader, text, tmp_path):
 @pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_a_bad_line_3_is_rejected_with_the_same_line_number_and_reason(fault, reader, tmp_path):
-    bad, reasons = FAULTS[fault]
+    bad, reason = FAULTS[fault]
     text = good_file_with(bad)
     with pytest.raises(IngestError) as exc_info:
         read_via(reader, text, tmp_path)
-    assert (exc_info.value.line_no, exc_info.value.reason) == (3, reasons[reader])
+    assert (exc_info.value.line_no, exc_info.value.reason) == (3, reason)
 
 
 @pytest.mark.parametrize("reader", ["load_kb", "ingest_bytes"])
@@ -215,7 +198,7 @@ def test_an_undecodable_byte_on_line_3_is_rejected_by_the_byte_readers(reader, t
 def test_a_file_with_two_faults_reports_the_earlier_one(line_3, line_5, reason):
     text = good_file_with(line_3 + "\n") + line_5 + "\n"
     with pytest.raises(IngestError) as exc_info:
-        ingest_text(text)
+        ingest_bytes(text.encode("utf-8"))
     assert (exc_info.value.line_no, exc_info.value.reason) == (3, reason)
 
 
@@ -230,7 +213,7 @@ def test_a_final_line_without_a_newline_still_loads(ending, tmp_path):
 
 def test_require_keys_accepts_every_record_and_names_the_first_missing():
     barcodes = ["12345678901234", "00000000000001", "99999999999999", "50000000000000"]
-    kb = ingest_text("".join(make_line(barcode) + "\n" for barcode in barcodes))
+    kb = ingest_bytes("".join(make_line(barcode) + "\n" for barcode in barcodes).encode("ascii"))
     kb.require_keys(barcode_keys(barcodes))
     kb.require_keys(barcode_keys(barcodes[::-1]))
     kb.require_keys(barcode_keys([]))
@@ -239,7 +222,7 @@ def test_require_keys_accepts_every_record_and_names_the_first_missing():
         kb.require_keys(barcode_keys(["12345678901234", "99999999999998", "50000000000001", "00000000000000"]))
     assert exc_info.value.barcode == "99999999999998"
     with pytest.raises(MissingRecordError):
-        ingest_text("").require_keys(barcode_keys(["12345678901234"]))
+        ingest_bytes(b"").require_keys(barcode_keys(["12345678901234"]))
 
 
 def test_export_writes_the_ingested_lines_in_file_order():
@@ -276,7 +259,7 @@ def ingest_row_2(**fields):
     row.update(fields)
     line = format_record_line(**row)
     with pytest.raises(IngestError) as exc_info:
-        ingest_text(make_line("12345678901234") + "\n" + line + "\n")
+        ingest_bytes((make_line("12345678901234") + "\n" + line + "\n").encode("utf-8", "surrogateescape"))
     assert exc_info.value.line_no == 2
     return line, exc_info.value.reason
 
@@ -286,7 +269,8 @@ def ingest_row_2(**fields):
     [
         ("1234567890123", "expected 56 characters, got 55"),
         ("1234567890123x", "barcode field '1234567890123x' is not 14 decimal digits"),
-        ("１２３４５６７８９０１２３４", "barcode field '１２３４５６７８９０１２３４' is not 14 decimal digits"),
+        # Full-width digits, which str.isdigit() accepts, are 3 UTF-8 bytes each.
+        ("１２３４５６７８９０１２３４", "expected 56 characters, got 84"),
         # The "\n" ends line 2 after the barcode.
         ("10000000000000\n", "expected 56 characters, got 14"),
     ],
@@ -308,7 +292,8 @@ def test_ingest_refuses_a_row_with_a_field_wider_than_its_column(fields):
 
 
 def test_ingest_refuses_a_row_with_a_non_ascii_field():
-    line, reason = ingest_row_2(shipper_number="SHIPé")
+    # "\udce9" is how the walk decodes the one byte 0xE9.
+    line, reason = ingest_row_2(shipper_number="SHIP\udce9")
     assert reason == f"non-ASCII character in {line!r}"
 
 
@@ -322,9 +307,12 @@ def test_ingest_refuses_a_row_with_a_non_ascii_field():
     [0, 1, 4, 13, 14, 52, 53, 100, 101, 1300, 1301, 4095, 4096, 4097, 8193, 10000, 10001, 99999, 100000, 100001],
 )
 def test_synthesized_knowledge_base_matches_the_per_rank_lines(records):
+    kb = build_kb_for_workload(records)
     out = io.StringIO()
-    build_kb_for_workload(records).export(out)
+    kb.export(out)
     assert out.getvalue() == "".join(synth_record_line(rank) + "\n" for rank in range(records))
+    # The build knows its keys without a parse: they are the keys its bytes parse to.
+    assert np.array_equal(kb._sorted_keys, ingest_bytes(kb._data)._sorted_keys)
 
 
 def test_the_build_carries_into_every_digit_group_of_the_barcode(monkeypatch):
@@ -438,8 +426,6 @@ def reference_outcome(read, source, text):
 @settings(derandomize=True, max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=mutated_kb_texts())
 def test_ingesting_a_mutated_record_text_matches_the_line_walk(text, tmp_path):
-    built = ingest_outcome(ingest_text, text)
-    assert built == reference_outcome(reference_ingest, io.StringIO(text, newline=""), text)
     data = text.encode("utf-8", "surrogateescape")
     path = tmp_path / "kb.dat"
     path.write_bytes(data)
@@ -449,16 +435,20 @@ def test_ingesting_a_mutated_record_text_matches_the_line_walk(text, tmp_path):
     assert ingest_outcome(load_kb, str(path)) == loaded
     # The bytes a build fills are a bytearray.
     assert ingest_outcome(ingest_bytes, data) == ingest_outcome(ingest_bytes, bytearray(data)) == loaded
-    if isinstance(built, str):
-        # A knowledge base that ingest_text builds survives a save and a reload.
-        save_kb(ingest_text(text), str(path))
-        assert ingest_outcome(load_kb, str(path)) == built
+    if text.isascii():
+        # The bytes of an ASCII text decode to the text itself.
+        assert loaded == reference_outcome(reference_ingest, io.StringIO(text, newline=""), text)
+    if isinstance(loaded, str):
+        # A knowledge base that ingest_bytes builds survives a save and a reload.
+        save_kb(ingest_bytes(data), str(path))
+        assert ingest_outcome(load_kb, str(path)) == loaded
+
+
+def walk_refused(lines):
+    raise AssertionError("a valid record text fell back to the line walk")
 
 
 def test_a_built_knowledge_base_and_its_file_load_without_the_line_walk(monkeypatch, tmp_path):
-    def walk_refused(lines):
-        raise AssertionError("a valid record text fell back to the line walk")
-
     monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
     kb = build_kb_for_workload(20_000)
     path = tmp_path / "kb.dat"
@@ -468,6 +458,26 @@ def test_a_built_knowledge_base_and_its_file_load_without_the_line_walk(monkeypa
     loaded = io.StringIO()
     load_kb(str(path)).export(loaded)
     assert loaded.getvalue() == built.getvalue() == path.read_text(encoding="ascii")
+
+
+def test_a_final_line_without_a_newline_loads_without_the_line_walk(monkeypatch, tmp_path):
+    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+    data = (LINES_1_2 + LINE_4[:-1]).encode("ascii")
+    path = tmp_path / "kb.dat"
+    path.write_bytes(data)
+    buffer = bytearray(data)
+    for kb in (ingest_bytes(data), ingest_bytes(buffer), load_kb(str(path))):
+        out = io.StringIO()
+        kb.export(out)
+        assert out.getvalue() == LINES_1_2 + LINE_4
+    assert buffer == data  # the "\n" goes on a copy, not on the caller's buffer
+
+
+@pytest.mark.parametrize("text", ["", LINES_1_2 + LINE_4], ids=["empty", "three-records"])
+def test_the_line_walk_of_a_good_record_text_ends_in_an_assertion(text):
+    # The walk only names the bad line of a text that the bulk check refused.
+    with pytest.raises(AssertionError, match="bulk check"):
+        robocache.knowledge_base._walk(text)
 
 
 MEMORY_RECORDS = 200_000

@@ -51,6 +51,15 @@ def test_summarize_rejects_a_run_with_no_decisions():
         summarize(empty)
 
 
+def test_mean_latency_is_summed_left_to_right_on_every_python():
+    # 1e16 + 1.0 rounds back to 1e16, twice; a compensated sum (builtin sum()
+    # since Python 3.12) would keep the 2.0 and give 1.0000000000000002e16 / 3.
+    result = run_result("baseline", [A])
+    latencies = [1e16, 1.0, 1.0]
+    result = dataclasses.replace(result, counters=dataclasses.replace(result.counters, per_scan_latencies=latencies))
+    assert summarize(result).decision_latency_minutes == 1e16 / 3 / 60_000.0
+
+
 def make_report(method, latency, processing, disruption, comparisons):
     return MetricsReport(
         method=MethodKind(method),

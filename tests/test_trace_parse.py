@@ -1,10 +1,11 @@
 """Trace-file parsing: every refused line keeps its exact line number and reason.
 
 Each parity case puts one bad line on line 3, after a good line 2, and
-loads the file both from its text (``parse_trace``) and from disk
+loads the file both from its bytes (``parse_trace_bytes``) and from disk
 (``read_trace``); both give the line walk's line number and reason. A
 differential fuzz holds both to the walk kept verbatim in
-``reference.py``, and a tripwire checks that a generated trace loads
+``reference.py``, and tripwires check that a generated trace, an empty
+file, a header without its "\n" and a last line without its "\n" load
 without the walk.
 """
 
@@ -19,7 +20,7 @@ import robocache.workload
 from robocache.config import load_config
 from robocache.errors import TraceFormatError
 from robocache.presets import desk_scale_path
-from robocache.workload import generate, parse_trace, read_trace, write_trace
+from robocache.workload import generate, parse_trace_bytes, read_trace, write_trace
 
 from helpers import make_trace
 from reference import reference_load_trace
@@ -91,12 +92,13 @@ REFUSED = [
     [pytest.param(text, expected, id=name) for name, text, expected in REFUSED],
 )
 def test_each_refused_line_keeps_its_line_number_and_reason(text, expected, tmp_path):
+    data = text.encode("utf-8", "surrogateescape")
     with pytest.raises(TraceFormatError) as exc_info:
-        parse_trace(text)
+        parse_trace_bytes(data)
     assert (exc_info.value.line_no, exc_info.value.reason) == expected
 
     path = tmp_path / "trace.csv"
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    path.write_bytes(data)
     with pytest.raises(TraceFormatError) as exc_info:
         read_trace(str(path))
     assert (exc_info.value.line_no, exc_info.value.reason) == expected
@@ -105,7 +107,7 @@ def test_each_refused_line_keeps_its_line_number_and_reason(text, expected, tmp_
 def test_a_last_line_without_a_newline_still_loads(tmp_path):
     text = HEADER + LINE_2 + "1,10000000000001,2.5"
     expected = make_trace([(0, "10000000000000", 1.0), (1, "10000000000001", 2.5)])
-    assert parse_trace(text) == expected
+    assert parse_trace_bytes(text.encode("ascii")) == expected
     path = tmp_path / "trace.csv"
     path.write_text(text, encoding="utf-8")
     assert read_trace(str(path)) == expected
@@ -160,10 +162,15 @@ def outcome(load, source):
 @given(text=mutated_traces())
 def test_loading_a_mutated_trace_matches_the_line_walk(text, tmp_path):
     expected = outcome(reference_load_trace, io.StringIO(text, newline=""))
-    assert outcome(parse_trace, text) == expected
+    data = text.encode("utf-8", "surrogateescape")
+    assert outcome(parse_trace_bytes, data) == expected
     path = tmp_path / "trace.csv"
-    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    path.write_bytes(data)
     assert outcome(read_trace, str(path)) == expected
+
+
+def walk_refused(lines):
+    raise AssertionError("a valid trace fell back to the line walk")
 
 
 def test_a_generated_trace_loads_without_the_line_walk(monkeypatch, tmp_path):
@@ -172,8 +179,27 @@ def test_a_generated_trace_loads_without_the_line_walk(monkeypatch, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(trace, str(path))
 
-    def walk_refused(lines):
-        raise AssertionError("a valid trace fell back to the line walk")
-
     monkeypatch.setattr(robocache.workload, "_walk_lines", walk_refused)
     assert read_trace(str(path)) == trace
+
+
+@pytest.mark.parametrize(
+    "data,rows",
+    [
+        pytest.param(b"", [], id="empty-file"),
+        pytest.param(HEADER[:-1].encode(), [], id="header-without-newline"),
+        pytest.param((HEADER + LINE_2[:-1]).encode(), [(0, "10000000000000", 1.0)], id="last-line-without-newline"),
+    ],
+)
+def test_a_file_without_its_final_newline_loads_without_the_line_walk(data, rows, monkeypatch, tmp_path):
+    monkeypatch.setattr(robocache.workload, "_walk_lines", walk_refused)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data)
+    assert parse_trace_bytes(data) == read_trace(str(path)) == make_trace(rows)
+
+
+@pytest.mark.parametrize("text", [HEADER, HEADER + LINE_2], ids=["header-only", "one-scan"])
+def test_the_line_walk_of_a_good_trace_ends_in_an_assertion(text):
+    # The walk only names the bad line of a text that the bulk parse refused.
+    with pytest.raises(AssertionError, match="bulk parse"):
+        robocache.workload._walk_lines(text)

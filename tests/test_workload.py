@@ -11,7 +11,7 @@ from robocache.workload import (
     WorkloadConfig,
     barcode_for_rank,
     generate,
-    parse_trace,
+    parse_trace_bytes,
     read_trace,
     save_trace,
     write_trace,
@@ -35,6 +35,10 @@ def make_config(**overrides):
     )
     values.update(overrides)
     return WorkloadConfig(**values)
+
+
+def test_more_robots_than_scans_gives_the_trace_of_one_robot_per_scan():
+    assert generate(make_config(robots=2**64)) == generate(make_config(robots=100))
 
 
 def test_invalid_config_lists_every_offending_field():
@@ -86,10 +90,10 @@ def test_export_import_round_trip_is_identity():
     events = generate(make_config(total_scans=500))
     out = io.StringIO()
     save_trace(events, out)
-    assert parse_trace(out.getvalue()) == events
+    assert parse_trace_bytes(out.getvalue().encode()) == events
     # and a second export is byte-identical
     again = io.StringIO()
-    save_trace(parse_trace(out.getvalue()), again)
+    save_trace(parse_trace_bytes(out.getvalue().encode()), again)
     assert again.getvalue() == out.getvalue()
 
 
@@ -111,11 +115,11 @@ def test_write_trace_never_holds_the_whole_file_text(tmp_path):
 
 
 def test_empty_file_loads_as_empty_trace():
-    assert parse_trace("") == make_trace([])
+    assert parse_trace_bytes(b"") == make_trace([])
 
 
 def test_header_only_file_loads_as_empty_trace():
-    assert parse_trace("robot_id,barcode,issued_at_ms\n") == make_trace([])
+    assert parse_trace_bytes(b"robot_id,barcode,issued_at_ms\n") == make_trace([])
 
 
 def test_hand_written_fixture_loads_field_for_field():
@@ -152,7 +156,7 @@ def test_hand_written_fixture_loads_field_for_field():
 )
 def test_malformed_lines_carry_their_line_number(body, bad_line):
     with pytest.raises(TraceFormatError) as exc_info:
-        parse_trace(body)
+        parse_trace_bytes(body.encode())
     assert exc_info.value.line_no == bad_line
 
 
@@ -169,7 +173,7 @@ def test_malformed_lines_carry_their_line_number(body, bad_line):
 )
 def test_robot_id_errors_name_the_field(robot_field, reason):
     with pytest.raises(TraceFormatError) as exc_info:
-        parse_trace(f"robot_id,barcode,issued_at_ms\n{robot_field},12345678901234,4.0\n")
+        parse_trace_bytes(f"robot_id,barcode,issued_at_ms\n{robot_field},12345678901234,4.0\n".encode())
     assert exc_info.value.reason == reason
 
 
@@ -188,13 +192,13 @@ def test_robot_id_errors_name_the_field(robot_field, reason):
 )
 def test_issued_at_errors_name_the_field(time_field, reason):
     with pytest.raises(TraceFormatError) as exc_info:
-        parse_trace(f"robot_id,barcode,issued_at_ms\n0,12345678901234,{time_field}\n")
+        parse_trace_bytes(f"robot_id,barcode,issued_at_ms\n0,12345678901234,{time_field}\n".encode())
     assert exc_info.value.reason == reason
 
 
 def test_exponent_times_as_repr_writes_them_load_and_round_trip():
     body = "robot_id,barcode,issued_at_ms\n0,12345678901234,1e-05\n0,12345678901234,1.5e+16\n"
-    trace = parse_trace(body)
+    trace = parse_trace_bytes(body.encode())
     assert trace.issued_at.tolist() == [1e-05, 1.5e16]
     out = io.StringIO()
     save_trace(trace, out)
@@ -329,8 +333,8 @@ def test_a_zero_padded_barcode_and_a_robot_id_past_int64_save_and_reload_as_writ
     out = io.StringIO()
     save_trace(trace, out)
     assert out.getvalue() == "robot_id,barcode,issued_at_ms\n18446744073709551621,00000000000007,0.0\n0,00000000000007,1.5\n"
-    assert parse_trace(out.getvalue()) == trace
-    assert rows_of(parse_trace(out.getvalue())) == [(2**64 + 5, "00000000000007", 0.0), (0, "00000000000007", 1.5)]
+    assert parse_trace_bytes(out.getvalue().encode()) == trace
+    assert rows_of(parse_trace_bytes(out.getvalue().encode())) == [(2**64 + 5, "00000000000007", 0.0), (0, "00000000000007", 1.5)]
 
 
 def test_generate_holds_its_three_columns_and_little_more():
