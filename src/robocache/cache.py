@@ -23,7 +23,7 @@ simulator replays each barcode as its int key and names a row by
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,23 +101,23 @@ class HitOrderedCache:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def replay(self, barcodes: Iterable[str]) -> List[int]:
-        """Look each of ``barcodes`` up in turn, admitting every miss; the one promote/evict rule.
+    def replay(self, keys: Iterable[Hashable]) -> List[int]:
+        """Look each of ``keys`` up in turn, admitting every miss; the one promote/evict rule.
 
         Returns each scan's 0-based hit slot (slot + 1 comparisons), or
         ~rows for a miss that compared all ``rows`` rows. Hits and misses
-        follow the rule at module top. The barcodes are not validated.
+        follow the rule at module top. No key is validated.
         """
-        keys = self._keys
+        row_keys = self._keys
         counts = self._hits
         resident = self._resident
         capacity = self.capacity
-        rows = len(keys)
+        rows = len(row_keys)
         slots: List[int] = []
         record = slots.append
-        for barcode in barcodes:
-            if barcode in resident:
-                slot = keys.index(barcode)
+        for key in keys:
+            if key in resident:
+                slot = row_keys.index(key)
                 hits = counts[slot] + 1
                 # Bubble past strictly smaller counters only; overtaking an
                 # equal counter would reorder rows whose counts tie.
@@ -127,21 +127,21 @@ class HitOrderedCache:
                 if dest == slot:
                     counts[slot] = hits
                 else:
-                    del keys[slot], counts[slot]
-                    keys.insert(dest, barcode)
+                    del row_keys[slot], counts[slot]
+                    row_keys.insert(dest, key)
                     counts.insert(dest, hits)
                 record(slot)
             else:
                 record(~rows)
                 if rows == capacity:  # the new row takes the evicted bottom row's place
-                    resident.remove(keys[-1])
-                    keys[-1] = barcode
+                    resident.remove(row_keys[-1])
+                    row_keys[-1] = key
                     counts[-1] = 1
                 else:
-                    keys.append(barcode)
+                    row_keys.append(key)
                     counts.append(1)
                     rows += 1
-                resident.add(barcode)
+                resident.add(key)
         return slots
 
     def snapshot(self) -> Tuple[Tuple[str, int], ...]:

@@ -325,12 +325,13 @@ def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -
 
 def cmd_report(paths: list[str]) -> int:
     # Every file is read before anything is printed.
-    for _, report, alert in [_load_raw(path) for path in paths]:
+    loaded = [_load_raw(path) for path in paths]
+    for _, report, alert in loaded:
         print(format_report(report))
         if alert.raised:
             print(f"ALERT overrun_minutes={alert.overrun_minutes!r}", file=sys.stderr)
         print()
-    return 0
+    return 2 if any(alert.raised for _, _, alert in loaded) else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -377,6 +378,9 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         # open and makedirs name their path; a failed write does not.
         print(f"error: {exc.filename}: {exc.strerror}" if exc.filename is not None else f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy refuses an array the host cannot hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -15,9 +15,9 @@ processing time strictly exceeds the policy threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import reduce
-from operator import add
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .simulator import MethodKind, RunResult
@@ -69,10 +69,11 @@ def summarize(result: RunResult) -> MetricsReport:
     """Reduce one finished run to the four report rows, under its own method."""
     counters = result.counters
     latencies = counters.per_scan_latencies
-    if not latencies:
+    if not len(latencies):
         raise ValidationError("run produced no decisions; nothing to summarize")
-    # Left to right from 0.0 on every Python: builtin sum() compensates its rounding since 3.12.
-    mean_latency_ms = reduce(add, latencies, 0.0) / len(latencies)
+    # Left to right from 0.0, as a Python loop adds: np.sum is pairwise, sum() compensates since 3.12.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_latency_ms = (0.0 + float(np.add.accumulate(latencies)[-1])) / len(latencies)
     disruption_events = counters.link_stats.lock_events + counters.link_stats.messages_lost
     return MetricsReport(
         method=result.method,

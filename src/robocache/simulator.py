@@ -22,8 +22,8 @@ it compresses decision latency.
 A run walks the trace's numpy columns in chunks of ``_CHUNK_SCANS``
 scans, so its arrays stay small at any trace length; a chunk is a slice
 of each column, with no copy. In each chunk the cached method groups the
-scans by robot number (one cache per robot, numbered in order of first
-scan), keeping each robot's in trace order, replays each robot's int keys
+scans by robot number (one cache per robot, numbered in id order),
+keeping each robot's in trace order, replays each robot's int keys
 through its cache in one ``HitOrderedCache.replay`` call and scatters
 each scan's hit slot or, for a miss, how many rows it compared back to
 the scan's place; the baseline is every scan a miss that compared none. Then one array pass sends the chunk's misses over the
@@ -73,7 +73,7 @@ class MethodKind(str, Enum):
     CACHED = "cached"
 
 
-@dataclass
+@dataclass(eq=False)
 class RunCounters:
     scans: int = 0
     cache_hits: int = 0
@@ -81,7 +81,8 @@ class RunCounters:
     cache_comparisons: int = 0
     db_comparisons: int = 0
     station_messages: int = 0
-    per_scan_latencies: List[float] = field(default_factory=list)
+    # float64, one latency per scan in trace order
+    per_scan_latencies: np.ndarray = field(default_factory=lambda: np.empty(0))
     link_stats: LinkStats = field(default_factory=LinkStats)
     first_issued_at: float = 0.0
     final_clock: float = 0.0
@@ -90,6 +91,11 @@ class RunCounters:
     @property
     def total_processing_ms(self) -> float:
         return self.final_clock - self.first_issued_at
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RunCounters):
+            return NotImplemented
+        return self.to_dict() == other.to_dict() and np.array_equal(self.per_scan_latencies, other.per_scan_latencies)
 
     def to_dict(self) -> dict:
         """The counters under their output names: the raw report's block, hashed by result_digest."""
@@ -168,16 +174,16 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
     except MissingRecordError:
         kb.require_keys(trace.keys)
     cached = method is MethodKind.CACHED
-    # Robot number k, in order of first scan, owns caches[k].
+    # Robot number k, in id order, owns caches[k].
     caches = [HitOrderedCache(sim_config.cache_capacity) for _ in trace.robot_ids] if cached else []
 
     service_ms = db_comparisons_per_resolve * sim_config.db_probe_time_ms
     link = SatelliteLink(sim_config.link, sim_config.seed)
-    latencies: List[float] = [0.0] * len(trace)
+    latencies = np.empty(len(trace))
     cache_hits = cache_comparisons = 0
     first_issued = float(trace.issued_at[0])
     clock = max_decided = first_issued
-    # Chunks keep the arrays of a long trace small beside its latency list.
+    # Chunks keep the arrays of a long trace small beside its latency column.
     for start in range(0, len(trace), _CHUNK_SCANS):
         stop = start + _CHUNK_SCANS
         issued = trace.issued_at[start:stop]
@@ -197,7 +203,7 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
         cache_comparisons += int(comparisons.sum())
         clock = float(np.add.accumulate(np.append(clock, work))[-1])
         max_decided = max(max_decided, float(decided.max()))
-        latencies[start:stop] = (decided - issued).tolist()
+        np.subtract(decided, issued, out=latencies[start:stop])
 
     scans = len(trace)
     station_messages = scans - cache_hits
@@ -215,13 +221,12 @@ def run(method, trace: Trace, kb: KnowledgeBase, sim_config) -> RunResult:
         max_decided_at=max_decided,
     )
 
-    # Rows name their barcodes as text, robots in id order.
-    by_id = sorted(range(len(caches)), key=trace.robot_ids.__getitem__)
-    snapshots = [tuple((barcode_text(key), hits) for key, hits in caches[number].snapshot()) for number in by_id]
+    # Rows name their barcodes as text; the caches are in robot-id order.
+    snapshots = [tuple((barcode_text(key), hits) for key, hits in cache.snapshot()) for cache in caches]
     return RunResult(method=method, counters=counters, snapshots=snapshots)
 
 
-def _latencies_json(latencies: List[float], separator: str) -> str:
+def _latencies_json(latencies, separator: str) -> str:
     """The JSON array text of the floats ``latencies``, items joined by ``separator``.
 
     Each distinct value is formatted once, by ``float.__repr__`` as
@@ -229,7 +234,7 @@ def _latencies_json(latencies: List[float], separator: str) -> str:
     bits, so 0.0 and -0.0 each keep their own text. A non-finite value
     raises ValueError, as ``json.dumps(..., allow_nan=False)`` does.
     """
-    bits = np.array(latencies, np.float64).view(np.int64)
+    bits = np.asarray(latencies, np.float64).view(np.int64)
     distinct, index = np.unique(bits, return_inverse=True)
     values = distinct.view(np.float64)
     finite = np.isfinite(values)
@@ -242,8 +247,8 @@ def _latencies_json(latencies: List[float], separator: str) -> str:
 def dumps_record(record: dict, separators: Tuple[str, str]) -> str:
     """``json.dumps(record, sort_keys=True, separators=separators, allow_nan=False)``.
 
-    ``record[LATENCIES_KEY]`` is a list of floats; the record is dumped
-    with ``[]`` there and the list's text, formatted once per distinct
+    ``record[LATENCIES_KEY]`` holds floats, an array or a list; the record
+    is dumped with ``[]`` there and their text, formatted once per distinct
     value, is spliced in at that one key. The bytes are json.dumps's.
     """
     item_separator, key_separator = separators

@@ -46,12 +46,13 @@ TRACE_ENCODING = "utf-8"
 # rank 0 maps to "10000000000000"; every rank below 9e13 stays 14 digits
 _RANK_BASE = 10_000_000_000_000
 _MAX_UNIQUE = 9 * 10**13
+_MAX_SCANS = np.iinfo(np.intp).max // 8  # the longest float64 column numpy can size
 # Every 14-digit barcode's key lies below this.
 _KEY_LIMIT = 10**14
 _BLOCK_CHARS = 1 << 16
 # Rows per write of save_trace: only one block's text is held at a time.
 _WRITE_ROWS = 8192
-# Rows per check of the Trace constructor's array columns.
+# Rows per check of the Trace constructor's time column.
 _CHECK_ROWS = 4096
 # Every character a plain time field may hold, and the comma between two:
 # deleting them from a block's ASCII time text must leave nothing.
@@ -71,8 +72,8 @@ class Trace:
 
     ``keys`` (int64) holds each barcode's 14 digits as one integer, whose
     text is ``cache.barcode_text`` of it; ``issued_at`` is float64.
-    ``robots`` numbers the robots in order of first scan and ``robot_ids``
-    holds the id of each number once, as a Python int of any size. Building
+    ``robot_ids`` holds the distinct robot ids ascending, Python ints of any
+    size, and ``robots`` each scan's index in it, its robot number. Building
     one is the one check on a trace's values; its columns are read-only
     views, which keeps it valid.
     """
@@ -88,10 +89,9 @@ class Trace:
         Built by hand, each column has a value per scan: ``robot_ids``
         ints >= 0, ``barcodes`` 14-digit strs (one ``barcode_keys`` check)
         and ``issued_at`` ints or floats, which are held as float64.
-        ``generate`` and the parser pass arrays instead, checked in numpy
-        _CHECK_ROWS scans at a time: the int64 keys as ``barcodes``, float64
-        times, and each scan's robot number as ``robots``, with ``robot_ids``
-        the distinct ids by number.
+        ``generate`` and the parser pass arrays instead, checked in numpy:
+        the int64 keys as ``barcodes``, float64 times, and each scan's intp
+        robot number as ``robots``, with ``robot_ids`` the distinct ids ascending.
         """
         robot_ids = tuple(robot_ids)
         if not (isinstance(barcodes, np.ndarray) and barcodes.dtype == np.int64 and barcodes.ndim == 1):
@@ -104,11 +104,17 @@ class Trace:
         if not set(map(type, robot_ids)) <= {int} or min(robot_ids, default=0) < 0:
             raise ValidationError("every robot id must be an int >= 0")
         if robots is None:
-            scan_ids, robot_ids = robot_ids, tuple(dict.fromkeys(robot_ids))
+            scan_ids, robot_ids = robot_ids, tuple(sorted(set(robot_ids)))
             number_of = dict(zip(robot_ids, range(len(robot_ids))))
             robots = np.fromiter(map(number_of.__getitem__, scan_ids), np.intp, len(scan_ids))
-        elif len(set(robot_ids)) != len(robot_ids) or not _numbers_by_first_scan(robots, len(robot_ids)):
-            raise ValidationError("robot numbers must number distinct robot ids in order of first scan")
+        elif not (
+            robot_ids == tuple(sorted(set(robot_ids)))
+            and isinstance(robots, np.ndarray) and robots.dtype == np.intp and robots.ndim == 1
+            # The bounds first, so that a wild number never sizes bincount's output.
+            and (not len(robots) or (robots.min() >= 0 and robots.max() < len(robot_ids)))
+            and np.bincount(robots, minlength=len(robot_ids)).all()
+        ):
+            raise ValidationError("robot numbers must number distinct robot ids in id order, each used")
         if isinstance(barcodes, np.ndarray):
             keys = barcodes
             if len(keys) and not (keys.min() >= 0 and keys.max() < _KEY_LIMIT):
@@ -150,28 +156,6 @@ def _holds_by_block(check, column: np.ndarray) -> bool:
     return all(check(column[start : start + _CHECK_ROWS + 1]) for start in range(0, len(column), _CHECK_ROWS))
 
 
-def _numbers_by_first_scan(robots, count: int) -> bool:
-    """Whether ``robots`` is a 1-D integer array using each of 0..count-1, each first met after the one before."""
-    if not (isinstance(robots, np.ndarray) and robots.ndim == 1 and robots.dtype.kind in "iu"):
-        return False
-    if not len(robots):
-        return count == 0
-    # Each scan's number is at most one past the highest number before it:
-    # the running highest number never rises by more than one.
-    highest = -1
-    for start in range(0, len(robots), _CHECK_ROWS):
-        block = robots[start : start + _CHECK_ROWS]
-        if block.min() < 0 or block[0] > highest + 1:
-            return False
-        running = np.maximum.accumulate(block)
-        if start:
-            np.maximum(running, highest, out=running)
-        if not (np.diff(running) <= 1).all():
-            return False
-        highest = int(running[-1])
-    return highest == count - 1
-
-
 @dataclass(frozen=True)
 class WorkloadConfig:
     total_scans: int
@@ -183,8 +167,8 @@ class WorkloadConfig:
 
     def __post_init__(self) -> None:
         bad = []
-        if self.total_scans < 1:
-            bad.append("total_scans (must be >= 1)")
+        if not 1 <= self.total_scans <= _MAX_SCANS:
+            bad.append(f"total_scans (must lie in [1, {_MAX_SCANS}])")
         if not 1 <= self.unique_barcodes <= _MAX_UNIQUE:
             bad.append(f"unique_barcodes (must lie in [1, {_MAX_UNIQUE}])")
         if not (isfinite(self.skew) and self.skew >= 0):
@@ -222,8 +206,8 @@ def generate(config: WorkloadConfig) -> Trace:
     keys += _RANK_BASE  # the key of barcode_for_rank(rank)
     times = rng.exponential(config.inter_arrival_ms, config.total_scans)
     np.cumsum(times, out=times)
-    # Round robin: robot r first scans at scan r, so its number is its id.
-    # Only robots below total_scans scan, and so the modulus fits an int64.
+    # Round robin over ids 0 to robot_count - 1: each robot's number is its
+    # id. Only robots below total_scans scan, so the modulus fits an int64.
     robot_count = min(config.robots, config.total_scans)
     robots = np.arange(config.total_scans)
     robots %= robot_count
@@ -271,7 +255,8 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     characters with no leading sign. Each block's barcodes become keys in
     one ``barcode_keys`` call, its times floats in one ``np.fromiter`` and
     its robot texts numbers, with one ``int()`` per distinct robot text.
-    The Trace constructor checks the time values and their order.
+    Robots, numbered as first met, are renumbered in id order in place at
+    the end. The Trace constructor checks the time values and their order.
     """
     if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data:
         return None
@@ -280,7 +265,7 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     keys = np.empty(scans, np.int64)
     times = np.empty(scans, np.float64)
     number_of_text = {}  # robot text -> robot number
-    number_of_id = {}  # robot id -> robot number, in order of first scan
+    number_of_id = {}  # robot id -> robot number, in the order first met
     row = 0
     start = len(_HEADER_LINE)
     while start < len(data):
@@ -317,8 +302,12 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
         except (ValueError, ValidationError):
             return None
         robots[rows] = np.fromiter(map(number_of_text.__getitem__, robot_col), np.intp, len(robot_col))
+    robot_ids = tuple(sorted(number_of_id))
+    number_of = dict(zip(robot_ids, range(len(robot_ids))))
+    # Every number is in range, and "clip" mode writes in place where "raise" buffers a copy.
+    np.take(np.fromiter(map(number_of.__getitem__, number_of_id), np.intp, len(number_of)), robots, out=robots, mode="clip")
     try:
-        return Trace(tuple(number_of_id), keys, times, robots=robots)
+        return Trace(robot_ids, keys, times, robots=robots)
     except ValidationError:
         return None
 

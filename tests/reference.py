@@ -27,7 +27,9 @@ reference_run holds it to the counts.
 
 reference_raw_text and reference_result_digest are the raw report's
 encoding and result_digest as they stood while each was one
-``json.dumps`` of the whole record, kept verbatim.
+``json.dumps`` of the whole record, kept verbatim. reference_mean_latency
+is the report's mean latency as it stood while the latencies were a list:
+one Python float addition at a time, left to right from 0.0.
 
 reference_run and reference_replay read a trace's scans as
 (robot_id, barcode text, issued_at) rows through ``helpers.rows_of`` and
@@ -40,7 +42,9 @@ import hashlib
 import json
 import math
 import random
+from functools import reduce
 from math import isfinite
+from operator import add
 from typing import List
 
 from robocache.cache import barcode_keys, validate_barcode
@@ -405,3 +409,8 @@ def reference_result_digest(result: RunResult) -> str:
     }
     blob = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def reference_mean_latency(latencies) -> float:
+    """The mean of the float ``latencies``, summed left to right from 0.0."""
+    return reduce(add, latencies, 0.0) / len(latencies)

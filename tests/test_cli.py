@@ -9,9 +9,9 @@ from robocache.cli import _load_raw, run_cli
 from robocache.config import load_config
 from robocache.knowledge_base import format_record_line, load_kb
 from robocache.simulator import result_digest, run
-from robocache.workload import read_trace
+from robocache.workload import barcode_for_rank, read_trace
 
-from reference import synth_record_line
+from reference import reference_replay, synth_record_line
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -127,6 +127,26 @@ def test_empty_workload_config_is_rejected(config_path, tmp_path, capsys):
         fh.write(body)
     assert run_cli(["generate", "--config", broken]) == 1
     assert "total_scans" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old,new,reason",
+    [
+        # More scans than a numpy array can hold: refused by the config check.
+        pytest.param("total_scans = 1500", "total_scans = 100000000000000000000", "invalid workload config: total_scans", id="total-scans"),
+        # 9e13 float64 popularities, 655 TiB: numpy refuses the array at once.
+        pytest.param("unique_barcodes = 40", "unique_barcodes = 90000000000000", "out of memory: Unable to allocate", id="unique-barcodes"),
+    ],
+)
+def test_an_oversized_workload_is_one_error_line(old, new, reason, config_path, tmp_path, capsys):
+    config = tmp_path / "oversized.ini"
+    with open(config_path) as fh:
+        config.write_text(fh.read().replace(old, new))
+    out = tmp_path / "oversized"
+    assert run_cli(["generate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reason}") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_generate_takes_more_robots_than_an_int64_holds(config_path, tmp_path, capsys):
@@ -251,6 +271,27 @@ def test_alert_overrun_exits_two(config_path, tmp_path, capsys):
     assert raw["alert"]["raised"] is True
 
 
+def test_report_exits_two_when_a_report_it_prints_raised_the_alert(config_path, tmp_path, capsys):
+    # The cached run keeps the 20-minute threshold; the baseline run's is one
+    # that it overruns.
+    strict = tmp_path / "strict.ini"
+    with open(config_path) as fh:
+        strict.write_text(fh.read().replace("threshold_minutes = 20", "threshold_minutes = 0.0001"))
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached"]) == 0
+    assert run_cli(["run", "--config", str(strict), "--out", out, "--method", "baseline"]) == 2
+    cached_raw, base_raw = (os.path.join(out, f"raw_{method}.json") for method in ("cached", "baseline"))
+    capsys.readouterr()
+    assert run_cli(["report", cached_raw]) == 0
+    capsys.readouterr()
+    assert run_cli(["report", cached_raw, base_raw]) == 2
+    captured = capsys.readouterr()
+    # Every table is printed, the raised one last.
+    assert captured.out.count("decision_latency_minutes") == 2
+    assert captured.err.count("ALERT overrun_minutes=") == 1
+
+
 def test_run_whose_simulated_time_overflows_exits_one_and_writes_nothing(config_path, tmp_path, capsys):
     # Every config value is finite, but 1e308 ms per probe overflows to inf.
     huge = str(tmp_path / "huge.ini")
@@ -282,6 +323,32 @@ def test_snapshots_flag_writes_per_robot_files(config_path, tmp_path):
         assert int(hits) >= 1
     hits_column = [int(line.split(",")[1]) for line in lines]
     assert hits_column == sorted(hits_column, reverse=True)
+
+
+def test_snapshots_of_robots_first_scanning_9_2_5_are_written_in_id_order(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    # (robot id, barcode rank) per scan: robot 9 scans first, then 2, then 5.
+    scans = [(9, 0), (2, 1), (5, 2), (2, 1), (9, 3), (5, 2), (2, 4), (9, 0)]
+    with open(os.path.join(out, "trace.csv"), "w") as fh:
+        fh.write("robot_id,barcode,issued_at_ms\n")
+        fh.writelines(f"{robot},{barcode_for_rank(rank)},{index * 2.5!r}\n" for index, (robot, rank) in enumerate(scans))
+    config = load_config(config_path, output_dir_override=out)
+    trace, kb = read_trace(config.trace_path), load_kb(config.kb_path)
+    for method in ("baseline", "cached"):
+        assert run_cli(["run", "--config", config_path, "--out", out, "--method", method, "--snapshots"]) == 0
+        raw = json.load(open(os.path.join(out, f"raw_{method}.json")))
+        ref = reference_replay(method, trace, kb, config)
+        assert raw["counters"] == ref.counters.to_dict(), method
+        assert [value.hex() for value in raw["per_scan_latencies_ms"]] == [value.hex() for value in ref.counters.per_scan_latencies], method
+    snapshots = []
+    for robot in range(3):
+        with open(os.path.join(out, f"snapshot_cached_robot{robot}.csv")) as fh:
+            snapshots.append(tuple((barcode, int(hits)) for barcode, hits in (line.split(",") for line in fh.read().splitlines())))
+    # Robot 2, the lowest id, scanned rank 1 twice and rank 4 once.
+    assert snapshots[0] == ((barcode_for_rank(1), 2), (barcode_for_rank(4), 1))
+    assert snapshots == ref.snapshots
+    assert not os.path.exists(os.path.join(out, "snapshot_cached_robot3.csv"))
 
 
 def test_raw_report_carries_counters_and_digest(config_path, tmp_path):

@@ -31,7 +31,7 @@ def assert_same_replay(trace, kb, config):
         mine = run(method, trace, kb, config)
         ref = reference_replay(method, trace, kb, config)
         assert mine.counters.to_dict() == ref.counters.to_dict(), method
-        assert mine.counters.per_scan_latencies == ref.counters.per_scan_latencies, method
+        assert mine.counters.per_scan_latencies.tolist() == ref.counters.per_scan_latencies, method
         assert mine.snapshots == ref.snapshots, method
         assert result_digest(mine) == result_digest(ref), method
 

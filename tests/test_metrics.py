@@ -1,6 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from robocache.errors import ConfigError, ValidationError
 from robocache.knowledge_base import index_probe_cost
@@ -15,9 +18,10 @@ from robocache.metrics import (
     report_csv,
     summarize,
 )
-from robocache.simulator import MethodKind, run
+from robocache.simulator import MethodKind, RunCounters, RunResult, run
 
 from helpers import barcodes_of, make_kb, make_sim_config, make_trace
+from reference import reference_mean_latency
 
 A = "10000000000001"
 B = "10000000000002"
@@ -58,6 +62,17 @@ def test_mean_latency_is_summed_left_to_right_on_every_python():
     latencies = [1e16, 1.0, 1.0]
     result = dataclasses.replace(result, counters=dataclasses.replace(result.counters, per_scan_latencies=latencies))
     assert summarize(result).decision_latency_minutes == 1e16 / 3 / 60_000.0
+
+
+@given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 1e308, -1e308]), min_size=1, max_size=40))
+@example([-0.0])
+@example([-0.0, -0.0, 1.5])
+@example([1e308, 1e308, -1e308])
+@example([float("inf"), float("-inf")])
+def test_mean_latency_has_the_bits_of_the_left_to_right_loop(latencies):
+    counters = RunCounters(scans=len(latencies), per_scan_latencies=np.array(latencies, np.float64))
+    report = summarize(RunResult(MethodKind.BASELINE, counters, []))
+    assert report.decision_latency_minutes.hex() == (reference_mean_latency(latencies) / 60_000.0).hex()
 
 
 def make_report(method, latency, processing, disruption, comparisons):

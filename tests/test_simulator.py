@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -284,6 +285,15 @@ def test_counters_match_the_straight_line_reference_simulator(case):
         assert mine.link_stats.lock_events == ref.lock_events
         assert mine.link_stats.total_stall_time_ms == pytest.approx(ref.total_stall_ms)
         assert result.snapshots == [tuple(ref.final_rows[robot_id]) for robot_id in sorted(ref.final_rows)]
+
+
+def test_run_counters_compare_by_value_latency_column_included():
+    trace = trace_of([A, B, A])
+    kb = make_kb([A, B])
+    first, second = (run("cached", trace, kb, make_sim_config()).counters for _ in range(2))
+    assert first == second
+    assert dataclasses.replace(first, per_scan_latencies=first.per_scan_latencies + 1.0) != first
+    assert dataclasses.replace(first, cache_hits=first.cache_hits + 1) != first
 
 
 def test_generated_workload_runs_end_to_end():

@@ -50,6 +50,15 @@ def test_invalid_config_lists_every_offending_field():
     assert "skew" in message
 
 
+def test_total_scans_is_at_most_the_longest_float64_column_numpy_can_size():
+    # One scan more and numpy refuses the issue-time column with ValueError,
+    # before it asks for memory.
+    limit = np.iinfo(np.intp).max // 8
+    assert make_config(total_scans=limit).total_scans == limit
+    with pytest.raises(ConfigError, match="total_scans"):
+        make_config(total_scans=limit + 1)
+
+
 def test_barcodes_are_always_14_digits():
     assert barcode_for_rank(0) == "10000000000000"
     assert len(barcode_for_rank(10**12)) == 14
@@ -245,16 +254,16 @@ def test_trace_columns_are_read_only_arrays_and_int_times_are_held_as_floats():
     assert not Trace((), (), ())
 
 
-def test_robots_are_numbered_in_order_of_first_scan_and_barcodes_held_as_their_keys():
+def test_robots_are_numbered_in_id_order_and_barcodes_held_as_their_keys():
     b = "00000000000007"
     big = 2**64 + 5
     trace = Trace([5, 1, 5, big], [A, b, A, b], [0.0, 1.0, 2.0, 3.0])
-    assert trace.robot_ids == (5, 1, big)
-    assert trace.robots.tolist() == [0, 1, 0, 2]
+    assert trace.robot_ids == (1, 5, big)
+    assert trace.robots.tolist() == [1, 0, 1, 2]
     assert trace.keys.tolist() == [12345678901234, 7, 12345678901234, 7]
     assert rows_of(trace) == [(5, A, 0.0), (1, b, 1.0), (5, A, 2.0), (big, b, 3.0)]
     # The array columns give the same trace.
-    assert trace == Trace((5, 1, big), trace.keys, trace.issued_at, robots=trace.robots)
+    assert trace == Trace((1, 5, big), trace.keys, trace.issued_at, robots=trace.robots)
     assert trace != Trace([5, 1, 5, 1], [A, b, A, b], [0.0, 1.0, 2.0, 3.0])
     # generate fills the columns from its draws: robot r's number is r, and
     # each key is that of barcode_for_rank of the drawn rank.
@@ -276,13 +285,16 @@ TIMES_2 = np.array([0.0, 1.0])
 @pytest.mark.parametrize(
     "robot_ids,keys,issued_at,robots",
     [
-        pytest.param((0, 1), KEYS_2, TIMES_2, np.array([1, 0]), id="robots-not-in-first-scan-order"),
+        pytest.param((1, 0), KEYS_2, TIMES_2, np.array([0, 1]), id="robot-ids-not-ascending"),
         pytest.param((0, 1, 2), KEYS_2, TIMES_2, np.array([0, 1]), id="robot-id-without-a-scan"),
         pytest.param((0,), KEYS_2, TIMES_2, np.array([0, 1]), id="robot-number-without-an-id"),
         pytest.param((0,), KEYS_2, TIMES_2, np.array([0, -1]), id="negative-robot-number"),
+        # Past the last id by far: refused before it could size a count per number.
+        pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0, 2**62]), id="robot-number-out-of-range"),
         pytest.param((3, 3), KEYS_2, TIMES_2, np.array([0, 1]), id="repeated-robot-id"),
         pytest.param((0, True), KEYS_2, TIMES_2, np.array([0, 1]), id="bool-robot-id"),
         pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0.0, 1.0]), id="float-robot-numbers"),
+        pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0, 1], np.uint64), id="uint64-robot-numbers"),
         pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0, 1, 1]), id="robot-column-long"),
         pytest.param((0, 1), np.array([-1, 7]), TIMES_2, np.array([0, 1]), id="negative-key"),
         pytest.param((0, 1), np.array([10**14, 7]), TIMES_2, np.array([0, 1]), id="15-digit-key"),
@@ -298,7 +310,7 @@ def test_trace_constructor_rejects_each_invalid_array_column(robot_ids, keys, is
         Trace(robot_ids, keys, issued_at, robots=robots)
 
 
-# The constructor checks its array columns 4,096 scans at a time.
+# The constructor checks its time column 4,096 scans at a time.
 CHECK_ROWS = 4096
 
 
