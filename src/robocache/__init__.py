@@ -24,7 +24,6 @@ from .knowledge_base import (
     index_probe_cost,
     ingest_bytes,
     load_kb,
-    save_kb,
 )
 from .metrics import (
     AlertPolicy,
@@ -91,7 +90,6 @@ __all__ = [
     "read_trace",
     "result_digest",
     "run",
-    "save_kb",
     "save_trace",
     "summarize",
     "validate_barcode",

@@ -16,6 +16,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -24,7 +25,7 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from typing import Optional
+from typing import BinaryIO, Optional
 
 import numpy as np
 
@@ -37,8 +38,7 @@ from .knowledge_base import (
     SHIPPER_WIDTH,
     KnowledgeBase,
     format_record_line,
-    ingest_bytes,
-    save_kb,
+    load_kb,
 )
 from .metrics import (
     METRIC_NAMES,
@@ -71,16 +71,23 @@ _FIELD_PERIOD = 52
 _DIGIT_PERIOD = 10000
 
 
-def _record_bytes(unique_barcodes: int) -> bytearray:
-    """The record file of ranks 0 to ``unique_barcodes`` - 1; every line ends in "\n".
+def write_kb_for_workload(unique_barcodes: int, stream: BinaryIO) -> None:
+    """Write the record file of the workload's knowledge base: one record per rank, in rank order.
 
-    One buffer is filled in place. Every row first takes the formatted
-    line of its rank modulo 52, with zero digits, in one broadcast over
-    the 52-rank periods. Then a structured view of the buffer writes the
-    digit fields, _DIGIT_PERIOD ranks at a time, from tables of
-    zero-padded digit texts: the four-digit groups that count through a
-    run are the "0000" to "9999" table itself, and each other field is
-    one table entry for the whole run. No array per rank is made.
+    Rank r has barcode_for_rank(r), shipper SHIP + r % 100000 in five
+    digits, service type _SERVICE_TYPES[r % 4], terminal T + barcode
+    digits 1-4 and 13-14 + D, and the exception HOLD FOR INSPECTION when
+    r % 13 == 0; every line ends in "\n".
+
+    The records are written _DIGIT_PERIOD at a time from one buffer that
+    each run of ranks refills in place. A run first copies the formatted
+    lines of its ranks modulo 52, with zero digits, from a tile that
+    repeats the 52 of them: the run of ranks from ``start`` takes the
+    tile's rows from ``start % 52``. Then a structured view of the buffer
+    writes the digit fields from tables of zero-padded digit texts: the
+    four-digit groups that count through a run are the "0000" to "9999"
+    table itself, and each other field is one table entry for the whole
+    run. No array per rank is made.
     """
     shipper_digits = BARCODE_WIDTH + len("SHIP")
     terminal_digits = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + len("T")
@@ -96,6 +103,10 @@ def _record_bytes(unique_barcodes: int) -> bytearray:
         for rank in range(_FIELD_PERIOD)
     )
     template_rows = np.frombuffer(templates.encode("ascii"), np.uint8).reshape(_FIELD_PERIOD, -1)
+    # Row i of the tile is the template of rank i % 52, for the longest
+    # run from any of the 52 offsets.
+    run_length = min(unique_barcodes, _DIGIT_PERIOD)
+    tile = np.resize(template_rows, (run_length + _FIELD_PERIOD - 1, RECORD_WIDTH))
     # The texts "0"-"9", "00"-"99" and "0000"-"9999", each indexed by its value.
     singles = np.frombuffer(b"0123456789", "S1")
     pairs = np.array([b"%02d" % value for value in range(100)], "S2")
@@ -119,38 +130,31 @@ def _record_bytes(unique_barcodes: int) -> bytearray:
         }
     )
     first_barcode = int(barcode_for_rank(0))
-    data = bytearray(unique_barcodes * RECORD_WIDTH)
-    records = np.frombuffer(data, np.uint8).reshape(unique_barcodes, RECORD_WIDTH)
-    periods, rest = divmod(unique_barcodes, _FIELD_PERIOD)
-    records[: periods * _FIELD_PERIOD].reshape(periods, _FIELD_PERIOD, RECORD_WIDTH)[:] = template_rows
-    records[periods * _FIELD_PERIOD :] = template_rows[:rest]
-    digits = np.frombuffer(data, fields)
+    block = bytearray(run_length * RECORD_WIDTH)
+    records = np.frombuffer(block, np.uint8).reshape(-1, RECORD_WIDTH)
+    digits = np.frombuffer(block, fields)
     for start in range(0, unique_barcodes, _DIGIT_PERIOD):
-        run = digits[start : start + _DIGIT_PERIOD]
+        count = min(_DIGIT_PERIOD, unique_barcodes - start)
+        offset = start % _FIELD_PERIOD
+        records[:count] = tile[offset : offset + count]
+        run = digits[:count]
         # Barcode digits 1-10 of every rank in the run, as one number.
         high = (first_barcode + start) // _DIGIT_PERIOD
         run["barcode_1"] = pairs[high // 10**8]
         run["barcode_3"] = quads[high // 10**4 % 10**4]
         run["barcode_7"] = quads[high % 10**4]
-        run["barcode_11"] = quads[: len(run)]
+        run["barcode_11"] = quads[:count]
         run["shipper_1"] = singles[start // _DIGIT_PERIOD % 10]
-        run["shipper_2"] = quads[: len(run)]
+        run["shipper_2"] = quads[:count]
         run["terminal_1"] = quads[high // 10**6]
-        run["terminal_13"] = low_pairs[: len(run)]
-    return data
+        run["terminal_13"] = low_pairs[:count]
+        stream.write(memoryview(block)[: count * RECORD_WIDTH])
 
 
 def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
-    """The synthetic knowledge base of a workload: one record per rank.
-
-    Rank r has barcode_for_rank(r), shipper SHIP + r % 100000 in five
-    digits, service type _SERVICE_TYPES[r % 4], terminal T + barcode
-    digits 1-4 and 13-14 + D, and the exception HOLD FOR INSPECTION when
-    r % 13 == 0.
-    """
-    # Rank r's barcode is rank 0's plus r, so the keys need no parse of the bytes.
-    keys = int(barcode_for_rank(0)) + np.arange(unique_barcodes, dtype=np.int64)
-    return KnowledgeBase(_record_bytes(unique_barcodes), keys)
+    """The knowledge base of the record file that write_kb_for_workload writes."""
+    # Rank r's barcode is rank 0's plus r, so the keys need no parse of the records.
+    return KnowledgeBase(int(barcode_for_rank(0)) + np.arange(unique_barcodes, dtype=np.int64))
 
 
 def _ensure_parent(path: str) -> None:
@@ -162,11 +166,11 @@ def cmd_generate(config: SimConfig) -> int:
     events = generate(config.workload)
     _ensure_parent(config.trace_path)
     write_trace(events, config.trace_path)
-    kb = build_kb_for_workload(config.workload.unique_barcodes)
     _ensure_parent(config.kb_path)
-    save_kb(kb, config.kb_path)
+    with open(config.kb_path, "wb") as fh:
+        write_kb_for_workload(config.workload.unique_barcodes, fh)
     print(f"trace: {config.trace_path} ({len(events)} scans)")
-    print(f"kb:    {config.kb_path} ({len(kb)} records)")
+    print(f"kb:    {config.kb_path} ({config.workload.unique_barcodes} records)")
     return 0
 
 
@@ -190,20 +194,27 @@ def _raw_payload(config: SimConfig, result, report: MetricsReport, alert, trace_
     }
 
 
+@contextlib.contextmanager
+def _naming_bad_lines(path: str):
+    """Report a malformed line of the input file at ``path`` as ``<path>: line N: ...``."""
+    try:
+        yield
+    except LineError as exc:
+        raise SimulationError(f"{path}: {exc}") from None
+
+
 def _read_input(path: str, parse):
     """``parse`` of the bytes of the file at ``path`` and their SHA-256 hex, read once.
 
-    ``parse`` is the byte parser that the file reader (``read_trace``,
-    ``load_kb``) hands the same bytes to. A malformed line is reported as
-    ``<path>: line N: ...``.
+    ``parse`` is the byte parser that the trace reader (``read_trace``)
+    hands the same bytes to. The knowledge-base file is not read whole:
+    ``load_kb`` reads it a block of records at a time and hashes the
+    blocks as it goes.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
-    try:
-        return parse(data), digest
-    except LineError as exc:
-        raise SimulationError(f"{path}: {exc}") from None
+    with _naming_bad_lines(path):
+        return parse(data), hashlib.sha256(data).hexdigest()
 
 
 def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int:
@@ -212,7 +223,8 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
             print(f"error: {what} file not found: {path} (run `generate` first)", file=sys.stderr)
             return 1
     trace, trace_digest = _read_input(config.trace_path, parse_trace_bytes)
-    kb, kb_digest = _read_input(config.kb_path, ingest_bytes)
+    with _naming_bad_lines(config.kb_path):
+        kb, kb_digest = load_kb(config.kb_path)
 
     started = time.perf_counter()
     result = run_simulation(method, trace, kb, config)

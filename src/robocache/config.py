@@ -34,6 +34,8 @@ Example::
     threshold_minutes = 20
 
 Seeds are always explicit; there is no time-derived default anywhere.
+A section or key not shown above is refused, so a misspelt key is an
+error, not a silent default.
 """
 
 from __future__ import annotations
@@ -81,6 +83,17 @@ class SimConfig:
             raise ConfigError("invalid sim config: " + "; ".join(problems))
 
 
+# Every key a config may hold, by section; every section is required.
+_KEYS = {
+    "run": ("seed", "output_dir"),
+    "workload": ("total_scans", "unique_barcodes", "skew", "robots", "inter_arrival_ms", "seed", "trace_path"),
+    "link": ("one_way_latency_ms", "loss_probability", "lock_probability", "lock_stall_ms", "retransmit_timeout_ms"),
+    "cache": ("capacity", "probe_time_ms"),
+    "station": ("db_probe_time_ms", "kb_path"),
+    "alert": ("threshold_minutes",),
+}
+
+
 def _get(parser: configparser.ConfigParser, section: str, key: str, convert, default=None):
     if not parser.has_option(section, key):
         if default is not None:
@@ -106,7 +119,16 @@ def load_config(path: str, *, seed_override: int | None = None, output_dir_overr
         raise ConfigError(f"config {path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} cannot be decoded") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
-    for section in ("run", "workload", "link", "cache", "station", "alert"):
+    # A [DEFAULT] key would show up in every section, named as that section's.
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown config key [{section}] {key}")
+    for section in _KEYS:
         if not parser.has_section(section):
             raise ConfigError(f"missing config section [{section}]")
 

@@ -9,19 +9,18 @@ Record line layout (ASCII, newline terminated, 56 characters):
     cols 37-56  delivery exceptions (all spaces means none)
 
 The column widths are the ``*_WIDTH`` constants below.
-``format_record_line`` pads fields into them, and the synthetic
-knowledge base of a workload (``cli.build_kb_for_workload``) takes its
-column offsets from them. The database holds its record file's bytes,
-as they were read or built, plus a sorted int64 index of the barcodes
-(every 14-digit barcode fits in an int64). ``ingest_bytes`` is the one
-parser of a record file, which ``load_kb`` feeds a file's bytes: it
-checks the whole buffer in place, through a numpy view of it, and
-decodes and walks it line by line only to name the first bad line.
-``require_keys`` checks that each of a batch of barcodes, given as their
-int64 keys (``cache.barcode_keys``), has a record, as the simulator does
-once per run with the distinct keys of its ``Trace``. ``save_kb`` writes
-the bytes back in one piece, and ``export`` writes them to a text stream
-as text. No line is ever looked up or parsed back into fields: the
+``format_record_line`` pads fields into them, and the synthetic record
+file of a workload (``cli.write_kb_for_workload``) takes its column
+offsets from them. The database is a sorted int64 index of its file's
+barcodes (every 14-digit barcode fits in an int64) and holds no record
+text. ``load_kb`` reads a record file _BLOCK_RECORDS records at a time
+and ``ingest_bytes`` checks a buffer of one in slices of the same size:
+each block is checked in place, through a numpy view of it, and only its
+keys are kept. A file is decoded and walked line by line only to name
+its first bad line. ``require_keys`` checks that each of a batch of
+barcodes, given as their int64 keys (``cache.barcode_keys``), has a
+record, as the simulator does once per run with the distinct keys of its
+``Trace``. No line is ever looked up or parsed back into fields: the
 simulator needs only to know that a record exists, and a robot caches
 the barcode alone.
 
@@ -32,8 +31,10 @@ search: ceil(log2(N)) probes over N records, never less than one.
 
 from __future__ import annotations
 
+import hashlib
 import io
-from typing import NoReturn, Optional, TextIO, Union
+import os
+from typing import Callable, NoReturn, Optional, Union
 
 import numpy as np
 
@@ -48,8 +49,11 @@ LINE_WIDTH = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + TERMINAL_WIDTH + EX
 # A line and its "\n": the stride of a record in the file.
 RECORD_WIDTH = LINE_WIDTH + 1
 
-# A record file's bytes: bytes as read, or the bytearray a build filled.
+# A record file's bytes, or a buffer that holds them.
 RecordData = Union[bytes, bytearray]
+# Records per read of a record file, and per slice of a buffer checked.
+_BLOCK_RECORDS = 10_000
+_BLOCK_BYTES = _BLOCK_RECORDS * RECORD_WIDTH
 
 
 def format_record_line(
@@ -99,13 +103,11 @@ def _check_line(line: str, line_no: int) -> str:
 
 
 class KnowledgeBase:
-    """All record lines as the bytes of their file, in ingest order, indexed by barcode."""
+    """The sorted int64 index of a record file's barcodes, one key per record."""
 
-    def __init__(self, data: RecordData, keys: np.ndarray) -> None:
-        # ``data`` holds whole ASCII records, each line with its "\n";
-        # ``keys`` is the barcode of each, in file order.
-        self._data = data
-        self._sorted_keys = np.sort(keys)
+    def __init__(self, sorted_keys: np.ndarray) -> None:
+        # The int64 barcode of every record, ascending, each once.
+        self._sorted_keys = sorted_keys
 
     def __len__(self) -> int:
         return len(self._sorted_keys)
@@ -125,35 +127,49 @@ class KnowledgeBase:
         if not found.all():
             raise MissingRecordError(barcode_text(int(keys[found.argmin()])))
 
-    def export(self, stream: TextIO) -> None:
-        """Write all records in ingest order as text; ``ingest_bytes`` of its ASCII encoding gives them back."""
-        stream.write(self._data.decode("ascii"))
 
+def _block_keys(block: RecordData) -> Optional[np.ndarray]:
+    """The barcode key of each record of ``block``, in order, or None if a check fails.
 
-def _rows(data: RecordData) -> np.ndarray:
-    """The records of ``data`` as a uint8 array viewing its bytes, one row each."""
-    return np.frombuffer(data, np.uint8).reshape(-1, RECORD_WIDTH)
-
-
-def _from_bytes(data: RecordData) -> Optional[KnowledgeBase]:
-    """The knowledge base of ``data`` if the whole buffer passes at once, else None.
-
-    Accepts exactly the text that _walk passes to its end, with the same
-    lines: whole records, each a line of LINE_WIDTH bytes and its "\n" (so no
-    "\n" inside a line), no "\r" (a file reader also ends a line there),
-    ASCII only, 14 digits in every barcode column and no barcode twice.
-    The checks read ``data`` in place and copy no record.
+    Passes whole records only: lines of LINE_WIDTH bytes, each with its
+    "\n" (so no "\n" inside a line), no "\r" (a file reader also ends a
+    line there), ASCII only and 14 digits in every barcode column. The
+    checks read ``block`` in place and copy no record.
     """
-    records, rest = divmod(len(data), RECORD_WIDTH)
-    if rest or data.count(b"\n") != records or b"\r" in data or not data.isascii():
+    records, rest = divmod(len(block), RECORD_WIDTH)
+    if rest or block.count(b"\n") != records or b"\r" in block or not block.isascii():
         return None
-    rows = _rows(data)
-    keys = digit_keys(rows[:, :BARCODE_WIDTH])
-    if keys is None or not (rows[:, LINE_WIDTH] == ord("\n")).all():
+    rows = np.frombuffer(block, np.uint8).reshape(records, RECORD_WIDTH)
+    if not (rows[:, LINE_WIDTH] == ord("\n")).all():
         return None
-    kb = KnowledgeBase(data, keys)
+    return digit_keys(rows[:, :BARCODE_WIDTH])
+
+
+def _from_blocks(read: Callable[[int, int], RecordData], size: int) -> Optional[KnowledgeBase]:
+    """The knowledge base of a record file of ``size`` bytes, or None if a check fails.
+
+    ``read(start, stop)`` gives the file's bytes from ``start`` to
+    ``stop``; they are asked for in order, at most _BLOCK_RECORDS records
+    at a time, and each block is checked by _block_keys as it comes. The
+    last line may omit its "\n". Accepts exactly the text that _walk
+    passes to its end: the blocks start at whole records, so the file
+    passes block by block just when it passes whole, and no barcode may
+    appear twice in it.
+    """
+    keys = np.empty(-(-size // RECORD_WIDTH), np.int64)
+    for start in range(0, size, _BLOCK_BYTES):
+        stop = min(start + _BLOCK_BYTES, size)
+        block = read(start, stop)
+        if stop == size and not block.endswith(b"\n"):
+            block = block + b"\n"  # a new buffer, never the caller's
+        block_keys = _block_keys(block)
+        if block_keys is None:
+            return None
+        first = start // RECORD_WIDTH
+        keys[first : first + len(block_keys)] = block_keys
+    keys.sort()
     # Sorted, a barcode given twice sits beside itself.
-    return None if (kb._sorted_keys[1:] == kb._sorted_keys[:-1]).any() else kb
+    return None if (keys[1:] == keys[:-1]).any() else KnowledgeBase(keys)
 
 
 def _walk(text: str) -> NoReturn:
@@ -161,7 +177,7 @@ def _walk(text: str) -> NoReturn:
 
     Lines end where a file opened with ``newline=""`` ends them, at a
     lone "\r" too, and a line that keeps a "\r" is refused. A text with
-    no bad line, which _from_bytes accepts, ends in AssertionError.
+    no bad line, which _from_blocks accepts, ends in AssertionError.
     """
     seen: set[str] = set()
     for line_no, raw in enumerate(io.StringIO(text, newline=""), start=1):
@@ -177,29 +193,40 @@ def _walk(text: str) -> NoReturn:
 
 
 def ingest_bytes(data: RecordData) -> KnowledgeBase:
-    """Build a knowledge base from the bytes of a record file, which it keeps.
+    """Build the knowledge base of the bytes of a record file.
 
     Each line must match the layout documented at module top; the last
     may omit its "\n". Lines end where a file opened with ``newline=""``
-    ends them, at a lone "\r" too, and no line may hold a "\r", so what
-    ``save_kb`` writes always loads again. The bytes are checked as a
-    whole; only when a check fails are they decoded (a byte that is not
+    ends them, at a lone "\r" too, and no line may hold a "\r". The bytes
+    are checked a block of records at a time, as ``load_kb`` checks a
+    file; only when a check fails are they decoded (a byte that is not
     ASCII as a lone surrogate) and walked line by line, so the error
     carries the 1-based number and the reason of the first bad line.
     """
-    if data and not data.endswith(b"\n"):
-        data = data + b"\n"
-    kb = _from_bytes(data)
+    kb = _from_blocks(lambda start, stop: data[start:stop], len(data))
     if kb is None:
         _walk(data.decode("ascii", "surrogateescape"))
     return kb
 
 
-def load_kb(path: str) -> KnowledgeBase:
+def load_kb(path: str) -> tuple[KnowledgeBase, str]:
+    """The knowledge base of the record file at ``path`` and the SHA-256 hex of its bytes.
+
+    The file is read once, at most _BLOCK_RECORDS records per read, and
+    checked as ``ingest_bytes`` checks a buffer; no read holds the whole
+    file. Only when a check fails is the file read again whole, to name
+    the first bad line.
+    """
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return ingest_bytes(fh.read())
 
+        def read(start: int, stop: int) -> bytes:
+            block = fh.read(stop - start)
+            digest.update(block)
+            return block
 
-def save_kb(kb: KnowledgeBase, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(kb._data)
+        kb = _from_blocks(read, os.fstat(fh.fileno()).st_size)
+        if kb is None:
+            fh.seek(0)
+            _walk(fh.read().decode("ascii", "surrogateescape"))
+    return kb, digest.hexdigest()

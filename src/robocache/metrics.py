@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .simulator import MethodKind, RunResult
+from .simulator import _CHUNK_SCANS, MethodKind, RunResult
 
 MS_PER_MINUTE = 60_000.0
 
@@ -72,8 +72,12 @@ def summarize(result: RunResult) -> MetricsReport:
     if not len(latencies):
         raise ValidationError("run produced no decisions; nothing to summarize")
     # Left to right from 0.0, as a Python loop adds: np.sum is pairwise, sum() compensates since 3.12.
+    # A chunk at a time, the total carried, so no running total is kept per scan.
+    total_ms = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_latency_ms = (0.0 + float(np.add.accumulate(latencies)[-1])) / len(latencies)
+        for start in range(0, len(latencies), _CHUNK_SCANS):
+            total_ms = float(np.add.accumulate(np.append(total_ms, latencies[start : start + _CHUNK_SCANS]))[-1])
+    mean_latency_ms = total_ms / len(latencies)
     disruption_events = counters.link_stats.lock_events + counters.link_stats.messages_lost
     return MetricsReport(
         method=result.method,

@@ -192,15 +192,19 @@ def barcode_for_rank(rank: int) -> str:
 
 def zipf_probabilities(unique_barcodes: int, skew: float) -> np.ndarray:
     """Probability of each rank, 1-based ranks weighted rank**-skew."""
-    ranks = np.arange(1, unique_barcodes + 1, dtype=np.float64)
-    weights = ranks ** -float(skew)
-    return weights / weights.sum()
+    # One array, raised and normalised in place: ``**=`` takes the scalar
+    # exponent path of ``**``, so the bits are those of ``ranks ** -skew``.
+    weights = np.arange(1, unique_barcodes + 1, dtype=np.float64)
+    weights **= -float(skew)
+    weights /= weights.sum()
+    return weights
 
 
 def generate(config: WorkloadConfig) -> Trace:
     """Materialise the whole trace for ``config``, its columns filled straight from the draws."""
     rng = np.random.default_rng(config.seed)
-    cumulative = np.cumsum(zipf_probabilities(config.unique_barcodes, config.skew))
+    cumulative = zipf_probabilities(config.unique_barcodes, config.skew)
+    np.cumsum(cumulative, out=cumulative)
     cumulative[-1] = 1.0
     keys = np.searchsorted(cumulative, rng.random(config.total_scans), side="right").astype(np.int64, copy=False)
     keys += _RANK_BASE  # the key of barcode_for_rank(rank)

@@ -8,12 +8,13 @@ random stream. Neither touches the production implementations beyond
 shared dataclasses for inputs.
 
 synth_record_line formats one synthetic knowledge-base line per rank, the
-way cli.build_kb_for_workload formatted them before it filled all lines at
-once. reference_load_trace is the trace-file line walk as it stood before
+way cli.build_kb_for_workload formatted them before the record file was
+filled a field at a time. reference_load_trace is the trace-file line walk as it stood before
 the whole-input parse, kept verbatim. reference_ingest is the
 knowledge-base ingest as it stood while the database was a dict of lines,
 kept verbatim with its line check; it returns the text that the
-database's export wrote.
+database's export wrote, whose lines' barcodes the tests compare with
+the key index.
 
 ReferenceLink and reference_replay are the satellite link and the replay
 loop as they stood while the link answered one request per call, kept

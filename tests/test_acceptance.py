@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per
 criterion lines. Every tolerance is pinned here, not configurable.
 """
 
+import hashlib
 import io
 import os
 import random
@@ -11,7 +12,7 @@ import time
 from collections import Counter
 
 from robocache.cache import HitOrderedCache
-from robocache.cli import build_kb_for_workload, run_cli
+from robocache.cli import build_kb_for_workload, run_cli, write_kb_for_workload
 from robocache.config import load_config
 from robocache.knowledge_base import ingest_bytes, load_kb
 from robocache.metrics import AlertPolicy, MetricsReport, check_alert, compare, summarize
@@ -309,20 +310,20 @@ def test_a6_alert_strictly_above_threshold():
 
 
 def test_a7_round_trips_and_zipf_partial_masses():
-    # knowledge-base file round trip, hand fixture plus a generated file
+    # knowledge-base file round trip, hand fixture plus a generated file: a
+    # file loads to the keys of its lines and hashes to the sha256 of its bytes
     fixture_path = os.path.join(FIXTURES, "kb_10.dat")
-    with open(fixture_path, "r", newline="") as fh:
+    with open(fixture_path, "rb") as fh:
         original = fh.read()
-    exported = io.StringIO()
-    load_kb(fixture_path).export(exported)
-    assert exported.getvalue() == original
+    fixture_kb, fixture_digest = load_kb(fixture_path)
+    assert fixture_digest == hashlib.sha256(original).hexdigest()
+    assert fixture_kb._sorted_keys.tolist() == sorted(int(line[:14]) for line in original.splitlines())
 
-    generated_kb = build_kb_for_workload(500)
-    first_export = io.StringIO()
-    generated_kb.export(first_export)
-    second_export = io.StringIO()
-    ingest_bytes(first_export.getvalue().encode("ascii")).export(second_export)
-    assert second_export.getvalue() == first_export.getvalue()
+    generated = io.BytesIO()
+    write_kb_for_workload(500, generated)
+    generated_kb = ingest_bytes(generated.getvalue())
+    assert generated_kb._sorted_keys.tolist() == build_kb_for_workload(500)._sorted_keys.tolist()
+    assert generated_kb._sorted_keys.tolist() == [int(barcode_for_rank(rank)) for rank in range(500)]
 
     # trace CSV round trip
     workload = WorkloadConfig(
@@ -359,5 +360,5 @@ def test_a7_round_trips_and_zipf_partial_masses():
         checked.append(f"top{top}={empirical:.4f}~{analytic:.4f}")
     _show(
         f"[ACCEPTANCE] A7 round trips and frequency law: PASS "
-        f"(kb and trace byte-identical; {'; '.join(checked)})"
+        f"(kb keys and sha256 from its file, trace byte-identical; {'; '.join(checked)})"
     )

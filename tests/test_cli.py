@@ -334,7 +334,7 @@ def test_snapshots_of_robots_first_scanning_9_2_5_are_written_in_id_order(config
         fh.write("robot_id,barcode,issued_at_ms\n")
         fh.writelines(f"{robot},{barcode_for_rank(rank)},{index * 2.5!r}\n" for index, (robot, rank) in enumerate(scans))
     config = load_config(config_path, output_dir_override=out)
-    trace, kb = read_trace(config.trace_path), load_kb(config.kb_path)
+    trace, (kb, _) = read_trace(config.trace_path), load_kb(config.kb_path)
     for method in ("baseline", "cached"):
         assert run_cli(["run", "--config", config_path, "--out", out, "--method", method, "--snapshots"]) == 0
         raw = json.load(open(os.path.join(out, f"raw_{method}.json")))
@@ -368,7 +368,7 @@ def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
     # The same run in process: its counters are the raw block, and its digest
     # can be recomputed from the raw report plus the snapshot files.
     config = load_config(config_path, output_dir_override=out)
-    result = run("cached", read_trace(config.trace_path), load_kb(config.kb_path), config)
+    result = run("cached", read_trace(config.trace_path), load_kb(config.kb_path)[0], config)
     assert counters == result.counters.to_dict()
     snapshots = []
     for robot in range(len(result.snapshots)):

@@ -105,6 +105,26 @@ def test_missing_section_is_reported(tmp_path):
     assert "[alert]" in str(exc_info.value)
 
 
+def test_unknown_key_is_refused_naming_it(tmp_path):
+    # A misspelt optional key would otherwise leave its default in force.
+    body = GOOD_CONFIG.format(out="out").replace("[run]\n", "[run]\ntrace_pth = elsewhere.csv\n")
+    with pytest.raises(ConfigError, match=r"unknown config key \[run\] trace_pth"):
+        load_config(write_config(tmp_path, body=body))
+    # The optional keys are known.
+    body = GOOD_CONFIG.format(out="out").replace(
+        "[workload]\n", "[workload]\nseed = 7\ntrace_path = t.csv\n"
+    ).replace("[station]\n", "[station]\nkb_path = k.dat\n")
+    config = load_config(write_config(tmp_path, body=body))
+    assert (config.workload.seed, config.trace_path, config.kb_path) == (7, "t.csv", "k.dat")
+
+
+@pytest.mark.parametrize("section", ["extra", "DEFAULT"])
+def test_unknown_section_is_refused_naming_it(section, tmp_path):
+    body = GOOD_CONFIG.format(out="out") + f"\n[{section}]\nnote = 1\n"
+    with pytest.raises(ConfigError, match=rf"unknown config section \[{section}\]"):
+        load_config(write_config(tmp_path, body=body))
+
+
 def test_missing_key_is_reported(tmp_path):
     body = GOOD_CONFIG.format(out="out").replace("seed = 42\n", "")
     with pytest.raises(ConfigError) as exc_info:

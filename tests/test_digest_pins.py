@@ -6,8 +6,8 @@ to 64 slots over 20,000 keys at skew 1.0 (about 45 probes per lookup);
 churn, 200,000 keys at skew 0 over a link that loses 30% of its copies
 (almost every scan misses); and a harsh link, the desk preset at loss 0.9
 and lock 0.5 (about ten copies and half a lock per request).
-The synthesized knowledge base is pinned too, as the sha256 of its
-exported record file at three sizes, and so is each config's trace CSV,
+The synthesized knowledge base is pinned too, as the sha256 of the record
+file that generate writes at three sizes, and so is each config's trace CSV,
 as the sha256 of what save_trace writes for generate's trace.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from robocache.cli import build_kb_for_workload
+from robocache.cli import build_kb_for_workload, write_kb_for_workload
 from robocache.config import load_config
 from robocache.presets import desk_scale_path
 from robocache.simulator import result_digest, run
@@ -86,10 +86,11 @@ KB_PINS = {
 
 
 @pytest.mark.parametrize("records", sorted(KB_PINS))
-def test_synthesized_knowledge_base_bytes_are_pinned(records):
-    out = io.StringIO()
-    build_kb_for_workload(records).export(out)
-    assert hashlib.sha256(out.getvalue().encode("ascii")).hexdigest() == KB_PINS[records]
+def test_synthesized_knowledge_base_bytes_are_pinned(records, tmp_path):
+    path = tmp_path / "kb.dat"
+    with open(path, "wb") as fh:
+        write_kb_for_workload(records, fh)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == KB_PINS[records]
 
 
 TRACE_PINS = {

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,15 +12,16 @@ from hypothesis import strategies as st
 import robocache.cli
 import robocache.knowledge_base
 from robocache.cache import barcode_keys
-from robocache.cli import _read_input, build_kb_for_workload
+from robocache.cli import build_kb_for_workload, write_kb_for_workload
 from robocache.errors import ConfigError, IngestError, MissingRecordError
 from robocache.knowledge_base import (
+    BARCODE_WIDTH,
     LINE_WIDTH,
+    RECORD_WIDTH,
     format_record_line,
     index_probe_cost,
     ingest_bytes,
     load_kb,
-    save_kb,
 )
 
 import reference
@@ -32,29 +35,46 @@ def make_line(barcode, shipper="SHIP00001", service="GRND", terminal="TERM0001",
     return barcode + shipper.ljust(10) + service.ljust(4) + terminal.ljust(8) + exceptions.ljust(20)
 
 
+def keys_of(kb):
+    """The barcode keys a knowledge base holds, ascending."""
+    return kb._sorted_keys.tolist()
+
+
+def keys_of_text(text):
+    """The barcode key of each line of a record text, ascending."""
+    return sorted(int(line[:BARCODE_WIDTH]) for line in text.split("\n")[:-1])
+
+
+def written_kb(records):
+    """The record file that generate writes for ``records`` ranks, as bytes."""
+    out = io.BytesIO()
+    write_kb_for_workload(records, out)
+    return out.getvalue()
+
+
 def test_empty_input_builds_an_empty_knowledge_base():
     kb = ingest_bytes(b"")
     assert len(kb) == 0
 
 
 def test_fixture_file_matches_hand_written_expected_table():
-    kb = load_kb(os.path.join(FIXTURES, "kb_10.dat"))
+    path = os.path.join(FIXTURES, "kb_10.dat")
     with open(os.path.join(FIXTURES, "kb_10_expected.json")) as fh:
         expected = json.load(fh)
+    with open(path, "rb") as fh:
+        assert fh.read() == "".join(format_record_line(**row) + "\n" for row in expected).encode("ascii")
+    kb, _ = load_kb(path)
     assert len(kb) == len(expected) == 10
-    out = io.StringIO()
-    kb.export(out)
-    assert out.getvalue() == "".join(format_record_line(**row) + "\n" for row in expected)
+    assert keys_of(kb) == sorted(int(row["barcode"]) for row in expected)
 
 
-def test_ingest_then_export_round_trip_is_byte_identical():
+def test_load_kb_returns_the_sha256_of_the_file_it_read():
     path = os.path.join(FIXTURES, "kb_10.dat")
-    with open(path, "r", newline="") as fh:
-        original = fh.read()
-    kb = load_kb(path)
-    out = io.StringIO()
-    kb.export(out)
-    assert out.getvalue() == original
+    with open(path, "rb") as fh:
+        data = fh.read()
+    kb, digest = load_kb(path)
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert keys_of(kb) == keys_of(ingest_bytes(data))
 
 
 def test_short_line_is_rejected_with_its_line_number():
@@ -162,7 +182,7 @@ def read_via(reader, text, tmp_path):
         return ingest_bytes(text.encode("utf-8"))
     path = tmp_path / "kb.dat"
     path.write_bytes(text.encode("utf-8"))
-    return load_kb(str(path))
+    return load_kb(str(path))[0]
 
 
 @pytest.mark.parametrize("reader", READERS)
@@ -206,9 +226,7 @@ def test_a_file_with_two_faults_reports_the_earlier_one(line_3, line_5, reason):
 def test_a_final_line_without_a_newline_still_loads(ending, tmp_path):
     path = tmp_path / "kb.dat"
     path.write_text(LINES_1_2 + LINE_4[:-1] + ending)
-    out = io.StringIO()
-    load_kb(str(path)).export(out)
-    assert out.getvalue() == LINES_1_2 + LINE_4
+    assert keys_of(load_kb(str(path))[0]) == keys_of_text(LINES_1_2 + LINE_4)
 
 
 def test_require_keys_accepts_every_record_and_names_the_first_missing():
@@ -225,22 +243,10 @@ def test_require_keys_accepts_every_record_and_names_the_first_missing():
         ingest_bytes(b"").require_keys(barcode_keys(["12345678901234"]))
 
 
-def test_export_writes_the_ingested_lines_in_file_order():
+def test_a_knowledge_base_is_the_sorted_index_of_its_barcodes():
     barcodes = ["12345678901234", "12345678901235", "98765432109876", "10000000000000"]
     kb = make_kb(barcodes)
-    expected = [
-        format_record_line(
-            barcode,
-            shipper_number=f"SHIP{index:05d}",
-            service_type="GRND",
-            destination_terminal=f"T{barcode[0:4]}00D",
-            delivery_exceptions="FRAGILE" if index % 3 == 0 else "",
-        )
-        for index, barcode in enumerate(barcodes)
-    ]
-    out = io.StringIO()
-    kb.export(out)
-    assert out.getvalue() == "".join(line + "\n" for line in expected)
+    assert keys_of(kb) == sorted(map(int, barcodes))
     kb.require_keys(barcode_keys(barcodes))
     with pytest.raises(MissingRecordError) as exc_info:
         kb.require_keys(barcode_keys(["99999999999999"]))
@@ -307,12 +313,10 @@ def test_ingest_refuses_a_row_with_a_non_ascii_field():
     [0, 1, 4, 13, 14, 52, 53, 100, 101, 1300, 1301, 4095, 4096, 4097, 8193, 10000, 10001, 99999, 100000, 100001],
 )
 def test_synthesized_knowledge_base_matches_the_per_rank_lines(records):
-    kb = build_kb_for_workload(records)
-    out = io.StringIO()
-    kb.export(out)
-    assert out.getvalue() == "".join(synth_record_line(rank) + "\n" for rank in range(records))
-    # The build knows its keys without a parse: they are the keys its bytes parse to.
-    assert np.array_equal(kb._sorted_keys, ingest_bytes(kb._data)._sorted_keys)
+    data = written_kb(records)
+    assert data.decode("ascii") == "".join(synth_record_line(rank) + "\n" for rank in range(records))
+    # The build knows its keys without a parse: they are the keys the written file parses to.
+    assert np.array_equal(build_kb_for_workload(records)._sorted_keys, ingest_bytes(data)._sorted_keys)
 
 
 def test_the_build_carries_into_every_digit_group_of_the_barcode(monkeypatch):
@@ -321,9 +325,7 @@ def test_the_build_carries_into_every_digit_group_of_the_barcode(monkeypatch):
     first = 19_999_999_990_000
     for module in (robocache.cli, reference):
         monkeypatch.setattr(module, "barcode_for_rank", lambda rank: str(first + rank))
-    out = io.StringIO()
-    build_kb_for_workload(20_001).export(out)
-    lines = out.getvalue().splitlines()
+    lines = written_kb(20_001).decode("ascii").splitlines()
     assert lines == [synth_record_line(rank) for rank in range(20_001)]
     assert lines[10_000].startswith("20000000000000SHIP10000 ")
 
@@ -393,15 +395,21 @@ def mutated_kb_texts(draw):
     return text
 
 
+def load_kb_index(path):
+    """load_kb of ``path``, checked to hash the bytes it read, without its digest."""
+    kb, digest = load_kb(path)
+    with open(path, "rb") as fh:
+        assert digest == hashlib.sha256(fh.read()).hexdigest()
+    return kb
+
+
 def ingest_outcome(read, source):
-    """The text a knowledge base read by ``read(source)`` exports, or the (line, reason) it raises."""
+    """The keys of a knowledge base read by ``read(source)``, or the (line, reason) it raises."""
     try:
         kb = read(source)
     except IngestError as exc:
         return exc.line_no, exc.reason
-    out = io.StringIO()
-    kb.export(out)
-    return out.getvalue()
+    return keys_of(kb)
 
 
 def reference_outcome(read, source, text):
@@ -409,7 +417,8 @@ def reference_outcome(read, source, text):
 
     The verbatim walk keeps a "\r" that ends a line of the right length
     (55 characters and "\r\n"), which the readers refuse at the first
-    such line it passes before any line it refuses.
+    such line it passes before any line it refuses. A text it passes
+    gives the keys of its lines.
     """
     try:
         outcome = read(source)
@@ -420,7 +429,7 @@ def reference_outcome(read, source, text):
     for line_no, line in enumerate(lines[:passed], start=1):
         if "\r" in line:
             return line_no, CR_IN_LINE
-    return outcome
+    return keys_of_text(outcome) if isinstance(outcome, str) else outcome
 
 
 @settings(derandomize=True, max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -432,32 +441,28 @@ def test_ingesting_a_mutated_record_text_matches_the_line_walk(text, tmp_path):
     with open(path, encoding="ascii", errors="surrogateescape", newline="") as fh:
         file_text = fh.read()
     loaded = reference_outcome(reference_load_kb, str(path), file_text)
-    assert ingest_outcome(load_kb, str(path)) == loaded
-    # The bytes a build fills are a bytearray.
+    assert ingest_outcome(load_kb_index, str(path)) == loaded
     assert ingest_outcome(ingest_bytes, data) == ingest_outcome(ingest_bytes, bytearray(data)) == loaded
+    # Blocks of two records put a block edge inside most of the texts.
+    with mock.patch.object(robocache.knowledge_base, "_BLOCK_BYTES", 2 * RECORD_WIDTH):
+        assert ingest_outcome(load_kb_index, str(path)) == ingest_outcome(ingest_bytes, data) == loaded
     if text.isascii():
         # The bytes of an ASCII text decode to the text itself.
         assert loaded == reference_outcome(reference_ingest, io.StringIO(text, newline=""), text)
-    if isinstance(loaded, str):
-        # A knowledge base that ingest_bytes builds survives a save and a reload.
-        save_kb(ingest_bytes(data), str(path))
-        assert ingest_outcome(load_kb, str(path)) == loaded
 
 
 def walk_refused(lines):
     raise AssertionError("a valid record text fell back to the line walk")
 
 
-def test_a_built_knowledge_base_and_its_file_load_without_the_line_walk(monkeypatch, tmp_path):
+def test_a_written_knowledge_base_file_loads_without_the_line_walk(monkeypatch, tmp_path):
     monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
-    kb = build_kb_for_workload(20_000)
     path = tmp_path / "kb.dat"
-    save_kb(kb, str(path))
-    built = io.StringIO()
-    kb.export(built)
-    loaded = io.StringIO()
-    load_kb(str(path)).export(loaded)
-    assert loaded.getvalue() == built.getvalue() == path.read_text(encoding="ascii")
+    with open(path, "wb") as fh:
+        write_kb_for_workload(20_000, fh)
+    kb, digest = load_kb(str(path))
+    assert keys_of(kb) == keys_of(build_kb_for_workload(20_000)) == keys_of_text(path.read_text(encoding="ascii"))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_a_final_line_without_a_newline_loads_without_the_line_walk(monkeypatch, tmp_path):
@@ -466,10 +471,8 @@ def test_a_final_line_without_a_newline_loads_without_the_line_walk(monkeypatch,
     path = tmp_path / "kb.dat"
     path.write_bytes(data)
     buffer = bytearray(data)
-    for kb in (ingest_bytes(data), ingest_bytes(buffer), load_kb(str(path))):
-        out = io.StringIO()
-        kb.export(out)
-        assert out.getvalue() == LINES_1_2 + LINE_4
+    for kb in (ingest_bytes(data), ingest_bytes(buffer), load_kb(str(path))[0]):
+        assert keys_of(kb) == keys_of_text(LINES_1_2 + LINE_4)
     assert buffer == data  # the "\n" goes on a copy, not on the caller's buffer
 
 
@@ -480,23 +483,89 @@ def test_the_line_walk_of_a_good_record_text_ends_in_an_assertion(text):
         robocache.knowledge_base._walk(text)
 
 
+# A file of three blocks and five records: the second block holds lines
+# 10,001 to 20,000.
+BLOCK_EDGE_RECORDS = 20_005
+
+
+@pytest.fixture(scope="module")
+def block_edge_data():
+    return written_kb(BLOCK_EDGE_RECORDS)
+
+
+def line_at(line_no):
+    """The byte offset of 1-based line ``line_no`` in a file of whole records."""
+    return (line_no - 1) * RECORD_WIDTH
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_bad_line_in_the_second_block_is_named_by_its_file_line_number(reader, block_edge_data, tmp_path):
+    at = line_at(10_003)
+    text = (block_edge_data[:at] + b"too short\n" + block_edge_data[at + RECORD_WIDTH :]).decode("ascii")
+    with pytest.raises(IngestError) as exc_info:
+        read_via(reader, text, tmp_path)
+    assert (exc_info.value.line_no, exc_info.value.reason) == (10_003, "expected 56 characters, got 9")
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_a_barcode_in_two_blocks_is_a_duplicate(reader, block_edge_data, tmp_path):
+    # Line 10,002, in the second block, takes the barcode of line 5, in the first.
+    first, second = line_at(5), line_at(10_002)
+    data = bytearray(block_edge_data)
+    data[second : second + BARCODE_WIDTH] = data[first : first + BARCODE_WIDTH]
+    with pytest.raises(IngestError) as exc_info:
+        read_via(reader, data.decode("ascii"), tmp_path)
+    barcode = data[first : first + BARCODE_WIDTH].decode("ascii")
+    assert (exc_info.value.line_no, exc_info.value.reason) == (10_002, f"duplicate barcode {barcode}")
+
+
+def test_a_file_that_ends_partway_through_a_block_without_a_newline_loads(monkeypatch, block_edge_data, tmp_path):
+    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+    path = tmp_path / "kb.dat"
+    path.write_bytes(block_edge_data[:-1])
+    kb, digest = load_kb(str(path))
+    assert keys_of(kb) == keys_of(ingest_bytes(block_edge_data[:-1])) == keys_of(build_kb_for_workload(BLOCK_EDGE_RECORDS))
+    assert digest == hashlib.sha256(block_edge_data[:-1]).hexdigest()
+
+
+def test_an_empty_file_loads_as_an_empty_knowledge_base(monkeypatch, tmp_path):
+    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+    path = tmp_path / "kb.dat"
+    path.write_bytes(b"")
+    kb, digest = load_kb(str(path))
+    assert len(kb) == 0
+    assert digest == hashlib.sha256(b"").hexdigest()
+
+
+def test_the_digest_of_a_file_of_several_blocks_is_its_sha256(block_edge_data, tmp_path):
+    path = tmp_path / "kb.dat"
+    path.write_bytes(block_edge_data)
+    assert load_kb(str(path))[1] == hashlib.sha256(block_edge_data).hexdigest()
+
+
 MEMORY_RECORDS = 200_000
+
+
+def write_large_kb(path):
+    with open(path, "wb") as fh:
+        write_kb_for_workload(MEMORY_RECORDS, fh)
 
 
 @pytest.fixture(scope="module")
 def large_kb_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("kb") / "kb.dat"
-    save_kb(build_kb_for_workload(MEMORY_RECORDS), str(path))
+    write_large_kb(path)
     return str(path)
 
 
-# What cmd_run does with the knowledge-base file: hash its bytes and parse them.
-@pytest.mark.parametrize("step", ["build_kb_for_workload", "load_kb", "run_input"])
-def test_building_or_reading_a_knowledge_base_holds_little_beside_its_bytes(step, large_kb_file):
+# What generate and run do with the knowledge-base file: write it a block at
+# a time, and read, check and hash it a block at a time.
+@pytest.mark.parametrize("step", ["build_kb_for_workload", "write_kb_for_workload", "load_kb"])
+def test_building_writing_or_reading_a_knowledge_base_holds_a_fraction_of_its_file(step, large_kb_file, tmp_path):
     call = {
         "build_kb_for_workload": lambda: build_kb_for_workload(MEMORY_RECORDS),
+        "write_kb_for_workload": lambda: write_large_kb(tmp_path / "kb.dat"),
         "load_kb": lambda: load_kb(large_kb_file),
-        "run_input": lambda: _read_input(large_kb_file, ingest_bytes),
     }[step]
     ratio = traced_peak(call) / os.path.getsize(large_kb_file)
-    assert ratio <= 1.6, f"{step} peaked at {ratio:.2f}x the file size"
+    assert ratio <= 0.4, f"{step} peaked at {ratio:.2f}x the file size"

@@ -20,7 +20,7 @@ from robocache.metrics import (
 )
 from robocache.simulator import MethodKind, RunCounters, RunResult, run
 
-from helpers import barcodes_of, make_kb, make_sim_config, make_trace
+from helpers import barcodes_of, make_kb, make_sim_config, make_trace, traced_memory
 from reference import reference_mean_latency
 
 A = "10000000000001"
@@ -73,6 +73,14 @@ def test_mean_latency_has_the_bits_of_the_left_to_right_loop(latencies):
     counters = RunCounters(scans=len(latencies), per_scan_latencies=np.array(latencies, np.float64))
     report = summarize(RunResult(MethodKind.BASELINE, counters, []))
     assert report.decision_latency_minutes.hex() == (reference_mean_latency(latencies) / 60_000.0).hex()
+
+
+def test_summarize_holds_a_chunk_of_running_totals_not_one_per_scan():
+    latencies = np.random.default_rng(7).random(300_000) * 1000.0
+    result = RunResult(MethodKind.BASELINE, RunCounters(scans=len(latencies), per_scan_latencies=latencies), [])
+    report, _, peak = traced_memory(lambda: summarize(result))
+    assert peak <= latencies.nbytes / 10, f"summarize peaked at {peak} bytes"
+    assert report.decision_latency_minutes.hex() == (reference_mean_latency(latencies.tolist()) / 60_000.0).hex()
 
 
 def make_report(method, latency, processing, disruption, comparisons):
