@@ -19,6 +19,8 @@ one promote/evict rule and does not validate its keys, for a caller
 simulator replays each barcode as its int key and names a row by
 ``barcode_text`` of it. ``validate_barcode`` checks one key and
 ``barcode_keys`` a batch at once; both hold the same barcode rule.
+``digit_keys`` and ``count_newlines`` are the byte-column helpers that
+the readers of the trace and record files share.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ def digit_keys(columns: np.ndarray) -> Optional[np.ndarray]:
         keys *= 10
         keys += column
     return keys
+
+
+def count_newlines(flat: np.ndarray, mask: np.ndarray) -> int:
+    """The number of "\n" bytes in the uint8 array ``flat``.
+
+    They are compared ``len(mask)`` bytes at a time into the bool array
+    ``mask``, which the caller allocates once and may pass again, so no
+    temporary as long as ``flat`` is made.
+    """
+    count = 0
+    for start in range(0, len(flat), len(mask)):
+        part = flat[start : start + len(mask)]
+        count += int(np.count_nonzero(np.equal(part, ord("\n"), out=mask[: len(part)])))
+    return count
 
 
 def barcode_keys(barcodes: Sequence[str]) -> np.ndarray:

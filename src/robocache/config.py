@@ -35,7 +35,8 @@ Example::
 
 Seeds are always explicit; there is no time-derived default anywhere.
 A section or key not shown above is refused, so a misspelt key is an
-error, not a silent default.
+error, not a silent default, and so is a trace_path and kb_path that
+name the same file.
 """
 
 from __future__ import annotations
@@ -150,14 +151,19 @@ def load_config(path: str, *, seed_override: int | None = None, output_dir_overr
         lock_stall_ms=_get(parser, "link", "lock_stall_ms", float),
         retransmit_timeout_ms=_get(parser, "link", "retransmit_timeout_ms", float),
     )
+    kb_path = _get(parser, "station", "kb_path", str, default=os.path.join(output_dir, "kb.dat"))
+    trace_path = _get(parser, "workload", "trace_path", str, default=os.path.join(output_dir, "trace.csv"))
+    # generate would write the records over the trace it had just written.
+    if os.path.realpath(kb_path) == os.path.realpath(trace_path):
+        raise ConfigError(f"[workload] trace_path {trace_path!r} and [station] kb_path {kb_path!r} name the same file")
     return SimConfig(
         workload=workload,
         link=link,
         cache_capacity=_get(parser, "cache", "capacity", int),
         cache_probe_time_ms=_get(parser, "cache", "probe_time_ms", float),
         db_probe_time_ms=_get(parser, "station", "db_probe_time_ms", float),
-        kb_path=_get(parser, "station", "kb_path", str, default=os.path.join(output_dir, "kb.dat")),
-        trace_path=_get(parser, "workload", "trace_path", str, default=os.path.join(output_dir, "trace.csv")),
+        kb_path=kb_path,
+        trace_path=trace_path,
         alert_threshold_minutes=_get(parser, "alert", "threshold_minutes", float),
         seed=seed,
         output_dir=output_dir,

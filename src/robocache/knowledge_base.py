@@ -13,14 +13,18 @@ The column widths are the ``*_WIDTH`` constants below.
 file of a workload (``cli.write_kb_for_workload``) takes its column
 offsets from them. The database is a sorted int64 index of its file's
 barcodes (every 14-digit barcode fits in an int64) and holds no record
-text. ``load_kb`` reads a record file _BLOCK_RECORDS records at a time
-and ``ingest_bytes`` checks a buffer of one in slices of the same size:
-each block is checked in place, through a numpy view of it, and only its
-keys are kept. A file is decoded and walked line by line only to name
-its first bad line. ``require_keys`` checks that each of a batch of
-barcodes, given as their int64 keys (``cache.barcode_keys``), has a
-record, as the simulator does once per run with the distinct keys of its
-``Trace``. No line is ever looked up or parsed back into fields: the
+text. ``load_kb`` reads a record file _BLOCK_RECORDS records at a time,
+into one buffer reused for every block, and ``ingest_bytes`` checks a
+buffer of one in slices of the same size: each block is checked in
+place, through a numpy view of it (its "\n" bytes counted into one mask
+reused for every block), and only its keys are kept. The keys of a file
+in barcode order, as every generated file is, pass one test of strict
+ascent, which also proves that no barcode appears twice; only the keys
+of another file are sorted and scanned for a duplicate. A file is
+decoded and walked line by line only to name its first bad line.
+``require_keys`` checks that each of a batch of barcodes, given as their
+int64 keys (``cache.barcode_keys``), has a record, as the simulator does
+once per run with the distinct keys of its ``Trace``. No line is ever looked up or parsed back into fields: the
 simulator needs only to know that a record exists, and a robot caches
 the barcode alone.
 
@@ -38,7 +42,7 @@ from typing import Callable, NoReturn, Optional, Union
 
 import numpy as np
 
-from .cache import BARCODE_WIDTH, barcode_text, digit_keys, validate_barcode
+from .cache import BARCODE_WIDTH, barcode_text, count_newlines, digit_keys, validate_barcode
 from .errors import ConfigError, IngestError, MissingRecordError, ValidationError
 
 SHIPPER_WIDTH = 10
@@ -128,19 +132,21 @@ class KnowledgeBase:
             raise MissingRecordError(barcode_text(int(keys[found.argmin()])))
 
 
-def _block_keys(block: RecordData) -> Optional[np.ndarray]:
+def _block_keys(block: RecordData, mask: np.ndarray) -> Optional[np.ndarray]:
     """The barcode key of each record of ``block``, in order, or None if a check fails.
 
     Passes whole records only: lines of LINE_WIDTH bytes, each with its
     "\n" (so no "\n" inside a line), no "\r" (a file reader also ends a
     line there), ASCII only and 14 digits in every barcode column. The
-    checks read ``block`` in place and copy no record.
+    checks read ``block`` in place and copy no record; the "\n" bytes are
+    counted through ``mask`` (``count_newlines``).
     """
     records, rest = divmod(len(block), RECORD_WIDTH)
-    if rest or block.count(b"\n") != records or b"\r" in block or not block.isascii():
+    if rest or b"\r" in block or not block.isascii():
         return None
-    rows = np.frombuffer(block, np.uint8).reshape(records, RECORD_WIDTH)
-    if not (rows[:, LINE_WIDTH] == ord("\n")).all():
+    flat = np.frombuffer(block, np.uint8)
+    rows = flat.reshape(records, RECORD_WIDTH)
+    if count_newlines(flat, mask) != records or not (rows[:, LINE_WIDTH] == ord("\n")).all():
         return None
     return digit_keys(rows[:, :BARCODE_WIDTH])
 
@@ -150,26 +156,32 @@ def _from_blocks(read: Callable[[int, int], RecordData], size: int) -> Optional[
 
     ``read(start, stop)`` gives the file's bytes from ``start`` to
     ``stop``; they are asked for in order, at most _BLOCK_RECORDS records
-    at a time, and each block is checked by _block_keys as it comes. The
-    last line may omit its "\n". Accepts exactly the text that _walk
-    passes to its end: the blocks start at whole records, so the file
-    passes block by block just when it passes whole, and no barcode may
-    appear twice in it.
+    at a time, and each block is checked by _block_keys as it comes,
+    before the next is asked for. The last line may omit its "\n".
+    Accepts exactly the text that _walk passes to its end: the blocks
+    start at whole records, so the file passes block by block just when
+    it passes whole, and no barcode may appear twice in it.
     """
     keys = np.empty(-(-size // RECORD_WIDTH), np.int64)
+    mask = np.empty(min(size, _BLOCK_BYTES), bool)
     for start in range(0, size, _BLOCK_BYTES):
         stop = min(start + _BLOCK_BYTES, size)
         block = read(start, stop)
         if stop == size and not block.endswith(b"\n"):
             block = block + b"\n"  # a new buffer, never the caller's
-        block_keys = _block_keys(block)
+        block_keys = _block_keys(block, mask)
         if block_keys is None:
             return None
         first = start // RECORD_WIDTH
         keys[first : first + len(block_keys)] = block_keys
-    keys.sort()
-    # Sorted, a barcode given twice sits beside itself.
-    return None if (keys[1:] == keys[:-1]).any() else KnowledgeBase(keys)
+    # Strictly ascending keys, as every generated file holds, are sorted
+    # and hold no barcode twice; only other files are sorted here.
+    if not (keys[1:] > keys[:-1]).all():
+        keys.sort()
+        # Sorted, a barcode given twice sits beside itself.
+        if (keys[1:] == keys[:-1]).any():
+            return None
+    return KnowledgeBase(keys)
 
 
 def _walk(text: str) -> NoReturn:
@@ -212,20 +224,24 @@ def ingest_bytes(data: RecordData) -> KnowledgeBase:
 def load_kb(path: str) -> tuple[KnowledgeBase, str]:
     """The knowledge base of the record file at ``path`` and the SHA-256 hex of its bytes.
 
-    The file is read once, at most _BLOCK_RECORDS records per read, and
-    checked as ``ingest_bytes`` checks a buffer; no read holds the whole
-    file. Only when a check fails is the file read again whole, to name
-    the first bad line.
+    The file is read once, at most _BLOCK_RECORDS records per read, into
+    one buffer reused for every block, and checked as ``ingest_bytes``
+    checks a buffer; no read holds the whole file. Only when a check
+    fails is the file read again whole, to name the first bad line.
     """
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buffer = bytearray(min(size, _BLOCK_BYTES))
 
-        def read(start: int, stop: int) -> bytes:
-            block = fh.read(stop - start)
+        def read(start: int, stop: int) -> bytearray:
+            got = fh.readinto(memoryview(buffer)[: stop - start])
+            # Only the last block is shorter than the buffer; it is copied out.
+            block = buffer if got == len(buffer) else buffer[:got]
             digest.update(block)
             return block
 
-        kb = _from_blocks(read, os.fstat(fh.fileno()).st_size)
+        kb = _from_blocks(read, size)
         if kb is None:
             fh.seek(0)
             _walk(fh.read().decode("ascii", "surrogateescape"))

@@ -33,7 +33,7 @@ from typing import NoReturn, Optional, TextIO, Tuple
 
 import numpy as np
 
-from .cache import BARCODE_FORMAT, barcode_keys, validate_barcode
+from .cache import BARCODE_FORMAT, barcode_keys, count_newlines, validate_barcode
 from .errors import ConfigError, TraceFormatError, ValidationError
 
 TRACE_HEADER = "robot_id,barcode,issued_at_ms"
@@ -49,6 +49,7 @@ _MAX_UNIQUE = 9 * 10**13
 _MAX_SCANS = np.iinfo(np.intp).max // 8  # the longest float64 column numpy can size
 # Every 14-digit barcode's key lies below this.
 _KEY_LIMIT = 10**14
+# Bytes per block of the parse, and per comparison of its "\n" count.
 _BLOCK_CHARS = 1 << 16
 # Rows per write of save_trace: only one block's text is held at a time.
 _WRITE_ROWS = 8192
@@ -264,7 +265,7 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     """
     if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data:
         return None
-    scans = data.count(b"\n") - 1
+    scans = count_newlines(np.frombuffer(data, np.uint8), np.empty(_BLOCK_CHARS, bool)) - 1
     robots = np.empty(scans, np.intp)
     keys = np.empty(scans, np.int64)
     times = np.empty(scans, np.float64)

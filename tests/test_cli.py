@@ -164,6 +164,20 @@ def test_generate_takes_more_robots_than_an_int64_holds(config_path, tmp_path, c
     assert capsys.readouterr().err == ""
 
 
+def test_generate_refuses_a_config_whose_trace_and_knowledge_base_share_a_path(config_path, tmp_path, capsys):
+    shared = tmp_path / "inputs.dat"
+    with open(config_path) as fh:
+        body = fh.read()
+    body = body.replace("[workload]\n", f"[workload]\ntrace_path = {shared}\n")
+    body = body.replace("[station]\n", f"[station]\nkb_path = {tmp_path}/./inputs.dat\n")
+    with open(config_path, "w") as fh:
+        fh.write(body)
+    assert run_cli(["generate", "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [workload] trace_path ") and err.count("\n") == 1, err
+    assert not shared.exists()
+
+
 @pytest.mark.parametrize("command", [["generate"], ["run", "--method", "baseline"]])
 @pytest.mark.parametrize("config", ["latin-1", "directory"])
 def test_a_config_that_cannot_be_read_is_one_error_line(command, config, tmp_path, capsys):

@@ -118,6 +118,20 @@ def test_unknown_key_is_refused_naming_it(tmp_path):
     assert (config.workload.seed, config.trace_path, config.kb_path) == (7, "t.csv", "k.dat")
 
 
+@pytest.mark.parametrize("kb_path", ["inputs.dat", "./inputs.dat", "{tmp}/inputs.dat", "{tmp}/link.dat"])
+def test_a_trace_and_knowledge_base_at_one_path_are_refused_naming_both_keys(kb_path, tmp_path, monkeypatch):
+    # generate would write the records over the trace; compared as real paths.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("inputs.dat", tmp_path / "link.dat")
+    kb_path = kb_path.format(tmp=tmp_path)
+    body = GOOD_CONFIG.format(out="out").replace(
+        "[workload]\n", "[workload]\ntrace_path = inputs.dat\n"
+    ).replace("[station]\n", f"[station]\nkb_path = {kb_path}\n")
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(write_config(tmp_path, body=body))
+    assert str(exc_info.value) == f"[workload] trace_path 'inputs.dat' and [station] kb_path {kb_path!r} name the same file"
+
+
 @pytest.mark.parametrize("section", ["extra", "DEFAULT"])
 def test_unknown_section_is_refused_naming_it(section, tmp_path):
     body = GOOD_CONFIG.format(out="out") + f"\n[{section}]\nnote = 1\n"

@@ -158,6 +158,8 @@ FAULTS = {
     # The readers take the two UTF-8 bytes of "é" as two characters.
     "non_ascii_shipper": (make_line("12345678901236", shipper="SHIPé") + "\n", TOO_LONG),
     "duplicate_of_line_1": (make_line("12345678901234") + "\n", "duplicate barcode 12345678901234"),
+    # Lines 2 and 3 alike leave the keys ascending, but not strictly.
+    "duplicate_of_line_2": (make_line("12345678901235") + "\n", "duplicate barcode 12345678901235"),
     # The length of two good lines, with a "\n" where a field character was ...
     "newline_in_a_field": (
         make_line("12345678901236")[:30] + "\n" + make_line("12345678901236")[31:] + "\n",
@@ -499,33 +501,100 @@ def line_at(line_no):
 
 
 @pytest.mark.parametrize("reader", READERS)
-def test_a_bad_line_in_the_second_block_is_named_by_its_file_line_number(reader, block_edge_data, tmp_path):
-    at = line_at(10_003)
-    text = (block_edge_data[:at] + b"too short\n" + block_edge_data[at + RECORD_WIDTH :]).decode("ascii")
+@pytest.mark.parametrize(
+    "line_no,fault,reason",
+    [
+        (10_003, "short", "expected 56 characters, got 9"),
+        # A "\n" for the 25th character keeps the line length and the "\n"
+        # column: only the block's "\n" count differs. Line 20,004 is in the
+        # last, short block.
+        (10_003, "newline_in_a_field", "expected 56 characters, got 24"),
+        (20_004, "newline_in_a_field", "expected 56 characters, got 24"),
+    ],
+)
+def test_a_bad_line_in_a_later_block_is_named_by_its_file_line_number(reader, line_no, fault, reason, block_edge_data, tmp_path):
+    at = line_at(line_no)
+    good = block_edge_data[at : at + RECORD_WIDTH]
+    bad = b"too short\n" if fault == "short" else good[:24] + b"\n" + good[25:]
+    text = (block_edge_data[:at] + bad + block_edge_data[at + RECORD_WIDTH :]).decode("ascii")
     with pytest.raises(IngestError) as exc_info:
         read_via(reader, text, tmp_path)
-    assert (exc_info.value.line_no, exc_info.value.reason) == (10_003, "expected 56 characters, got 9")
+    assert (exc_info.value.line_no, exc_info.value.reason) == (line_no, reason)
 
 
 @pytest.mark.parametrize("reader", READERS)
-def test_a_barcode_in_two_blocks_is_a_duplicate(reader, block_edge_data, tmp_path):
-    # Line 10,002, in the second block, takes the barcode of line 5, in the first.
-    first, second = line_at(5), line_at(10_002)
+@pytest.mark.parametrize(
+    "first_line,second_line",
+    [
+        # Line 10,002, in the second block, takes the barcode of line 5, in the first.
+        (5, 10_002),
+        # Neighbours across the block edge: the keys stay ascending, but not strictly.
+        (10_000, 10_001),
+        # The first line and the last, in the last block.
+        (1, BLOCK_EDGE_RECORDS),
+    ],
+)
+def test_a_barcode_in_two_blocks_is_a_duplicate(reader, first_line, second_line, block_edge_data, tmp_path):
+    first, second = line_at(first_line), line_at(second_line)
     data = bytearray(block_edge_data)
     data[second : second + BARCODE_WIDTH] = data[first : first + BARCODE_WIDTH]
     with pytest.raises(IngestError) as exc_info:
         read_via(reader, data.decode("ascii"), tmp_path)
     barcode = data[first : first + BARCODE_WIDTH].decode("ascii")
-    assert (exc_info.value.line_no, exc_info.value.reason) == (10_002, f"duplicate barcode {barcode}")
+    assert (exc_info.value.line_no, exc_info.value.reason) == (second_line, f"duplicate barcode {barcode}")
 
 
-def test_a_file_that_ends_partway_through_a_block_without_a_newline_loads(monkeypatch, block_edge_data, tmp_path):
+def reordered(data, order):
+    """The records of ``data``, a file of whole records, in ``order``: descending or shuffled."""
+    rows = np.frombuffer(data, np.uint8).reshape(-1, RECORD_WIDTH)
+    at = np.arange(len(rows))[::-1] if order == "descending" else np.random.default_rng(7).permutation(len(rows))
+    return rows[at].tobytes()
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("order", ["descending", "shuffled"])
+def test_a_file_out_of_barcode_order_loads_to_the_sorted_index(reader, order, monkeypatch, block_edge_data, tmp_path):
     monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+    kb = read_via(reader, reordered(block_edge_data, order).decode("ascii"), tmp_path)
+    assert keys_of(kb) == keys_of(build_kb_for_workload(BLOCK_EDGE_RECORDS))
+
+
+# Blocks of 3 records fill the read buffer 6,668 times before the last block, of 1.
+@pytest.mark.parametrize("block_records", [robocache.knowledge_base._BLOCK_RECORDS, 3])
+def test_a_file_that_ends_partway_through_a_block_without_a_newline_loads(block_records, monkeypatch, block_edge_data, tmp_path):
+    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+    monkeypatch.setattr(robocache.knowledge_base, "_BLOCK_BYTES", block_records * RECORD_WIDTH)
     path = tmp_path / "kb.dat"
     path.write_bytes(block_edge_data[:-1])
     kb, digest = load_kb(str(path))
     assert keys_of(kb) == keys_of(ingest_bytes(block_edge_data[:-1])) == keys_of(build_kb_for_workload(BLOCK_EDGE_RECORDS))
     assert digest == hashlib.sha256(block_edge_data[:-1]).hexdigest()
+
+
+def test_a_loaded_index_shares_no_memory_with_the_read_buffer(monkeypatch, block_edge_data, tmp_path):
+    monkeypatch.setattr(robocache.knowledge_base, "_BLOCK_BYTES", 1_000 * RECORD_WIDTH)
+    blocks = []
+    block_keys = robocache.knowledge_base._block_keys
+
+    def spy(block, mask):
+        blocks.append(block)
+        return block_keys(block, mask)
+
+    monkeypatch.setattr(robocache.knowledge_base, "_block_keys", spy)
+    first, second = tmp_path / "first.dat", tmp_path / "second.dat"
+    first.write_bytes(block_edge_data)
+    second.write_bytes(reordered(block_edge_data, "descending"))
+    kb = load_kb(str(first))[0]
+    assert len(blocks) == 21
+    # Every block but the last, short one is read into one buffer ...
+    assert len({id(block) for block in blocks[:-1]}) == 1
+    # ... which the index does not alias, so later reads leave it as it is.
+    for block in blocks:
+        assert not np.shares_memory(kb._sorted_keys, np.frombuffer(block, np.uint8))
+    expected = ingest_bytes(block_edge_data)._sorted_keys
+    assert np.array_equal(kb._sorted_keys, expected)
+    load_kb(str(second))
+    assert np.array_equal(kb._sorted_keys, expected)
 
 
 def test_an_empty_file_loads_as_an_empty_knowledge_base(monkeypatch, tmp_path):
