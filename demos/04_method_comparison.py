@@ -13,7 +13,7 @@ cached/baseline ratios.
 import time
 
 from robocache import MethodKind, check_alert, compare, load_config, run, summarize
-from robocache.cli import build_kb_for_workload
+from robocache.knowledge_base import build_kb_for_workload
 from robocache.metrics import AlertPolicy, format_comparison
 from robocache.presets import desk_scale_path
 from robocache.workload import generate

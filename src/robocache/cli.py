@@ -7,10 +7,16 @@ run        replay the trace under --method baseline or cached
 compare    join two raw run outputs into the four-row comparison table
 report     pretty-print previously written raw run outputs
 
+This module holds the commands only: ``workload`` writes and reads the
+trace file and ``knowledge_base`` the record file, and each reader
+returns the SHA-256 hex of the file's bytes for the raw report.
+
 Exit codes: 0 success, 1 usage or input error, 2 success with the
 processing-time alert raised (distinguishable for scripting). Given
 identical inputs and seed every subcommand writes byte-identical output
-files.
+files. ``run`` removes its method's snapshot files of any earlier run
+from the output directory, and ``compare`` refuses to write its table
+over either input report.
 """
 
 from __future__ import annotations
@@ -18,28 +24,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
-from typing import BinaryIO, Optional
-
-import numpy as np
+from typing import Optional
 
 from .config import SimConfig, load_config
 from .errors import ConfigError, LineError, SimulationError
-from .knowledge_base import (
-    BARCODE_WIDTH,
-    RECORD_WIDTH,
-    SERVICE_WIDTH,
-    SHIPPER_WIDTH,
-    KnowledgeBase,
-    format_record_line,
-    load_kb,
-)
+from .knowledge_base import load_kb, write_kb_for_workload
 from .metrics import (
     METRIC_NAMES,
     AlertPolicy,
@@ -56,105 +52,7 @@ from .metrics import (
 )
 from .simulator import LATENCIES_KEY, dumps_record
 from .simulator import run as run_simulation
-from .workload import barcode_for_rank, generate, parse_trace_bytes, write_trace
-
-_SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
-# Rank r's service type is _SERVICE_TYPES[r % 4] and it is held for
-# inspection when r % 13 == 0, so every field but the digits repeats every
-# 52 ranks.
-_FIELD_PERIOD = 52
-# barcode_for_rank(r) is the digits of barcode_for_rank(0) + r, and
-# barcode_for_rank(0), 10**13, is a multiple of 10,000; the shipper digits
-# are those of r % 100000. So over each run of 10,000 ranks from a
-# multiple of 10,000 the last four digits of both count 0000 to 9999 and
-# every other digit stays the same.
-_DIGIT_PERIOD = 10000
-
-
-def write_kb_for_workload(unique_barcodes: int, stream: BinaryIO) -> None:
-    """Write the record file of the workload's knowledge base: one record per rank, in rank order.
-
-    Rank r has barcode_for_rank(r), shipper SHIP + r % 100000 in five
-    digits, service type _SERVICE_TYPES[r % 4], terminal T + barcode
-    digits 1-4 and 13-14 + D, and the exception HOLD FOR INSPECTION when
-    r % 13 == 0; every line ends in "\n".
-
-    The records are written _DIGIT_PERIOD at a time from one buffer that
-    each run of ranks refills in place. A run first copies the formatted
-    lines of its ranks modulo 52, with zero digits, from a tile that
-    repeats the 52 of them: the run of ranks from ``start`` takes the
-    tile's rows from ``start % 52``. Then a structured view of the buffer
-    writes the digit fields from tables of zero-padded digit texts: the
-    four-digit groups that count through a run are the "0000" to "9999"
-    table itself, and each other field is one table entry for the whole
-    run. No array per rank is made.
-    """
-    shipper_digits = BARCODE_WIDTH + len("SHIP")
-    terminal_digits = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + len("T")
-    templates = "".join(
-        format_record_line(
-            "0" * BARCODE_WIDTH,
-            "SHIP00000",
-            _SERVICE_TYPES[rank % len(_SERVICE_TYPES)],
-            "T000000D",
-            "HOLD FOR INSPECTION" if rank % 13 == 0 else "",
-        )
-        + "\n"
-        for rank in range(_FIELD_PERIOD)
-    )
-    template_rows = np.frombuffer(templates.encode("ascii"), np.uint8).reshape(_FIELD_PERIOD, -1)
-    # Row i of the tile is the template of rank i % 52, for the longest
-    # run from any of the 52 offsets.
-    run_length = min(unique_barcodes, _DIGIT_PERIOD)
-    tile = np.resize(template_rows, (run_length + _FIELD_PERIOD - 1, RECORD_WIDTH))
-    # The texts "0"-"9", "00"-"99" and "0000"-"9999", each indexed by its value.
-    singles = np.frombuffer(b"0123456789", "S1")
-    pairs = np.array([b"%02d" % value for value in range(100)], "S2")
-    quads = np.empty(_DIGIT_PERIOD, "S4")
-    quad_halves = quads.view("S2").reshape(100, 100, 2)
-    quad_halves[:, :, 0] = pairs[:, np.newaxis]
-    quad_halves[:, :, 1] = pairs
-    # A view of the last two digits of each value 0 to 9999.
-    low_pairs = quads.view("S2")[1::2]
-    # The digit fields of a record, named by their first digit: barcode
-    # digits 1-2, 3-6, 7-10 and 11-14, shipper digit 1 and digits 2-5, and
-    # the terminal's copies of barcode digits 1-4 and 13-14.
-    fields = np.dtype(
-        {
-            "names": [
-                "barcode_1", "barcode_3", "barcode_7", "barcode_11", "shipper_1", "shipper_2", "terminal_1", "terminal_13"
-            ],
-            "formats": ["S2", "S4", "S4", "S4", "S1", "S4", "S4", "S2"],
-            "offsets": [0, 2, 6, 10, shipper_digits, shipper_digits + 1, terminal_digits, terminal_digits + 4],
-            "itemsize": RECORD_WIDTH,
-        }
-    )
-    first_barcode = int(barcode_for_rank(0))
-    block = bytearray(run_length * RECORD_WIDTH)
-    records = np.frombuffer(block, np.uint8).reshape(-1, RECORD_WIDTH)
-    digits = np.frombuffer(block, fields)
-    for start in range(0, unique_barcodes, _DIGIT_PERIOD):
-        count = min(_DIGIT_PERIOD, unique_barcodes - start)
-        offset = start % _FIELD_PERIOD
-        records[:count] = tile[offset : offset + count]
-        run = digits[:count]
-        # Barcode digits 1-10 of every rank in the run, as one number.
-        high = (first_barcode + start) // _DIGIT_PERIOD
-        run["barcode_1"] = pairs[high // 10**8]
-        run["barcode_3"] = quads[high // 10**4 % 10**4]
-        run["barcode_7"] = quads[high % 10**4]
-        run["barcode_11"] = quads[:count]
-        run["shipper_1"] = singles[start // _DIGIT_PERIOD % 10]
-        run["shipper_2"] = quads[:count]
-        run["terminal_1"] = quads[high // 10**6]
-        run["terminal_13"] = low_pairs[:count]
-        stream.write(memoryview(block)[: count * RECORD_WIDTH])
-
-
-def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
-    """The knowledge base of the record file that write_kb_for_workload writes."""
-    # Rank r's barcode is rank 0's plus r, so the keys need no parse of the records.
-    return KnowledgeBase(int(barcode_for_rank(0)) + np.arange(unique_barcodes, dtype=np.int64))
+from .workload import generate, read_trace, write_trace
 
 
 def _ensure_parent(path: str) -> None:
@@ -203,26 +101,13 @@ def _naming_bad_lines(path: str):
         raise SimulationError(f"{path}: {exc}") from None
 
 
-def _read_input(path: str, parse):
-    """``parse`` of the bytes of the file at ``path`` and their SHA-256 hex, read once.
-
-    ``parse`` is the byte parser that the trace reader (``read_trace``)
-    hands the same bytes to. The knowledge-base file is not read whole:
-    ``load_kb`` reads it a block of records at a time and hashes the
-    blocks as it goes.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    with _naming_bad_lines(path):
-        return parse(data), hashlib.sha256(data).hexdigest()
-
-
 def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int:
     for path, what in ((config.trace_path, "trace"), (config.kb_path, "knowledge base")):
         if not os.path.exists(path):
             print(f"error: {what} file not found: {path} (run `generate` first)", file=sys.stderr)
             return 1
-    trace, trace_digest = _read_input(config.trace_path, parse_trace_bytes)
+    with _naming_bad_lines(config.trace_path):
+        trace, trace_digest = read_trace(config.trace_path)
     with _naming_bad_lines(config.kb_path):
         kb, kb_digest = load_kb(config.kb_path)
 
@@ -246,6 +131,10 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
         fh.write(report_csv(report))
     with open(raw_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(raw + "\n")
+    # Snapshots of an earlier run beside the new raw report would not recompute its digest.
+    for name in os.listdir(config.output_dir):
+        if re.fullmatch(f"snapshot_{method.value}_robot[0-9]+\\.csv", name):
+            os.remove(os.path.join(config.output_dir, name))
     if write_snapshots:
         for index, rows in enumerate(result.snapshots):
             snap_path = os.path.join(config.output_dir, f"snapshot_{method.value}_robot{index}.csv")
@@ -312,6 +201,9 @@ def _load_raw(path: str) -> tuple[dict, MetricsReport, AlertResult]:
 
 
 def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -> int:
+    out_path = out_path or os.path.join(os.path.dirname(os.path.abspath(baseline_path)), "comparison.csv")
+    if os.path.realpath(out_path) in (os.path.realpath(baseline_path), os.path.realpath(cached_path)):
+        raise SimulationError(f"comparison path {out_path} is an input report; give another --out")
     base_raw, base_report, _ = _load_raw(baseline_path)
     cached_raw, cached_report, _ = _load_raw(cached_path)
     refusals = (
@@ -326,7 +218,6 @@ def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -
             print(f"error: reports come from different {inputs} ({field} mismatch); not comparable", file=sys.stderr)
             return 1
     table = compare(base_report, cached_report)
-    out_path = out_path or os.path.join(os.path.dirname(os.path.abspath(baseline_path)), "comparison.csv")
     _ensure_parent(out_path)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(comparison_csv(table))

@@ -9,24 +9,27 @@ Record line layout (ASCII, newline terminated, 56 characters):
     cols 37-56  delivery exceptions (all spaces means none)
 
 The column widths are the ``*_WIDTH`` constants below.
-``format_record_line`` pads fields into them, and the synthetic record
-file of a workload (``cli.write_kb_for_workload``) takes its column
-offsets from them. The database is a sorted int64 index of its file's
-barcodes (every 14-digit barcode fits in an int64) and holds no record
-text. ``load_kb`` reads a record file _BLOCK_RECORDS records at a time,
-into one buffer reused for every block, and ``ingest_bytes`` checks a
-buffer of one in slices of the same size: each block is checked in
-place, through a numpy view of it (its "\n" bytes counted into one mask
-reused for every block), and only its keys are kept. The keys of a file
-in barcode order, as every generated file is, pass one test of strict
-ascent, which also proves that no barcode appears twice; only the keys
-of another file are sorted and scanned for a duplicate. A file is
-decoded and walked line by line only to name its first bad line.
-``require_keys`` checks that each of a batch of barcodes, given as their
-int64 keys (``cache.barcode_keys``), has a record, as the simulator does
-once per run with the distinct keys of its ``Trace``. No line is ever looked up or parsed back into fields: the
-simulator needs only to know that a record exists, and a robot caches
-the barcode alone.
+``format_record_line`` pads fields into them, and
+``write_kb_for_workload``, which writes the synthetic record file of a
+workload, takes its column offsets from them; ``build_kb_for_workload``
+is the database of that file, built without writing or reading it.
+
+The database is a sorted int64 index of its file's barcodes (every
+14-digit barcode fits in an int64) and holds no record text. ``load_kb``
+reads a record file _BLOCK_RECORDS records at a time, into one buffer
+reused for every block, and ``ingest_bytes`` checks a buffer of one in
+slices of the same size: each block is checked in place, through a
+numpy view of it (its "\n" bytes counted into one mask reused for every
+block), and only its keys are kept. The keys of a file in barcode order,
+as every generated file is, pass one test of strict ascent, which also
+proves that no barcode appears twice; only the keys of another file are
+sorted and scanned for a duplicate. A file is decoded and walked line by
+line only to name its first bad line. ``require_keys`` checks that each
+of a batch of barcodes, given as their int64 keys
+(``cache.barcode_keys``), has a record, as the simulator does once per
+run with the distinct keys of its ``Trace``. No line is ever looked up
+or parsed back into fields: the simulator needs only to know that a
+record exists, and a robot caches the barcode alone.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Search cost is modeled as an indexed
@@ -38,12 +41,13 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-from typing import Callable, NoReturn, Optional, Union
+from typing import BinaryIO, Callable, NoReturn, Optional, Union
 
 import numpy as np
 
 from .cache import BARCODE_WIDTH, barcode_text, count_newlines, digit_keys, validate_barcode
 from .errors import ConfigError, IngestError, MissingRecordError, ValidationError
+from .workload import barcode_for_rank
 
 SHIPPER_WIDTH = 10
 SERVICE_WIDTH = 4
@@ -58,6 +62,18 @@ RecordData = Union[bytes, bytearray]
 # Records per read of a record file, and per slice of a buffer checked.
 _BLOCK_RECORDS = 10_000
 _BLOCK_BYTES = _BLOCK_RECORDS * RECORD_WIDTH
+
+_SERVICE_TYPES = ("GRND", "EXPR", "AIR1", "FRGT")
+# Rank r's service type is _SERVICE_TYPES[r % 4] and it is held for
+# inspection when r % 13 == 0, so every field but the digits repeats every
+# 52 ranks.
+_FIELD_PERIOD = 52
+# barcode_for_rank(r) is the digits of barcode_for_rank(0) + r, and
+# barcode_for_rank(0), 10**13, is a multiple of 10,000; the shipper digits
+# are those of r % 100000. So over each run of 10,000 ranks from a
+# multiple of 10,000 the last four digits of both count 0000 to 9999 and
+# every other digit stays the same.
+_DIGIT_PERIOD = 10000
 
 
 def format_record_line(
@@ -80,6 +96,92 @@ def format_record_line(
         + destination_terminal.ljust(TERMINAL_WIDTH)
         + delivery_exceptions.ljust(EXCEPTIONS_WIDTH)
     )
+
+
+def write_kb_for_workload(unique_barcodes: int, stream: BinaryIO) -> None:
+    """Write the record file of the workload's knowledge base: one record per rank, in rank order.
+
+    Rank r has barcode_for_rank(r), shipper SHIP + r % 100000 in five
+    digits, service type _SERVICE_TYPES[r % 4], terminal T + barcode
+    digits 1-4 and 13-14 + D, and the exception HOLD FOR INSPECTION when
+    r % 13 == 0; every line ends in "\n".
+
+    The records are written _DIGIT_PERIOD at a time from one buffer that
+    each run of ranks refills in place. A run first copies the formatted
+    lines of its ranks modulo 52, with zero digits, from a tile that
+    repeats the 52 of them: the run of ranks from ``start`` takes the
+    tile's rows from ``start % 52``. Then a structured view of the buffer
+    writes the digit fields from tables of zero-padded digit texts: the
+    four-digit groups that count through a run are the "0000" to "9999"
+    table itself, and each other field is one table entry for the whole
+    run. No array per rank is made.
+    """
+    shipper_digits = BARCODE_WIDTH + len("SHIP")
+    terminal_digits = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + len("T")
+    templates = "".join(
+        format_record_line(
+            "0" * BARCODE_WIDTH,
+            "SHIP00000",
+            _SERVICE_TYPES[rank % len(_SERVICE_TYPES)],
+            "T000000D",
+            "HOLD FOR INSPECTION" if rank % 13 == 0 else "",
+        )
+        + "\n"
+        for rank in range(_FIELD_PERIOD)
+    )
+    template_rows = np.frombuffer(templates.encode("ascii"), np.uint8).reshape(_FIELD_PERIOD, -1)
+    # Row i of the tile is the template of rank i % 52, for the longest
+    # run from any of the 52 offsets.
+    run_length = min(unique_barcodes, _DIGIT_PERIOD)
+    tile = np.resize(template_rows, (run_length + _FIELD_PERIOD - 1, RECORD_WIDTH))
+    # The texts "0"-"9", "00"-"99" and "0000"-"9999", each indexed by its value.
+    singles = np.frombuffer(b"0123456789", "S1")
+    pairs = np.array([b"%02d" % value for value in range(100)], "S2")
+    quads = np.empty(_DIGIT_PERIOD, "S4")
+    quad_halves = quads.view("S2").reshape(100, 100, 2)
+    quad_halves[:, :, 0] = pairs[:, np.newaxis]
+    quad_halves[:, :, 1] = pairs
+    # A view of the last two digits of each value 0 to 9999.
+    low_pairs = quads.view("S2")[1::2]
+    # The digit fields of a record, named by their first digit: barcode
+    # digits 1-2, 3-6, 7-10 and 11-14, shipper digit 1 and digits 2-5, and
+    # the terminal's copies of barcode digits 1-4 and 13-14.
+    fields = np.dtype(
+        {
+            "names": [
+                "barcode_1", "barcode_3", "barcode_7", "barcode_11", "shipper_1", "shipper_2", "terminal_1", "terminal_13"
+            ],
+            "formats": ["S2", "S4", "S4", "S4", "S1", "S4", "S4", "S2"],
+            "offsets": [0, 2, 6, 10, shipper_digits, shipper_digits + 1, terminal_digits, terminal_digits + 4],
+            "itemsize": RECORD_WIDTH,
+        }
+    )
+    first_barcode = int(barcode_for_rank(0))
+    block = bytearray(run_length * RECORD_WIDTH)
+    records = np.frombuffer(block, np.uint8).reshape(-1, RECORD_WIDTH)
+    digits = np.frombuffer(block, fields)
+    for start in range(0, unique_barcodes, _DIGIT_PERIOD):
+        count = min(_DIGIT_PERIOD, unique_barcodes - start)
+        offset = start % _FIELD_PERIOD
+        records[:count] = tile[offset : offset + count]
+        run = digits[:count]
+        # Barcode digits 1-10 of every rank in the run, as one number.
+        high = (first_barcode + start) // _DIGIT_PERIOD
+        run["barcode_1"] = pairs[high // 10**8]
+        run["barcode_3"] = quads[high // 10**4 % 10**4]
+        run["barcode_7"] = quads[high % 10**4]
+        run["barcode_11"] = quads[:count]
+        run["shipper_1"] = singles[start // _DIGIT_PERIOD % 10]
+        run["shipper_2"] = quads[:count]
+        run["terminal_1"] = quads[high // 10**6]
+        run["terminal_13"] = low_pairs[:count]
+        stream.write(memoryview(block)[: count * RECORD_WIDTH])
+
+
+def build_kb_for_workload(unique_barcodes: int) -> KnowledgeBase:
+    """The knowledge base of the record file that write_kb_for_workload writes."""
+    # Rank r's barcode is rank 0's plus r, so the keys need no parse of the records.
+    return KnowledgeBase(int(barcode_for_rank(0)) + np.arange(unique_barcodes, dtype=np.int64))
 
 
 def index_probe_cost(record_count: int) -> int:

@@ -16,15 +16,18 @@ as its key's 14 zero-padded digits, the one place besides the replay's
 snapshots and its missing-record error where a key becomes text.
 Timestamps are written with repr so export and import round-trip
 exactly; a timestamp field is plain ASCII with no whitespace, "_" or sign.
-``parse_trace_bytes`` is the one parser of a trace file's bytes, which
-``read_trace`` reads: it checks them block by block, decoding one block
-of whole lines at a time, and fills the columns from them; only bytes
-that fail a check are decoded whole and walked line by line, which names
-the first bad line and its reason.
+``read_trace`` reads a trace file once and returns its ``Trace`` with the
+SHA-256 hex of its bytes, as ``knowledge_base.load_kb`` does for a record
+file. ``parse_trace_bytes`` is the one parser of those bytes: it checks
+them block by block, decoding one block of whole lines at a time, and
+fills the columns from them; only bytes that fail a check are decoded
+whole and walked line by line, which names the first bad line and its
+reason.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 from dataclasses import dataclass
 from itertools import repeat
@@ -372,6 +375,8 @@ def write_trace(trace: Trace, path: str) -> None:
         save_trace(trace, fh)
 
 
-def read_trace(path: str) -> Trace:
+def read_trace(path: str) -> Tuple[Trace, str]:
+    """The trace in the file at ``path`` and the SHA-256 hex of its bytes, which are read once."""
     with open(path, "rb") as fh:
-        return parse_trace_bytes(fh.read())
+        data = fh.read()
+    return parse_trace_bytes(data), hashlib.sha256(data).hexdigest()

@@ -8,7 +8,7 @@ random stream. Neither touches the production implementations beyond
 shared dataclasses for inputs.
 
 synth_record_line formats one synthetic knowledge-base line per rank, the
-way cli.build_kb_for_workload formatted them before the record file was
+way the knowledge-base writer formatted them before the record file was
 filled a field at a time. reference_load_trace is the trace-file line walk as it stood before
 the whole-input parse, kept verbatim. reference_ingest is the
 knowledge-base ingest as it stood while the database was a dict of lines,

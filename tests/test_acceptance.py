@@ -12,9 +12,9 @@ import time
 from collections import Counter
 
 from robocache.cache import HitOrderedCache
-from robocache.cli import build_kb_for_workload, run_cli, write_kb_for_workload
+from robocache.cli import run_cli
 from robocache.config import load_config
-from robocache.knowledge_base import ingest_bytes, load_kb
+from robocache.knowledge_base import build_kb_for_workload, ingest_bytes, load_kb, write_kb_for_workload
 from robocache.metrics import AlertPolicy, MetricsReport, check_alert, compare, summarize
 from robocache.presets import desk_scale_path
 from robocache.simulator import MethodKind, run

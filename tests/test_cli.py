@@ -264,6 +264,31 @@ def test_compare_accepts_a_cache_sweep_against_one_baseline(config_path, tmp_pat
     assert run_cli(["compare", os.path.join(out, "raw_baseline.json"), os.path.join(out, "raw_cached.json")]) == 0
 
 
+@pytest.mark.parametrize("case", ["baseline", "cached", "cached_through_a_symlink", "default_out_is_the_baseline"])
+def test_compare_refuses_to_write_over_an_input_report(case, config_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    for method in ("baseline", "cached"):
+        assert run_cli(["run", "--config", config_path, "--out", out, "--method", method]) == 0
+    baseline, cached = (os.path.join(out, f"raw_{method}.json") for method in ("baseline", "cached"))
+    if case == "default_out_is_the_baseline":
+        # With no --out the table goes to comparison.csv beside the baseline report.
+        os.rename(baseline, os.path.join(out, "comparison.csv"))
+        argv = ["compare", os.path.join(out, "comparison.csv"), cached]
+    elif case == "cached_through_a_symlink":
+        os.symlink(cached, tmp_path / "link.json")
+        argv = ["compare", baseline, cached, "--out", str(tmp_path / "link.json")]
+    else:
+        argv = ["compare", baseline, cached, "--out", os.path.join(out, ".", f"raw_{case}.json")]
+    before = {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)}
+    capsys.readouterr()
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)} == before
+
+
 def test_compare_missing_file_exits_one(config_path, tmp_path, capsys):
     assert run_cli(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
 
@@ -348,7 +373,7 @@ def test_snapshots_of_robots_first_scanning_9_2_5_are_written_in_id_order(config
         fh.write("robot_id,barcode,issued_at_ms\n")
         fh.writelines(f"{robot},{barcode_for_rank(rank)},{index * 2.5!r}\n" for index, (robot, rank) in enumerate(scans))
     config = load_config(config_path, output_dir_override=out)
-    trace, (kb, _) = read_trace(config.trace_path), load_kb(config.kb_path)
+    (trace, _), (kb, _) = read_trace(config.trace_path), load_kb(config.kb_path)
     for method in ("baseline", "cached"):
         assert run_cli(["run", "--config", config_path, "--out", out, "--method", method, "--snapshots"]) == 0
         raw = json.load(open(os.path.join(out, f"raw_{method}.json")))
@@ -382,15 +407,58 @@ def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
     # The same run in process: its counters are the raw block, and its digest
     # can be recomputed from the raw report plus the snapshot files.
     config = load_config(config_path, output_dir_override=out)
-    result = run("cached", read_trace(config.trace_path), load_kb(config.kb_path)[0], config)
+    trace, trace_digest = read_trace(config.trace_path)
+    assert trace_digest == raw["trace_digest"]
+    result = run("cached", trace, load_kb(config.kb_path)[0], config)
     assert counters == result.counters.to_dict()
+    assert result_digest(result) == digest_from_directory(out, "cached")
+
+
+def digest_from_directory(out, method):
+    """``result_digest`` recomputed from the raw report and every snapshot file of ``method`` in ``out``."""
+    raw = json.load(open(os.path.join(out, f"raw_{method}.json")))
+    prefix = f"snapshot_{method}_robot"
+    robots = sorted(int(name[len(prefix) : -len(".csv")]) for name in os.listdir(out) if name.startswith(prefix))
     snapshots = []
-    for robot in range(len(result.snapshots)):
-        with open(os.path.join(out, f"snapshot_cached_robot{robot}.csv")) as fh:
+    for robot in robots:
+        with open(os.path.join(out, f"{prefix}{robot}.csv")) as fh:
             snapshots.append([[barcode, int(hits)] for barcode, hits in (line.split(",") for line in fh.read().splitlines())])
     record = {name: raw[name] for name in ("method", "counters", "per_scan_latencies_ms")}
     blob = json.dumps({**record, "snapshots": snapshots}, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    assert result_digest(result) == hashlib.sha256(blob).hexdigest()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def test_a_run_removes_the_snapshots_of_its_method_that_it_did_not_write(config_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+
+    def snapshot_files():
+        return sorted(name for name in os.listdir(out) if name.startswith("snapshot_"))
+
+    six = config_variant(config_path, tmp_path, "robots = 2", "robots = 6")
+    assert run_cli(["generate", "--config", six, "--out", out]) == 0
+    assert run_cli(["run", "--config", six, "--out", out, "--method", "cached", "--snapshots"]) == 0
+    assert snapshot_files() == [f"snapshot_cached_robot{robot}.csv" for robot in range(6)]
+
+    # A run that overflows writes no report, so it leaves the directory as it was.
+    huge = tmp_path / "huge.ini"
+    huge.write_text(open(six).read().replace("probe_time_ms = 0.05", "probe_time_ms = 1e308"))
+    before = {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)}
+    assert run_cli(["run", "--config", str(huge), "--out", out, "--method", "cached"]) == 1
+    assert {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)} == before
+
+    four = config_variant(config_path, tmp_path, "robots = 2", "robots = 4")
+    assert run_cli(["generate", "--config", four, "--out", out]) == 0
+    assert run_cli(["run", "--config", four, "--out", out, "--method", "cached", "--snapshots"]) == 0
+    assert snapshot_files() == [f"snapshot_cached_robot{robot}.csv" for robot in range(4)]
+    config = load_config(four, output_dir_override=out)
+    result = run("cached", read_trace(config.trace_path)[0], load_kb(config.kb_path)[0], config)
+    assert result_digest(result) == digest_from_directory(out, "cached")
+
+    # A baseline run leaves the cached snapshots; a cached run without --snapshots removes them.
+    assert run_cli(["run", "--config", four, "--out", out, "--method", "baseline"]) == 0
+    assert snapshot_files() == [f"snapshot_cached_robot{robot}.csv" for robot in range(4)]
+    assert run_cli(["run", "--config", four, "--out", out, "--method", "cached"]) == 0
+    assert snapshot_files() == []
 
 
 def test_raw_report_digests_are_the_sha256_of_the_input_files(config_path, tmp_path):

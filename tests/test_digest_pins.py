@@ -17,8 +17,8 @@ from dataclasses import replace
 
 import pytest
 
-from robocache.cli import build_kb_for_workload, write_kb_for_workload
 from robocache.config import load_config
+from robocache.knowledge_base import build_kb_for_workload, write_kb_for_workload
 from robocache.presets import desk_scale_path
 from robocache.simulator import result_digest, run
 from robocache.workload import generate, parse_trace_bytes, save_trace

@@ -9,19 +9,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import robocache.cli
 import robocache.knowledge_base
 from robocache.cache import barcode_keys
-from robocache.cli import build_kb_for_workload, write_kb_for_workload
 from robocache.errors import ConfigError, IngestError, MissingRecordError
 from robocache.knowledge_base import (
     BARCODE_WIDTH,
     LINE_WIDTH,
     RECORD_WIDTH,
+    build_kb_for_workload,
     format_record_line,
     index_probe_cost,
     ingest_bytes,
     load_kb,
+    write_kb_for_workload,
 )
 
 import reference
@@ -325,7 +325,7 @@ def test_the_build_carries_into_every_digit_group_of_the_barcode(monkeypatch):
     # A real build changes barcode digits 1-6 only past 10**8 ranks; from
     # this first barcode, rank 10,000 carries into every digit above the last four.
     first = 19_999_999_990_000
-    for module in (robocache.cli, reference):
+    for module in (robocache.knowledge_base, reference):
         monkeypatch.setattr(module, "barcode_for_rank", lambda rank: str(first + rank))
     lines = written_kb(20_001).decode("ascii").splitlines()
     assert lines == [synth_record_line(rank) for rank in range(20_001)]
@@ -457,13 +457,17 @@ def walk_refused(lines):
     raise AssertionError("a valid record text fell back to the line walk")
 
 
-def test_a_written_knowledge_base_file_loads_without_the_line_walk(monkeypatch, tmp_path):
+# One record; both sides of the 52-rank field period; both sides of a
+# block and of the writer's 10,000-rank run, which are the same size; two
+# whole blocks.
+@pytest.mark.parametrize("records", [1, 52, 53, 9_999, 10_000, 10_001, 20_000])
+def test_a_written_knowledge_base_file_loads_without_the_line_walk(records, monkeypatch, tmp_path):
     monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
     path = tmp_path / "kb.dat"
     with open(path, "wb") as fh:
-        write_kb_for_workload(20_000, fh)
+        write_kb_for_workload(records, fh)
     kb, digest = load_kb(str(path))
-    assert keys_of(kb) == keys_of(build_kb_for_workload(20_000)) == keys_of_text(path.read_text(encoding="ascii"))
+    assert keys_of(kb) == keys_of(build_kb_for_workload(records)) == keys_of_text(path.read_text(encoding="ascii"))
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 from collections import Counter
@@ -132,7 +133,10 @@ def test_header_only_file_loads_as_empty_trace():
 
 
 def test_hand_written_fixture_loads_field_for_field():
-    events = read_trace(os.path.join(FIXTURES, "trace_3.csv"))
+    path = os.path.join(FIXTURES, "trace_3.csv")
+    events, digest = read_trace(path)
+    with open(path, "rb") as fh:
+        assert digest == hashlib.sha256(fh.read()).hexdigest()
     assert events == make_trace([
         (0, "12345678901234", 0.0),
         (1, "98765432109876", 5.5),
