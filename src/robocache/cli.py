@@ -31,7 +31,7 @@ import re
 import sys
 import time
 from dataclasses import asdict
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .config import SimConfig, load_config
 from .errors import ConfigError, LineError, SimulationError
@@ -237,8 +237,16 @@ def cmd_report(paths: list[str]) -> int:
     return 2 if any(alert.raised for _, _, alert in loaded) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2, the alert code; its subparsers inherit it."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="robocache", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="robocache", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write the trace CSV and knowledge-base file for a config")

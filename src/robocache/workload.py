@@ -20,9 +20,10 @@ exactly; a timestamp field is plain ASCII with no whitespace, "_" or sign.
 SHA-256 hex of its bytes, as ``knowledge_base.load_kb`` does for a record
 file. ``parse_trace_bytes`` is the one parser of those bytes: it checks
 them block by block, decoding one block of whole lines at a time, and
-fills the columns from them; only bytes that fail a check are decoded
-whole and walked line by line, which names the first bad line and its
-reason.
+fills the columns from them; a block's line structure, two commas on
+every line, is checked on its bytes from the positions of its "\n" and
+"," bytes. Only bytes that fail a check are decoded whole and walked line
+by line, which names the first bad line and its reason.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass
-from itertools import repeat
 from math import isfinite
 from typing import NoReturn, Optional, TextIO, Tuple
 
@@ -232,7 +232,7 @@ def save_trace(trace: Trace, stream: TextIO) -> None:
         key_texts = np.array(list(map(BARCODE_FORMAT.__mod__, distinct.tolist())), object)
         robots = robot_texts[trace.robots[start:stop]].tolist()
         rows = zip(robots, key_texts[index].tolist(), trace.issued_at[start:stop].tolist())
-        stream.write("".join(map("%s,%s,%r\n".__mod__, rows)))
+        stream.write("".join([f"{robot},{key},{issued!r}\n" for robot, key, issued in rows]))
 
 
 def parse_trace_bytes(data: bytes) -> Trace:
@@ -260,15 +260,19 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     Accepts exactly the text that _walk_lines passes to its end, with the
     same values: the header, then ASCII lines that each end in "\n" and hold
     exactly two commas, digit robot ids and times of plain number
-    characters with no leading sign. Each block's barcodes become keys in
+    characters with no leading sign. ASCII and the absence of "\r" are
+    checked once on all of ``data``; the two commas of each line in
+    _two_commas_a_line, on each block's bytes, before the block is decoded
+    and split into fields. Each block's barcodes become keys in
     one ``barcode_keys`` call, its times floats in one ``np.fromiter`` and
     its robot texts numbers, with one ``int()`` per distinct robot text.
     Robots, numbered as first met, are renumbered in id order in place at
     the end. The Trace constructor checks the time values and their order.
     """
-    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data:
+    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data or not data.isascii():
         return None
-    scans = count_newlines(np.frombuffer(data, np.uint8), np.empty(_BLOCK_CHARS, bool)) - 1
+    mask = np.empty(_BLOCK_CHARS, bool)
+    scans = count_newlines(np.frombuffer(data, np.uint8), mask) - 1
     robots = np.empty(scans, np.intp)
     keys = np.empty(scans, np.int64)
     times = np.empty(scans, np.float64)
@@ -277,18 +281,16 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     row = 0
     start = len(_HEADER_LINE)
     while start < len(data):
-        # Whole lines, about _BLOCK_CHARS at a time: only one block's
-        # text and split fields are held beside the columns.
+        # Whole lines, about _BLOCK_CHARS at a time: only one block's text,
+        # split fields and "\n" and comma positions are held beside the columns.
         end = data.find(b"\n", start + _BLOCK_CHARS) + 1 or len(data)
-        try:
-            block = data[start : end - 1].decode("ascii")
-        except UnicodeDecodeError:
+        view = np.frombuffer(data, np.uint8, end - start, start)
+        if len(view) > len(mask):  # _BLOCK_CHARS bytes and the rest of a line
+            mask = np.empty(len(view), bool)
+        if not _two_commas_a_line(view, mask):
             return None
+        block = data[start : end - 1].decode("ascii")
         start = end
-        # Two commas on every line, not 2n in all: a 4-field line and then
-        # a 2-field line would pass as two rows.
-        if set(map(str.count, block.split("\n"), repeat(","))) != {2}:
-            return None
         fields = block.replace("\n", ",").split(",")
         robot_col, barcode_col, time_col = fields[0::3], fields[1::3], fields[2::3]
         robot_text = "".join(robot_col)
@@ -318,6 +320,20 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
         return Trace(robot_ids, keys, times, robots=robots)
     except ValidationError:
         return None
+
+
+def _two_commas_a_line(block: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether every line of ``block``, uint8 bytes of whole lines, holds exactly two commas.
+
+    The "\n" and "," bytes are compared into the bool array ``mask``, at
+    least as long as ``block``, which the caller reuses for every block.
+    """
+    ends = np.flatnonzero(np.equal(block, ord("\n"), out=mask[: len(block)]))
+    commas = np.flatnonzero(np.equal(block, ord(","), out=mask[: len(block)]))
+    # Not only 2n in all: a 4-field line and a 2-field line, in either order,
+    # would pass as two rows. Line i's second comma lies before its end, and
+    # line i+1's first after it.
+    return len(commas) == 2 * len(ends) and (commas[1::2] < ends).all() and (commas[2::2] > ends[:-1]).all()
 
 
 def _walk_lines(text: str) -> NoReturn:

@@ -10,7 +10,10 @@ shared dataclasses for inputs.
 synth_record_line formats one synthetic knowledge-base line per rank, the
 way the knowledge-base writer formatted them before the record file was
 filled a field at a time. reference_load_trace is the trace-file line walk as it stood before
-the whole-input parse, kept verbatim. reference_ingest is the
+the whole-input parse, kept verbatim. reference_save_trace is the trace
+writer as it stood while each row was formatted by ``"%s,%s,%r\n"``,
+kept verbatim: 8,192 rows a write, each distinct key formatted once a
+write. reference_ingest is the
 knowledge-base ingest as it stood while the database was a dict of lines,
 kept verbatim with its line check; it returns the text that the
 database's export wrote, whose lines' barcodes the tests compare with
@@ -48,7 +51,9 @@ from math import isfinite
 from operator import add
 from typing import List
 
-from robocache.cache import barcode_keys, validate_barcode
+import numpy as np
+
+from robocache.cache import BARCODE_FORMAT, barcode_keys, validate_barcode
 from robocache.errors import IngestError, TraceFormatError, ValidationError
 from robocache.knowledge_base import BARCODE_WIDTH, LINE_WIDTH, KnowledgeBase, format_record_line, index_probe_cost
 from robocache.netlink import LinkConfig, LinkStats
@@ -235,6 +240,19 @@ def reference_load_trace(stream) -> Trace:
         barcodes.append(barcode)
         times.append(issued_at)
     return Trace(robot_ids, barcodes, times)
+
+
+def reference_save_trace(trace: Trace, stream) -> None:
+    """Write ``trace`` as trace CSV, 8,192 rows per write; each block formats each distinct key once."""
+    robot_texts = np.array(list(map(str, trace.robot_ids)), object)
+    stream.write(TRACE_HEADER + "\n")
+    for start in range(0, len(trace), 8192):
+        stop = start + 8192
+        distinct, index = np.unique(trace.keys[start:stop], return_inverse=True)
+        key_texts = np.array(list(map(BARCODE_FORMAT.__mod__, distinct.tolist())), object)
+        robots = robot_texts[trace.robots[start:stop]].tolist()
+        rows = zip(robots, key_texts[index].tolist(), trace.issued_at[start:stop].tolist())
+        stream.write("".join(map("%s,%s,%r\n".__mod__, rows)))
 
 
 def reference_check_line(line: str, line_no: int) -> str:

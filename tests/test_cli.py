@@ -114,9 +114,37 @@ def test_run_without_generate_fails_cleanly(config_path, tmp_path, capsys):
     assert "generate" in capsys.readouterr().err
 
 
-def test_method_flag_is_validated(config_path):
-    with pytest.raises(SystemExit):
+def test_method_flag_is_validated(config_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
         run_cli(["run", "--config", config_path, "--method", "hybrid"])
+    assert exc_info.value.code == 1
+    assert "argument --method: invalid choice: 'hybrid'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        pytest.param(["run", "--config", "x"], "the following arguments are required: --method", id="run-without-method"),
+        pytest.param(["report"], "the following arguments are required: raw", id="report-without-files"),
+        pytest.param([], "the following arguments are required: command", id="no-command"),
+        pytest.param(["bogus"], "argument command: invalid choice: 'bogus'", id="unknown-command"),
+    ],
+)
+def test_a_usage_error_exits_1_not_the_alert_code(argv, reason, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(argv)
+    assert exc_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: robocache")
+    assert reason in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top-level", "subcommand"])
+def test_help_still_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(argv)
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: robocache")
 
 
 def test_empty_workload_config_is_rejected(config_path, tmp_path, capsys):

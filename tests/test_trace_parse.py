@@ -23,7 +23,7 @@ from robocache.errors import TraceFormatError
 from robocache.presets import desk_scale_path
 from robocache.workload import generate, parse_trace_bytes, read_trace, write_trace
 
-from helpers import make_trace
+from helpers import make_trace, traced_memory
 from reference import reference_load_trace
 
 HEADER = "robot_id,barcode,issued_at_ms\n"
@@ -82,9 +82,11 @@ REFUSED = [
     # What read_trace decodes an undecodable byte to: a lone surrogate.
     ("undecodable-byte", on_line_3("0,1000000000000\udcff,2.0"), (3, BAD_KEY.format("1000000000000\udcff"))),
     ("two-faults", on_line_3("x,10000000000000,2.0\n0,10000000000000,-1"), (3, "robot_id 'x' is not an integer")),
-    # A flat split of the whole body would read these 4 + 2 fields as two good rows.
+    # A flat split of the whole body would read these 4 + 2 or 2 + 4 fields as two good rows.
     ("4-then-2-fields", HEADER + "0,10000000000000,1.0,1\n10000000000001,2.0\n",
      (2, "expected 3 comma-separated fields, got 4")),
+    ("2-then-4-fields", HEADER + "0,10000000000000\n1.0,1,10000000000001,2.0\n",
+     (2, "expected 3 comma-separated fields, got 2")),
 ]
 
 
@@ -159,15 +161,42 @@ def outcome(load, source):
         return exc.line_no, exc.reason
 
 
-@settings(derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=mutated_traces())
-def test_loading_a_mutated_trace_matches_the_line_walk(text, tmp_path):
+def assert_loads_as_the_line_walk(text, tmp_path):
     expected = outcome(reference_load_trace, io.StringIO(text, newline=""))
     data = text.encode("utf-8", "surrogateescape")
     assert outcome(parse_trace_bytes, data) == expected
     path = tmp_path / "trace.csv"
     path.write_bytes(data)
     assert outcome(lambda source: read_trace(source)[0], str(path)) == expected
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_traces())
+def test_loading_a_mutated_trace_matches_the_line_walk(text, tmp_path):
+    assert_loads_as_the_line_walk(text, tmp_path)
+
+
+# Blocks of one line (1 and 7) or two (40) put block edges inside the
+# fuzzed texts, where the per-block line check must still hold.
+SMALL_BLOCKS = [1, 7, 40]
+
+
+@pytest.mark.parametrize("block_chars", SMALL_BLOCKS)
+@settings(derandomize=True, max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mutated_traces())
+def test_a_mutated_trace_in_small_blocks_matches_the_line_walk(block_chars, text, monkeypatch, tmp_path):
+    monkeypatch.setattr(robocache.workload, "_BLOCK_CHARS", block_chars)
+    assert_loads_as_the_line_walk(text, tmp_path)
+
+
+@pytest.mark.parametrize("block_chars", SMALL_BLOCKS)
+def test_4_then_2_fields_split_across_a_block_edge_are_refused(block_chars, monkeypatch, tmp_path):
+    # At each of these sizes a block ends right after the 4-field line, so
+    # each block's comma count must be checked against its own lines.
+    monkeypatch.setattr(robocache.workload, "_BLOCK_CHARS", block_chars)
+    text = HEADER + LINE_2 + "0,10000000000000,1.0,1\n10000000000001,2.0\n"
+    assert outcome(parse_trace_bytes, text.encode()) == (3, "expected 3 comma-separated fields, got 4")
+    assert_loads_as_the_line_walk(text, tmp_path)
 
 
 def walk_refused(lines):
@@ -182,6 +211,18 @@ def test_a_generated_trace_loads_without_the_line_walk(monkeypatch, tmp_path):
 
     monkeypatch.setattr(robocache.workload, "_walk_lines", walk_refused)
     assert read_trace(str(path))[0] == trace
+
+
+def test_parsing_a_trace_peaks_near_the_columns_it_keeps():
+    # Block by block, the parse holds beside its columns only one block's
+    # text, fields and comma and "\n" positions, never a temporary as long as the trace.
+    config = load_config(desk_scale_path())
+    out = io.StringIO()
+    robocache.workload.save_trace(generate(replace(config.workload, total_scans=100_000)), out)
+    data = out.getvalue().encode()
+    trace, _, peak = traced_memory(lambda: parse_trace_bytes(data))
+    columns = trace.robots.nbytes + trace.keys.nbytes + trace.issued_at.nbytes
+    assert peak <= 1.5 * columns, f"the parse peaked at {peak / columns:.2f}x its columns"
 
 
 @pytest.mark.parametrize(

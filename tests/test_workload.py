@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robocache.errors import ConfigError, TraceFormatError, ValidationError
 from robocache.workload import (
@@ -20,6 +22,7 @@ from robocache.workload import (
 )
 
 from helpers import barcodes_of, make_trace, rows_of, traced_memory, traced_peak
+from reference import reference_save_trace
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 A = "12345678901234"
@@ -115,6 +118,34 @@ def test_save_trace_writes_the_header_and_one_line_per_scan_across_its_write_blo
     save_trace(trace, out)
     lines = "".join(f"{robot_id},{barcode},{issued_at!r}\n" for robot_id, barcode, issued_at in rows_of(trace))
     assert out.getvalue() == "robot_id,barcode,issued_at_ms\n" + lines
+
+
+# Robot ids of one and two digits and one past uint64; times in each form
+# repr gives: zero, the least subnormal, a small exponent, a fraction, and
+# a large float with and without a fraction digit.
+ORACLE_ROBOT_IDS = [0, 12, 2**64 + 5]
+ORACLE_TIMES = [0.0, 5e-324, 1e-05, 2.5, 1e16, 1.5e16]
+
+
+@pytest.mark.parametrize("scans", [8191, 8192, 8193])
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(
+    robot_ids=st.lists(st.integers(0, 2**70), max_size=3),
+    keys=st.lists(st.integers(0, 10**14 - 1), min_size=1, max_size=6),
+    times=st.lists(st.floats(0.0, 1e300), max_size=4),
+)
+def test_save_trace_writes_the_bytes_of_the_row_format_writer(scans, robot_ids, keys, times):
+    # Each drawn pool repeats over the scans; the times, sorted, do not decrease.
+    robot_ids, times = ORACLE_ROBOT_IDS + robot_ids, ORACLE_TIMES + times
+    trace = Trace(
+        [robot_ids[scan % len(robot_ids)] for scan in range(scans)],
+        np.resize(np.array(keys, np.int64), scans),
+        np.sort(np.resize(np.array(times), scans)),
+    )
+    out, expected = io.StringIO(), io.StringIO()
+    save_trace(trace, out)
+    reference_save_trace(trace, expected)
+    assert out.getvalue() == expected.getvalue()
 
 
 def test_write_trace_never_holds_the_whole_file_text(tmp_path):
