@@ -11,25 +11,27 @@ Record line layout (ASCII, newline terminated, 56 characters):
 The column widths are the ``*_WIDTH`` constants below.
 ``format_record_line`` pads fields into them, and
 ``write_kb_for_workload``, which writes the synthetic record file of a
-workload, takes its column offsets from them; ``build_kb_for_workload``
-is the database of that file, built without writing or reading it.
+workload, takes from them the offsets of the column views through which
+it writes each digit field; ``build_kb_for_workload`` is the database of
+that file, built without writing or reading it.
 
 The database is a sorted int64 index of its file's barcodes (every
 14-digit barcode fits in an int64) and holds no record text. ``load_kb``
-reads a record file _BLOCK_RECORDS records at a time, into one buffer
-reused for every block, and ``ingest_bytes`` checks a buffer of one in
-slices of the same size: each block is checked in place, through a
-numpy view of it (its "\n" bytes counted into one mask reused for every
-block), and only its keys are kept. The keys of a file in barcode order,
-as every generated file is, pass one test of strict ascent, which also
-proves that no barcode appears twice; only the keys of another file are
-sorted and scanned for a duplicate. A file is decoded and walked line by
-line only to name its first bad line. ``require_keys`` checks that each
-of a batch of barcodes, given as their int64 keys
-(``cache.barcode_keys``), has a record, as the simulator does once per
-run with the distinct keys of its ``Trace``. No line is ever looked up
-or parsed back into fields: the simulator needs only to know that a
-record exists, and a robot caches the barcode alone.
+and ``ingest_bytes`` share one read loop, ``_read_kb``, over a binary
+stream: a record file, or a buffer of one through ``io.BytesIO``. It
+reads _BLOCK_RECORDS records at a time into one buffer reused for every
+block, hashes each block and checks it in place, through a numpy view of
+it (its "\n" bytes counted into one mask reused for every block), and
+keeps only its keys. The keys of a file in barcode order, as every
+generated file is, pass one test of strict ascent, which also proves
+that no barcode appears twice; only the keys of another file are sorted
+and scanned for a duplicate. A file is decoded and walked line by line
+only to name its first bad line. ``require_keys`` checks that each of a
+batch of barcodes, given as their int64 keys (``cache.barcode_keys``),
+has a record, as the simulator does once per run with the distinct keys
+of its ``Trace``. No line is ever looked up or parsed back into fields:
+the simulator needs only to know that a record exists, and a robot
+caches the barcode alone.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Search cost is modeled as an indexed
@@ -41,12 +43,12 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-from typing import BinaryIO, Callable, NoReturn, Optional, Union
+from typing import BinaryIO, NoReturn, Optional
 
 import numpy as np
 
 from .cache import BARCODE_WIDTH, barcode_text, count_newlines, digit_keys, validate_barcode
-from .errors import ConfigError, IngestError, MissingRecordError, ValidationError
+from .errors import ConfigError, IngestError, MissingRecordError, SimulationError, ValidationError
 from .workload import barcode_for_rank
 
 SHIPPER_WIDTH = 10
@@ -57,9 +59,7 @@ LINE_WIDTH = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + TERMINAL_WIDTH + EX
 # A line and its "\n": the stride of a record in the file.
 RECORD_WIDTH = LINE_WIDTH + 1
 
-# A record file's bytes, or a buffer that holds them.
-RecordData = Union[bytes, bytearray]
-# Records per read of a record file, and per slice of a buffer checked.
+# Records per read of a record file.
 _BLOCK_RECORDS = 10_000
 _BLOCK_BYTES = _BLOCK_RECORDS * RECORD_WIDTH
 
@@ -110,12 +110,14 @@ def write_kb_for_workload(unique_barcodes: int, stream: BinaryIO) -> None:
     each run of ranks refills in place. A run first copies the formatted
     lines of its ranks modulo 52, with zero digits, from a tile that
     repeats the 52 of them: the run of ranks from ``start`` takes the
-    tile's rows from ``start % 52``. Then a structured view of the buffer
-    writes the digit fields from tables of zero-padded digit texts: the
-    four-digit groups that count through a run are the "0000" to "9999"
-    table itself, and each other field is one table entry for the whole
-    run. No array per rank is made.
+    tile's rows from ``start % 52``. Then it writes each digit field
+    through a column view of the buffer, one item per record: the four
+    digits that count through a run come from one table of the texts
+    "0000" to "9999", and each other field is one text for the whole run.
+    No array per rank is made.
     """
+    if not unique_barcodes:
+        return  # an empty file; no column view fits in an empty buffer
     shipper_digits = BARCODE_WIDTH + len("SHIP")
     terminal_digits = BARCODE_WIDTH + SHIPPER_WIDTH + SERVICE_WIDTH + len("T")
     templates = "".join(
@@ -134,47 +136,36 @@ def write_kb_for_workload(unique_barcodes: int, stream: BinaryIO) -> None:
     # run from any of the 52 offsets.
     run_length = min(unique_barcodes, _DIGIT_PERIOD)
     tile = np.resize(template_rows, (run_length + _FIELD_PERIOD - 1, RECORD_WIDTH))
-    # The texts "0"-"9", "00"-"99" and "0000"-"9999", each indexed by its value.
-    singles = np.frombuffer(b"0123456789", "S1")
-    pairs = np.array([b"%02d" % value for value in range(100)], "S2")
-    quads = np.empty(_DIGIT_PERIOD, "S4")
-    quad_halves = quads.view("S2").reshape(100, 100, 2)
-    quad_halves[:, :, 0] = pairs[:, np.newaxis]
-    quad_halves[:, :, 1] = pairs
-    # A view of the last two digits of each value 0 to 9999.
-    low_pairs = quads.view("S2")[1::2]
-    # The digit fields of a record, named by their first digit: barcode
-    # digits 1-2, 3-6, 7-10 and 11-14, shipper digit 1 and digits 2-5, and
-    # the terminal's copies of barcode digits 1-4 and 13-14.
-    fields = np.dtype(
-        {
-            "names": [
-                "barcode_1", "barcode_3", "barcode_7", "barcode_11", "shipper_1", "shipper_2", "terminal_1", "terminal_13"
-            ],
-            "formats": ["S2", "S4", "S4", "S4", "S1", "S4", "S4", "S2"],
-            "offsets": [0, 2, 6, 10, shipper_digits, shipper_digits + 1, terminal_digits, terminal_digits + 4],
-            "itemsize": RECORD_WIDTH,
-        }
-    )
-    first_barcode = int(barcode_for_rank(0))
+    # The texts "0000" to "9999", each indexed by its value, as many as a
+    # run holds: the indices of a 10x10x10x10 grid, in order, are the four
+    # digits of each value from 0 to 9999.
+    digits = np.indices((10, 10, 10, 10), np.uint8).reshape(4, -1).T[:run_length] + ord("0")
+    quads = np.ascontiguousarray(digits).view("S4")[:, 0]
     block = bytearray(run_length * RECORD_WIDTH)
     records = np.frombuffer(block, np.uint8).reshape(-1, RECORD_WIDTH)
-    digits = np.frombuffer(block, fields)
+
+    def column(offset: int, width: int) -> np.ndarray:
+        """The ``width`` bytes from ``offset`` of every record of the buffer, one item per record."""
+        return np.ndarray(run_length, f"S{width}", block, offset, (RECORD_WIDTH,))
+
+    # The digit fields of a record, named by their first digit: barcode
+    # digits 1-10, 11-14 and 13-14, shipper digit 1 and digits 2-5, and the
+    # terminal's copies of barcode digits 1-4 and 13-14.
+    barcode_1, barcode_11, barcode_13 = column(0, 10), column(10, 4), column(12, 2)
+    shipper_1, shipper_2 = column(shipper_digits, 1), column(shipper_digits + 1, 4)
+    terminal_1, terminal_13 = column(terminal_digits, 4), column(terminal_digits + 4, 2)
     for start in range(0, unique_barcodes, _DIGIT_PERIOD):
         count = min(_DIGIT_PERIOD, unique_barcodes - start)
         offset = start % _FIELD_PERIOD
         records[:count] = tile[offset : offset + count]
-        run = digits[:count]
-        # Barcode digits 1-10 of every rank in the run, as one number.
-        high = (first_barcode + start) // _DIGIT_PERIOD
-        run["barcode_1"] = pairs[high // 10**8]
-        run["barcode_3"] = quads[high // 10**4 % 10**4]
-        run["barcode_7"] = quads[high % 10**4]
-        run["barcode_11"] = quads[:count]
-        run["shipper_1"] = singles[start // _DIGIT_PERIOD % 10]
-        run["shipper_2"] = quads[:count]
-        run["terminal_1"] = quads[high // 10**6]
-        run["terminal_13"] = low_pairs[:count]
+        # Barcode digits 1-10, the same for every rank in the run.
+        high = barcode_for_rank(start)[:10].encode("ascii")
+        barcode_1[:count] = high
+        barcode_11[:count] = quads[:count]
+        shipper_1[:count] = b"%d" % (start // _DIGIT_PERIOD % 10)
+        shipper_2[:count] = quads[:count]
+        terminal_1[:count] = high[:4]
+        terminal_13[:count] = barcode_13[:count]
         stream.write(memoryview(block)[: count * RECORD_WIDTH])
 
 
@@ -234,7 +225,7 @@ class KnowledgeBase:
             raise MissingRecordError(barcode_text(int(keys[found.argmin()])))
 
 
-def _block_keys(block: RecordData, mask: np.ndarray) -> Optional[np.ndarray]:
+def _block_keys(block: bytearray, mask: np.ndarray) -> Optional[np.ndarray]:
     """The barcode key of each record of ``block``, in order, or None if a check fails.
 
     Passes whole records only: lines of LINE_WIDTH bytes, each with its
@@ -253,37 +244,57 @@ def _block_keys(block: RecordData, mask: np.ndarray) -> Optional[np.ndarray]:
     return digit_keys(rows[:, :BARCODE_WIDTH])
 
 
-def _from_blocks(read: Callable[[int, int], RecordData], size: int) -> Optional[KnowledgeBase]:
-    """The knowledge base of a record file of ``size`` bytes, or None if a check fails.
+def _read_kb(fh: BinaryIO, size: int) -> tuple[KnowledgeBase, str]:
+    """The knowledge base of the ``size`` bytes of record file ``fh`` and their SHA-256 hex.
 
-    ``read(start, stop)`` gives the file's bytes from ``start`` to
-    ``stop``; they are asked for in order, at most _BLOCK_RECORDS records
-    at a time, and each block is checked by _block_keys as it comes,
-    before the next is asked for. The last line may omit its "\n".
-    Accepts exactly the text that _walk passes to its end: the blocks
-    start at whole records, so the file passes block by block just when
-    it passes whole, and no barcode may appear twice in it.
+    The bytes are read in order, at most _BLOCK_RECORDS records per read,
+    into one buffer reused for every block, and each block is hashed and
+    checked by _block_keys as it comes, before the next is read; no read
+    holds the whole file. The last line may omit its "\n". Accepts exactly
+    the text that _walk passes to its end: the blocks start at whole
+    records, so the file passes block by block just when it passes whole,
+    and no barcode may appear twice in it. Only when a check fails is the
+    file read again whole, from its start, and walked line by line to name
+    its first bad line.
+
+    A file that ends before ``size`` bytes, as one cut short since its
+    size was taken does, raises SimulationError naming the file.
     """
+    digest = hashlib.sha256()
+    # The read buffer comes before the index: allocated the other way round,
+    # these blocks leave the heap so that the later replay of a run faults
+    # in about 100 more fresh pages (120 minor faults against 23 on a
+    # 20,000-record file), and its scans per second drop by about 5%.
+    buffer = bytearray(min(size, _BLOCK_BYTES))
     keys = np.empty(-(-size // RECORD_WIDTH), np.int64)
-    mask = np.empty(min(size, _BLOCK_BYTES), bool)
+    mask = np.empty(len(buffer), bool)
     for start in range(0, size, _BLOCK_BYTES):
-        stop = min(start + _BLOCK_BYTES, size)
-        block = read(start, stop)
-        if stop == size and not block.endswith(b"\n"):
-            block = block + b"\n"  # a new buffer, never the caller's
+        want = min(_BLOCK_BYTES, size - start)
+        got = fh.readinto(memoryview(buffer)[:want])
+        if got < want:
+            # Only a file gets here: a buffer's stream holds all its ``size`` bytes.
+            raise SimulationError(f"{fh.name}: read {start + got} of {size} bytes; the file was cut short while it was read")
+        # Only the last block is shorter than the buffer; it is copied out.
+        block = buffer if want == len(buffer) else buffer[:want]
+        digest.update(block)
+        if start + want == size and not block.endswith(b"\n"):
+            block = block + b"\n"
         block_keys = _block_keys(block, mask)
         if block_keys is None:
-            return None
+            break
         first = start // RECORD_WIDTH
         keys[first : first + len(block_keys)] = block_keys
-    # Strictly ascending keys, as every generated file holds, are sorted
-    # and hold no barcode twice; only other files are sorted here.
-    if not (keys[1:] > keys[:-1]).all():
-        keys.sort()
-        # Sorted, a barcode given twice sits beside itself.
-        if (keys[1:] == keys[:-1]).any():
-            return None
-    return KnowledgeBase(keys)
+    else:
+        # Strictly ascending keys, as every generated file holds, are sorted
+        # and hold no barcode twice; only other files are sorted here, and,
+        # sorted, a barcode given twice sits beside itself.
+        ascending = (keys[1:] > keys[:-1]).all()
+        if not ascending:
+            keys.sort()
+        if ascending or not (keys[1:] == keys[:-1]).any():
+            return KnowledgeBase(keys), digest.hexdigest()
+    fh.seek(0)
+    _walk(fh.read().decode("ascii", "surrogateescape"))
 
 
 def _walk(text: str) -> NoReturn:
@@ -291,7 +302,7 @@ def _walk(text: str) -> NoReturn:
 
     Lines end where a file opened with ``newline=""`` ends them, at a
     lone "\r" too, and a line that keeps a "\r" is refused. A text with
-    no bad line, which _from_blocks accepts, ends in AssertionError.
+    no bad line, which _read_kb accepts, ends in AssertionError.
     """
     seen: set[str] = set()
     for line_no, raw in enumerate(io.StringIO(text, newline=""), start=1):
@@ -306,45 +317,26 @@ def _walk(text: str) -> NoReturn:
     raise AssertionError("every line passed the walk but not the bulk check")
 
 
-def ingest_bytes(data: RecordData) -> KnowledgeBase:
-    """Build the knowledge base of the bytes of a record file.
+def ingest_bytes(data: bytes) -> KnowledgeBase:
+    """Build the knowledge base of the bytes of a record file, given as bytes or a bytearray.
 
     Each line must match the layout documented at module top; the last
     may omit its "\n". Lines end where a file opened with ``newline=""``
     ends them, at a lone "\r" too, and no line may hold a "\r". The bytes
-    are checked a block of records at a time, as ``load_kb`` checks a
-    file; only when a check fails are they decoded (a byte that is not
-    ASCII as a lone surrogate) and walked line by line, so the error
-    carries the 1-based number and the reason of the first bad line.
+    are read through ``_read_kb``, as ``load_kb`` reads a file; only when a
+    check fails are they decoded (a byte that is not ASCII as a lone
+    surrogate) and walked line by line, so the error carries the 1-based
+    number and the reason of the first bad line.
     """
-    kb = _from_blocks(lambda start, stop: data[start:stop], len(data))
-    if kb is None:
-        _walk(data.decode("ascii", "surrogateescape"))
-    return kb
+    return _read_kb(io.BytesIO(data), len(data))[0]
 
 
 def load_kb(path: str) -> tuple[KnowledgeBase, str]:
     """The knowledge base of the record file at ``path`` and the SHA-256 hex of its bytes.
 
-    The file is read once, at most _BLOCK_RECORDS records per read, into
-    one buffer reused for every block, and checked as ``ingest_bytes``
-    checks a buffer; no read holds the whole file. Only when a check
-    fails is the file read again whole, to name the first bad line.
+    The file is read once, a block at a time, and checked as
+    ``ingest_bytes`` checks a buffer (``_read_kb``); only when a check fails
+    is it read again whole, to name the first bad line.
     """
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        buffer = bytearray(min(size, _BLOCK_BYTES))
-
-        def read(start: int, stop: int) -> bytearray:
-            got = fh.readinto(memoryview(buffer)[: stop - start])
-            # Only the last block is shorter than the buffer; it is copied out.
-            block = buffer if got == len(buffer) else buffer[:got]
-            digest.update(block)
-            return block
-
-        kb = _from_blocks(read, size)
-        if kb is None:
-            fh.seek(0)
-            _walk(fh.read().decode("ascii", "surrogateescape"))
-    return kb, digest.hexdigest()
+        return _read_kb(fh, os.fstat(fh.fileno()).st_size)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import tracemalloc
+from types import SimpleNamespace
 
 from robocache.cache import barcode_text
 from robocache.config import SimConfig
-from robocache.knowledge_base import KnowledgeBase, format_record_line, ingest_bytes
+from robocache.knowledge_base import RECORD_WIDTH, KnowledgeBase, format_record_line, ingest_bytes
 from robocache.netlink import LinkConfig
 from robocache.workload import Trace, WorkloadConfig
 
@@ -104,3 +106,12 @@ def traced_memory(call):
 def traced_peak(call) -> int:
     """The most memory ``call()`` held at once, in bytes beyond what was held before it."""
     return traced_memory(call)[2]
+
+
+def os_reporting_records_more(records: int) -> SimpleNamespace:
+    """A stand-in for ``knowledge_base.os`` whose ``fstat`` gives every file ``records`` records more than it holds.
+
+    A file read through it ends before its size, as one does that another
+    process cut short after its size was taken.
+    """
+    return SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=os.fstat(fd).st_size + records * RECORD_WIDTH))

@@ -2,15 +2,18 @@ import errno
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import robocache.knowledge_base
 from robocache.cli import _load_raw, run_cli
 from robocache.config import load_config
-from robocache.knowledge_base import format_record_line, load_kb
+from robocache.knowledge_base import RECORD_WIDTH, format_record_line, load_kb
 from robocache.simulator import result_digest, run
 from robocache.workload import barcode_for_rank, read_trace
 
+from helpers import os_reporting_records_more
 from reference import reference_replay, synth_record_line
 
 CONFIG_TEMPLATE = """\
@@ -55,6 +58,11 @@ def config_path(tmp_path):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def test_full_pipeline_generate_run_compare_report(config_path, capsys, tmp_path):
@@ -266,7 +274,7 @@ def test_compare_rejects_mismatched_knowledge_bases(change, message, config_path
     elif change == "baseline_without_config":
         # A raw report written before the config block existed.
         raw_path = os.path.join(out, "raw_baseline.json")
-        raw = json.load(open(raw_path))
+        raw = read_json(raw_path)
         del raw["config"]
         with open(raw_path, "w") as fh:
             json.dump(raw, fh)
@@ -317,6 +325,19 @@ def test_compare_refuses_to_write_over_an_input_report(case, config_path, tmp_pa
     assert {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)} == before
 
 
+def test_run_on_a_knowledge_base_cut_short_while_it_is_read_exits_one_naming_it(config_path, tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    monkeypatch.setattr(robocache.knowledge_base, "os", os_reporting_records_more(10))
+    capsys.readouterr()
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 1
+    captured = capsys.readouterr()
+    kb_path = os.path.join(out, "kb.dat")
+    read, size = 40 * RECORD_WIDTH, 50 * RECORD_WIDTH
+    assert captured.err == f"error: {kb_path}: read {read} of {size} bytes; the file was cut short while it was read\n"
+    assert not os.path.exists(os.path.join(out, "raw_baseline.json"))
+
+
 def test_compare_missing_file_exits_one(config_path, tmp_path, capsys):
     assert run_cli(["compare", str(tmp_path / "a.json"), str(tmp_path / "b.json")]) == 1
 
@@ -334,7 +355,7 @@ def test_alert_overrun_exits_two(config_path, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "ALERT overrun_minutes=" in err
-    raw = json.load(open(os.path.join(out, "raw_baseline.json")))
+    raw = read_json(os.path.join(out, "raw_baseline.json"))
     assert raw["alert"]["raised"] is True
 
 
@@ -404,7 +425,7 @@ def test_snapshots_of_robots_first_scanning_9_2_5_are_written_in_id_order(config
     (trace, _), (kb, _) = read_trace(config.trace_path), load_kb(config.kb_path)
     for method in ("baseline", "cached"):
         assert run_cli(["run", "--config", config_path, "--out", out, "--method", method, "--snapshots"]) == 0
-        raw = json.load(open(os.path.join(out, f"raw_{method}.json")))
+        raw = read_json(os.path.join(out, f"raw_{method}.json"))
         ref = reference_replay(method, trace, kb, config)
         assert raw["counters"] == ref.counters.to_dict(), method
         assert [value.hex() for value in raw["per_scan_latencies_ms"]] == [value.hex() for value in ref.counters.per_scan_latencies], method
@@ -422,7 +443,7 @@ def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
     out = str(tmp_path / "out")
     assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
     assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached", "--snapshots"]) == 0
-    raw = json.load(open(os.path.join(out, "raw_cached.json")))
+    raw = read_json(os.path.join(out, "raw_cached.json"))
     assert raw["method"] == "cached"
     assert len(raw["trace_digest"]) == 64
     counters = raw["counters"]
@@ -444,7 +465,7 @@ def test_raw_report_carries_counters_and_digest(config_path, tmp_path):
 
 def digest_from_directory(out, method):
     """``result_digest`` recomputed from the raw report and every snapshot file of ``method`` in ``out``."""
-    raw = json.load(open(os.path.join(out, f"raw_{method}.json")))
+    raw = read_json(os.path.join(out, f"raw_{method}.json"))
     prefix = f"snapshot_{method}_robot"
     robots = sorted(int(name[len(prefix) : -len(".csv")]) for name in os.listdir(out) if name.startswith(prefix))
     snapshots = []
@@ -469,7 +490,7 @@ def test_a_run_removes_the_snapshots_of_its_method_that_it_did_not_write(config_
 
     # A run that overflows writes no report, so it leaves the directory as it was.
     huge = tmp_path / "huge.ini"
-    huge.write_text(open(six).read().replace("probe_time_ms = 0.05", "probe_time_ms = 1e308"))
+    huge.write_text(Path(six).read_text().replace("probe_time_ms = 0.05", "probe_time_ms = 1e308"))
     before = {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)}
     assert run_cli(["run", "--config", str(huge), "--out", out, "--method", "cached"]) == 1
     assert {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)} == before
@@ -495,7 +516,7 @@ def test_raw_report_digests_are_the_sha256_of_the_input_files(config_path, tmp_p
     config = load_config(config_path, output_dir_override=out)
     for method in ("baseline", "cached"):
         assert run_cli(["run", "--config", config_path, "--out", out, "--method", method]) == 0
-        raw = json.load(open(os.path.join(out, f"raw_{method}.json")))
+        raw = read_json(os.path.join(out, f"raw_{method}.json"))
         assert raw["trace_digest"] == hashlib.sha256(read_bytes(config.trace_path)).hexdigest()
         assert raw["kb_digest"] == hashlib.sha256(read_bytes(config.kb_path)).hexdigest()
 
@@ -536,20 +557,20 @@ def test_compare_and_report_reject_a_bad_raw_report(damage, config_path, tmp_pat
     baseline = os.path.join(out, "raw_baseline.json")
     bad = tmp_path / "raw_cached.json"
     if damage == "truncated_json":
-        text = open(baseline).read()
+        text = Path(baseline).read_text()
         bad.write_text(text[: len(text) // 2])
     elif damage == "incomplete_metrics":
-        raw = json.load(open(baseline))
+        raw = read_json(baseline)
         del raw["metrics"]["processing_time_minutes"]
         bad.write_text(json.dumps(raw))
     elif damage in BAD_FIELDS:
         block, key, value = BAD_FIELDS[damage]
-        raw = json.load(open(baseline))
+        raw = read_json(baseline)
         raw[block][key] = value
         bad.write_text(json.dumps(raw))  # json.dumps writes NaN and Infinity as bare constants
     elif damage in TOO_LARGE:
         block, key, literal = TOO_LARGE[damage]
-        raw = json.load(open(baseline))
+        raw = read_json(baseline)
         raw[block][key] = "@"
         bad.write_text(json.dumps(raw).replace('"@"', literal))
     else:
@@ -569,7 +590,7 @@ def test_a_raw_report_loads_as_json_load_reads_it(config_path, tmp_path):
     assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached"]) == 0
     path = os.path.join(out, "raw_cached.json")
     loaded = _load_raw(path)[0]
-    expected = json.load(open(path))
+    expected = read_json(path)
     assert loaded == expected
     # == takes -0.0 for 0.0; the hex of each latency does not.
     assert [value.hex() for value in loaded["per_scan_latencies_ms"]] == [value.hex() for value in expected["per_scan_latencies_ms"]]
@@ -580,7 +601,7 @@ def test_a_number_text_repeated_in_a_raw_report_loads_as_equal_floats(config_pat
     assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
     assert run_cli(["run", "--config", config_path, "--out", out, "--method", "baseline"]) == 0
     path = os.path.join(out, "raw_baseline.json")
-    raw = json.load(open(path))
+    raw = read_json(path)
     raw["per_scan_latencies_ms"] = "@"
     with open(path, "w") as fh:
         fh.write(json.dumps(raw).replace('"@"', "[" + ", ".join(["0.1", "-0.0"] * 5000) + "]"))
@@ -607,7 +628,7 @@ def test_compare_and_report_ignore_a_metric_they_do_not_read(config_path, tmp_pa
 
     before = compare_and_report()
     for path in raw_paths:
-        raw = json.load(open(path))
+        raw = read_json(path)
         raw["metrics"]["first_decision_latency_minutes"] = 0.5
         with open(path, "w") as fh:
             json.dump(raw, fh)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import robocache.knowledge_base
 from robocache.cache import barcode_keys
-from robocache.errors import ConfigError, IngestError, MissingRecordError
+from robocache.errors import ConfigError, IngestError, MissingRecordError, SimulationError
 from robocache.knowledge_base import (
     BARCODE_WIDTH,
     LINE_WIDTH,
@@ -25,7 +25,7 @@ from robocache.knowledge_base import (
 )
 
 import reference
-from helpers import make_kb, traced_peak
+from helpers import make_kb, os_reporting_records_more, traced_peak
 from reference import reference_ingest, reference_load_kb, synth_record_line
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -614,6 +614,21 @@ def test_the_digest_of_a_file_of_several_blocks_is_its_sha256(block_edge_data, t
     path = tmp_path / "kb.dat"
     path.write_bytes(block_edge_data)
     assert load_kb(str(path))[1] == hashlib.sha256(block_edge_data).hexdigest()
+
+
+# 25,000 records end partway through the third block, 20,000 at its start:
+# the first read that comes up short asks for 5,010 records or for 10.
+@pytest.mark.parametrize("records", [25_000, 20_000])
+def test_a_file_cut_short_while_it_is_read_is_refused_naming_it(records, monkeypatch, tmp_path):
+    path = tmp_path / "kb.dat"
+    path.write_bytes(written_kb(records))
+    monkeypatch.setattr(robocache.knowledge_base, "os", os_reporting_records_more(10))
+    with pytest.raises(SimulationError) as exc_info:
+        load_kb(str(path))
+    # Not an IngestError: no line of the file is bad, and no partial index is returned.
+    assert type(exc_info.value) is SimulationError
+    read, size = records * RECORD_WIDTH, (records + 10) * RECORD_WIDTH
+    assert str(exc_info.value) == f"{path}: read {read} of {size} bytes; the file was cut short while it was read"
 
 
 MEMORY_RECORDS = 200_000
