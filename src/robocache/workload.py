@@ -18,12 +18,16 @@ Timestamps are written with repr so export and import round-trip
 exactly; a timestamp field is plain ASCII with no whitespace, "_" or sign.
 ``read_trace`` reads a trace file once and returns its ``Trace`` with the
 SHA-256 hex of its bytes, as ``knowledge_base.load_kb`` does for a record
-file. ``parse_trace_bytes`` is the one parser of those bytes: it checks
-them block by block, decoding one block of whole lines at a time, and
-fills the columns from them; a block's line structure, two commas on
-every line, is checked on its bytes from the positions of its "\n" and
-"," bytes. Only bytes that fail a check are decoded whole and walked line
-by line, which names the first bad line and its reason.
+file. ``parse_trace_bytes`` is the one parser of those bytes: it reads
+them block by block of whole lines through numpy views and decodes
+nothing. From the positions of a block's "\n" and "," bytes, which must
+put two commas on every line, it gathers each field through a
+fixed-width window: the 14 barcode bytes after the first comma, the
+robot id right-aligned before it, and the time NUL-padded after the
+second, cast to float64 in one call. Each check is a mask over those
+windows; a field wider than its window is read alone from its bytes.
+Only bytes that fail a check are decoded whole and walked line by line,
+which names the first bad line and its reason.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import NoReturn, Optional, TextIO, Tuple
 
 import numpy as np
 
-from .cache import BARCODE_FORMAT, barcode_keys, count_newlines, validate_barcode
+from .cache import BARCODE_FORMAT, BARCODE_WIDTH, barcode_keys, count_newlines, digit_keys, validate_barcode
 from .errors import ConfigError, TraceFormatError, ValidationError
 
 TRACE_HEADER = "robot_id,barcode,issued_at_ms"
@@ -53,14 +57,19 @@ _MAX_SCANS = np.iinfo(np.intp).max // 8  # the longest float64 column numpy can 
 # Every 14-digit barcode's key lies below this.
 _KEY_LIMIT = 10**14
 # Bytes per block of the parse, and per comparison of its "\n" count.
-_BLOCK_CHARS = 1 << 16
+_BLOCK_CHARS = 1 << 17
 # Rows per write of save_trace: only one block's text is held at a time.
 _WRITE_ROWS = 8192
 # Rows per check of the Trace constructor's time column.
 _CHECK_ROWS = 4096
-# Every character a plain time field may hold, and the comma between two:
-# deleting them from a block's ASCII time text must leave nothing.
-_TIME_CHARS = b",0123456789.eE+-"
+# The widest robot id the parse reads through a window: 18 digits always fit an int64.
+_ROBOT_DIGITS = 18
+# The widest time field the parse reads through a window; repr of a
+# float64 >= 0 is at most 23 characters.
+_TIME_WIDTH = 24
+# Row n marks the columns at or beyond n of a time's window: one gather of
+# these rows marks every short time's padding.
+_BEYOND = np.arange(_TIME_WIDTH) >= np.arange(_TIME_WIDTH + 1)[:, None]
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -261,57 +270,44 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     same values: the header, then ASCII lines that each end in "\n" and hold
     exactly two commas, digit robot ids and times of plain number
     characters with no leading sign. ASCII and the absence of "\r" are
-    checked once on all of ``data``; the two commas of each line in
-    _two_commas_a_line, on each block's bytes, before the block is decoded
-    and split into fields. Each block's barcodes become keys in
-    one ``barcode_keys`` call, its times floats in one ``np.fromiter`` and
-    its robot texts numbers, with one ``int()`` per distinct robot text.
+    checked once on all of ``data``; each block's lines and commas in
+    _line_edges, its barcodes here, and its robot ids and times in
+    _read_robots and _read_times, all on numpy views of its bytes.
     Robots, numbered as first met, are renumbered in id order in place at
     the end. The Trace constructor checks the time values and their order.
     """
     if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data or not data.isascii():
         return None
+    flat = np.frombuffer(data, np.uint8)
     mask = np.empty(_BLOCK_CHARS, bool)
-    scans = count_newlines(np.frombuffer(data, np.uint8), mask) - 1
+    scans = count_newlines(flat, mask) - 1
     robots = np.empty(scans, np.intp)
     keys = np.empty(scans, np.int64)
     times = np.empty(scans, np.float64)
-    number_of_text = {}  # robot text -> robot number
     number_of_id = {}  # robot id -> robot number, in the order first met
     row = 0
     start = len(_HEADER_LINE)
     while start < len(data):
-        # Whole lines, about _BLOCK_CHARS at a time: only one block's text,
-        # split fields and "\n" and comma positions are held beside the columns.
+        # Whole lines, about _BLOCK_CHARS at a time: only one block's field
+        # windows and "\n" and comma positions are held beside the columns.
         end = data.find(b"\n", start + _BLOCK_CHARS) + 1 or len(data)
-        view = np.frombuffer(data, np.uint8, end - start, start)
-        if len(view) > len(mask):  # _BLOCK_CHARS bytes and the rest of a line
-            mask = np.empty(len(view), bool)
-        if not _two_commas_a_line(view, mask):
+        if end - start > len(mask):  # _BLOCK_CHARS bytes and the rest of a line
+            mask = np.empty(end - start, bool)
+        edges = _line_edges(flat, start, end, mask)
+        if edges is None:
             return None
-        block = data[start : end - 1].decode("ascii")
+        starts, first, second, ends = edges
         start = end
-        fields = block.replace("\n", ",").split(",")
-        robot_col, barcode_col, time_col = fields[0::3], fields[1::3], fields[2::3]
-        robot_text = "".join(robot_col)
-        # A comma before every time field, so a leading sign shows as ",+" or ",-".
-        time_text = "," + ",".join(time_col)
-        if not robot_text.isdigit() or time_text.encode().translate(None, _TIME_CHARS):
-            return None
-        if ",+" in time_text or ",-" in time_text:
-            return None
-        rows = slice(row, row + len(robot_col))
+        rows = slice(row, row + len(ends))
         row = rows.stop
-        try:
-            for text in dict.fromkeys(robot_col):
-                if text not in number_of_text:
-                    # int() refuses an empty field and one longer than it converts.
-                    number_of_text[text] = number_of_id.setdefault(int(text), len(number_of_id))
-            keys[rows] = barcode_keys(barcode_col)
-            times[rows] = np.fromiter(map(float, time_col), np.float64, len(time_col))
-        except (ValueError, ValidationError):
+        if not (second - first == BARCODE_WIDTH + 1).all():
             return None
-        robots[rows] = np.fromiter(map(number_of_text.__getitem__, robot_col), np.intp, len(robot_col))
+        block_keys = digit_keys(_gather(flat, first + 1, BARCODE_WIDTH))
+        if block_keys is None:
+            return None
+        keys[rows] = block_keys
+        if not (_read_robots(flat, starts, first, robots[rows], number_of_id) and _read_times(flat, second + 1, ends, times[rows])):
+            return None
     robot_ids = tuple(sorted(number_of_id))
     number_of = dict(zip(robot_ids, range(len(robot_ids))))
     # Every number is in range, and "clip" mode writes in place where "raise" buffers a copy.
@@ -322,18 +318,108 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
         return None
 
 
-def _two_commas_a_line(block: np.ndarray, mask: np.ndarray) -> bool:
-    """Whether every line of ``block``, uint8 bytes of whole lines, holds exactly two commas.
+def _line_edges(flat: np.ndarray, start: int, end: int, mask: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
+    """The positions in ``flat`` of each line's start, first and second comma and "\n", for its whole lines from ``start`` to ``end``.
 
-    The "\n" and "," bytes are compared into the bool array ``mask``, at
-    least as long as ``block``, which the caller reuses for every block.
+    None unless every line holds exactly two commas. The "\n" and ","
+    bytes are compared into the bool array ``mask``, at least as long as
+    the block, which the caller reuses for every block.
     """
+    block = flat[start:end]
     ends = np.flatnonzero(np.equal(block, ord("\n"), out=mask[: len(block)]))
     commas = np.flatnonzero(np.equal(block, ord(","), out=mask[: len(block)]))
     # Not only 2n in all: a 4-field line and a 2-field line, in either order,
     # would pass as two rows. Line i's second comma lies before its end, and
     # line i+1's first after it.
-    return len(commas) == 2 * len(ends) and (commas[1::2] < ends).all() and (commas[2::2] > ends[:-1]).all()
+    if not (len(commas) == 2 * len(ends) and (commas[1::2] < ends).all() and (commas[2::2] > ends[:-1]).all()):
+        return None
+    ends += start
+    commas += start
+    starts = np.empty_like(ends)
+    starts[0] = start
+    np.add(ends[:-1], 1, out=starts[1:])
+    return starts, commas[0::2], commas[1::2], ends
+
+
+def _gather(flat: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``flat`` from each position in ``at``, one uint8 row each, copied."""
+    # Item i of this view is bytes i to i + width: one gather copies each row whole.
+    windows = np.ndarray((len(flat) - width + 1,), f"V{width}", flat, strides=(1,))
+    return windows[at].view(np.uint8).reshape(len(at), width)
+
+
+def _read_robots(flat: np.ndarray, starts: np.ndarray, first: np.ndarray, robots: np.ndarray, number_of_id: dict) -> bool:
+    """Number each line's robot id, its digits from ``starts`` to ``first``, into ``robots``; False if one is not digits.
+
+    ``number_of_id`` numbers an id when first met. An id of up to
+    _ROBOT_DIGITS digits is read from its window; a wider one alone from
+    its bytes.
+    """
+    lengths = first - starts
+    if not lengths.min() > 0:
+        return False
+    width = min(int(lengths.max()), _ROBOT_DIGITS)
+    digits = _gather(flat, first - width, width)
+    # Left of a shorter id, the window holds the line before it: read as zeros.
+    digits[np.arange(width) < width - lengths[:, None]] = ord("0")
+    ids = digit_keys(digits)
+    if ids is None:
+        return False
+    wide_ids = []  # the id of a wider line is ~i, its index here
+    for line in np.flatnonzero(lengths > width).tolist():
+        text = flat[starts[line] : first[line]].tobytes()
+        if not text.isdigit():
+            return False
+        try:
+            wide_ids.append(int(text))
+        except ValueError:  # more digits than int() converts
+            return False
+        ids[line] = ~(len(wide_ids) - 1)
+    ordered = np.sort(ids)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    numbers = [number_of_id.setdefault(wide_ids[~value] if value < 0 else value, len(number_of_id)) for value in distinct.tolist()]
+    np.take(np.array(numbers, np.intp), np.searchsorted(distinct, ids), out=robots)
+    return True
+
+
+def _read_times(flat: np.ndarray, at: np.ndarray, ends: np.ndarray, times: np.ndarray) -> bool:
+    """Read each line's time, its bytes from ``at`` to ``ends``, into ``times``; False if one is not a plain number >= 0.
+
+    A time of up to _TIME_WIDTH bytes is cast from its NUL-padded window
+    of the S dtype, with float()'s bits; a wider one, or one whose window
+    would run past the end of ``flat``, is read alone from its bytes.
+    """
+    lengths = ends - at
+    signs = flat[at]
+    if not lengths.min() > 0 or (signs == ord("+")).any() or (signs == ord("-")).any():
+        return False
+    width = min(int(lengths.max()), _TIME_WIDTH)
+    wide = (lengths > width) | (at > len(flat) - width)
+    narrow = ~wide if wide.any() else slice(None)
+    text = _gather(flat, at[narrow], width)
+    pad = _BEYOND.take(lengths[narrow], axis=0)[:, :width]
+    if not (_time_bytes(text) | pad).all():
+        return False
+    # The S dtype reads a field shorter than its width up to its first trailing NUL.
+    text[pad] = 0
+    try:
+        times[narrow] = text.view(f"S{width}")[:, 0]  # cast on assignment, with no float64 temporary
+        for line in np.flatnonzero(wide).tolist():
+            field = flat[at[line] : ends[line]]
+            if not _time_bytes(field).all():
+                return False
+            times[line] = float(field.tobytes())
+    except ValueError:
+        return False
+    return True
+
+
+def _time_bytes(text: np.ndarray) -> np.ndarray:
+    """Which of the uint8 bytes ``text`` a plain time field may hold: a digit or one of ".eE+-"."""
+    holds = (text - ord("0")) < 10  # below "0" wraps round to 10 or more
+    for char in b".eE+-":
+        holds |= text == char
+    return holds
 
 
 def _walk_lines(text: str) -> NoReturn:

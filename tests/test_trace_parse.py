@@ -4,9 +4,9 @@ Each parity case puts one bad line on line 3, after a good line 2, and
 loads the file both from its bytes (``parse_trace_bytes``) and from disk
 (``read_trace``); both give the line walk's line number and reason. A
 differential fuzz holds both to the walk kept verbatim in
-``reference.py``, and tripwires check that a generated trace, an empty
-file, a header without its "\n" and a last line without its "\n" load
-without the walk.
+``reference.py``, and tripwires check that a generated trace, every
+accepted form of a robot id and a time, an empty file, a header without
+its "\n" and a last line without its "\n" load without the walk.
 """
 
 import hashlib
@@ -57,6 +57,9 @@ REFUSED = [
     ("robot-empty", robot_line(""), (3, "robot_id '' is not an integer")),
     ("robot-full-width", robot_line("７"), (3, "robot_id '７' is not an integer")),
     ("robot-space", robot_line(" 1"), (3, "robot_id ' 1' is not an integer")),
+    ("robot-nul", robot_line("1\x00"), (3, "robot_id '1\\x00' is not an integer")),
+    # Wider than a robot id's window, so read alone from its bytes.
+    ("robot-wide-plus", robot_line("+" + "1" * 20), (3, f"robot_id '+{'1' * 20}' has a sign")),
     ("barcode-letter", on_line_3("0,1000000000000x,2.0"), (3, BAD_KEY.format("1000000000000x"))),
     ("barcode-short", on_line_3("0,123,2.0"), (3, BAD_KEY.format("123"))),
     ("barcode-long", on_line_3("0,100000000000000,2.0"), (3, BAD_KEY.format("100000000000000"))),
@@ -67,6 +70,10 @@ REFUSED = [
     ("time-leading-tab", time_line("\t5"), (3, "issued_at_ms '\\t5' is not a plain ASCII number")),
     ("time-full-width", time_line("５"), (3, "issued_at_ms '５' is not a plain ASCII number")),
     ("time-crlf", time_line("5\r"), (3, "issued_at_ms '5\\r' is not a plain ASCII number")),
+    # numpy's S dtype drops trailing NULs, so a NUL-padded read alone would take this one.
+    ("time-trailing-nul", time_line("2.0\x00"), (3, "issued_at_ms '2.0\\x00' is not a number")),
+    ("time-inner-nul", time_line("2\x000"), (3, "issued_at_ms '2\\x000' is not a number")),
+    ("time-wide-space", time_line(" " + "1" * 30), (3, f"issued_at_ms ' {'1' * 30}' is not a plain ASCII number")),
     ("time-plus", time_line("+5"), (3, "issued_at_ms '+5' has a sign")),
     ("time-minus-zero", time_line("-0.0"), (3, "issued_at_ms '-0.0' has a sign")),
     ("time-negative", time_line("-5"), (3, "issued_at_ms -5 is not a finite non-negative time")),
@@ -116,8 +123,9 @@ def test_a_last_line_without_a_newline_still_loads(tmp_path):
     assert read_trace(str(path))[0] == expected
 
 
-# Robot ids of one and two digits, repeated barcodes, and the time forms
-# save_trace writes (a zero, an exponent, an integer-valued float).
+# Robot ids of one and two digits, repeated barcodes, the time forms
+# save_trace writes (a zero, an exponent, an integer-valued float), and a
+# robot id (2**64 + 5) and a time wider than the windows the parse reads.
 FUZZ_BASE = (
     HEADER
     + "0,10000000000000,0.0\n"
@@ -125,12 +133,14 @@ FUZZ_BASE = (
     + "3,10000000000000,2.5\n"
     + "0,98765432109876,2.5\n"
     + "7,10000000000007,1000.0\n"
+    + "18446744073709551621,10000000000003,1000.50000000000000000000000000\n"
     + "1,10000000000001,1.5e+16\n"
 )
 # What each inserted character tests: field and line structure, the CR the
-# bulk parse refuses, "_" and signs, whitespace, non-ASCII digits and
-# letters, the surrogate an undecodable byte becomes, and valid characters.
-FUZZ_CHARS = [",", "\n", "\r", "_", "+", "-", " ", "\t", "５", "é", "\udcff", "0", "9", ".", "e"]
+# bulk parse refuses, "_" and signs, whitespace, the NUL that pads a time's
+# window, non-ASCII digits and letters, the surrogate an undecodable byte
+# becomes, and valid characters.
+FUZZ_CHARS = [",", "\n", "\r", "_", "+", "-", " ", "\t", "\x00", "５", "é", "\udcff", "0", "9", ".", "e"]
 
 
 @st.composite
@@ -213,9 +223,52 @@ def test_a_generated_trace_loads_without_the_line_walk(monkeypatch, tmp_path):
     assert read_trace(str(path))[0] == trace
 
 
+# Zero-padded and plain forms of one robot id; ids of 1, 2, 18 and 20 digits
+# (2**64 + 5, wider than an int64) and a 26-character zero-padded one,
+# which are read alone from their bytes; and each form of a time that
+# float() reads, in order.
+ACCEPTED_ROWS = [
+    ("007", 7, "1e-05"),
+    ("7", 7, "5."),
+    ("3", 3, ".5e1"),
+    ("12", 12, "100000"),
+    (str(10**17 + 3), 10**17 + 3, "1E5"),
+    (str(2**64 + 5), 2**64 + 5, "1.5e+16"),
+    ("12".zfill(26), 12, "1.5e+16"),
+]
+
+
+@pytest.mark.parametrize("block_chars", [robocache.workload._BLOCK_CHARS] + SMALL_BLOCKS)
+def test_every_accepted_field_form_loads_without_the_line_walk(block_chars, monkeypatch):
+    monkeypatch.setattr(robocache.workload, "_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(robocache.workload, "_walk_lines", walk_refused)
+    text = HEADER + "".join(f"{robot},{10000000000000 + at},{time}\n" for at, (robot, _, time) in enumerate(ACCEPTED_ROWS))
+    expected = make_trace(
+        (robot_id, str(10000000000000 + at), float(time)) for at, (_, robot_id, time) in enumerate(ACCEPTED_ROWS)
+    )
+    assert parse_trace_bytes(text.encode()) == expected
+
+
+def test_a_block_with_wide_fields_parses_in_bounded_memory():
+    # One block holds a 100,000-character time and a 31-digit robot id
+    # among 4,000 short lines. Each wide field is read alone from its
+    # bytes: a window as wide as the widest field would hold 100,000 bytes
+    # for every line of the block, thousands of times the file.
+    rows = [(at % 4, str(10000000000000 + at % 50), float(at)) for at in range(4000)]
+    lines = [f"{robot},{barcode},{time!r}\n" for robot, barcode, time in rows]
+    # Row 2000 again, with robot 0 and time 2000.0 written wide.
+    lines[2000] = "0".zfill(31) + ",10000000000000," + "2000.".ljust(100_000, "0") + "\n"
+    data = (HEADER + "".join(lines)).encode()
+    expected = make_trace(rows)
+    del rows, lines
+    trace, _, peak = traced_memory(lambda: parse_trace_bytes(data))
+    assert trace == expected
+    assert peak <= 8 * len(data), f"the parse peaked at {peak / len(data):.2f}x the file's bytes"
+
+
 def test_parsing_a_trace_peaks_near_the_columns_it_keeps():
     # Block by block, the parse holds beside its columns only one block's
-    # text, fields and comma and "\n" positions, never a temporary as long as the trace.
+    # field windows and comma and "\n" positions, never a temporary as long as the trace.
     config = load_config(desk_scale_path())
     out = io.StringIO()
     robocache.workload.save_trace(generate(replace(config.workload, total_scans=100_000)), out)
