@@ -15,8 +15,9 @@ Exit codes: 0 success, 1 usage or input error, 2 success with the
 processing-time alert raised (distinguishable for scripting). Given
 identical inputs and seed every subcommand writes byte-identical output
 files. ``run`` removes its method's snapshot files of any earlier run
-from the output directory, and ``compare`` refuses to write its table
-over either input report.
+from the output directory, and refuses an input file that it would
+write or remove; ``compare`` refuses to write its table over either
+input report.
 """
 
 from __future__ import annotations
@@ -102,7 +103,16 @@ def _naming_bad_lines(path: str):
 
 
 def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int:
-    for path, what in ((config.trace_path, "trace"), (config.kb_path, "knowledge base")):
+    inputs = ((config.trace_path, "trace"), (config.kb_path, "knowledge base"))
+    # The files this run writes, and the snapshots it removes, must not be its inputs.
+    out_dir = os.path.realpath(config.output_dir)
+    written = {os.path.realpath(os.path.join(out_dir, name)) for name in (f"report_{method.value}.csv", f"raw_{method.value}.json")}
+    snapshot = re.compile(f"snapshot_{method.value}_robot[0-9]+\\.csv")
+    for path, what in inputs:
+        real = os.path.realpath(path)
+        if real in written or (os.path.dirname(real) == out_dir and snapshot.fullmatch(os.path.basename(real))):
+            raise SimulationError(f"{what} file {path} is one that `run --method {method.value}` writes or removes; give another --out")
+    for path, what in inputs:
         if not os.path.exists(path):
             print(f"error: {what} file not found: {path} (run `generate` first)", file=sys.stderr)
             return 1
@@ -133,7 +143,7 @@ def cmd_run(config: SimConfig, method: MethodKind, write_snapshots: bool) -> int
         fh.write(raw + "\n")
     # Snapshots of an earlier run beside the new raw report would not recompute its digest.
     for name in os.listdir(config.output_dir):
-        if re.fullmatch(f"snapshot_{method.value}_robot[0-9]+\\.csv", name):
+        if snapshot.fullmatch(name):
             os.remove(os.path.join(config.output_dir, name))
     if write_snapshots:
         for index, rows in enumerate(result.snapshots):

@@ -35,8 +35,8 @@ Example::
 
 Seeds are always explicit; there is no time-derived default anywhere.
 A section or key not shown above is refused, so a misspelt key is an
-error, not a silent default, and so is a trace_path and kb_path that
-name the same file.
+error, not a silent default, and so is an empty output_dir, trace_path
+or kb_path, and a trace_path and kb_path that name the same file.
 """
 
 from __future__ import annotations
@@ -153,6 +153,10 @@ def load_config(path: str, *, seed_override: int | None = None, output_dir_overr
     )
     kb_path = _get(parser, "station", "kb_path", str, default=os.path.join(output_dir, "kb.dat"))
     trace_path = _get(parser, "workload", "trace_path", str, default=os.path.join(output_dir, "trace.csv"))
+    # An empty path would put the files in the working directory, or name it.
+    for section, key, value in (("run", "output_dir", output_dir), ("workload", "trace_path", trace_path), ("station", "kb_path", kb_path)):
+        if not value:
+            raise ConfigError(f"config key [{section}] {key} is empty")
     # generate would write the records over the trace it had just written.
     if os.path.realpath(kb_path) == os.path.realpath(trace_path):
         raise ConfigError(f"[workload] trace_path {trace_path!r} and [station] kb_path {kb_path!r} name the same file")

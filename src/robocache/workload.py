@@ -13,21 +13,21 @@ of that contract and pinned by a golden trace in the test suite.
 Trace CSV format: one header line ``robot_id,barcode,issued_at_ms``
 followed by one line per scan, UTF-8, "\n" newlines. A barcode is written
 as its key's 14 zero-padded digits, the one place besides the replay's
-snapshots and its missing-record error where a key becomes text.
-Timestamps are written with repr so export and import round-trip
-exactly; a timestamp field is plain ASCII with no whitespace, "_" or sign.
+snapshots and its missing-record error where a key becomes text. A
+robot id is 1 to 18 ASCII digits. Timestamps are written with repr so
+export and import round-trip exactly; a timestamp field is 1 to 24 bytes
+of plain ASCII with no whitespace, "_" or sign.
 ``read_trace`` reads a trace file once and returns its ``Trace`` with the
 SHA-256 hex of its bytes, as ``knowledge_base.load_kb`` does for a record
 file. ``parse_trace_bytes`` is the one parser of those bytes: it reads
 them block by block of whole lines through numpy views and decodes
 nothing. From the positions of a block's "\n" and "," bytes, which must
-put two commas on every line, it gathers each field through a
-fixed-width window: the 14 barcode bytes after the first comma, the
-robot id right-aligned before it, and the time NUL-padded after the
-second, cast to float64 in one call. Each check is a mask over those
-windows; a field wider than its window is read alone from its bytes.
-Only bytes that fail a check are decoded whole and walked line by line,
-which names the first bad line and its reason.
+put two commas on every line, it gathers each field through a window:
+the 14 barcode bytes after the first comma, and the robot id and the
+time right-aligned before the comma or "\n" that ends them. Each check
+is a mask over those windows. Only bytes that fail a check are decoded
+whole and walked line by line, which names the first bad line and its
+reason.
 """
 
 from __future__ import annotations
@@ -62,14 +62,11 @@ _BLOCK_CHARS = 1 << 17
 _WRITE_ROWS = 8192
 # Rows per check of the Trace constructor's time column.
 _CHECK_ROWS = 4096
-# The widest robot id the parse reads through a window: 18 digits always fit an int64.
+# The widest robot id a trace holds: 18 digits always fit an int64.
 _ROBOT_DIGITS = 18
-# The widest time field the parse reads through a window; repr of a
-# float64 >= 0 is at most 23 characters.
+# The widest time field a trace file holds; repr of a float64 >= 0 is at
+# most 23 characters.
 _TIME_WIDTH = 24
-# Row n marks the columns at or beyond n of a time's window: one gather of
-# these rows marks every short time's padding.
-_BEYOND = np.arange(_TIME_WIDTH) >= np.arange(_TIME_WIDTH + 1)[:, None]
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -85,10 +82,10 @@ class Trace:
 
     ``keys`` (int64) holds each barcode's 14 digits as one integer, whose
     text is ``cache.barcode_text`` of it; ``issued_at`` is float64.
-    ``robot_ids`` holds the distinct robot ids ascending, Python ints of any
-    size, and ``robots`` each scan's index in it, its robot number. Building
-    one is the one check on a trace's values; its columns are read-only
-    views, which keeps it valid.
+    ``robot_ids`` holds the distinct robot ids ascending, ints below 10**18
+    as a trace file's 18 digits hold, and ``robots`` each scan's index in
+    it, its robot number. Building one is the one check on a trace's
+    values; its columns are read-only views, which keeps it valid.
     """
 
     robots: np.ndarray
@@ -100,7 +97,7 @@ class Trace:
         """Check and hold one trace; ValidationError names what is wrong.
 
         Built by hand, each column has a value per scan: ``robot_ids``
-        ints >= 0, ``barcodes`` 14-digit strs (one ``barcode_keys`` check)
+        ints in [0, 10**18), ``barcodes`` 14-digit strs (one ``barcode_keys`` check)
         and ``issued_at`` ints or floats, which are held as float64.
         ``generate`` and the parser pass arrays instead, checked in numpy:
         the int64 keys as ``barcodes``, float64 times, and each scan's intp
@@ -114,12 +111,11 @@ class Trace:
         lengths = (len(robot_ids) if robots is None else len(robots), len(barcodes), len(issued_at))
         if len(set(lengths)) != 1:
             raise ValidationError(f"trace columns differ in length: {lengths[0]}, {lengths[1]}, {lengths[2]}")
-        if not set(map(type, robot_ids)) <= {int} or min(robot_ids, default=0) < 0:
-            raise ValidationError("every robot id must be an int >= 0")
-        if robots is None:
-            scan_ids, robot_ids = robot_ids, tuple(sorted(set(robot_ids)))
-            number_of = dict(zip(robot_ids, range(len(robot_ids))))
-            robots = np.fromiter(map(number_of.__getitem__, scan_ids), np.intp, len(scan_ids))
+        if not set(map(type, robot_ids)) <= {int} or min(robot_ids, default=0) < 0 or max(robot_ids, default=0) >= 10**_ROBOT_DIGITS:
+            raise ValidationError(f"every robot id must be an int in [0, 10**{_ROBOT_DIGITS})")
+        if robots is None:  # every id fits an int64
+            distinct, robots = np.unique(np.array(robot_ids, np.int64), return_inverse=True)
+            robot_ids = tuple(distinct.tolist())
         elif not (
             robot_ids == tuple(sorted(set(robot_ids)))
             and isinstance(robots, np.ndarray) and robots.dtype == np.intp and robots.ndim == 1
@@ -268,15 +264,15 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
 
     Accepts exactly the text that _walk_lines passes to its end, with the
     same values: the header, then ASCII lines that each end in "\n" and hold
-    exactly two commas, digit robot ids and times of plain number
-    characters with no leading sign. ASCII and the absence of "\r" are
-    checked once on all of ``data``; each block's lines and commas in
-    _line_edges, its barcodes here, and its robot ids and times in
-    _read_robots and _read_times, all on numpy views of its bytes.
+    exactly two commas, robot ids of 1 to _ROBOT_DIGITS digits and times of
+    1 to _TIME_WIDTH plain number bytes with no leading sign. ASCII and the
+    absence of "\r" and " " are checked once on all of ``data``; each
+    block's lines and commas in _line_edges, its barcodes here, and its
+    robot ids and times in _read_robots and _read_times, all on numpy views.
     Robots, numbered as first met, are renumbered in id order in place at
     the end. The Trace constructor checks the time values and their order.
     """
-    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data or not data.isascii():
+    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data or b" " in data or not data.isascii():
         return None
     flat = np.frombuffer(data, np.uint8)
     mask = np.empty(_BLOCK_CHARS, bool)
@@ -291,22 +287,22 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
         # Whole lines, about _BLOCK_CHARS at a time: only one block's field
         # windows and "\n" and comma positions are held beside the columns.
         end = data.find(b"\n", start + _BLOCK_CHARS) + 1 or len(data)
-        if end - start > len(mask):  # _BLOCK_CHARS bytes and the rest of a line
-            mask = np.empty(end - start, bool)
+        if end - start >= len(mask):  # the "\n" before, _BLOCK_CHARS bytes and the rest of a line
+            mask = np.empty(end - start + 1, bool)
         edges = _line_edges(flat, start, end, mask)
         if edges is None:
             return None
-        starts, first, second, ends = edges
+        before, first, second, ends = edges
         start = end
         rows = slice(row, row + len(ends))
         row = rows.stop
         if not (second - first == BARCODE_WIDTH + 1).all():
             return None
-        block_keys = digit_keys(_gather(flat, first + 1, BARCODE_WIDTH))
+        block_keys = digit_keys(_right_window(flat, second, second - first - 1, BARCODE_WIDTH, ord("0")))
         if block_keys is None:
             return None
         keys[rows] = block_keys
-        if not (_read_robots(flat, starts, first, robots[rows], number_of_id) and _read_times(flat, second + 1, ends, times[rows])):
+        if not (_read_robots(flat, first, first - before - 1, robots[rows], number_of_id) and _read_times(flat, ends, ends - second - 1, times[rows])):
             return None
     robot_ids = tuple(sorted(number_of_id))
     number_of = dict(zip(robot_ids, range(len(robot_ids))))
@@ -319,105 +315,79 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
 
 
 def _line_edges(flat: np.ndarray, start: int, end: int, mask: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
-    """The positions in ``flat`` of each line's start, first and second comma and "\n", for its whole lines from ``start`` to ``end``.
+    """The positions in ``flat`` of the "\n" before each line, its first and second comma and its "\n", for the whole lines from ``start`` to ``end``.
 
     None unless every line holds exactly two commas. The "\n" and ","
-    bytes are compared into the bool array ``mask``, at least as long as
-    the block, which the caller reuses for every block.
+    bytes are compared into the bool array ``mask``, longer than the
+    block, which the caller reuses for every block.
     """
-    block = flat[start:end]
-    ends = np.flatnonzero(np.equal(block, ord("\n"), out=mask[: len(block)]))
+    block = flat[start - 1 : end]  # from the "\n" that ends the line or header before
+    newlines = np.flatnonzero(np.equal(block, ord("\n"), out=mask[: len(block)]))
     commas = np.flatnonzero(np.equal(block, ord(","), out=mask[: len(block)]))
     # Not only 2n in all: a 4-field line and a 2-field line, in either order,
-    # would pass as two rows. Line i's second comma lies before its end, and
-    # line i+1's first after it.
-    if not (len(commas) == 2 * len(ends) and (commas[1::2] < ends).all() and (commas[2::2] > ends[:-1]).all()):
+    # would pass as two rows. Each line's commas lie between its "\n" and the one before.
+    if not (len(commas) == 2 * len(newlines) - 2 and (commas[0::2] > newlines[:-1]).all() and (commas[1::2] < newlines[1:]).all()):
         return None
-    ends += start
-    commas += start
-    starts = np.empty_like(ends)
-    starts[0] = start
-    np.add(ends[:-1], 1, out=starts[1:])
-    return starts, commas[0::2], commas[1::2], ends
+    newlines += start - 1
+    commas += start - 1
+    return newlines[:-1], commas[0::2], commas[1::2], newlines[1:]
 
 
-def _gather(flat: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bytes of ``flat`` from each position in ``at``, one uint8 row each, copied."""
+def _right_window(flat: np.ndarray, ends: np.ndarray, lengths: np.ndarray, widest: int, fill: int) -> Optional[np.ndarray]:
+    """Each line's field, its ``lengths`` bytes of ``flat`` before ``ends``, right-aligned in a copied uint8 row; None unless each is 1 to ``widest`` bytes.
+
+    The rows are as wide as the longest field. Left of a shorter one, a
+    row holds bytes of its line or the header, overwritten with ``fill``.
+    """
+    narrowest, width = int(lengths.min()), int(lengths.max())
+    if not 0 < narrowest <= width <= widest:
+        return None
     # Item i of this view is bytes i to i + width: one gather copies each row whole.
     windows = np.ndarray((len(flat) - width + 1,), f"V{width}", flat, strides=(1,))
-    return windows[at].view(np.uint8).reshape(len(at), width)
+    text = windows[ends - width].view(np.uint8).reshape(len(ends), width)
+    if narrowest < width:
+        text[np.arange(width) < width - lengths[:, None]] = fill
+    return text
 
 
-def _read_robots(flat: np.ndarray, starts: np.ndarray, first: np.ndarray, robots: np.ndarray, number_of_id: dict) -> bool:
-    """Number each line's robot id, its digits from ``starts`` to ``first``, into ``robots``; False if one is not digits.
+def _read_robots(flat: np.ndarray, first: np.ndarray, lengths: np.ndarray, robots: np.ndarray, number_of_id: dict) -> bool:
+    """Number each line's robot id, its ``lengths`` bytes before ``first``, into ``robots``; False unless each is 1 to _ROBOT_DIGITS digits.
 
-    ``number_of_id`` numbers an id when first met. An id of up to
-    _ROBOT_DIGITS digits is read from its window; a wider one alone from
-    its bytes.
+    An id's window reads its pad as zeros. ``number_of_id`` numbers an id
+    when first met.
     """
-    lengths = first - starts
-    if not lengths.min() > 0:
-        return False
-    width = min(int(lengths.max()), _ROBOT_DIGITS)
-    digits = _gather(flat, first - width, width)
-    # Left of a shorter id, the window holds the line before it: read as zeros.
-    digits[np.arange(width) < width - lengths[:, None]] = ord("0")
-    ids = digit_keys(digits)
+    digits = _right_window(flat, first, lengths, _ROBOT_DIGITS, ord("0"))
+    ids = None if digits is None else digit_keys(digits)
     if ids is None:
         return False
-    wide_ids = []  # the id of a wider line is ~i, its index here
-    for line in np.flatnonzero(lengths > width).tolist():
-        text = flat[starts[line] : first[line]].tobytes()
-        if not text.isdigit():
-            return False
-        try:
-            wide_ids.append(int(text))
-        except ValueError:  # more digits than int() converts
-            return False
-        ids[line] = ~(len(wide_ids) - 1)
     ordered = np.sort(ids)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    numbers = [number_of_id.setdefault(wide_ids[~value] if value < 0 else value, len(number_of_id)) for value in distinct.tolist()]
+    numbers = [number_of_id.setdefault(value, len(number_of_id)) for value in distinct.tolist()]
     np.take(np.array(numbers, np.intp), np.searchsorted(distinct, ids), out=robots)
     return True
 
 
-def _read_times(flat: np.ndarray, at: np.ndarray, ends: np.ndarray, times: np.ndarray) -> bool:
-    """Read each line's time, its bytes from ``at`` to ``ends``, into ``times``; False if one is not a plain number >= 0.
+def _read_times(flat: np.ndarray, ends: np.ndarray, lengths: np.ndarray, times: np.ndarray) -> bool:
+    """Read each line's time, its ``lengths`` bytes before ``ends``, into ``times``; False unless each is a plain number >= 0 of 1 to _TIME_WIDTH bytes.
 
-    A time of up to _TIME_WIDTH bytes is cast from its NUL-padded window
-    of the S dtype, with float()'s bits; a wider one, or one whose window
-    would run past the end of ``flat``, is read alone from its bytes.
+    A time's window pads it with spaces, which the S dtype's cast to
+    float64 skips as float() does; the cast gives float()'s bits.
     """
-    lengths = ends - at
-    signs = flat[at]
-    if not lengths.min() > 0 or (signs == ord("+")).any() or (signs == ord("-")).any():
+    text = _right_window(flat, ends, lengths, _TIME_WIDTH, ord(" "))
+    signs = flat[ends - lengths]
+    if text is None or (signs == ord("+")).any() or (signs == ord("-")).any() or not _time_bytes(text).all():
         return False
-    width = min(int(lengths.max()), _TIME_WIDTH)
-    wide = (lengths > width) | (at > len(flat) - width)
-    narrow = ~wide if wide.any() else slice(None)
-    text = _gather(flat, at[narrow], width)
-    pad = _BEYOND.take(lengths[narrow], axis=0)[:, :width]
-    if not (_time_bytes(text) | pad).all():
-        return False
-    # The S dtype reads a field shorter than its width up to its first trailing NUL.
-    text[pad] = 0
     try:
-        times[narrow] = text.view(f"S{width}")[:, 0]  # cast on assignment, with no float64 temporary
-        for line in np.flatnonzero(wide).tolist():
-            field = flat[at[line] : ends[line]]
-            if not _time_bytes(field).all():
-                return False
-            times[line] = float(field.tobytes())
+        times[:] = text.view(f"S{text.shape[1]}")[:, 0]  # cast on assignment, with no float64 temporary
     except ValueError:
         return False
     return True
 
 
 def _time_bytes(text: np.ndarray) -> np.ndarray:
-    """Which of the uint8 bytes ``text`` a plain time field may hold: a digit or one of ".eE+-"."""
+    """Which of the uint8 bytes ``text`` a time's window may hold: a digit, one of ".eE+-", or the space of its pad, which no trace holds."""
     holds = (text - ord("0")) < 10  # below "0" wraps round to 10 or more
-    for char in b".eE+-":
+    for char in b" .eE+-":
         holds |= text == char
     return holds
 
@@ -433,7 +403,9 @@ def _walk_lines(text: str) -> NoReturn:
         line = raw[:-1] if raw.endswith("\n") else raw
         if line_no == 1:
             if line != TRACE_HEADER:
-                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {line!r}")
+                # A file that is not a trace may be one long line: repeat at most 40 characters.
+                got = repr(line) if len(line) <= 40 else f"{len(line)} characters starting {line[:40]!r}"
+                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {got}")
             continue
         parts = line.split(",")
         if len(parts) != 3:
@@ -443,14 +415,12 @@ def _walk_lines(text: str) -> NoReturn:
         if not (robot_field.isascii() and robot_field.isdigit()):
             sign, unsigned = robot_field[:1], robot_field[1:]
             if sign in ("-", "+") and unsigned.isascii() and unsigned.isdigit():
-                if sign == "-" and int(unsigned) > 0:
+                if sign == "-" and unsigned.strip("0"):
                     raise TraceFormatError(line_no, f"robot_id {robot_field} is negative")
                 raise TraceFormatError(line_no, f"robot_id {robot_field!r} has a sign")
             raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer")
-        try:
-            int(robot_field)
-        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-            raise TraceFormatError(line_no, f"robot_id of {len(robot_field)} digits is too long") from None
+        if len(robot_field) > _ROBOT_DIGITS:
+            raise TraceFormatError(line_no, f"robot_id of {len(robot_field)} digits is too long")
         try:
             validate_barcode(barcode)
         except ValidationError as exc:
@@ -458,6 +428,8 @@ def _walk_lines(text: str) -> NoReturn:
         # float() would also take "1_0", " 5", "5\r" or full-width digits.
         if not time_field.isascii() or "_" in time_field or time_field != time_field.strip():
             raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a plain ASCII number")
+        if len(time_field) > _TIME_WIDTH:
+            raise TraceFormatError(line_no, f"issued_at_ms of {len(time_field)} bytes is too long")
         try:
             issued_at = float(time_field)
         except ValueError:

@@ -10,7 +10,9 @@ shared dataclasses for inputs.
 synth_record_line formats one synthetic knowledge-base line per rank, the
 way the knowledge-base writer formatted them before the record file was
 filled a field at a time. reference_load_trace is the trace-file line walk as it stood before
-the whole-input parse, kept verbatim. reference_save_trace is the trace
+the whole-input parse, narrowed since to robot ids of at most 18 digits
+and times of at most 24 bytes, with a bad header named by at most its
+first 40 characters, and with a negative robot id found without int(). reference_save_trace is the trace
 writer as it stood while each row was formatted by ``"%s,%s,%r\n"``,
 kept verbatim: 8,192 rows a write, each distinct key formatted once a
 write. reference_ingest is the
@@ -204,7 +206,8 @@ def reference_load_trace(stream) -> Trace:
         line = raw[:-1] if raw.endswith("\n") else raw
         if line_no == 1:
             if line != TRACE_HEADER:
-                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {line!r}")
+                got = repr(line) if len(line) <= 40 else f"{len(line)} characters starting {line[:40]!r}"
+                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {got}")
             continue
         parts = line.split(",")
         if len(parts) != 3:
@@ -214,10 +217,12 @@ def reference_load_trace(stream) -> Trace:
         if not (robot_field.isascii() and robot_field.isdigit()):
             sign, unsigned = robot_field[:1], robot_field[1:]
             if sign in ("-", "+") and unsigned.isascii() and unsigned.isdigit():
-                if sign == "-" and int(unsigned) > 0:
+                if sign == "-" and unsigned.strip("0"):
                     raise TraceFormatError(line_no, f"robot_id {robot_field} is negative")
                 raise TraceFormatError(line_no, f"robot_id {robot_field!r} has a sign")
             raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer")
+        if len(robot_field) > 18:
+            raise TraceFormatError(line_no, f"robot_id of {len(robot_field)} digits is too long")
         robot_id = int(robot_field)
         try:
             validate_barcode(barcode)
@@ -226,6 +231,8 @@ def reference_load_trace(stream) -> Trace:
         # float() would also take "1_0", " 5", "5\r" or full-width digits.
         if not time_field.isascii() or "_" in time_field or time_field != time_field.strip():
             raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a plain ASCII number")
+        if len(time_field) > 24:
+            raise TraceFormatError(line_no, f"issued_at_ms of {len(time_field)} bytes is too long")
         try:
             issued_at = float(time_field)
         except ValueError:

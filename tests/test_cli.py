@@ -215,6 +215,20 @@ def test_generate_refuses_a_config_whose_trace_and_knowledge_base_share_a_path(c
 
 
 @pytest.mark.parametrize("command", [["generate"], ["run", "--method", "baseline"]])
+@pytest.mark.parametrize("section,key", [("run", "output_dir"), ("workload", "trace_path"), ("station", "kb_path")])
+def test_an_empty_path_key_is_one_error_line_and_writes_nothing(section, key, command, config_path, tmp_path, capsys, monkeypatch):
+    # An empty output_dir once put trace.csv and kb.dat in the working directory.
+    monkeypatch.chdir(tmp_path)
+    config = config_variant(config_path, tmp_path, f"[{section}]\n", f"[{section}]\n{key} =\n")
+    if section == "run":
+        config = config_variant(config, tmp_path, f"output_dir = {tmp_path / 'out'}\n", "")
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli([*command, "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: config key [{section}] {key} is empty\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", [["generate"], ["run", "--method", "baseline"]])
 @pytest.mark.parametrize("config", ["latin-1", "directory"])
 def test_a_config_that_cannot_be_read_is_one_error_line(command, config, tmp_path, capsys):
     path = tmp_path / "config"
@@ -298,6 +312,34 @@ def test_compare_accepts_a_cache_sweep_against_one_baseline(config_path, tmp_pat
     sweep = config_variant(config_path, tmp_path, "capacity = 6\nprobe_time_ms = 0.05", "capacity = 2\nprobe_time_ms = 0.07")
     assert run_cli(["run", "--config", sweep, "--out", out, "--method", "cached"]) == 0
     assert run_cli(["compare", os.path.join(out, "raw_baseline.json"), os.path.join(out, "raw_cached.json")]) == 0
+
+
+@pytest.mark.parametrize("what", ["trace", "knowledge base"])
+@pytest.mark.parametrize("name", ["report_cached.csv", "raw_cached.json", "snapshot_cached_robot0.csv", "raw_cached.json->input"])
+def test_run_refuses_an_input_file_that_it_writes_or_removes(what, name, config_path, tmp_path, capsys):
+    # A raw report written over the trace, or a snapshot-named trace removed,
+    # would leave the next run nothing to read.
+    out = tmp_path / "out"
+    assert run_cli(["generate", "--config", config_path, "--out", str(out)]) == 0
+    source = out / ("trace.csv" if what == "trace" else "kb.dat")
+    if name == "raw_cached.json->input":
+        # The report path itself is a link to the input.
+        os.symlink(source, out / "raw_cached.json")
+        path = source
+    else:
+        path = out / name
+        os.rename(source, path)
+    section, key = ("[workload]\n", "trace_path") if what == "trace" else ("[station]\n", "kb_path")
+    config = config_variant(config_path, tmp_path, section, f"{section}{key} = {path}\n")
+    before = {entry: read_bytes(out / entry) for entry in os.listdir(out)}
+    capsys.readouterr()
+    assert run_cli(["run", "--config", config, "--method", "cached", "--snapshots"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} file {path} is one that `run --method cached` writes or removes; give another --out\n"
+    assert {entry: read_bytes(out / entry) for entry in os.listdir(out)} == before
+    # The other method's file names are not this run's.
+    assert run_cli(["run", "--config", config, "--method", "baseline"]) == 0
 
 
 @pytest.mark.parametrize("case", ["baseline", "cached", "cached_through_a_symlink", "default_out_is_the_baseline"])
@@ -660,6 +702,9 @@ KB_LINE_3_UNDECODABLE = KB_LINE_3[:20] + "\udcff" + KB_LINE_3[21:]
     [
         ("trace.csv", b"1_0,10000000000000,4.0", "robot_id '1_0' is not an integer"),
         ("trace.csv", b"7" * 5000 + b",10000000000000,4.0", "robot_id of 5000 digits is too long"),
+        ("trace.csv", b"1" * 19 + b",10000000000000,4.0", "robot_id of 19 digits is too long"),
+        ("trace.csv", b"1".zfill(19) + b",10000000000000,4.0", "robot_id of 19 digits is too long"),
+        ("trace.csv", b"0,10000000000000," + b"4.0".zfill(25), "issued_at_ms of 25 bytes is too long"),
         ("kb.dat", b"10000000000002SHIP00002", "expected 56 characters, got 23"),
         ("kb.dat", KB_LINE_3[:18].encode() + b"\r" + KB_LINE_3[19:].encode(), "expected 56 characters, got 19"),
         ("kb.dat", b"1000000000000x" + KB_LINE_3[14:].encode(), "barcode field '1000000000000x' is not 14 decimal digits"),
@@ -670,7 +715,7 @@ KB_LINE_3_UNDECODABLE = KB_LINE_3[:20] + "\udcff" + KB_LINE_3[21:]
             f"non-ASCII character in {KB_LINE_3_UNDECODABLE!r}",
         ),
     ],
-    ids=["trace", "trace-robot-id-too-long", "kb", "kb-lone-cr", "kb-barcode", "kb-duplicate", "kb-undecodable"],
+    ids=["trace", "trace-robot-id-too-long", "trace-robot-id-of-19-digits", "trace-robot-id-zero-padded-to-19", "trace-time-of-25-bytes", "kb", "kb-lone-cr", "kb-barcode", "kb-duplicate", "kb-undecodable"],
 )
 def test_run_names_the_input_file_holding_a_malformed_line(name, line_3, reason, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")

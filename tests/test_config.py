@@ -132,6 +132,14 @@ def test_a_trace_and_knowledge_base_at_one_path_are_refused_naming_both_keys(kb_
     assert str(exc_info.value) == f"[workload] trace_path 'inputs.dat' and [station] kb_path {kb_path!r} name the same file"
 
 
+@pytest.mark.parametrize("section,key", [("run", "output_dir"), ("workload", "trace_path"), ("station", "kb_path")])
+def test_an_empty_path_key_is_refused_naming_it(section, key, tmp_path):
+    body = GOOD_CONFIG.format(out="out").replace("output_dir = out\n", "")
+    path = write_config(tmp_path, body.replace(f"[{section}]\n", f"[{section}]\n{key} =\n"))
+    with pytest.raises(ConfigError, match=rf"^config key \[{section}\] {key} is empty$"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("section", ["extra", "DEFAULT"])
 def test_unknown_section_is_refused_naming_it(section, tmp_path):
     body = GOOD_CONFIG.format(out="out") + f"\n[{section}]\nnote = 1\n"

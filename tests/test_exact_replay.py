@@ -111,11 +111,11 @@ def test_every_chunking_of_the_array_pass_matches_the_per_request_reference(monk
 def robot_order_cases(draw):
     """A hand-built trace whose robots take runs of scans in any order, and a small chunk size.
 
-    Robot ids are sparse and unsorted, one past the int64 range among them.
+    Robot ids are sparse and unsorted, the widest a trace holds (10**18 - 1) among them.
     With runs of up to 12 scans and chunks of 1 to 9, a chunk often holds
     one robot only and misses the others.
     """
-    robot_ids = draw(st.lists(st.sampled_from([0, 7, 1000, 3, 2**64 + 5]), min_size=1, max_size=4, unique=True))
+    robot_ids = draw(st.lists(st.sampled_from([0, 7, 1000, 3, 10**18 - 1]), min_size=1, max_size=4, unique=True))
     runs = draw(st.lists(st.tuples(st.sampled_from(robot_ids), st.integers(1, 12)), min_size=1, max_size=10))
     unique_barcodes = draw(st.integers(1, 8))
     rows, issued = [], 0.0

@@ -321,7 +321,7 @@ def test_malformed_barcode_in_an_in_memory_trace_is_rejected_at_entry():
 
 def test_a_zero_padded_barcode_is_named_by_its_14_digits_in_snapshots_and_errors():
     b = "00000000000007"
-    trace = make_trace([(0, b, 0.0), (2**64 + 5, b, 1.0), (0, b, 2.0)])
+    trace = make_trace([(0, b, 0.0), (10**18 - 1, b, 1.0), (0, b, 2.0)])
     result = run("cached", trace, make_kb([b]), make_sim_config())
     assert result.snapshots == [((b, 2),), ((b, 1),)]
     for method in ("baseline", "cached"):

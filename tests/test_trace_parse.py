@@ -43,10 +43,20 @@ def time_line(field):
     return on_line_3(f"0,10000000000000,{field}")
 
 
+# The one line of a raw run report, given where a trace belongs.
+JSON_LINE = '{"method": "baseline", "latencies": [' + "1.5, " * 10_000 + "1.5]}"
+
 # (id, file text, (line, reason))
 REFUSED = [
     ("bad-header", "robot,barcode,issued_at_ms\n" + LINE_2,
      (1, "expected header 'robot_id,barcode,issued_at_ms', got 'robot,barcode,issued_at_ms'")),
+    # A header of up to 40 characters is repeated whole; a longer one, such as a raw
+    # JSON report given as a trace, by its length and first 40 characters.
+    ("40-character-header", "x" * 40 + "\n" + LINE_2, (1, f"expected header 'robot_id,barcode,issued_at_ms', got '{'x' * 40}'")),
+    ("41-character-header", "x" * 40 + "y\n" + LINE_2,
+     (1, f"expected header 'robot_id,barcode,issued_at_ms', got 41 characters starting '{'x' * 40}'")),
+    ("json-as-header", JSON_LINE + "\n",
+     (1, f"expected header 'robot_id,barcode,issued_at_ms', got 50042 characters starting {JSON_LINE[:40]!r}")),
     ("header-repeated", on_line_3(HEADER[:-1]), (3, "robot_id 'robot_id' is not an integer")),
     ("2-fields", on_line_3("0,10000000000000"), (3, "expected 3 comma-separated fields, got 2")),
     ("4-fields", on_line_3("0,10000000000000,2.0,1"), (3, "expected 3 comma-separated fields, got 4")),
@@ -58,8 +68,12 @@ REFUSED = [
     ("robot-full-width", robot_line("７"), (3, "robot_id '７' is not an integer")),
     ("robot-space", robot_line(" 1"), (3, "robot_id ' 1' is not an integer")),
     ("robot-nul", robot_line("1\x00"), (3, "robot_id '1\\x00' is not an integer")),
-    # Wider than a robot id's window, so read alone from its bytes.
+    # Past 18 digits a field's shape is named before its width.
     ("robot-wide-plus", robot_line("+" + "1" * 20), (3, f"robot_id '+{'1' * 20}' has a sign")),
+    # More digits than int() converts.
+    ("robot-wide-negative", robot_line("-" + "1" * 5000), (3, f"robot_id -{'1' * 5000} is negative")),
+    ("robot-19-digits", robot_line("1" * 19), (3, "robot_id of 19 digits is too long")),
+    ("robot-zero-padded-to-26", robot_line("12".zfill(26)), (3, "robot_id of 26 digits is too long")),
     ("barcode-letter", on_line_3("0,1000000000000x,2.0"), (3, BAD_KEY.format("1000000000000x"))),
     ("barcode-short", on_line_3("0,123,2.0"), (3, BAD_KEY.format("123"))),
     ("barcode-long", on_line_3("0,100000000000000,2.0"), (3, BAD_KEY.format("100000000000000"))),
@@ -74,6 +88,7 @@ REFUSED = [
     ("time-trailing-nul", time_line("2.0\x00"), (3, "issued_at_ms '2.0\\x00' is not a number")),
     ("time-inner-nul", time_line("2\x000"), (3, "issued_at_ms '2\\x000' is not a number")),
     ("time-wide-space", time_line(" " + "1" * 30), (3, f"issued_at_ms ' {'1' * 30}' is not a plain ASCII number")),
+    ("time-25-bytes", time_line("2.5".zfill(25)), (3, "issued_at_ms of 25 bytes is too long")),
     ("time-plus", time_line("+5"), (3, "issued_at_ms '+5' has a sign")),
     ("time-minus-zero", time_line("-0.0"), (3, "issued_at_ms '-0.0' has a sign")),
     ("time-negative", time_line("-5"), (3, "issued_at_ms -5 is not a finite non-negative time")),
@@ -125,7 +140,8 @@ def test_a_last_line_without_a_newline_still_loads(tmp_path):
 
 # Robot ids of one and two digits, repeated barcodes, the time forms
 # save_trace writes (a zero, an exponent, an integer-valued float), and a
-# robot id (2**64 + 5) and a time wider than the windows the parse reads.
+# robot id (10**18 - 1) and a time (zero-padded) as wide as a trace holds,
+# so that one inserted digit makes either too wide.
 FUZZ_BASE = (
     HEADER
     + "0,10000000000000,0.0\n"
@@ -133,7 +149,7 @@ FUZZ_BASE = (
     + "3,10000000000000,2.5\n"
     + "0,98765432109876,2.5\n"
     + "7,10000000000007,1000.0\n"
-    + "18446744073709551621,10000000000003,1000.50000000000000000000000000\n"
+    + "999999999999999999,10000000000003,0000000000000000001000.5\n"
     + "1,10000000000001,1.5e+16\n"
 )
 # What each inserted character tests: field and line structure, the CR the
@@ -223,18 +239,19 @@ def test_a_generated_trace_loads_without_the_line_walk(monkeypatch, tmp_path):
     assert read_trace(str(path))[0] == trace
 
 
-# Zero-padded and plain forms of one robot id; ids of 1, 2, 18 and 20 digits
-# (2**64 + 5, wider than an int64) and a 26-character zero-padded one,
-# which are read alone from their bytes; and each form of a time that
-# float() reads, in order.
+# Zero-padded and plain forms of one robot id; ids of 1, 2 and 18 digits,
+# the widest (10**18 - 1) among them, and an 18-character zero-padded one;
+# and each form of a time that float() reads, in order, a 24-byte
+# zero-padded one among them.
 ACCEPTED_ROWS = [
     ("007", 7, "1e-05"),
+    ("0", 0, "1.5".zfill(24)),
     ("7", 7, "5."),
     ("3", 3, ".5e1"),
     ("12", 12, "100000"),
     (str(10**17 + 3), 10**17 + 3, "1E5"),
-    (str(2**64 + 5), 2**64 + 5, "1.5e+16"),
-    ("12".zfill(26), 12, "1.5e+16"),
+    (str(10**18 - 1), 10**18 - 1, "1.5e+16"),
+    ("12".zfill(18), 12, "1.5e+16"),
 ]
 
 
@@ -249,20 +266,25 @@ def test_every_accepted_field_form_loads_without_the_line_walk(block_chars, monk
     assert parse_trace_bytes(text.encode()) == expected
 
 
-def test_a_block_with_wide_fields_parses_in_bounded_memory():
-    # One block holds a 100,000-character time and a 31-digit robot id
-    # among 4,000 short lines. Each wide field is read alone from its
-    # bytes: a window as wide as the widest field would hold 100,000 bytes
-    # for every line of the block, thousands of times the file.
-    rows = [(at % 4, str(10000000000000 + at % 50), float(at)) for at in range(4000)]
-    lines = [f"{robot},{barcode},{time!r}\n" for robot, barcode, time in rows]
-    # Row 2000 again, with robot 0 and time 2000.0 written wide.
-    lines[2000] = "0".zfill(31) + ",10000000000000," + "2000.".ljust(100_000, "0") + "\n"
+@pytest.mark.parametrize(
+    "robot,time,reason",
+    [
+        pytest.param("0".zfill(31), "2000.0", "robot_id of 31 digits is too long", id="31-digit-robot-id"),
+        pytest.param("0", "2000.".ljust(100_000, "0"), "issued_at_ms of 100000 bytes is too long", id="100000-byte-time"),
+    ],
+)
+def test_a_block_with_a_wide_field_is_refused_in_bounded_memory(robot, time, reason):
+    # One block holds a 31-digit robot id or a 100,000-character time among
+    # 4,000 short lines. No window is wider than its bound: one as wide as
+    # the widest field would hold 100,000 bytes for every line of the
+    # block, thousands of times the file.
+    lines = [f"{at % 4},{10000000000000 + at % 50},{float(at)!r}\n" for at in range(4000)]
+    # Row 2000 again, with robot 0 and time 2000.0, one of them written wide.
+    lines[2000] = f"{robot},10000000000000,{time}\n"
     data = (HEADER + "".join(lines)).encode()
-    expected = make_trace(rows)
-    del rows, lines
-    trace, _, peak = traced_memory(lambda: parse_trace_bytes(data))
-    assert trace == expected
+    del lines
+    error, _, peak = traced_memory(lambda: outcome(parse_trace_bytes, data))
+    assert error == (2002, reason)
     assert peak <= 8 * len(data), f"the parse peaked at {peak / len(data):.2f}x the file's bytes"
 
 

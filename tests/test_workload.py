@@ -120,17 +120,17 @@ def test_save_trace_writes_the_header_and_one_line_per_scan_across_its_write_blo
     assert out.getvalue() == "robot_id,barcode,issued_at_ms\n" + lines
 
 
-# Robot ids of one and two digits and one past uint64; times in each form
+# Robot ids of one, two and 18 digits, the widest a trace holds; times in each form
 # repr gives: zero, the least subnormal, a small exponent, a fraction, and
 # a large float with and without a fraction digit.
-ORACLE_ROBOT_IDS = [0, 12, 2**64 + 5]
+ORACLE_ROBOT_IDS = [0, 12, 10**18 - 1]
 ORACLE_TIMES = [0.0, 5e-324, 1e-05, 2.5, 1e16, 1.5e16]
 
 
 @pytest.mark.parametrize("scans", [8191, 8192, 8193])
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(
-    robot_ids=st.lists(st.integers(0, 2**70), max_size=3),
+    robot_ids=st.lists(st.integers(0, 10**18 - 1), max_size=3),
     keys=st.lists(st.integers(0, 10**14 - 1), min_size=1, max_size=6),
     times=st.lists(st.floats(0.0, 1e300), max_size=4),
 )
@@ -256,6 +256,7 @@ def test_exponent_times_as_repr_writes_them_load_and_round_trip():
         pytest.param((0,), (A, A), (0.0, 1.0), id="robot-column-short"),
         pytest.param((True,), (A,), (0.0,), id="bool-robot-id"),
         pytest.param((-3,), (A,), (0.0,), id="negative-robot-id"),
+        pytest.param((10**18,), (A,), (0.0,), id="19-digit-robot-id"),
         pytest.param((1.0,), (A,), (0.0,), id="float-robot-id"),
         pytest.param((0,), ("1234567890123x",), (0.0,), id="malformed-barcode"),
         pytest.param((0,), (12345678901234,), (0.0,), id="int-barcode"),
@@ -291,7 +292,7 @@ def test_trace_columns_are_read_only_arrays_and_int_times_are_held_as_floats():
 
 def test_robots_are_numbered_in_id_order_and_barcodes_held_as_their_keys():
     b = "00000000000007"
-    big = 2**64 + 5
+    big = 10**18 - 1
     trace = Trace([5, 1, 5, big], [A, b, A, b], [0.0, 1.0, 2.0, 3.0])
     assert trace.robot_ids == (1, 5, big)
     assert trace.robots.tolist() == [1, 0, 1, 2]
@@ -328,6 +329,7 @@ TIMES_2 = np.array([0.0, 1.0])
         pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0, 2**62]), id="robot-number-out-of-range"),
         pytest.param((3, 3), KEYS_2, TIMES_2, np.array([0, 1]), id="repeated-robot-id"),
         pytest.param((0, True), KEYS_2, TIMES_2, np.array([0, 1]), id="bool-robot-id"),
+        pytest.param((0, 10**18), KEYS_2, TIMES_2, np.array([0, 1]), id="19-digit-robot-id"),
         pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0.0, 1.0]), id="float-robot-numbers"),
         pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0, 1], np.uint64), id="uint64-robot-numbers"),
         pytest.param((0, 1), KEYS_2, TIMES_2, np.array([0, 1, 1]), id="robot-column-long"),
@@ -375,13 +377,26 @@ def test_the_array_checks_hold_across_their_blocks(change, at):
             build()
 
 
-def test_a_zero_padded_barcode_and_a_robot_id_past_int64_save_and_reload_as_written():
-    trace = make_trace([(2**64 + 5, "00000000000007", 0.0), (0, "00000000000007", 1.5)])
+def test_a_zero_padded_barcode_and_the_widest_robot_id_save_and_reload_as_written():
+    trace = make_trace([(10**18 - 1, "00000000000007", 0.0), (0, "00000000000007", 1.5)])
     out = io.StringIO()
     save_trace(trace, out)
-    assert out.getvalue() == "robot_id,barcode,issued_at_ms\n18446744073709551621,00000000000007,0.0\n0,00000000000007,1.5\n"
+    assert out.getvalue() == "robot_id,barcode,issued_at_ms\n999999999999999999,00000000000007,0.0\n0,00000000000007,1.5\n"
     assert parse_trace_bytes(out.getvalue().encode()) == trace
-    assert rows_of(parse_trace_bytes(out.getvalue().encode())) == [(2**64 + 5, "00000000000007", 0.0), (0, "00000000000007", 1.5)]
+    assert rows_of(parse_trace_bytes(out.getvalue().encode())) == [(10**18 - 1, "00000000000007", 0.0), (0, "00000000000007", 1.5)]
+
+
+def test_a_trace_holds_robot_ids_below_10_to_the_18_so_every_saved_trace_reloads():
+    # The file's robot field holds at most 18 digits, so the Trace refuses
+    # the id that would need 19, and save_trace never writes a file that
+    # parse_trace_bytes refuses.
+    with pytest.raises(ValidationError, match=r"\[0, 10\*\*18\)"):
+        make_trace([(10**18, A, 0.0)])
+    trace = make_trace([(10**18 - 1, A, 0.0), (3, A, 1.0)])
+    out = io.StringIO()
+    save_trace(trace, out)
+    assert out.getvalue().splitlines()[1] == f"{10**18 - 1},{A},0.0"
+    assert parse_trace_bytes(out.getvalue().encode()) == trace
 
 
 def test_generate_holds_its_three_columns_and_little_more():
