@@ -17,7 +17,7 @@ identical inputs and seed every subcommand writes byte-identical output
 files. ``run`` removes its method's snapshot files of any earlier run
 from the output directory, and refuses an input file that it would
 write or remove; ``compare`` refuses to write its table over either
-input report.
+input report or over any existing file that is not a comparison table.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .config import SimConfig, load_config
 from .errors import ConfigError, LineError, SimulationError
 from .knowledge_base import load_kb, write_kb_for_workload
 from .metrics import (
+    COMPARISON_HEADER,
     METRIC_NAMES,
     AlertPolicy,
     AlertResult,
@@ -214,6 +215,12 @@ def cmd_compare(baseline_path: str, cached_path: str, out_path: Optional[str]) -
     out_path = out_path or os.path.join(os.path.dirname(os.path.abspath(baseline_path)), "comparison.csv")
     if os.path.realpath(out_path) in (os.path.realpath(baseline_path), os.path.realpath(cached_path)):
         raise SimulationError(f"comparison path {out_path} is an input report; give another --out")
+    if os.path.isfile(out_path):
+        # A trace, a record file or a report given as --out would be lost.
+        with open(out_path, "rb") as fh:
+            first_line = fh.readline(len(COMPARISON_HEADER) + 1)
+        if first_line != (COMPARISON_HEADER + "\n").encode():
+            raise SimulationError(f"comparison path {out_path} holds a file that is not a comparison table; give another --out")
     base_raw, base_report, _ = _load_raw(baseline_path)
     cached_raw, cached_report, _ = _load_raw(cached_path)
     refusals = (

@@ -47,7 +47,7 @@ from typing import BinaryIO, NoReturn, Optional
 
 import numpy as np
 
-from .cache import BARCODE_WIDTH, barcode_text, count_newlines, digit_keys, validate_barcode
+from .cache import BARCODE_WIDTH, barcode_text, digit_keys, validate_barcode
 from .errors import ConfigError, IngestError, MissingRecordError, SimulationError, ValidationError
 from .workload import barcode_for_rank
 
@@ -225,6 +225,20 @@ class KnowledgeBase:
             raise MissingRecordError(barcode_text(int(keys[found.argmin()])))
 
 
+def _count_newlines(flat: np.ndarray, mask: np.ndarray) -> int:
+    """The number of "\n" bytes in the uint8 array ``flat``.
+
+    They are compared ``len(mask)`` bytes at a time into the bool array
+    ``mask``, which the caller allocates once and may pass again, so no
+    temporary as long as ``flat`` is made.
+    """
+    count = 0
+    for start in range(0, len(flat), len(mask)):
+        part = flat[start : start + len(mask)]
+        count += int(np.count_nonzero(np.equal(part, ord("\n"), out=mask[: len(part)])))
+    return count
+
+
 def _block_keys(block: bytearray, mask: np.ndarray) -> Optional[np.ndarray]:
     """The barcode key of each record of ``block``, in order, or None if a check fails.
 
@@ -232,14 +246,14 @@ def _block_keys(block: bytearray, mask: np.ndarray) -> Optional[np.ndarray]:
     "\n" (so no "\n" inside a line), no "\r" (a file reader also ends a
     line there), ASCII only and 14 digits in every barcode column. The
     checks read ``block`` in place and copy no record; the "\n" bytes are
-    counted through ``mask`` (``count_newlines``).
+    counted through ``mask`` (``_count_newlines``).
     """
     records, rest = divmod(len(block), RECORD_WIDTH)
     if rest or b"\r" in block or not block.isascii():
         return None
     flat = np.frombuffer(block, np.uint8)
     rows = flat.reshape(records, RECORD_WIDTH)
-    if count_newlines(flat, mask) != records or not (rows[:, LINE_WIDTH] == ord("\n")).all():
+    if _count_newlines(flat, mask) != records or not (rows[:, LINE_WIDTH] == ord("\n")).all():
         return None
     return digit_keys(rows[:, :BARCODE_WIDTH])
 

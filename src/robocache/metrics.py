@@ -117,6 +117,10 @@ def check_alert(report: MetricsReport, policy: AlertPolicy) -> AlertResult:
     return AlertResult(raised=False, overrun_minutes=0.0)
 
 
+# The first line of every comparison table file.
+COMPARISON_HEADER = "metric,baseline,cached,ratio"
+
+
 def comparison_rows(table: ComparisonTable) -> List[Tuple[str, float, float, Optional[float]]]:
     """The four (metric, baseline, cached, ratio) rows, report order."""
     rows = []
@@ -128,8 +132,8 @@ def comparison_rows(table: ComparisonTable) -> List[Tuple[str, float, float, Opt
 
 
 def comparison_csv(table: ComparisonTable) -> str:
-    """Serialize the comparison as ``metric,baseline,cached,ratio`` CSV."""
-    lines = ["metric,baseline,cached,ratio"]
+    """Serialize the comparison as COMPARISON_HEADER CSV."""
+    lines = [COMPARISON_HEADER]
     for name, base_value, cached_value, ratio in comparison_rows(table):
         ratio_text = repr(ratio) if ratio is not None else ""
         lines.append(f"{name},{base_value!r},{cached_value!r},{ratio_text}")

@@ -11,36 +11,41 @@ draw order (one block of key draws, then one block of gap draws) is part
 of that contract and pinned by a golden trace in the test suite.
 
 Trace CSV format: one header line ``robot_id,barcode,issued_at_ms``
-followed by one line per scan, UTF-8, "\n" newlines. A barcode is written
-as its key's 14 zero-padded digits, the one place besides the replay's
-snapshots and its missing-record error where a key becomes text. A
-robot id is 1 to 18 ASCII digits. Timestamps are written with repr so
-export and import round-trip exactly; a timestamp field is 1 to 24 bytes
-of plain ASCII with no whitespace, "_" or sign.
+followed by one line per scan, ASCII, "\n" newlines, every line as wide as
+the first. A robot id is zero-padded to the digits of the file's widest id,
+1 to 18. A barcode is written as its key's 14 zero-padded digits, the one
+place besides the replay's snapshots and its missing-record error where a
+key becomes text. A time is written exactly, in milliseconds, as
+``float.hex()`` of its value with the fraction padded to 13 lowercase hex
+digits and the exponent to a sign and 4 digits (IEEE 754-2008 5.12.3, C99
+``%a``): a normal time is ``0x1.<13 hex digits>p<+ or -><4 digits>``, a
+subnormal ``0x0.<13 hex digits>p-1022`` and zero ``0x0.0000000000000p+0000``,
+23 bytes each, which ``float.fromhex`` or C's ``strtod`` reads back. Each
+time has exactly one text, and every other spelling is refused.
 ``read_trace`` reads a trace file once and returns its ``Trace`` with the
 SHA-256 hex of its bytes, as ``knowledge_base.load_kb`` does for a record
-file. ``parse_trace_bytes`` is the one parser of those bytes: it reads
-them block by block of whole lines through numpy views and decodes
-nothing. From the positions of a block's "\n" and "," bytes, which must
-put two commas on every line, it gathers each field through a window:
-the 14 barcode bytes after the first comma, and the robot id and the
-time right-aligned before the comma or "\n" that ends them. Each check
-is a mask over those windows. Only bytes that fail a check are decoded
-whole and walked line by line, which names the first bad line and its
-reason.
+file. ``save_trace`` fills each block of lines a column of digits at a
+time, taking each time's hex digits straight from its float64 bits.
+``parse_trace_bytes``, the one parser of those bytes, checks blocks of
+lines as one ``reshape`` view of them, column by column, as
+``knowledge_base`` does for its fixed-width records; it decodes only the
+time fields that pass, which ``float.fromhex`` reads. Only bytes that
+fail a check are decoded whole and walked line by line, which names the
+first bad line and its reason.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import re
 from dataclasses import dataclass
 from math import isfinite
 from typing import NoReturn, Optional, TextIO, Tuple
 
 import numpy as np
 
-from .cache import BARCODE_FORMAT, BARCODE_WIDTH, barcode_keys, count_newlines, digit_keys, validate_barcode
+from .cache import BARCODE_WIDTH, barcode_keys, digit_keys
 from .errors import ConfigError, TraceFormatError, ValidationError
 
 TRACE_HEADER = "robot_id,barcode,issued_at_ms"
@@ -56,17 +61,27 @@ _MAX_UNIQUE = 9 * 10**13
 _MAX_SCANS = np.iinfo(np.intp).max // 8  # the longest float64 column numpy can size
 # Every 14-digit barcode's key lies below this.
 _KEY_LIMIT = 10**14
-# Bytes per block of the parse, and per comparison of its "\n" count.
+# Bytes per block of the parse.
 _BLOCK_CHARS = 1 << 17
-# Rows per write of save_trace: only one block's text is held at a time.
+# Lines per write of save_trace: only one block's text is held at a time.
 _WRITE_ROWS = 8192
 # Rows per check of the Trace constructor's time column.
 _CHECK_ROWS = 4096
 # The widest robot id a trace holds: 18 digits always fit an int64.
 _ROBOT_DIGITS = 18
-# The widest time field a trace file holds; repr of a float64 >= 0 is at
-# most 23 characters.
-_TIME_WIDTH = 24
+# A time field: "0x", the lead digit, ".", 13 fraction digits, "p", the
+# exponent's sign and its 4 digits.
+_TIME_WIDTH = 23
+_TIME_FORM = "0x1.<13 lowercase hex digits>p<+ or -><4 digits>"
+_TIME_TEXT = re.compile(r"0x([01])\.([0-9a-f]{13})p([+-][0-9]{4})")
+# The bytes of a line after its robot id: a comma, the barcode, a comma, the time and "\n".
+_AFTER_ROBOT = 1 + BARCODE_WIDTH + 1 + _TIME_WIDTH + 1
+# What the columns of _fixed_columns hold.
+_FIXED_BYTES = np.frombuffer(b",,0x.p\n", np.uint8)
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", np.uint8)
+# The value of each byte as a lowercase hex digit; 16 for any other byte.
+_HEX_VALUE = np.full(256, 16, np.uint8)
+_HEX_VALUE[_HEX_DIGITS] = np.arange(16)
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
@@ -136,8 +151,9 @@ class Trace:
                 times = np.array(issued_at, np.float64)
             except OverflowError:  # an int too large for a float
                 pass
-        if times is None or not _holds_by_block(lambda block: np.isfinite(block).all() and (block >= 0).all(), times):
-            raise ValidationError("every issue time must be a finite int or float >= 0")
+        # The sign bit too: no file spells -0.0.
+        if times is None or not _holds_by_block(lambda block: np.isfinite(block).all() and not np.signbit(block).any(), times):
+            raise ValidationError("every issue time must be a finite int or float >= 0, with its sign bit clear")
         if not _holds_by_block(lambda block: (block[1:] >= block[:-1]).all(), times):
             raise ValidationError("issue times must not decrease")
         object.__setattr__(self, "robots", _read_only(robots))
@@ -228,28 +244,62 @@ def generate(config: WorkloadConfig) -> Trace:
 
 
 def save_trace(trace: Trace, stream: TextIO) -> None:
-    """Write ``trace`` as trace CSV, _WRITE_ROWS rows per write; each block formats each distinct key once."""
-    robot_texts = np.array(list(map(str, trace.robot_ids)), object)
+    """Write ``trace`` as trace CSV, _WRITE_ROWS lines per write.
+
+    Every line has one width: the robot id zero-padded to the digits of the
+    widest id, the barcode's 14 digits and the time's _TIME_WIDTH bytes.
+    Each block of lines is one uint8 array, filled a column of digits at a
+    time from the robot ids, the keys and the times' binary64 bits, so no
+    value is formatted one at a time.
+    """
+    digits = len(str(max(trace.robot_ids, default=0)))
+    time = digits + 1 + BARCODE_WIDTH + 1
+    robot_ids = np.array(trace.robot_ids, np.int64)
     stream.write(TRACE_HEADER + "\n")
     for start in range(0, len(trace), _WRITE_ROWS):
-        stop = start + _WRITE_ROWS
-        distinct, index = np.unique(trace.keys[start:stop], return_inverse=True)
-        key_texts = np.array(list(map(BARCODE_FORMAT.__mod__, distinct.tolist())), object)
-        robots = robot_texts[trace.robots[start:stop]].tolist()
-        rows = zip(robots, key_texts[index].tolist(), trace.issued_at[start:stop].tolist())
-        stream.write("".join([f"{robot},{key},{issued!r}\n" for robot, key, issued in rows]))
+        stop = min(start + _WRITE_ROWS, len(trace))
+        lines = np.empty((stop - start, digits + _AFTER_ROBOT), np.uint8)
+        lines[:, _fixed_columns(digits)] = _FIXED_BYTES
+        _put_digits(lines[:, :digits], robot_ids[trace.robots[start:stop]], 10)
+        _put_digits(lines[:, digits + 1 : time - 1], trace.keys[start:stop], 10)
+        # The sign bit is clear: the biased exponent is the top 11 bits.
+        bits = trace.issued_at[start:stop].view(np.int64)
+        biased = bits >> 52
+        lines[:, time + 2] = ord("0") + (biased > 0)
+        _put_digits(lines[:, time + 4 : time + 17], bits & ((1 << 52) - 1), 16)
+        # Zero is written with the exponent +0000 and a subnormal with -1022.
+        exponents = np.where(biased > 0, biased - 1023, np.where(bits > 0, -1022, 0))
+        lines[:, time + 18] = np.where(exponents < 0, ord("-"), ord("+"))
+        _put_digits(lines[:, time + 19 : time + 23], np.abs(exponents), 10)
+        stream.write(lines.tobytes().decode("ascii"))
+
+
+def _put_digits(text: np.ndarray, values: np.ndarray, base: int) -> None:
+    """Write each of the int64 ``values`` >= 0 into its row of the uint8 array ``text`` as lowercase ``base`` digits, zero-padded to the row."""
+    for column in range(text.shape[1] - 1, -1, -1):
+        values, digit = np.divmod(values, base)
+        text[:, column] = _HEX_DIGITS[digit]
+
+
+def _fixed_columns(digits: int) -> np.ndarray:
+    """The columns of a line with ``digits``-digit robot ids that hold _FIXED_BYTES: its commas, the time's "0x", "." and "p", and "\n"."""
+    time = digits + 1 + BARCODE_WIDTH + 1
+    return np.array([digits, time - 1, time, time + 1, time + 3, time + 17, time + _TIME_WIDTH])
 
 
 def parse_trace_bytes(data: bytes) -> Trace:
     """Parse the bytes of a trace CSV, enforcing field shape and non-decreasing time.
 
     An empty file yields an empty trace; any content must start with the
-    standard header line, and the last line may omit its "\n". Lines end
-    where a file opened with ``newline=""`` ends them, at a lone "\r" too.
-    The bytes are checked block by block; only when a check fails are they
-    decoded from UTF-8 (a byte that does not decode as a lone surrogate)
-    and walked line by line, so the error carries the 1-based number and
-    the reason of the first bad line.
+    standard header line, and the last line may omit its "\n". Every line
+    has the width of the first: a robot id of 1 to 18 digits, as wide on
+    every line, the barcode's 14 digits and a time of the form _TIME_FORM,
+    the one text of its value. The bytes are checked block by block; only
+    when a check fails are they decoded from UTF-8 (a byte that does not
+    decode as a lone surrogate) and walked line by line, so the error
+    carries the 1-based number and the reason of the first bad line. The
+    walk ends lines where a file opened with ``newline=""`` ends them, at
+    a lone "\r" too.
     """
     if not data.endswith(b"\n"):
         data = data + b"\n" if data else _HEADER_LINE
@@ -263,46 +313,44 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     """The trace in ``data`` if all of it passes block by block, else None.
 
     Accepts exactly the text that _walk_lines passes to its end, with the
-    same values: the header, then ASCII lines that each end in "\n" and hold
-    exactly two commas, robot ids of 1 to _ROBOT_DIGITS digits and times of
-    1 to _TIME_WIDTH plain number bytes with no leading sign. ASCII and the
-    absence of "\r" and " " are checked once on all of ``data``; each
-    block's lines and commas in _line_edges, its barcodes here, and its
-    robot ids and times in _read_robots and _read_times, all on numpy views.
-    Robots, numbered as first met, are renumbered in id order in place at
-    the end. The Trace constructor checks the time values and their order.
+    same values. The lines after the header are one ``reshape`` view of
+    ``data``, as wide as the first; each block of about _BLOCK_CHARS bytes
+    of them is checked column by column: the fixed bytes, the digits of
+    its robot ids, barcodes and exponents, its hex digits through a table
+    of byte values, its signs, and the range of its exponents. Any other
+    byte, "\r" and non-ASCII among them, fails one of these, so each time
+    that ``float.fromhex`` reads is the one text of its value. Robots,
+    numbered as first met, are renumbered in id order in place at the
+    end. The Trace constructor checks the times' order.
     """
-    if not data.startswith(_HEADER_LINE) or not data.endswith(b"\n") or b"\r" in data or b" " in data or not data.isascii():
+    start = len(_HEADER_LINE)
+    if not data.startswith(_HEADER_LINE):
         return None
-    flat = np.frombuffer(data, np.uint8)
-    mask = np.empty(_BLOCK_CHARS, bool)
-    scans = count_newlines(flat, mask) - 1
+    if len(data) == start:
+        return Trace((), (), ())
+    width = data.find(b"\n", start) + 1 - start
+    digits = width - _AFTER_ROBOT
+    if (len(data) - start) % width or not 1 <= digits <= _ROBOT_DIGITS:
+        return None
+    lines = np.frombuffer(data, np.uint8, offset=start).reshape(-1, width)
+    scans = len(lines)
     robots = np.empty(scans, np.intp)
     keys = np.empty(scans, np.int64)
     times = np.empty(scans, np.float64)
+    fixed = _fixed_columns(digits)
+    time = digits + 1 + BARCODE_WIDTH + 1
     number_of_id = {}  # robot id -> robot number, in the order first met
-    row = 0
-    start = len(_HEADER_LINE)
-    while start < len(data):
-        # Whole lines, about _BLOCK_CHARS at a time: only one block's field
-        # windows and "\n" and comma positions are held beside the columns.
-        end = data.find(b"\n", start + _BLOCK_CHARS) + 1 or len(data)
-        if end - start >= len(mask):  # the "\n" before, _BLOCK_CHARS bytes and the rest of a line
-            mask = np.empty(end - start + 1, bool)
-        edges = _line_edges(flat, start, end, mask)
-        if edges is None:
+    step = max(1, _BLOCK_CHARS // width)
+    for row in range(0, scans, step):
+        block = lines[row : row + step]
+        rows = slice(row, row + len(block))
+        if not (block[:, fixed] == _FIXED_BYTES).all():
             return None
-        before, first, second, ends = edges
-        start = end
-        rows = slice(row, row + len(ends))
-        row = rows.stop
-        if not (second - first == BARCODE_WIDTH + 1).all():
-            return None
-        block_keys = digit_keys(_right_window(flat, second, second - first - 1, BARCODE_WIDTH, ord("0")))
+        block_keys = digit_keys(block[:, digits + 1 : digits + 1 + BARCODE_WIDTH])
         if block_keys is None:
             return None
         keys[rows] = block_keys
-        if not (_read_robots(flat, first, first - before - 1, robots[rows], number_of_id) and _read_times(flat, ends, ends - second - 1, times[rows])):
+        if not (_read_robots(block[:, :digits], robots[rows], number_of_id) and _read_times(block[:, time : time + _TIME_WIDTH], times[rows])):
             return None
     robot_ids = tuple(sorted(number_of_id))
     number_of = dict(zip(robot_ids, range(len(robot_ids))))
@@ -314,50 +362,12 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
         return None
 
 
-def _line_edges(flat: np.ndarray, start: int, end: int, mask: np.ndarray) -> Optional[Tuple[np.ndarray, ...]]:
-    """The positions in ``flat`` of the "\n" before each line, its first and second comma and its "\n", for the whole lines from ``start`` to ``end``.
+def _read_robots(text: np.ndarray, robots: np.ndarray, number_of_id: dict) -> bool:
+    """Number each row's robot id, its digits in the uint8 rows ``text``, into ``robots``; False unless each is all digits.
 
-    None unless every line holds exactly two commas. The "\n" and ","
-    bytes are compared into the bool array ``mask``, longer than the
-    block, which the caller reuses for every block.
+    ``number_of_id`` numbers an id when first met.
     """
-    block = flat[start - 1 : end]  # from the "\n" that ends the line or header before
-    newlines = np.flatnonzero(np.equal(block, ord("\n"), out=mask[: len(block)]))
-    commas = np.flatnonzero(np.equal(block, ord(","), out=mask[: len(block)]))
-    # Not only 2n in all: a 4-field line and a 2-field line, in either order,
-    # would pass as two rows. Each line's commas lie between its "\n" and the one before.
-    if not (len(commas) == 2 * len(newlines) - 2 and (commas[0::2] > newlines[:-1]).all() and (commas[1::2] < newlines[1:]).all()):
-        return None
-    newlines += start - 1
-    commas += start - 1
-    return newlines[:-1], commas[0::2], commas[1::2], newlines[1:]
-
-
-def _right_window(flat: np.ndarray, ends: np.ndarray, lengths: np.ndarray, widest: int, fill: int) -> Optional[np.ndarray]:
-    """Each line's field, its ``lengths`` bytes of ``flat`` before ``ends``, right-aligned in a copied uint8 row; None unless each is 1 to ``widest`` bytes.
-
-    The rows are as wide as the longest field. Left of a shorter one, a
-    row holds bytes of its line or the header, overwritten with ``fill``.
-    """
-    narrowest, width = int(lengths.min()), int(lengths.max())
-    if not 0 < narrowest <= width <= widest:
-        return None
-    # Item i of this view is bytes i to i + width: one gather copies each row whole.
-    windows = np.ndarray((len(flat) - width + 1,), f"V{width}", flat, strides=(1,))
-    text = windows[ends - width].view(np.uint8).reshape(len(ends), width)
-    if narrowest < width:
-        text[np.arange(width) < width - lengths[:, None]] = fill
-    return text
-
-
-def _read_robots(flat: np.ndarray, first: np.ndarray, lengths: np.ndarray, robots: np.ndarray, number_of_id: dict) -> bool:
-    """Number each line's robot id, its ``lengths`` bytes before ``first``, into ``robots``; False unless each is 1 to _ROBOT_DIGITS digits.
-
-    An id's window reads its pad as zeros. ``number_of_id`` numbers an id
-    when first met.
-    """
-    digits = _right_window(flat, first, lengths, _ROBOT_DIGITS, ord("0"))
-    ids = None if digits is None else digit_keys(digits)
+    ids = digit_keys(text)
     if ids is None:
         return False
     ordered = np.sort(ids)
@@ -367,29 +377,38 @@ def _read_robots(flat: np.ndarray, first: np.ndarray, lengths: np.ndarray, robot
     return True
 
 
-def _read_times(flat: np.ndarray, ends: np.ndarray, lengths: np.ndarray, times: np.ndarray) -> bool:
-    """Read each line's time, its ``lengths`` bytes before ``ends``, into ``times``; False unless each is a plain number >= 0 of 1 to _TIME_WIDTH bytes.
+def _read_times(text: np.ndarray, times: np.ndarray) -> bool:
+    """Read each row's time, its _TIME_WIDTH bytes in the uint8 rows ``text``, into ``times``; False unless each is the one text of its value.
 
-    A time's window pads it with spaces, which the S dtype's cast to
-    float64 skips as float() does; the cast gives float()'s bits.
+    The lead digit, 13 fraction digits and the exponent's sign and four
+    digits are checked; a lead of 1 takes an exponent of -1022 to -0001
+    or +0000 to +1023, and a lead of 0 only zero's +0000 or a subnormal's
+    -1022. Each text that passes is read by ``float.fromhex``.
     """
-    text = _right_window(flat, ends, lengths, _TIME_WIDTH, ord(" "))
-    signs = flat[ends - lengths]
-    if text is None or (signs == ord("+")).any() or (signs == ord("-")).any() or not _time_bytes(text).all():
+    nibbles = _HEX_VALUE[text[:, 4:17]]
+    exponents = digit_keys(text[:, 19:23])
+    leads = text[:, 2] - ord("0")  # below "0" wraps round to 2 or more
+    plus = text[:, 18] == ord("+")
+    if exponents is None or not ((nibbles < 16).all() and (leads < 2).all() and (plus | (text[:, 18] == ord("-"))).all()):
         return False
-    try:
-        times[:] = text.view(f"S{text.shape[1]}")[:, 0]  # cast on assignment, with no float64 temporary
-    except ValueError:
+    signed = np.where(plus, exponents, -exponents)
+    normal = leads == 1
+    fits = (signed >= -1022) & (signed <= 1023) & (plus | (exponents > 0))
+    if not normal.all():
+        tiny = np.where(nibbles.any(axis=1), signed == -1022, plus & (exponents == 0))
+        fits = np.where(normal, fits, tiny)
+    if not fits.all():
         return False
+    fields = np.ascontiguousarray(text).view(f"S{_TIME_WIDTH}")[:, 0].astype(f"U{_TIME_WIDTH}")
+    times[:] = np.fromiter(map(float.fromhex, fields.tolist()), np.float64, len(fields))
     return True
 
 
-def _time_bytes(text: np.ndarray) -> np.ndarray:
-    """Which of the uint8 bytes ``text`` a time's window may hold: a digit, one of ".eE+-", or the space of its pad, which no trace holds."""
-    holds = (text - ord("0")) < 10  # below "0" wraps round to 10 or more
-    for char in b" .eE+-":
-        holds |= text == char
-    return holds
+def _shown(field: str, short: Optional[str] = None) -> str:
+    """How an error line names ``field``: as ``short``, by default its repr, or past 40 characters by its length and first 40 characters."""
+    if len(field) > 40:
+        return f"{len(field)} characters starting {field[:40]!r}"
+    return repr(field) if short is None else short
 
 
 def _walk_lines(text: str) -> NoReturn:
@@ -399,13 +418,13 @@ def _walk_lines(text: str) -> NoReturn:
     AssertionError.
     """
     last_time = 0.0
+    digits = 0  # the robot id width of line 2, which every line shares
     for line_no, raw in enumerate(io.StringIO(text, newline=""), start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
         if line_no == 1:
             if line != TRACE_HEADER:
-                # A file that is not a trace may be one long line: repeat at most 40 characters.
-                got = repr(line) if len(line) <= 40 else f"{len(line)} characters starting {line[:40]!r}"
-                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {got}")
+                # A file that is not a trace may be one long line.
+                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {_shown(line)}")
             continue
         parts = line.split(",")
         if len(parts) != 3:
@@ -416,28 +435,25 @@ def _walk_lines(text: str) -> NoReturn:
             sign, unsigned = robot_field[:1], robot_field[1:]
             if sign in ("-", "+") and unsigned.isascii() and unsigned.isdigit():
                 if sign == "-" and unsigned.strip("0"):
-                    raise TraceFormatError(line_no, f"robot_id {robot_field} is negative")
-                raise TraceFormatError(line_no, f"robot_id {robot_field!r} has a sign")
-            raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer")
+                    raise TraceFormatError(line_no, f"robot_id {_shown(robot_field, robot_field)} is negative")
+                raise TraceFormatError(line_no, f"robot_id {_shown(robot_field)} has a sign")
+            raise TraceFormatError(line_no, f"robot_id {_shown(robot_field)} is not an integer")
         if len(robot_field) > _ROBOT_DIGITS:
             raise TraceFormatError(line_no, f"robot_id of {len(robot_field)} digits is too long")
-        try:
-            validate_barcode(barcode)
-        except ValidationError as exc:
-            raise TraceFormatError(line_no, str(exc)) from None
-        # float() would also take "1_0", " 5", "5\r" or full-width digits.
-        if not time_field.isascii() or "_" in time_field or time_field != time_field.strip():
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a plain ASCII number")
-        if len(time_field) > _TIME_WIDTH:
-            raise TraceFormatError(line_no, f"issued_at_ms of {len(time_field)} bytes is too long")
-        try:
-            issued_at = float(time_field)
-        except ValueError:
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a number") from None
-        if not isfinite(issued_at) or issued_at < 0:
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field} is not a finite non-negative time")
-        if time_field[:1] in ("+", "-"):
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} has a sign")
+        digits = digits or len(robot_field)
+        if len(robot_field) != digits:
+            raise TraceFormatError(line_no, f"robot_id {robot_field!r} has width {len(robot_field)}, not {digits} as on line 2")
+        if not (len(barcode) == BARCODE_WIDTH and barcode.isascii() and barcode.isdigit()):
+            raise TraceFormatError(line_no, f"malformed barcode key {_shown(barcode)}: expected exactly 14 decimal digits")
+        match = _TIME_TEXT.fullmatch(time_field)
+        if match is None:
+            raise TraceFormatError(line_no, f"issued_at_ms {_shown(time_field)} is not of the form {_TIME_FORM}")
+        lead, fraction, exponent = match.groups()
+        if lead == "1" and not (exponent != "-0000" and -1022 <= int(exponent) <= 1023):
+            raise TraceFormatError(line_no, f"issued_at_ms {time_field} has exponent {exponent}, not -1022 to -0001 or +0000 to +1023")
+        if lead == "0" and exponent != ("-1022" if fraction.strip("0") else "+0000"):
+            raise TraceFormatError(line_no, f"issued_at_ms {time_field} is neither zero, 0x0.0000000000000p+0000, nor a subnormal, 0x0.<13 hex digits>p-1022")
+        issued_at = float.fromhex(time_field)
         if issued_at < last_time:
             raise TraceFormatError(line_no, f"issued_at_ms decreased ({issued_at!r} after {last_time!r})")
         last_time = issued_at

@@ -9,13 +9,13 @@ shared dataclasses for inputs.
 
 synth_record_line formats one synthetic knowledge-base line per rank, the
 way the knowledge-base writer formatted them before the record file was
-filled a field at a time. reference_load_trace is the trace-file line walk as it stood before
-the whole-input parse, narrowed since to robot ids of at most 18 digits
-and times of at most 24 bytes, with a bad header named by at most its
-first 40 characters, and with a negative robot id found without int(). reference_save_trace is the trace
-writer as it stood while each row was formatted by ``"%s,%s,%r\n"``,
-kept verbatim: 8,192 rows a write, each distinct key formatted once a
-write. reference_ingest is the
+filled a field at a time. reference_load_trace is the trace-file line
+walk of the fixed-width format, with its own checks of each time field
+and its own assembly of the time's bits; it names any field or header
+of more than 40 characters by its length and first 40 characters.
+reference_save_trace writes the same format one line at a time with
+``float.hex()``, the byte-for-byte oracle of the block writer.
+reference_ingest is the
 knowledge-base ingest as it stood while the database was a dict of lines,
 kept verbatim with its line check; it returns the text that the
 database's export wrote, whose lines' barcodes the tests compare with
@@ -48,14 +48,12 @@ import hashlib
 import json
 import math
 import random
+import struct
 from functools import reduce
-from math import isfinite
 from operator import add
 from typing import List
 
-import numpy as np
-
-from robocache.cache import BARCODE_FORMAT, barcode_keys, validate_barcode
+from robocache.cache import barcode_keys, validate_barcode
 from robocache.errors import IngestError, TraceFormatError, ValidationError
 from robocache.knowledge_base import BARCODE_WIDTH, LINE_WIDTH, KnowledgeBase, format_record_line, index_probe_cost
 from robocache.netlink import LinkConfig, LinkStats
@@ -195,19 +193,37 @@ def synth_record_line(rank: int) -> str:
     )
 
 
+# What the walk says a time field must look like.
+TIME_FORM = "0x1.<13 lowercase hex digits>p<+ or -><4 digits>"
+
+
+def _named(field: str, short=None) -> str:
+    """``short`` (by default the field's repr), or past 40 characters the field's length and first 40 characters."""
+    if len(field) > 40:
+        return f"{len(field)} characters starting {field[:40]!r}"
+    return repr(field) if short is None else short
+
+
+def reference_time_text(value: float) -> str:
+    """``value.hex()`` with its fraction padded to 13 hex digits and its exponent to a sign and 4 digits."""
+    mantissa, exponent = value.hex().split("p")
+    return f"{mantissa.ljust(17, '0')}p{int(exponent):+05d}"
+
+
 def reference_load_trace(stream) -> Trace:
     """Parse a trace CSV, enforcing field shape and non-decreasing time.
 
     A zero-byte source yields an empty trace; any content must start
-    with the standard header line.
+    with the standard header line. A time's bits are built from its
+    fields with integer arithmetic and ``struct``, not ``float.fromhex``.
     """
     robot_ids, barcodes, times = [], [], []
+    width = 0
     for line_no, raw in enumerate(stream, start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
         if line_no == 1:
             if line != TRACE_HEADER:
-                got = repr(line) if len(line) <= 40 else f"{len(line)} characters starting {line[:40]!r}"
-                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {got}")
+                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {_named(line)}")
             continue
         parts = line.split(",")
         if len(parts) != 3:
@@ -218,29 +234,44 @@ def reference_load_trace(stream) -> Trace:
             sign, unsigned = robot_field[:1], robot_field[1:]
             if sign in ("-", "+") and unsigned.isascii() and unsigned.isdigit():
                 if sign == "-" and unsigned.strip("0"):
-                    raise TraceFormatError(line_no, f"robot_id {robot_field} is negative")
-                raise TraceFormatError(line_no, f"robot_id {robot_field!r} has a sign")
-            raise TraceFormatError(line_no, f"robot_id {robot_field!r} is not an integer")
+                    raise TraceFormatError(line_no, f"robot_id {_named(robot_field, robot_field)} is negative")
+                raise TraceFormatError(line_no, f"robot_id {_named(robot_field)} has a sign")
+            raise TraceFormatError(line_no, f"robot_id {_named(robot_field)} is not an integer")
         if len(robot_field) > 18:
             raise TraceFormatError(line_no, f"robot_id of {len(robot_field)} digits is too long")
+        width = width or len(robot_field)
+        if len(robot_field) != width:
+            raise TraceFormatError(line_no, f"robot_id {robot_field!r} has width {len(robot_field)}, not {width} as on line 2")
         robot_id = int(robot_field)
-        try:
-            validate_barcode(barcode)
-        except ValidationError as exc:
-            raise TraceFormatError(line_no, str(exc)) from None
-        # float() would also take "1_0", " 5", "5\r" or full-width digits.
-        if not time_field.isascii() or "_" in time_field or time_field != time_field.strip():
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a plain ASCII number")
-        if len(time_field) > 24:
-            raise TraceFormatError(line_no, f"issued_at_ms of {len(time_field)} bytes is too long")
-        try:
-            issued_at = float(time_field)
-        except ValueError:
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} is not a number") from None
-        if not isfinite(issued_at) or issued_at < 0:
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field} is not a finite non-negative time")
-        if time_field[:1] in ("+", "-"):
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field!r} has a sign")
+        if not (len(barcode) == 14 and all(char in "0123456789" for char in barcode)):
+            raise TraceFormatError(line_no, f"malformed barcode key {_named(barcode)}: expected exactly 14 decimal digits")
+        if not (
+            len(time_field) == 23
+            and time_field[:2] == "0x"
+            and time_field[2] in "01"
+            and time_field[3] == "."
+            and all(char in "0123456789abcdef" for char in time_field[4:17])
+            and time_field[17] == "p"
+            and time_field[18] in "+-"
+            and all(char in "0123456789" for char in time_field[19:])
+        ):
+            raise TraceFormatError(line_no, f"issued_at_ms {_named(time_field)} is not of the form {TIME_FORM}")
+        exponent_text = time_field[18:]
+        fraction, exponent = int(time_field[4:17], 16), int(exponent_text)
+        if time_field[2] == "1":
+            if not -1022 <= exponent <= 1023 or exponent_text == "-0000":
+                raise TraceFormatError(
+                    line_no, f"issued_at_ms {time_field} has exponent {exponent_text}, not -1022 to -0001 or +0000 to +1023"
+                )
+            bits = (exponent + 1023) << 52 | fraction
+        else:
+            if exponent_text != ("-1022" if fraction else "+0000"):
+                raise TraceFormatError(
+                    line_no,
+                    f"issued_at_ms {time_field} is neither zero, 0x0.0000000000000p+0000, nor a subnormal, 0x0.<13 hex digits>p-1022",
+                )
+            bits = fraction
+        issued_at = struct.unpack(">d", bits.to_bytes(8, "big"))[0]
         if times and issued_at < times[-1]:
             raise TraceFormatError(line_no, f"issued_at_ms decreased ({issued_at!r} after {times[-1]!r})")
         robot_ids.append(robot_id)
@@ -250,16 +281,11 @@ def reference_load_trace(stream) -> Trace:
 
 
 def reference_save_trace(trace: Trace, stream) -> None:
-    """Write ``trace`` as trace CSV, 8,192 rows per write; each block formats each distinct key once."""
-    robot_texts = np.array(list(map(str, trace.robot_ids)), object)
+    """Write ``trace`` as trace CSV one line at a time: robot ids zero-padded to the widest, times by ``reference_time_text``."""
+    digits = len(str(max(trace.robot_ids, default=0)))
     stream.write(TRACE_HEADER + "\n")
-    for start in range(0, len(trace), 8192):
-        stop = start + 8192
-        distinct, index = np.unique(trace.keys[start:stop], return_inverse=True)
-        key_texts = np.array(list(map(BARCODE_FORMAT.__mod__, distinct.tolist())), object)
-        robots = robot_texts[trace.robots[start:stop]].tolist()
-        rows = zip(robots, key_texts[index].tolist(), trace.issued_at[start:stop].tolist())
-        stream.write("".join(map("%s,%s,%r\n".__mod__, rows)))
+    for robot_id, barcode, issued_at in rows_of(trace):
+        stream.write(f"{robot_id:0{digits}d},{barcode},{reference_time_text(issued_at)}\n")
 
 
 def reference_check_line(line: str, line_no: int) -> str:

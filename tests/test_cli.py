@@ -14,7 +14,7 @@ from robocache.simulator import result_digest, run
 from robocache.workload import barcode_for_rank, read_trace
 
 from helpers import os_reporting_records_more
-from reference import reference_replay, synth_record_line
+from reference import TIME_FORM, reference_replay, reference_time_text, synth_record_line
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -367,6 +367,42 @@ def test_compare_refuses_to_write_over_an_input_report(case, config_path, tmp_pa
     assert {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)} == before
 
 
+@pytest.mark.parametrize("name", ["trace.csv", "kb.dat"])
+def test_compare_refuses_to_write_over_a_file_that_is_not_a_comparison_table(name, config_path, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    for method in ("baseline", "cached"):
+        assert run_cli(["run", "--config", config_path, "--out", out, "--method", method]) == 0
+    path = os.path.join(out, name)
+    before = {entry: read_bytes(os.path.join(out, entry)) for entry in os.listdir(out)}
+    capsys.readouterr()
+    assert run_cli(["compare", os.path.join(out, "raw_baseline.json"), os.path.join(out, "raw_cached.json"), "--out", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: comparison path {path} holds a file that is not a comparison table; give another --out\n"
+    assert {entry: read_bytes(os.path.join(out, entry)) for entry in os.listdir(out)} == before
+    # The next run still reads its inputs.
+    assert run_cli(["run", "--config", config_path, "--out", out, "--method", "cached"]) == 0
+
+
+def test_compare_rewrites_its_own_comparison_table(config_path, tmp_path):
+    out = str(tmp_path / "out")
+    assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
+    for method in ("baseline", "cached"):
+        assert run_cli(["run", "--config", config_path, "--out", out, "--method", method]) == 0
+    argv = ["compare", os.path.join(out, "raw_baseline.json"), os.path.join(out, "raw_cached.json")]
+    assert run_cli(argv) == 0
+    path = os.path.join(out, "comparison.csv")
+    table = read_bytes(path)
+    # A table of another run, cut short, is written over whole.
+    with open(path, "wb") as fh:
+        fh.write(table.split(b"\n")[0] + b"\nstale,1.0,2.0,2.0\n")
+    assert run_cli(argv) == 0
+    assert read_bytes(path) == table
+    assert run_cli(argv + ["--out", path]) == 0
+    assert read_bytes(path) == table
+
+
 def test_run_on_a_knowledge_base_cut_short_while_it_is_read_exits_one_naming_it(config_path, tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "out")
     assert run_cli(["generate", "--config", config_path, "--out", out]) == 0
@@ -462,7 +498,7 @@ def test_snapshots_of_robots_first_scanning_9_2_5_are_written_in_id_order(config
     scans = [(9, 0), (2, 1), (5, 2), (2, 1), (9, 3), (5, 2), (2, 4), (9, 0)]
     with open(os.path.join(out, "trace.csv"), "w") as fh:
         fh.write("robot_id,barcode,issued_at_ms\n")
-        fh.writelines(f"{robot},{barcode_for_rank(rank)},{index * 2.5!r}\n" for index, (robot, rank) in enumerate(scans))
+        fh.writelines(f"{robot},{barcode_for_rank(rank)},{reference_time_text(index * 2.5)}\n" for index, (robot, rank) in enumerate(scans))
     config = load_config(config_path, output_dir_override=out)
     (trace, _), (kb, _) = read_trace(config.trace_path), load_kb(config.kb_path)
     for method in ("baseline", "cached"):
@@ -693,6 +729,8 @@ def test_run_rejects_an_input_file_with_an_undecodable_byte(name, config_path, t
 
 
 KB_LINE_3 = synth_record_line(2)
+# The time 4.0 as a trace file spells it.
+FOUR = reference_time_text(4.0).encode()
 # An undecodable byte reaches the line check as a lone surrogate.
 KB_LINE_3_UNDECODABLE = KB_LINE_3[:20] + "\udcff" + KB_LINE_3[21:]
 
@@ -700,11 +738,11 @@ KB_LINE_3_UNDECODABLE = KB_LINE_3[:20] + "\udcff" + KB_LINE_3[21:]
 @pytest.mark.parametrize(
     "name,line_3,reason",
     [
-        ("trace.csv", b"1_0,10000000000000,4.0", "robot_id '1_0' is not an integer"),
-        ("trace.csv", b"7" * 5000 + b",10000000000000,4.0", "robot_id of 5000 digits is too long"),
-        ("trace.csv", b"1" * 19 + b",10000000000000,4.0", "robot_id of 19 digits is too long"),
-        ("trace.csv", b"1".zfill(19) + b",10000000000000,4.0", "robot_id of 19 digits is too long"),
-        ("trace.csv", b"0,10000000000000," + b"4.0".zfill(25), "issued_at_ms of 25 bytes is too long"),
+        ("trace.csv", b"1_0,10000000000000," + FOUR, "robot_id '1_0' is not an integer"),
+        ("trace.csv", b"7" * 5000 + b",10000000000000," + FOUR, "robot_id of 5000 digits is too long"),
+        ("trace.csv", b"1" * 19 + b",10000000000000," + FOUR, "robot_id of 19 digits is too long"),
+        ("trace.csv", b"1".zfill(19) + b",10000000000000," + FOUR, "robot_id of 19 digits is too long"),
+        ("trace.csv", b"0,10000000000000,4.0", f"issued_at_ms '4.0' is not of the form {TIME_FORM}"),
         ("kb.dat", b"10000000000002SHIP00002", "expected 56 characters, got 23"),
         ("kb.dat", KB_LINE_3[:18].encode() + b"\r" + KB_LINE_3[19:].encode(), "expected 56 characters, got 19"),
         ("kb.dat", b"1000000000000x" + KB_LINE_3[14:].encode(), "barcode field '1000000000000x' is not 14 decimal digits"),
@@ -715,7 +753,7 @@ KB_LINE_3_UNDECODABLE = KB_LINE_3[:20] + "\udcff" + KB_LINE_3[21:]
             f"non-ASCII character in {KB_LINE_3_UNDECODABLE!r}",
         ),
     ],
-    ids=["trace", "trace-robot-id-too-long", "trace-robot-id-of-19-digits", "trace-robot-id-zero-padded-to-19", "trace-time-of-25-bytes", "kb", "kb-lone-cr", "kb-barcode", "kb-duplicate", "kb-undecodable"],
+    ids=["trace", "trace-robot-id-too-long", "trace-robot-id-of-19-digits", "trace-robot-id-zero-padded-to-19", "trace-decimal-time", "kb", "kb-lone-cr", "kb-barcode", "kb-duplicate", "kb-undecodable"],
 )
 def test_run_names_the_input_file_holding_a_malformed_line(name, line_3, reason, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")

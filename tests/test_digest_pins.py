@@ -94,8 +94,8 @@ def test_synthesized_knowledge_base_bytes_are_pinned(records, tmp_path):
 
 
 TRACE_PINS = {
-    "desk": "8a7b67c78d6a90ce5171df0a6d68378b3fe9bf58b25486db8af097ca9059f462",
-    "wide-cache": "4365dc9846d54fcdddc911a8bacfb38eb53eac54e0ceae266e34df3ffebf2c67",
+    "desk": "66046ccbe25886ea0b4d2975623cf1c5b28015782224a1523e582f47a2adfb93",
+    "wide-cache": "40bde0969e1be55cd910ebd5ce1fc2c0be980b3647194b3445d2a1a915eb94fb",
 }
 
 

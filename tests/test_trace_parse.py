@@ -3,16 +3,19 @@
 Each parity case puts one bad line on line 3, after a good line 2, and
 loads the file both from its bytes (``parse_trace_bytes``) and from disk
 (``read_trace``); both give the line walk's line number and reason. A
-differential fuzz holds both to the walk kept verbatim in
-``reference.py``, and tripwires check that a generated trace, every
-accepted form of a robot id and a time, an empty file, a header without
-its "\n" and a last line without its "\n" load without the walk.
+differential fuzz holds both to the independent walk in ``reference.py``,
+and tripwires check that a generated trace, every accepted form of a
+robot id and a time, an empty file, a header without its "\n" and a last
+line without its "\n" load without the walk. Any finite float64 time
+with its sign bit clear survives a save and a parse bit for bit.
 """
 
 import hashlib
 import io
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,14 +24,19 @@ import robocache.workload
 from robocache.config import load_config
 from robocache.errors import TraceFormatError
 from robocache.presets import desk_scale_path
-from robocache.workload import generate, parse_trace_bytes, read_trace, write_trace
+from robocache.workload import Trace, generate, parse_trace_bytes, read_trace, save_trace, write_trace
 
 from helpers import make_trace, traced_memory
-from reference import reference_load_trace
+from reference import TIME_FORM, reference_load_trace, reference_time_text
 
 HEADER = "robot_id,barcode,issued_at_ms\n"
-LINE_2 = "0,10000000000000,1.0\n"
-BAD_KEY = "malformed barcode key {!r}: expected exactly 14 decimal digits"
+ONE, TWO, THREE = (reference_time_text(value) for value in (1.0, 2.0, 3.0))
+LINE_2 = f"0,10000000000000,{ONE}\n"
+BAD_KEY = "malformed barcode key {}: expected exactly 14 decimal digits"
+NOT_A_TIME = "issued_at_ms {} is not of the form " + TIME_FORM
+EXPONENT = "issued_at_ms {} has exponent {}, not -1022 to -0001 or +0000 to +1023"
+NOT_ZERO_OR_SUBNORMAL = "issued_at_ms {} is neither zero, 0x0.0000000000000p+0000, nor a subnormal, 0x0.<13 hex digits>p-1022"
+WIDE = "1" * 100_001
 
 
 def on_line_3(line):
@@ -36,11 +44,20 @@ def on_line_3(line):
 
 
 def robot_line(field):
-    return on_line_3(f"{field},10000000000000,2.0")
+    return on_line_3(f"{field},10000000000000,{TWO}")
 
 
 def time_line(field):
     return on_line_3(f"0,10000000000000,{field}")
+
+
+def time_on_line_2(field):
+    return HEADER + f"0,10000000000000,{field}\n"
+
+
+def long_field(field):
+    """How an error names a field of more than 40 characters."""
+    return f"{len(field)} characters starting {field[:40]!r}"
 
 
 # The one line of a raw run report, given where a trace belongs.
@@ -59,7 +76,7 @@ REFUSED = [
      (1, f"expected header 'robot_id,barcode,issued_at_ms', got 50042 characters starting {JSON_LINE[:40]!r}")),
     ("header-repeated", on_line_3(HEADER[:-1]), (3, "robot_id 'robot_id' is not an integer")),
     ("2-fields", on_line_3("0,10000000000000"), (3, "expected 3 comma-separated fields, got 2")),
-    ("4-fields", on_line_3("0,10000000000000,2.0,1"), (3, "expected 3 comma-separated fields, got 4")),
+    ("4-fields", on_line_3(f"0,10000000000000,{TWO},1"), (3, "expected 3 comma-separated fields, got 4")),
     ("robot-negative", robot_line("-1"), (3, "robot_id -1 is negative")),
     ("robot-minus-zero", robot_line("-0"), (3, "robot_id '-0' has a sign")),
     ("robot-plus", robot_line("+1"), (3, "robot_id '+1' has a sign")),
@@ -70,44 +87,65 @@ REFUSED = [
     ("robot-nul", robot_line("1\x00"), (3, "robot_id '1\\x00' is not an integer")),
     # Past 18 digits a field's shape is named before its width.
     ("robot-wide-plus", robot_line("+" + "1" * 20), (3, f"robot_id '+{'1' * 20}' has a sign")),
-    # More digits than int() converts.
-    ("robot-wide-negative", robot_line("-" + "1" * 5000), (3, f"robot_id -{'1' * 5000} is negative")),
+    # More digits than int() converts, named by the first 40 characters.
+    ("robot-wide-negative", robot_line("-" + "1" * 5000), (3, f"robot_id {long_field('-' + '1' * 5000)} is negative")),
     ("robot-19-digits", robot_line("1" * 19), (3, "robot_id of 19 digits is too long")),
     ("robot-zero-padded-to-26", robot_line("12".zfill(26)), (3, "robot_id of 26 digits is too long")),
-    ("barcode-letter", on_line_3("0,1000000000000x,2.0"), (3, BAD_KEY.format("1000000000000x"))),
-    ("barcode-short", on_line_3("0,123,2.0"), (3, BAD_KEY.format("123"))),
-    ("barcode-long", on_line_3("0,100000000000000,2.0"), (3, BAD_KEY.format("100000000000000"))),
-    ("barcode-empty", on_line_3("0,,2.0"), (3, BAD_KEY.format(""))),
-    ("time-underscore", time_line("1_0"), (3, "issued_at_ms '1_0' is not a plain ASCII number")),
-    ("time-spaces", time_line(" 5 "), (3, "issued_at_ms ' 5 ' is not a plain ASCII number")),
-    ("time-trailing-space", time_line("5 "), (3, "issued_at_ms '5 ' is not a plain ASCII number")),
-    ("time-leading-tab", time_line("\t5"), (3, "issued_at_ms '\\t5' is not a plain ASCII number")),
-    ("time-full-width", time_line("５"), (3, "issued_at_ms '５' is not a plain ASCII number")),
-    ("time-crlf", time_line("5\r"), (3, "issued_at_ms '5\\r' is not a plain ASCII number")),
-    # numpy's S dtype drops trailing NULs, so a NUL-padded read alone would take this one.
-    ("time-trailing-nul", time_line("2.0\x00"), (3, "issued_at_ms '2.0\\x00' is not a number")),
-    ("time-inner-nul", time_line("2\x000"), (3, "issued_at_ms '2\\x000' is not a number")),
-    ("time-wide-space", time_line(" " + "1" * 30), (3, f"issued_at_ms ' {'1' * 30}' is not a plain ASCII number")),
-    ("time-25-bytes", time_line("2.5".zfill(25)), (3, "issued_at_ms of 25 bytes is too long")),
-    ("time-plus", time_line("+5"), (3, "issued_at_ms '+5' has a sign")),
-    ("time-minus-zero", time_line("-0.0"), (3, "issued_at_ms '-0.0' has a sign")),
-    ("time-negative", time_line("-5"), (3, "issued_at_ms -5 is not a finite non-negative time")),
-    ("time-nan", time_line("nan"), (3, "issued_at_ms nan is not a finite non-negative time")),
-    ("time-inf", time_line("inf"), (3, "issued_at_ms inf is not a finite non-negative time")),
-    ("time-word", time_line("abc"), (3, "issued_at_ms 'abc' is not a number")),
-    ("time-empty", time_line(""), (3, "issued_at_ms '' is not a number")),
-    ("time-decreases", time_line("0.5"), (3, "issued_at_ms decreased (0.5 after 1.0)")),
+    # Every robot id is as wide as line 2's.
+    ("robot-wider-than-line-2", robot_line("07"), (3, "robot_id '07' has width 2, not 1 as on line 2")),
+    ("robot-narrower-than-line-2", HEADER + f"00,10000000000000,{ONE}\n7,10000000000000,{TWO}\n",
+     (3, "robot_id '7' has width 1, not 2 as on line 2")),
+    # Fields of 100,001 bytes are named by their first 40 characters.
+    ("robot-100001-bytes", robot_line(WIDE), (3, "robot_id of 100001 digits is too long")),
+    ("robot-100001-bytes-not-digits", robot_line("x" + WIDE[1:]), (3, f"robot_id {long_field('x' + WIDE[1:])} is not an integer")),
+    ("barcode-100001-bytes", on_line_3(f"0,{WIDE},{TWO}"), (3, BAD_KEY.format(long_field(WIDE)))),
+    ("time-100001-bytes", time_line(WIDE), (3, NOT_A_TIME.format(long_field(WIDE)))),
+    ("barcode-letter", on_line_3(f"0,1000000000000x,{TWO}"), (3, BAD_KEY.format("'1000000000000x'"))),
+    ("barcode-short", on_line_3(f"0,123,{TWO}"), (3, BAD_KEY.format("'123'"))),
+    ("barcode-long", on_line_3(f"0,100000000000000,{TWO}"), (3, BAD_KEY.format("'100000000000000'"))),
+    ("barcode-empty", on_line_3(f"0,,{TWO}"), (3, BAD_KEY.format("''"))),
+    # Decimal text, the format before hex, and float.hex() unpadded.
+    ("time-decimal", time_line("2.0"), (3, NOT_A_TIME.format("'2.0'"))),
+    ("time-unpadded-fraction", time_line("0x1.0p+1"), (3, NOT_A_TIME.format("'0x1.0p+1'"))),
+    ("time-unpadded-exponent", time_line("0x1.0000000000000p+1"), (3, NOT_A_TIME.format("'0x1.0000000000000p+1'"))),
+    ("time-upper-hex", time_line("0x1.000000000000Ap+0001"), (3, NOT_A_TIME.format("'0x1.000000000000Ap+0001'"))),
+    ("time-upper-x", time_line("0X1.0000000000000p+0001"), (3, NOT_A_TIME.format("'0X1.0000000000000p+0001'"))),
+    ("time-upper-p", time_line("0x1.0000000000000P+0001"), (3, NOT_A_TIME.format("'0x1.0000000000000P+0001'"))),
+    ("time-lead-2", time_line("0x2.0000000000000p+0000"), (3, NOT_A_TIME.format("'0x2.0000000000000p+0000'"))),
+    ("time-plus", time_line("+" + TWO), (3, NOT_A_TIME.format(repr("+" + TWO)))),
+    ("time-minus", time_line("-" + TWO), (3, NOT_A_TIME.format(repr("-" + TWO)))),
+    ("time-exponent-without-sign", time_line("0x1.0000000000000p00002"), (3, NOT_A_TIME.format("'0x1.0000000000000p00002'"))),
+    ("time-5-exponent-digits", time_line("0x1.000000000000p+00001"), (3, NOT_A_TIME.format("'0x1.000000000000p+00001'"))),
+    ("time-underscore", time_line("0x1.000000_000000p+0001"), (3, NOT_A_TIME.format("'0x1.000000_000000p+0001'"))),
+    ("time-space", time_line(" " + TWO[:-1]), (3, NOT_A_TIME.format(repr(" " + TWO[:-1])))),
+    ("time-full-width", time_line(TWO[:-1] + "５"), (3, NOT_A_TIME.format(repr(TWO[:-1] + "５")))),
+    ("time-crlf", time_line(TWO + "\r"), (3, NOT_A_TIME.format(repr(TWO + "\r")))),
+    ("time-trailing-nul", time_line(TWO[:-1] + "\x00"), (3, NOT_A_TIME.format(repr(TWO[:-1] + "\x00")))),
+    ("time-nan", time_line("nan"), (3, NOT_A_TIME.format("'nan'"))),
+    ("time-empty", time_line(""), (3, NOT_A_TIME.format("''"))),
+    # The right shape, but not the one text of a float64 time; on line 2,
+    # so that no earlier time is larger, which alone would refuse each.
+    ("time-exponent-1024", time_on_line_2("0x1.0000000000000p+1024"), (2, EXPONENT.format("0x1.0000000000000p+1024", "+1024"))),
+    ("time-exponent-minus-1023", time_on_line_2("0x1.0000000000000p-1023"), (2, EXPONENT.format("0x1.0000000000000p-1023", "-1023"))),
+    ("time-exponent-minus-0", time_on_line_2("0x1.0000000000000p-0000"), (2, EXPONENT.format("0x1.0000000000000p-0000", "-0000"))),
+    ("time-zero-as-subnormal", time_on_line_2("0x0.0000000000000p-1022"), (2, NOT_ZERO_OR_SUBNORMAL.format("0x0.0000000000000p-1022"))),
+    ("time-zero-exponent-1", time_on_line_2("0x0.0000000000000p+0001"), (2, NOT_ZERO_OR_SUBNORMAL.format("0x0.0000000000000p+0001"))),
+    ("time-zero-exponent-minus-0", time_on_line_2("0x0.0000000000000p-0000"), (2, NOT_ZERO_OR_SUBNORMAL.format("0x0.0000000000000p-0000"))),
+    ("time-subnormal-exponent-0", time_on_line_2("0x0.0000000000001p+0000"), (2, NOT_ZERO_OR_SUBNORMAL.format("0x0.0000000000001p+0000"))),
+    ("time-subnormal-exponent-minus-1021", time_on_line_2("0x0.8000000000000p-1021"),
+     (2, NOT_ZERO_OR_SUBNORMAL.format("0x0.8000000000000p-1021"))),
+    ("time-decreases", time_line(reference_time_text(0.5)), (3, "issued_at_ms decreased (0.5 after 1.0)")),
     # A lone "\r" ends a line, as it does in a file opened with newline="".
-    ("lone-cr-in-a-field", on_line_3("0,1000000\r0000000,2.0"), (3, "expected 3 comma-separated fields, got 2")),
-    ("lone-cr-ends-a-line", on_line_3("0,10000000000000,2.0\r0,10000000000000,3.0"),
-     (3, "issued_at_ms '2.0\\r' is not a plain ASCII number")),
+    ("lone-cr-in-a-field", on_line_3(f"0,1000000\r0000000,{TWO}"), (3, "expected 3 comma-separated fields, got 2")),
+    ("lone-cr-ends-a-line", on_line_3(f"0,10000000000000,{TWO}\r0,10000000000000,{THREE}"),
+     (3, NOT_A_TIME.format(repr(TWO + "\r")))),
     # What read_trace decodes an undecodable byte to: a lone surrogate.
-    ("undecodable-byte", on_line_3("0,1000000000000\udcff,2.0"), (3, BAD_KEY.format("1000000000000\udcff"))),
-    ("two-faults", on_line_3("x,10000000000000,2.0\n0,10000000000000,-1"), (3, "robot_id 'x' is not an integer")),
+    ("undecodable-byte", on_line_3(f"0,1000000000000\udcff,{TWO}"), (3, BAD_KEY.format(repr("1000000000000\udcff")))),
+    ("two-faults", on_line_3(f"x,10000000000000,{TWO}\n0,10000000000000,-1"), (3, "robot_id 'x' is not an integer")),
     # A flat split of the whole body would read these 4 + 2 or 2 + 4 fields as two good rows.
-    ("4-then-2-fields", HEADER + "0,10000000000000,1.0,1\n10000000000001,2.0\n",
+    ("4-then-2-fields", HEADER + f"0,10000000000000,{ONE},1\n10000000000001,{TWO}\n",
      (2, "expected 3 comma-separated fields, got 4")),
-    ("2-then-4-fields", HEADER + "0,10000000000000\n1.0,1,10000000000001,2.0\n",
+    ("2-then-4-fields", HEADER + f"0,10000000000000\n{ONE},1,10000000000001,{TWO}\n",
      (2, "expected 3 comma-separated fields, got 2")),
 ]
 
@@ -121,6 +159,8 @@ def test_each_refused_line_keeps_its_line_number_and_reason(text, expected, tmp_
     with pytest.raises(TraceFormatError) as exc_info:
         parse_trace_bytes(data)
     assert (exc_info.value.line_no, exc_info.value.reason) == expected
+    # However long a field, its error line stays short.
+    assert len(str(exc_info.value)) < 200
 
     path = tmp_path / "trace.csv"
     path.write_bytes(data)
@@ -130,7 +170,7 @@ def test_each_refused_line_keeps_its_line_number_and_reason(text, expected, tmp_
 
 
 def test_a_last_line_without_a_newline_still_loads(tmp_path):
-    text = HEADER + LINE_2 + "1,10000000000001,2.5"
+    text = HEADER + LINE_2 + f"1,10000000000001,{reference_time_text(2.5)}"
     expected = make_trace([(0, "10000000000000", 1.0), (1, "10000000000001", 2.5)])
     assert parse_trace_bytes(text.encode("ascii")) == expected
     path = tmp_path / "trace.csv"
@@ -138,32 +178,34 @@ def test_a_last_line_without_a_newline_still_loads(tmp_path):
     assert read_trace(str(path))[0] == expected
 
 
-# Robot ids of one and two digits, repeated barcodes, the time forms
-# save_trace writes (a zero, an exponent, an integer-valued float), and a
-# robot id (10**18 - 1) and a time (zero-padded) as wide as a trace holds,
-# so that one inserted digit makes either too wide.
-FUZZ_BASE = (
-    HEADER
-    + "0,10000000000000,0.0\n"
-    + "12,10000000000007,1e-05\n"
-    + "3,10000000000000,2.5\n"
-    + "0,98765432109876,2.5\n"
-    + "7,10000000000007,1000.0\n"
-    + "999999999999999999,10000000000003,0000000000000000001000.5\n"
-    + "1,10000000000001,1.5e+16\n"
+# Robot ids two digits wide, repeated barcodes, and times of each kind:
+# zero, the least subnormal, the least normal, a repeated time, a value
+# with a long fraction and one past 2**53.
+FUZZ_BASE = HEADER + "".join(
+    f"{robot},{barcode},{reference_time_text(time)}\n"
+    for robot, barcode, time in [
+        ("00", "10000000000000", 0.0),
+        ("12", "10000000000007", 5e-324),
+        ("03", "10000000000000", 2.0**-1022),
+        ("00", "98765432109876", 2.5),
+        ("07", "10000000000007", 2.5),
+        ("99", "10000000000003", 1000.1),
+        ("01", "10000000000001", 1.5e16),
+    ]
 )
-# What each inserted character tests: field and line structure, the CR the
-# bulk parse refuses, "_" and signs, whitespace, the NUL that pads a time's
-# window, non-ASCII digits and letters, the surrogate an undecodable byte
-# becomes, and valid characters.
-FUZZ_CHARS = [",", "\n", "\r", "_", "+", "-", " ", "\t", "\x00", "５", "é", "\udcff", "0", "9", ".", "e"]
+# What each inserted or replacing character tests: field and line
+# structure, the CR the bulk parse refuses, "_" and signs, whitespace, NUL,
+# non-ASCII digits and letters, the surrogate an undecodable byte becomes,
+# and the characters of a time field, upper case among them.
+FUZZ_CHARS = [",", "\n", "\r", "_", "+", "-", " ", "\t", "\x00", "５", "é", "\udcff", "0", "1", "9", ".", "x", "p", "a", "f", "A", "X"]
 
 
 @st.composite
 def mutated_traces(draw):
     text = FUZZ_BASE
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(["insert", "delete", "swap-rows"]))
+        # A replaced character keeps every line's width, so only the column checks can refuse it.
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "swap-rows"]))
         # Half the edits land at a field's edge, where a field check must look.
         edges = [at for at, char in enumerate(text) if char in ",\n"]
         at = draw(st.sampled_from(edges) | st.integers(0, len(text)) if edges else st.integers(0, len(text)))
@@ -171,6 +213,8 @@ def mutated_traces(draw):
             text = text[:at] + draw(st.sampled_from(FUZZ_CHARS)) + text[at:]
         elif kind == "delete":
             text = text[:at] + text[at + 1 :]
+        elif kind == "replace":
+            text = text[:at] + draw(st.sampled_from(FUZZ_CHARS)) + text[at + 1 :]
         elif kind == "swap-rows":
             rows = text.split("\n")
             i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
@@ -202,9 +246,10 @@ def test_loading_a_mutated_trace_matches_the_line_walk(text, tmp_path):
     assert_loads_as_the_line_walk(text, tmp_path)
 
 
-# Blocks of one line (1 and 7) or two (40) put block edges inside the
-# fuzzed texts, where the per-block line check must still hold.
-SMALL_BLOCKS = [1, 7, 40]
+# Blocks hold whole lines, at least one: blocks of 1, 7 and 40 bytes hold
+# one of the fuzzed texts' 42-byte lines and blocks of 100 bytes two, which
+# puts block edges inside the texts, where the per-block checks must still hold.
+SMALL_BLOCKS = [1, 7, 40, 100]
 
 
 @pytest.mark.parametrize("block_chars", SMALL_BLOCKS)
@@ -220,7 +265,7 @@ def test_4_then_2_fields_split_across_a_block_edge_are_refused(block_chars, monk
     # At each of these sizes a block ends right after the 4-field line, so
     # each block's comma count must be checked against its own lines.
     monkeypatch.setattr(robocache.workload, "_BLOCK_CHARS", block_chars)
-    text = HEADER + LINE_2 + "0,10000000000000,1.0,1\n10000000000001,2.0\n"
+    text = HEADER + LINE_2 + f"0,10000000000000,{ONE},1\n10000000000001,{TWO}\n"
     assert outcome(parse_trace_bytes, text.encode()) == (3, "expected 3 comma-separated fields, got 4")
     assert_loads_as_the_line_walk(text, tmp_path)
 
@@ -239,46 +284,47 @@ def test_a_generated_trace_loads_without_the_line_walk(monkeypatch, tmp_path):
     assert read_trace(str(path))[0] == trace
 
 
-# Zero-padded and plain forms of one robot id; ids of 1, 2 and 18 digits,
-# the widest (10**18 - 1) among them, and an 18-character zero-padded one;
-# and each form of a time that float() reads, in order, a 24-byte
-# zero-padded one among them.
-ACCEPTED_ROWS = [
-    ("007", 7, "1e-05"),
-    ("0", 0, "1.5".zfill(24)),
-    ("7", 7, "5."),
-    ("3", 3, ".5e1"),
-    ("12", 12, "100000"),
-    (str(10**17 + 3), 10**17 + 3, "1E5"),
-    (str(10**18 - 1), 10**18 - 1, "1.5e+16"),
-    ("12".zfill(18), 12, "1.5e+16"),
+# Robot ids of one width: 1 digit, and 18, the widest, zero-padded and
+# not; and each kind of time in order, every hex digit among them: zero,
+# the least and the largest subnormal, the least normal, negative and
+# positive exponents, and the largest float64.
+ACCEPTED_ROBOTS = {1: [("0", 0), ("7", 7), ("3", 3)], 18: [("12".zfill(18), 12), (str(10**18 - 1), 10**18 - 1), (str(10**17 + 3), 10**17 + 3)]}
+ACCEPTED_TIMES = [
+    "0x0.0000000000000p+0000",
+    "0x0.0000000000001p-1022",
+    "0x0.fedcba9876543p-1022",
+    "0x1.0000000000000p-1022",
+    "0x1.0123456789abcp-0001",
+    "0x1.0000000000000p+0000",
+    "0x1.fedcba9876543p+0000",
+    "0x1.aa535d3d0c000p+0053",
+    "0x1.fffffffffffffp+1023",
 ]
 
 
+@pytest.mark.parametrize("digits", sorted(ACCEPTED_ROBOTS))
 @pytest.mark.parametrize("block_chars", [robocache.workload._BLOCK_CHARS] + SMALL_BLOCKS)
-def test_every_accepted_field_form_loads_without_the_line_walk(block_chars, monkeypatch):
+def test_every_accepted_field_form_loads_without_the_line_walk(block_chars, digits, monkeypatch):
     monkeypatch.setattr(robocache.workload, "_BLOCK_CHARS", block_chars)
     monkeypatch.setattr(robocache.workload, "_walk_lines", walk_refused)
-    text = HEADER + "".join(f"{robot},{10000000000000 + at},{time}\n" for at, (robot, _, time) in enumerate(ACCEPTED_ROWS))
-    expected = make_trace(
-        (robot_id, str(10000000000000 + at), float(time)) for at, (_, robot_id, time) in enumerate(ACCEPTED_ROWS)
-    )
+    robots = ACCEPTED_ROBOTS[digits]
+    rows = [(robots[at % len(robots)], 10000000000000 + at, time) for at, time in enumerate(ACCEPTED_TIMES)]
+    text = HEADER + "".join(f"{robot},{key},{time}\n" for (robot, _), key, time in rows)
+    expected = make_trace((robot_id, str(key), float.fromhex(time)) for (_, robot_id), key, time in rows)
     assert parse_trace_bytes(text.encode()) == expected
 
 
 @pytest.mark.parametrize(
     "robot,time,reason",
     [
-        pytest.param("0".zfill(31), "2000.0", "robot_id of 31 digits is too long", id="31-digit-robot-id"),
-        pytest.param("0", "2000.".ljust(100_000, "0"), "issued_at_ms of 100000 bytes is too long", id="100000-byte-time"),
+        pytest.param("0".zfill(31), reference_time_text(2000.0), "robot_id of 31 digits is too long", id="31-digit-robot-id"),
+        pytest.param("0", "2000.".ljust(100_000, "0"), NOT_A_TIME.format(long_field("2000.".ljust(100_000, "0"))), id="100000-byte-time"),
     ],
 )
 def test_a_block_with_a_wide_field_is_refused_in_bounded_memory(robot, time, reason):
     # One block holds a 31-digit robot id or a 100,000-character time among
-    # 4,000 short lines. No window is wider than its bound: one as wide as
-    # the widest field would hold 100,000 bytes for every line of the
-    # block, thousands of times the file.
-    lines = [f"{at % 4},{10000000000000 + at % 50},{float(at)!r}\n" for at in range(4000)]
+    # 4,000 short lines. No check copies more than a block of the lines.
+    lines = [f"{at % 4},{10000000000000 + at % 50},{reference_time_text(float(at))}\n" for at in range(4000)]
     # Row 2000 again, with robot 0 and time 2000.0, one of them written wide.
     lines[2000] = f"{robot},10000000000000,{time}\n"
     data = (HEADER + "".join(lines)).encode()
@@ -323,3 +369,43 @@ def test_the_line_walk_of_a_good_trace_ends_in_an_assertion(text):
     # The walk only names the bad line of a text that the bulk parse refused.
     with pytest.raises(AssertionError, match="bulk parse"):
         robocache.workload._walk_lines(text)
+
+
+# The trace the writer wrote while times were decimal text: the golden
+# 5-scan trace of that format.
+DECIMAL_TRACE = (
+    HEADER
+    + "0,10000000000003,23.516208555408898\n"
+    + "1,10000000000000,66.40089206320778\n"
+    + "0,10000000000001,67.94722114066641\n"
+)
+
+
+def test_a_trace_of_decimal_times_is_refused_naming_the_hex_form(tmp_path):
+    expected = (2, NOT_A_TIME.format("'23.516208555408898'"))
+    assert outcome(parse_trace_bytes, DECIMAL_TRACE.encode()) == expected
+    assert "0x1.<13 lowercase hex digits>p<+ or -><4 digits>" in expected[1]
+    assert_loads_as_the_line_walk(DECIMAL_TRACE, tmp_path)
+
+
+# Zero, the least and the largest subnormal, the least normal and the largest double.
+EDGE_TIMES = [0.0, 5e-324, float.fromhex("0x0.fffffffffffffp-1022"), 2.0**-1022, sys.float_info.max]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    bits=st.lists(
+        # Any finite float64 with its sign bit clear, and subnormals on their own.
+        st.integers(0, 0x7FEFFFFFFFFFFFFF) | st.integers(0, 0x000FFFFFFFFFFFFF),
+        max_size=40,
+    )
+)
+def test_any_finite_time_with_its_sign_bit_clear_survives_save_and_parse_bit_for_bit(bits):
+    times = np.sort(np.concatenate([np.array(bits, np.uint64).view(np.float64), EDGE_TIMES]))
+    trace = Trace([at % 3 for at in range(len(times))], np.full(len(times), 10**13, np.int64), times)
+    out = io.StringIO()
+    save_trace(trace, out)
+    parsed = parse_trace_bytes(out.getvalue().encode())
+    assert parsed.issued_at.view(np.uint64).tolist() == times.view(np.uint64).tolist()
+    fields = [line.split(",")[2] for line in out.getvalue().splitlines()[1:]]
+    assert [float.fromhex(field).hex() for field in fields] == [time.hex() for time in times.tolist()]

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -22,10 +23,12 @@ from robocache.workload import (
 )
 
 from helpers import barcodes_of, make_trace, rows_of, traced_memory, traced_peak
-from reference import reference_save_trace
+from reference import TIME_FORM, reference_save_trace, reference_time_text
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 A = "12345678901234"
+HEADER = "robot_id,barcode,issued_at_ms\n"
+ONE, FOUR = reference_time_text(1.0), reference_time_text(4.0)
 
 
 def make_config(**overrides):
@@ -97,6 +100,10 @@ def test_generate_matches_committed_golden_trace():
     save_trace(generate(config), out)
     with open(os.path.join(FIXTURES, "golden_trace_5.csv"), newline="") as fh:
         assert out.getvalue() == fh.read()
+    # Each time is the value that the decimal text of the format before hex read as.
+    decimal = ["23.516208555408898", "66.40089206320778", "67.94722114066641", "72.92441196339455", "81.18726837873248"]
+    times = [float.fromhex(line.split(",")[2]) for line in out.getvalue().splitlines()[1:]]
+    assert times == [float(text) for text in decimal]
 
 
 def test_export_import_round_trip_is_identity():
@@ -116,15 +123,15 @@ def test_save_trace_writes_the_header_and_one_line_per_scan_across_its_write_blo
     trace = make_trace((index % 3, barcode_for_rank(index % 7), index / 4) for index in range(scans))
     out = io.StringIO()
     save_trace(trace, out)
-    lines = "".join(f"{robot_id},{barcode},{issued_at!r}\n" for robot_id, barcode, issued_at in rows_of(trace))
-    assert out.getvalue() == "robot_id,barcode,issued_at_ms\n" + lines
+    lines = "".join(f"{robot_id},{barcode},{reference_time_text(issued_at)}\n" for robot_id, barcode, issued_at in rows_of(trace))
+    assert out.getvalue() == HEADER + lines
 
 
-# Robot ids of one, two and 18 digits, the widest a trace holds; times in each form
-# repr gives: zero, the least subnormal, a small exponent, a fraction, and
-# a large float with and without a fraction digit.
+# Robot ids of one, two and 18 digits, the widest a trace holds; times of
+# each kind: zero, the least and the largest subnormal, the least normal, a
+# negative exponent, a fraction, floats past 2**53 and the largest double.
 ORACLE_ROBOT_IDS = [0, 12, 10**18 - 1]
-ORACLE_TIMES = [0.0, 5e-324, 1e-05, 2.5, 1e16, 1.5e16]
+ORACLE_TIMES = [0.0, 5e-324, 2.0**-1022 - 5e-324, 2.0**-1022, 1e-05, 2.5, 1e16, 1.5e16, sys.float_info.max]
 
 
 @pytest.mark.parametrize("scans", [8191, 8192, 8193])
@@ -132,7 +139,7 @@ ORACLE_TIMES = [0.0, 5e-324, 1e-05, 2.5, 1e16, 1.5e16]
 @given(
     robot_ids=st.lists(st.integers(0, 10**18 - 1), max_size=3),
     keys=st.lists(st.integers(0, 10**14 - 1), min_size=1, max_size=6),
-    times=st.lists(st.floats(0.0, 1e300), max_size=4),
+    times=st.lists(st.floats(0.0, sys.float_info.max), max_size=4),
 )
 def test_save_trace_writes_the_bytes_of_the_row_format_writer(scans, robot_ids, keys, times):
     # Each drawn pool repeats over the scans; the times, sorted, do not decrease.
@@ -168,6 +175,7 @@ def test_hand_written_fixture_loads_field_for_field():
     events, digest = read_trace(path)
     with open(path, "rb") as fh:
         assert digest == hashlib.sha256(fh.read()).hexdigest()
+    # The times that the fixture's decimal text, before hex, read as.
     assert events == make_trace([
         (0, "12345678901234", 0.0),
         (1, "98765432109876", 5.5),
@@ -179,23 +187,24 @@ def test_hand_written_fixture_loads_field_for_field():
     "body,bad_line",
     [
         ("robot,barcode\n", 1),
-        ("robot_id,barcode,issued_at_ms\n0,123,4.0\n", 2),
-        ("robot_id,barcode,issued_at_ms\nx,12345678901234,4.0\n", 2),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234,oops\n", 2),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234\n", 2),
-        ("robot_id,barcode,issued_at_ms\n-1,12345678901234,4.0\n", 2),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234,1.0\n1_0,12345678901234,4.0\n", 3),
-        ("robot_id,barcode,issued_at_ms\n 1,12345678901234,4.0\n", 2),
-        ("robot_id,barcode,issued_at_ms\n１,12345678901234,4.0\n", 2),
-        ("robot_id,barcode,issued_at_ms\n+1,12345678901234,4.0\n", 2),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234,4.0\n0,12345678901234,3.9\n", 3),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234,nan\n", 2),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234,1.0\n0,12345678901234,1_0\n", 3),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234, 5 \n", 2),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234,５\n", 2),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234,5\r\n", 2),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234,+5\n", 2),
-        ("robot_id,barcode,issued_at_ms\n0,12345678901234,-0.0\n", 2),
+        (HEADER + f"0,123,{FOUR}\n", 2),
+        (HEADER + f"x,12345678901234,{FOUR}\n", 2),
+        (HEADER + "0,12345678901234,oops\n", 2),
+        (HEADER + "0,12345678901234\n", 2),
+        (HEADER + f"-1,12345678901234,{FOUR}\n", 2),
+        (HEADER + f"0,12345678901234,{ONE}\n1_0,12345678901234,{FOUR}\n", 3),
+        (HEADER + f" 1,12345678901234,{FOUR}\n", 2),
+        (HEADER + f"１,12345678901234,{FOUR}\n", 2),
+        (HEADER + f"+1,12345678901234,{FOUR}\n", 2),
+        (HEADER + f"0,12345678901234,{FOUR}\n0,12345678901234,{reference_time_text(3.9)}\n", 3),
+        (HEADER + "0,12345678901234,nan\n", 2),
+        (HEADER + f"0,12345678901234,{ONE}\n0,12345678901234,0x1.000_00000000p+0000\n", 3),
+        (HEADER + f"0,12345678901234, {FOUR[1:]}\n", 2),
+        (HEADER + f"0,12345678901234,{FOUR[:-1]}５\n", 2),
+        (HEADER + f"0,12345678901234,{FOUR}\r\n", 2),
+        (HEADER + f"0,12345678901234,+{FOUR}\n", 2),
+        (HEADER + f"0,12345678901234,-{FOUR}\n", 2),
+        (HEADER + "0,12345678901234,4.0\n", 2),
     ],
 )
 def test_malformed_lines_carry_their_line_number(body, bad_line):
@@ -217,31 +226,34 @@ def test_malformed_lines_carry_their_line_number(body, bad_line):
 )
 def test_robot_id_errors_name_the_field(robot_field, reason):
     with pytest.raises(TraceFormatError) as exc_info:
-        parse_trace_bytes(f"robot_id,barcode,issued_at_ms\n{robot_field},12345678901234,4.0\n".encode())
+        parse_trace_bytes(f"{HEADER}{robot_field},12345678901234,{FOUR}\n".encode())
     assert exc_info.value.reason == reason
 
 
 @pytest.mark.parametrize(
     "time_field,reason",
     [
-        ("-5", "issued_at_ms -5 is not a finite non-negative time"),
-        ("-0.0", "issued_at_ms '-0.0' has a sign"),
-        ("+5", "issued_at_ms '+5' has a sign"),
-        ("1_0", "issued_at_ms '1_0' is not a plain ASCII number"),
-        (" 5", "issued_at_ms ' 5' is not a plain ASCII number"),
-        ("5\r", "issued_at_ms '5\\r' is not a plain ASCII number"),
-        ("５", "issued_at_ms '５' is not a plain ASCII number"),
-        ("", "issued_at_ms '' is not a number"),
+        ("-" + FOUR, f"issued_at_ms '-{FOUR}' is not of the form {TIME_FORM}"),
+        ("+" + FOUR, f"issued_at_ms '+{FOUR}' is not of the form {TIME_FORM}"),
+        ("4.0", f"issued_at_ms '4.0' is not of the form {TIME_FORM}"),
+        ("0x1p+2", f"issued_at_ms '0x1p+2' is not of the form {TIME_FORM}"),
+        (FOUR + "\r", f"issued_at_ms '{FOUR}\\r' is not of the form {TIME_FORM}"),
+        ("", f"issued_at_ms '' is not of the form {TIME_FORM}"),
+        ("0x1.0000000000000p+1024", "issued_at_ms 0x1.0000000000000p+1024 has exponent +1024, not -1022 to -0001 or +0000 to +1023"),
+        (
+            "0x0.0000000000000p-1022",
+            "issued_at_ms 0x0.0000000000000p-1022 is neither zero, 0x0.0000000000000p+0000, nor a subnormal, 0x0.<13 hex digits>p-1022",
+        ),
     ],
 )
 def test_issued_at_errors_name_the_field(time_field, reason):
     with pytest.raises(TraceFormatError) as exc_info:
-        parse_trace_bytes(f"robot_id,barcode,issued_at_ms\n0,12345678901234,{time_field}\n".encode())
+        parse_trace_bytes(f"{HEADER}0,12345678901234,{time_field}\n".encode())
     assert exc_info.value.reason == reason
 
 
-def test_exponent_times_as_repr_writes_them_load_and_round_trip():
-    body = "robot_id,barcode,issued_at_ms\n0,12345678901234,1e-05\n0,12345678901234,1.5e+16\n"
+def test_hex_times_load_and_round_trip():
+    body = HEADER + "0,12345678901234,0x1.4f8b588e368f1p-0017\n0,12345678901234,0x1.aa535d3d0c000p+0053\n"
     trace = parse_trace_bytes(body.encode())
     assert trace.issued_at.tolist() == [1e-05, 1.5e16]
     out = io.StringIO()
@@ -264,6 +276,7 @@ def test_exponent_times_as_repr_writes_them_load_and_round_trip():
         pytest.param((0,), (A,), (float("nan"),), id="nan-time"),
         pytest.param((0,), (A,), (float("inf"),), id="inf-time"),
         pytest.param((0,), (A,), (-1.0,), id="negative-time"),
+        pytest.param((0, 0), (A, A), (-0.0, 1.0), id="minus-zero-time"),
         pytest.param((0,), (A,), (True,), id="bool-time"),
         pytest.param((0,), (A,), ("5",), id="str-time"),
         pytest.param((0, 0), (A, A), (1000.0, 0.0), id="decreasing-times"),
@@ -339,6 +352,8 @@ TIMES_2 = np.array([0.0, 1.0])
         pytest.param((0, 1), KEYS_2, np.array([0.0, np.nan]), np.array([0, 1]), id="nan-time"),
         pytest.param((0, 1), KEYS_2, np.array([0.0, -np.inf]), np.array([0, 1]), id="minus-inf-time"),
         pytest.param((0, 1), KEYS_2, np.array([1.0, 0.5]), np.array([0, 1]), id="decreasing-times"),
+        # No file spells -0.0, so no trace holds it.
+        pytest.param((0,), np.array([10**13, 10**13 + 1]), np.array([-0.0, 1.0]), np.array([0, 0]), id="minus-zero-time"),
         pytest.param((0, 1), KEYS_2, np.array([0, 1]), np.array([0, 1]), id="int64-times"),
     ],
 )
@@ -381,7 +396,9 @@ def test_a_zero_padded_barcode_and_the_widest_robot_id_save_and_reload_as_writte
     trace = make_trace([(10**18 - 1, "00000000000007", 0.0), (0, "00000000000007", 1.5)])
     out = io.StringIO()
     save_trace(trace, out)
-    assert out.getvalue() == "robot_id,barcode,issued_at_ms\n999999999999999999,00000000000007,0.0\n0,00000000000007,1.5\n"
+    # Every robot id is as wide as the widest.
+    lines = ["999999999999999999,00000000000007,0x0.0000000000000p+0000", "000000000000000000,00000000000007,0x1.8000000000000p+0000"]
+    assert out.getvalue() == HEADER + "".join(line + "\n" for line in lines)
     assert parse_trace_bytes(out.getvalue().encode()) == trace
     assert rows_of(parse_trace_bytes(out.getvalue().encode())) == [(10**18 - 1, "00000000000007", 0.0), (0, "00000000000007", 1.5)]
 
@@ -395,7 +412,7 @@ def test_a_trace_holds_robot_ids_below_10_to_the_18_so_every_saved_trace_reloads
     trace = make_trace([(10**18 - 1, A, 0.0), (3, A, 1.0)])
     out = io.StringIO()
     save_trace(trace, out)
-    assert out.getvalue().splitlines()[1] == f"{10**18 - 1},{A},0.0"
+    assert out.getvalue().splitlines()[1] == f"{10**18 - 1},{A},0x0.0000000000000p+0000"
     assert parse_trace_bytes(out.getvalue().encode()) == trace
 
 
@@ -423,11 +440,16 @@ def test_generate_peaks_near_the_columns_it_keeps():
 
 @pytest.mark.parametrize(
     "line",
-    [b"\xff,12345678901234,4.0", b"0,1234567890123\xff,4.0", b"0,12345678901234,4.\xff", b"0,12345678901234,4.0\xff"],
+    [
+        b"\xff,12345678901234," + FOUR.encode(),
+        b"0,1234567890123\xff," + FOUR.encode(),
+        b"0,12345678901234," + FOUR[:-1].encode() + b"\xff",
+        b"0,12345678901234," + FOUR.encode() + b"\xff",
+    ],
 )
 def test_undecodable_byte_is_rejected_with_its_line_number(line, tmp_path):
     path = tmp_path / "trace.csv"
-    path.write_bytes(b"robot_id,barcode,issued_at_ms\n0,12345678901234,1.0\n" + line + b"\n")
+    path.write_bytes(f"{HEADER}0,12345678901234,{ONE}\n".encode() + line + b"\n")
     with pytest.raises(TraceFormatError) as exc_info:
         read_trace(str(path))
     assert exc_info.value.line_no == 3
