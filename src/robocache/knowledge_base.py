@@ -25,13 +25,15 @@ it (its "\n" bytes counted into one mask reused for every block), and
 keeps only its keys. The keys of a file in barcode order, as every
 generated file is, pass one test of strict ascent, which also proves
 that no barcode appears twice; only the keys of another file are sorted
-and scanned for a duplicate. A file is decoded and walked line by line
-only to name its first bad line. ``require_keys`` checks that each of a
-batch of barcodes, given as their int64 keys (``cache.barcode_keys``),
-has a record, as the simulator does once per run with the distinct keys
-of its ``Trace``. No line is ever looked up or parsed back into fields:
-the simulator needs only to know that a record exists, and a robot
-caches the barcode alone.
+and scanned for a duplicate. These checks are the file's one checker.
+Lines end at "\n" only, so a "\r" is a bad byte of its line. Only a block
+that fails a check is searched, with one mask per check, for its first
+bad line, which the error names with the first check it fails.
+``require_keys`` checks that each of a batch of barcodes, given as their
+int64 keys (``cache.barcode_keys``), has a record, as the simulator does
+once per run with the distinct keys of its ``Trace``. No line is ever
+looked up or parsed back into fields: the simulator needs only to know
+that a record exists, and a robot caches the barcode alone.
 
 The database is read-only after ingest and safe to share across
 concurrent simulation runs. Search cost is modeled as an indexed
@@ -43,12 +45,12 @@ from __future__ import annotations
 import hashlib
 import io
 import os
-from typing import BinaryIO, NoReturn, Optional
+from typing import BinaryIO, Optional
 
 import numpy as np
 
-from .cache import BARCODE_WIDTH, barcode_text, digit_keys, validate_barcode
-from .errors import ConfigError, IngestError, MissingRecordError, SimulationError, ValidationError
+from .cache import BARCODE_WIDTH, barcode_text, digit_keys
+from .errors import ConfigError, IngestError, MissingRecordError, SimulationError
 from .workload import barcode_for_rank
 
 SHIPPER_WIDTH = 10
@@ -182,23 +184,6 @@ def index_probe_cost(record_count: int) -> int:
     return max(1, (record_count - 1).bit_length())
 
 
-def _check_line(line: str, line_no: int) -> str:
-    """The barcode of one fixed-width line (newline already stripped).
-
-    Raises IngestError with ``line_no`` and the reason the line is bad.
-    """
-    if len(line) != LINE_WIDTH:
-        raise IngestError(line_no, f"expected {LINE_WIDTH} characters, got {len(line)}")
-    barcode = line[0:BARCODE_WIDTH]
-    try:
-        validate_barcode(barcode)
-    except ValidationError:
-        raise IngestError(line_no, f"barcode field {barcode!r} is not 14 decimal digits") from None
-    if not line.isascii():
-        raise IngestError(line_no, f"non-ASCII character in {line!r}")
-    return barcode
-
-
 class KnowledgeBase:
     """The sorted int64 index of a record file's barcodes, one key per record."""
 
@@ -261,15 +246,13 @@ def _block_keys(block: bytearray, mask: np.ndarray) -> Optional[np.ndarray]:
 def _read_kb(fh: BinaryIO, size: int) -> tuple[KnowledgeBase, str]:
     """The knowledge base of the ``size`` bytes of record file ``fh`` and their SHA-256 hex.
 
-    The bytes are read in order, at most _BLOCK_RECORDS records per read,
-    into one buffer reused for every block, and each block is hashed and
-    checked by _block_keys as it comes, before the next is read; no read
-    holds the whole file. The last line may omit its "\n". Accepts exactly
-    the text that _walk passes to its end: the blocks start at whole
-    records, so the file passes block by block just when it passes whole,
-    and no barcode may appear twice in it. Only when a check fails is the
-    file read again whole, from its start, and walked line by line to name
-    its first bad line.
+    The bytes are read once, in order, at most _BLOCK_RECORDS records per
+    read, into one buffer reused for every block, and each block is hashed
+    and checked by _block_keys as it comes; no read holds the whole file.
+    The last line may omit its "\n". The blocks start at whole records,
+    so the file passes block by block just when it passes whole; then no
+    barcode may appear twice in it. A block that fails is searched by
+    _block_fault.
 
     A file that ends before ``size`` bytes, as one cut short since its
     size was taken does, raises SimulationError naming the file.
@@ -294,53 +277,82 @@ def _read_kb(fh: BinaryIO, size: int) -> tuple[KnowledgeBase, str]:
         if start + want == size and not block.endswith(b"\n"):
             block = block + b"\n"
         block_keys = _block_keys(block, mask)
-        if block_keys is None:
-            break
         first = start // RECORD_WIDTH
+        if block_keys is None:
+            raise _block_fault(fh, block, keys, first)
         keys[first : first + len(block_keys)] = block_keys
-    else:
-        # Strictly ascending keys, as every generated file holds, are sorted
-        # and hold no barcode twice; only other files are sorted here, and,
-        # sorted, a barcode given twice sits beside itself.
-        ascending = (keys[1:] > keys[:-1]).all()
-        if not ascending:
-            keys.sort()
-        if ascending or not (keys[1:] == keys[:-1]).any():
-            return KnowledgeBase(keys), digest.hexdigest()
-    fh.seek(0)
-    _walk(fh.read().decode("ascii", "surrogateescape"))
+    # Strictly ascending keys, as every generated file holds, are sorted and hold no barcode twice.
+    if not (keys[1:] > keys[:-1]).all():
+        if (error := _repeat(keys)) is not None:
+            raise error
+        keys.sort()
+    return KnowledgeBase(keys), digest.hexdigest()
 
 
-def _walk(text: str) -> NoReturn:
-    """Raise at the first bad line of ``text``, with its number and reason.
+def _repeat(keys: np.ndarray) -> Optional[IngestError]:
+    """The error of the first of ``keys``, in file order, that an earlier one equals, or None."""
+    if (keys[1:] > keys[:-1]).all():
+        return None  # strictly ascending keys hold none
+    # Sorted stably, each repeat follows the earlier keys it equals.
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if not len(repeats):
+        return None
+    at = int(repeats.min())
+    return IngestError(at + 1, f"duplicate barcode {barcode_text(int(keys[at]))}")
 
-    Lines end where a file opened with ``newline=""`` ends them, at a
-    lone "\r" too, and a line that keeps a "\r" is refused. A text with
-    no bad line, which _read_kb accepts, ends in AssertionError.
+
+def _block_fault(fh: BinaryIO, block: bytearray, keys: np.ndarray, first: int) -> IngestError:
+    """The error of the first bad line of ``block``, the records from record ``first`` on of a block that failed _block_keys.
+
+    Each check gives the first row that fails it, in the order a line's
+    reason is taken: its length, its barcode, ASCII only, and no "\r"; the
+    rest after the whole records, only ever in the last block, fails the
+    first. A barcode given twice is named at its second line, before that
+    line's "\r" check: the keys up to the first bad row, and of that row
+    once its first three checks pass, are held to the keys before them. A
+    line whose "\n" lies past the block is measured by reading on in ``fh``.
     """
-    seen: set[str] = set()
-    for line_no, raw in enumerate(io.StringIO(text, newline=""), start=1):
-        line = raw[:-1] if raw.endswith("\n") else raw
-        barcode = _check_line(line, line_no)
-        if barcode in seen:
-            raise IngestError(line_no, f"duplicate barcode {barcode}")
-        if "\r" in line:
-            # A line of 55 characters and "\r\n" has the right length.
-            raise IngestError(line_no, 'carriage return in the line; a record line ends in "\\n" only')
-        seen.add(barcode)
-    raise AssertionError("every line passed the walk but not the bulk check")
+    records = len(block) // RECORD_WIDTH
+    flat = np.frombuffer(block, np.uint8)
+    rows = flat[: records * RECORD_WIDTH].reshape(records, RECORD_WIDTH)
+    firsts = [
+        min(_first_row(rows[:, LINE_WIDTH] != ord("\n"), 1, records), _first_row(rows[:, :LINE_WIDTH] == ord("\n"), LINE_WIDTH, records)),
+        _first_row(rows[:, :BARCODE_WIDTH] - np.uint8(ord("0")) >= 10, BARCODE_WIDTH, records),
+        _first_row(flat >= 128, RECORD_WIDTH, records),
+        _first_row(flat == ord("\r"), RECORD_WIDTH, records),
+    ]
+    bad = min(firsts)
+    keyed = bad + (min(firsts[:3]) > bad)
+    keys[first : first + keyed] = digit_keys(rows[:keyed, :BARCODE_WIDTH])
+    at = bad * RECORD_WIDTH
+    end = block.find(b"\n", at)
+    length = end - at if end >= 0 else len(block) - at + (fh.read() + b"\n").index(b"\n")
+    line = block[at : at + LINE_WIDTH].decode("ascii", "surrogateescape")
+    reasons = [
+        f"expected {LINE_WIDTH} characters, got {length}",
+        f"barcode field {line[:BARCODE_WIDTH]!r} is not 14 decimal digits",
+        f"non-ASCII character in {line!r}",
+        # A line of 55 characters and "\r\n" has the right length.
+        'carriage return in the line; a record line ends in "\\n" only',
+    ]
+    return _repeat(keys[: first + keyed]) or IngestError(first + bad + 1, reasons[firsts.index(bad)])
+
+
+def _first_row(mask: np.ndarray, width: int, records: int) -> int:
+    """The row of the first True of ``mask``, a bool array of rows of ``width`` items, or ``records`` if no row before it holds one."""
+    flat = mask.ravel()
+    return min(int(flat.argmax()) // width, records) if flat.any() else records
 
 
 def ingest_bytes(data: bytes) -> KnowledgeBase:
     """Build the knowledge base of the bytes of a record file, given as bytes or a bytearray.
 
     Each line must match the layout documented at module top; the last
-    may omit its "\n". Lines end where a file opened with ``newline=""``
-    ends them, at a lone "\r" too, and no line may hold a "\r". The bytes
-    are read through ``_read_kb``, as ``load_kb`` reads a file; only when a
-    check fails are they decoded (a byte that is not ASCII as a lone
-    surrogate) and walked line by line, so the error carries the 1-based
-    number and the reason of the first bad line.
+    may omit its "\n". Lines end at "\n" only. The bytes are read through
+    ``_read_kb``, as ``load_kb`` reads a file, and the first bad line raises
+    IngestError with its 1-based number and reason, which quotes a byte
+    that is not ASCII as a lone surrogate.
     """
     return _read_kb(io.BytesIO(data), len(data))[0]
 
@@ -349,8 +361,8 @@ def load_kb(path: str) -> tuple[KnowledgeBase, str]:
     """The knowledge base of the record file at ``path`` and the SHA-256 hex of its bytes.
 
     The file is read once, a block at a time, and checked as
-    ``ingest_bytes`` checks a buffer (``_read_kb``); only when a check fails
-    is it read again whole, to name the first bad line.
+    ``ingest_bytes`` checks a buffer (``_read_kb``); a bad line is named
+    from the block that holds it, with no second read of the file.
     """
     with open(path, "rb") as fh:
         return _read_kb(fh, os.fstat(fh.fileno()).st_size)

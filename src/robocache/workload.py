@@ -12,7 +12,7 @@ of that contract and pinned by a golden trace in the test suite.
 
 Trace CSV format: one header line ``robot_id,barcode,issued_at_ms``
 followed by one line per scan, ASCII, "\n" newlines, every line as wide as
-the first. A robot id is zero-padded to the digits of the file's widest id,
+line 2. A robot id is zero-padded to the digits of the file's widest id,
 1 to 18. A barcode is written as its key's 14 zero-padded digits, the one
 place besides the replay's snapshots and its missing-record error where a
 key becomes text. A time is written exactly, in milliseconds, as
@@ -26,22 +26,21 @@ time has exactly one text, and every other spelling is refused.
 SHA-256 hex of its bytes, as ``knowledge_base.load_kb`` does for a record
 file. ``save_trace`` fills each block of lines a column of digits at a
 time, taking each time's hex digits straight from its float64 bits.
-``parse_trace_bytes``, the one parser of those bytes, checks blocks of
-lines as one ``reshape`` view of them, column by column, as
+``parse_trace_bytes``, the one parser and checker of those bytes, checks
+blocks of lines as one ``reshape`` view of them, column by column, as
 ``knowledge_base`` does for its fixed-width records; it decodes only the
-time fields that pass, which ``float.fromhex`` reads. Only bytes that
-fail a check are decoded whole and walked line by line, which names the
-first bad line and its reason.
+time fields that pass, which ``float.fromhex`` reads. Lines end at "\n"
+only, so a "\r" is a bad byte of its line. Only a block that fails a
+check is searched, with one mask per check, for its first bad line,
+which the error names with the first check it fails.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
-import re
 from dataclasses import dataclass
 from math import isfinite
-from typing import NoReturn, Optional, TextIO, Tuple
+from typing import Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -50,9 +49,9 @@ from .errors import ConfigError, TraceFormatError, ValidationError
 
 TRACE_HEADER = "robot_id,barcode,issued_at_ms"
 _HEADER_LINE = (TRACE_HEADER + "\n").encode()
-# Decoded with errors="surrogateescape": a byte that does not decode
-# reaches the parser as a lone surrogate, which every field check rejects
-# with its line number.
+# The parse decodes text only to quote the header or one field of a
+# refused line, with errors="surrogateescape": a byte that does not decode
+# is quoted as a lone surrogate.
 TRACE_ENCODING = "utf-8"
 
 # rank 0 maps to "10000000000000"; every rank below 9e13 stays 14 digits
@@ -73,7 +72,6 @@ _ROBOT_DIGITS = 18
 # exponent's sign and its 4 digits.
 _TIME_WIDTH = 23
 _TIME_FORM = "0x1.<13 lowercase hex digits>p<+ or -><4 digits>"
-_TIME_TEXT = re.compile(r"0x([01])\.([0-9a-f]{13})p([+-][0-9]{4})")
 # The bytes of a line after its robot id: a comma, the barcode, a comma, the time and "\n".
 _AFTER_ROBOT = 1 + BARCODE_WIDTH + 1 + _TIME_WIDTH + 1
 # What the columns of _fixed_columns hold.
@@ -291,49 +289,37 @@ def parse_trace_bytes(data: bytes) -> Trace:
     """Parse the bytes of a trace CSV, enforcing field shape and non-decreasing time.
 
     An empty file yields an empty trace; any content must start with the
-    standard header line, and the last line may omit its "\n". Every line
-    has the width of the first: a robot id of 1 to 18 digits, as wide on
-    every line, the barcode's 14 digits and a time of the form _TIME_FORM,
-    the one text of its value. The bytes are checked block by block; only
-    when a check fails are they decoded from UTF-8 (a byte that does not
-    decode as a lone surrogate) and walked line by line, so the error
-    carries the 1-based number and the reason of the first bad line. The
-    walk ends lines where a file opened with ``newline=""`` ends them, at
-    a lone "\r" too.
+    standard header line, and the last line may omit its "\n". Lines end
+    at "\n" only. Line 2's robot id, the 1 to 18 bytes before its first
+    comma, sets the width of every line: the robot id, the barcode's 14
+    digits and a time of the form _TIME_FORM, the one text of its value.
+    The lines are one ``reshape`` view of ``data``; each block of about
+    _BLOCK_CHARS bytes of them is checked column by column (the fixed
+    bytes, the digits, the hex digits through a table of byte values, the
+    signs and the exponents' range), so each time that ``float.fromhex``
+    reads is the one text of its value, and then its times are held to
+    order. Only a block that fails is searched, by _block_fault, for the
+    first bad line, which raises TraceFormatError with its 1-based number
+    and the reason of the first check it fails. Robots, numbered as first
+    met, are renumbered in id order in place at the end.
     """
     if not data.endswith(b"\n"):
         data = data + b"\n" if data else _HEADER_LINE
-    trace = _parse_columns(data)
-    if trace is None:
-        _walk_lines(data.decode(TRACE_ENCODING, "surrogateescape"))
-    return trace
-
-
-def _parse_columns(data: bytes) -> Optional[Trace]:
-    """The trace in ``data`` if all of it passes block by block, else None.
-
-    Accepts exactly the text that _walk_lines passes to its end, with the
-    same values. The lines after the header are one ``reshape`` view of
-    ``data``, as wide as the first; each block of about _BLOCK_CHARS bytes
-    of them is checked column by column: the fixed bytes, the digits of
-    its robot ids, barcodes and exponents, its hex digits through a table
-    of byte values, its signs, and the range of its exponents. Any other
-    byte, "\r" and non-ASCII among them, fails one of these, so each time
-    that ``float.fromhex`` reads is the one text of its value. Robots,
-    numbered as first met, are renumbered in id order in place at the
-    end. The Trace constructor checks the times' order.
-    """
-    start = len(_HEADER_LINE)
     if not data.startswith(_HEADER_LINE):
-        return None
+        header = data[: data.find(b"\n")].decode(TRACE_ENCODING, "surrogateescape")
+        # A file that is not a trace may be one long line.
+        shown = f"{len(header)} characters starting {header[:40]!r}" if len(header) > 40 else repr(header)
+        raise TraceFormatError(1, f"expected header {TRACE_HEADER!r}, got {shown}")
+    start = len(_HEADER_LINE)
     if len(data) == start:
         return Trace((), (), ())
-    width = data.find(b"\n", start) + 1 - start
-    digits = width - _AFTER_ROBOT
-    if (len(data) - start) % width or not 1 <= digits <= _ROBOT_DIGITS:
-        return None
-    lines = np.frombuffer(data, np.uint8, offset=start).reshape(-1, width)
-    scans = len(lines)
+    line_2 = data[start : data.find(b"\n", start)]
+    digits = line_2.find(b",")
+    if not 1 <= digits <= _ROBOT_DIGITS:
+        raise TraceFormatError(2, f"expected a robot_id of 1 to {_ROBOT_DIGITS} digits before the first comma, got {len(line_2) if digits < 0 else digits} bytes")
+    width = digits + _AFTER_ROBOT
+    scans = (len(data) - start) // width
+    lines = np.frombuffer(data, np.uint8, scans * width, start).reshape(scans, width)
     robots = np.empty(scans, np.intp)
     keys = np.empty(scans, np.int64)
     times = np.empty(scans, np.float64)
@@ -344,22 +330,18 @@ def _parse_columns(data: bytes) -> Optional[Trace]:
     for row in range(0, scans, step):
         block = lines[row : row + step]
         rows = slice(row, row + len(block))
-        if not (block[:, fixed] == _FIXED_BYTES).all():
-            return None
-        block_keys = digit_keys(block[:, digits + 1 : digits + 1 + BARCODE_WIDTH])
-        if block_keys is None:
-            return None
+        block_keys = digit_keys(block[:, digits + 1 : digits + 1 + BARCODE_WIDTH]) if (block[:, fixed] == _FIXED_BYTES).all() else None
+        if block_keys is None or not (_read_robots(block[:, :digits], robots[rows], number_of_id) and _read_times(block[:, time : time + _TIME_WIDTH], times[rows])):
+            raise _block_fault(data, start, block, row, times)
         keys[rows] = block_keys
-        if not (_read_robots(block[:, :digits], robots[rows], number_of_id) and _read_times(block[:, time : time + _TIME_WIDTH], times[rows])):
-            return None
+        _check_order(times, row, row + len(block))
+    if start + scans * width < len(data):
+        raise _block_fault(data, start, lines[scans:], scans, times)
     robot_ids = tuple(sorted(number_of_id))
     number_of = dict(zip(robot_ids, range(len(robot_ids))))
     # Every number is in range, and "clip" mode writes in place where "raise" buffers a copy.
     np.take(np.fromiter(map(number_of.__getitem__, number_of_id), np.intp, len(number_of)), robots, out=robots, mode="clip")
-    try:
-        return Trace(robot_ids, keys, times, robots=robots)
-    except ValidationError:
-        return None
+    return Trace(robot_ids, keys, times, robots=robots)
 
 
 def _read_robots(text: np.ndarray, robots: np.ndarray, number_of_id: dict) -> bool:
@@ -404,60 +386,62 @@ def _read_times(text: np.ndarray, times: np.ndarray) -> bool:
     return True
 
 
-def _shown(field: str, short: Optional[str] = None) -> str:
-    """How an error line names ``field``: as ``short``, by default its repr, or past 40 characters by its length and first 40 characters."""
-    if len(field) > 40:
-        return f"{len(field)} characters starting {field[:40]!r}"
-    return repr(field) if short is None else short
+def _check_order(times: np.ndarray, start: int, stop: int) -> None:
+    """Raise TraceFormatError at the first of ``times[start:stop]`` below the time before it; scan i is on line i + 2."""
+    window = times[max(start - 1, 0) : stop]
+    falls = window[1:] < window[:-1]
+    if falls.any():
+        at = int(falls.argmax())
+        raise TraceFormatError(max(start - 1, 0) + at + 3, f"issued_at_ms decreased ({window[at + 1].item()!r} after {window[at].item()!r})")
 
 
-def _walk_lines(text: str) -> NoReturn:
-    """Raise at the first bad line of the trace ``text``, with its number and reason.
+def _block_fault(data: bytes, start: int, block: np.ndarray, row: int, times: np.ndarray) -> TraceFormatError:
+    """The error of the first bad line of ``block``, the lines from scan ``row`` on of a block that failed a check of parse_trace_bytes.
 
-    A text with no bad line, which _parse_columns accepts, ends in
-    AssertionError.
+    Each check is one mask over the rows, in the order a line's reason is
+    taken: its width, its robot id and comma, its barcode and comma, the
+    form of its time and its exponent. A row after the block fails them
+    all, so an empty block after the last whole line names the next line
+    for its width. The times before the first bad row are held to order
+    first, which raises at an earlier fall.
     """
-    last_time = 0.0
-    digits = 0  # the robot id width of line 2, which every line shares
-    for line_no, raw in enumerate(io.StringIO(text, newline=""), start=1):
-        line = raw[:-1] if raw.endswith("\n") else raw
-        if line_no == 1:
-            if line != TRACE_HEADER:
-                # A file that is not a trace may be one long line.
-                raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {_shown(line)}")
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TraceFormatError(line_no, f"expected 3 comma-separated fields, got {len(parts)}")
-        robot_field, barcode, time_field = parts
-        # ASCII digits only: int() would also take "1_0", " 1" or full-width digits.
-        if not (robot_field.isascii() and robot_field.isdigit()):
-            sign, unsigned = robot_field[:1], robot_field[1:]
-            if sign in ("-", "+") and unsigned.isascii() and unsigned.isdigit():
-                if sign == "-" and unsigned.strip("0"):
-                    raise TraceFormatError(line_no, f"robot_id {_shown(robot_field, robot_field)} is negative")
-                raise TraceFormatError(line_no, f"robot_id {_shown(robot_field)} has a sign")
-            raise TraceFormatError(line_no, f"robot_id {_shown(robot_field)} is not an integer")
-        if len(robot_field) > _ROBOT_DIGITS:
-            raise TraceFormatError(line_no, f"robot_id of {len(robot_field)} digits is too long")
-        digits = digits or len(robot_field)
-        if len(robot_field) != digits:
-            raise TraceFormatError(line_no, f"robot_id {robot_field!r} has width {len(robot_field)}, not {digits} as on line 2")
-        if not (len(barcode) == BARCODE_WIDTH and barcode.isascii() and barcode.isdigit()):
-            raise TraceFormatError(line_no, f"malformed barcode key {_shown(barcode)}: expected exactly 14 decimal digits")
-        match = _TIME_TEXT.fullmatch(time_field)
-        if match is None:
-            raise TraceFormatError(line_no, f"issued_at_ms {_shown(time_field)} is not of the form {_TIME_FORM}")
-        lead, fraction, exponent = match.groups()
-        if lead == "1" and not (exponent != "-0000" and -1022 <= int(exponent) <= 1023):
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field} has exponent {exponent}, not -1022 to -0001 or +0000 to +1023")
-        if lead == "0" and exponent != ("-1022" if fraction.strip("0") else "+0000"):
-            raise TraceFormatError(line_no, f"issued_at_ms {time_field} is neither zero, 0x0.0000000000000p+0000, nor a subnormal, 0x0.<13 hex digits>p-1022")
-        issued_at = float.fromhex(time_field)
-        if issued_at < last_time:
-            raise TraceFormatError(line_no, f"issued_at_ms decreased ({issued_at!r} after {last_time!r})")
-        last_time = issued_at
-    raise AssertionError("every line passed the walk but not the bulk parse")
+    width = block.shape[1]
+    digits = width - _AFTER_ROBOT
+    time = digits + 1 + BARCODE_WIDTH + 1
+    text = block[:, time : time + _TIME_WIDTH]
+    marks = block[:, _fixed_columns(digits)] == _FIXED_BYTES
+    digit = block - np.uint8(ord("0")) < 10
+    nibbles = _HEX_VALUE[text[:, 4:17]]
+    exponents = (text[:, 19:23] - np.uint8(ord("0"))).astype(np.int64) @ np.array([1000, 100, 10, 1])
+    plus = text[:, 18] == ord("+")
+    signed = np.where(plus, exponents, -exponents)
+    normal = text[:, 2] == ord("1")
+    checks = [
+        marks[:, 6] & ~(block[:, :-1] == ord("\n")).any(axis=1),
+        digit[:, :digits].all(axis=1) & marks[:, 0],
+        digit[:, digits + 1 : time - 1].all(axis=1) & marks[:, 1],
+        marks[:, 2:6].all(axis=1) & (text[:, 2] - np.uint8(ord("0")) < 2) & (nibbles < 16).all(axis=1)
+        & (plus | (text[:, 18] == ord("-"))) & digit[:, time + 19 : time + _TIME_WIDTH].all(axis=1),
+        ~normal | ((signed >= -1022) & (signed <= 1023) & (plus | (exponents > 0))),
+        normal | np.where(nibbles.any(axis=1), signed == -1022, plus & (exponents == 0)),
+    ]
+    bad = int(np.append(np.logical_and.reduce(checks), False).argmin())
+    _read_times(text[:bad], times[row : row + bad])
+    _check_order(times, row, row + bad)
+    if bad == len(block) or not checks[0][bad]:
+        at = start + (row + bad) * width
+        got = data.find(b"\n", at) - at
+        return TraceFormatError(row + bad + 2, f"expected {width - 1} bytes ({digits}-digit robot_id as on line 2, 14-digit barcode, issued_at_ms of the form {_TIME_FORM}), got {got}")
+    # A robot id or a barcode is quoted with the byte after its columns, unless that is its comma.
+    robot, barcode, field = (block[bad, first:stop].tobytes().decode(TRACE_ENCODING, "surrogateescape") for first, stop in ((0, digits + 1), (digits + 1, time), (time, time + _TIME_WIDTH)))
+    reasons = [
+        f"robot_id {robot.removesuffix(',')!r} is not a {digits}-digit integer as on line 2",
+        f"malformed barcode key {barcode.removesuffix(',')!r}: expected exactly 14 decimal digits",
+        f"issued_at_ms {field!r} is not of the form {_TIME_FORM}",
+        f"issued_at_ms {field} has exponent {field[18:]}, not -1022 to -0001 or +0000 to +1023",
+        f"issued_at_ms {field} is neither zero, 0x0.0000000000000p+0000, nor a subnormal, 0x0.<13 hex digits>p-1022",
+    ]
+    return TraceFormatError(row + bad + 2, next(reason for passed, reason in zip(checks[1:], reasons) if not passed[bad]))
 
 
 def write_trace(trace: Trace, path: str) -> None:

@@ -10,8 +10,9 @@ shared dataclasses for inputs.
 synth_record_line formats one synthetic knowledge-base line per rank, the
 way the knowledge-base writer formatted them before the record file was
 filled a field at a time. reference_load_trace is the trace-file line
-walk of the fixed-width format, with its own checks of each time field
-and its own assembly of the time's bits; it names any field or header
+walk of the fixed-width format, with lines split at "\n" only, the width
+of every line taken from line 2's robot id, its own checks of each field
+at its columns and its own assembly of the time's bits; it names a header
 of more than 40 characters by its length and first 40 characters.
 reference_save_trace writes the same format one line at a time with
 ``float.hex()``, the byte-for-byte oracle of the block writer.
@@ -197,11 +198,11 @@ def synth_record_line(rank: int) -> str:
 TIME_FORM = "0x1.<13 lowercase hex digits>p<+ or -><4 digits>"
 
 
-def _named(field: str, short=None) -> str:
-    """``short`` (by default the field's repr), or past 40 characters the field's length and first 40 characters."""
+def _named(field: str) -> str:
+    """The field's repr, or past 40 characters its length and first 40 characters."""
     if len(field) > 40:
         return f"{len(field)} characters starting {field[:40]!r}"
-    return repr(field) if short is None else short
+    return repr(field)
 
 
 def reference_time_text(value: float) -> str:
@@ -210,44 +211,58 @@ def reference_time_text(value: float) -> str:
     return f"{mantissa.ljust(17, '0')}p{int(exponent):+05d}"
 
 
+def _quoted(line: bytes, first: int, last: int) -> str:
+    """The repr of columns ``first`` to ``last`` of ``line`` and the byte after them, unless that is a comma."""
+    field = line[first : last + 1]
+    if field[-1:] == b",":
+        field = field[:-1]
+    return repr(field.decode("utf-8", "surrogateescape"))
+
+
 def reference_load_trace(stream) -> Trace:
     """Parse a trace CSV, enforcing field shape and non-decreasing time.
 
-    A zero-byte source yields an empty trace; any content must start
-    with the standard header line. A time's bits are built from its
-    fields with integer arithmetic and ``struct``, not ``float.fromhex``.
+    ``stream`` yields the lines of the file split at "\n" only, as a text
+    file opened with ``newline="\n"`` does. A zero-byte source yields an
+    empty trace; any content must start with the standard header line.
+    The bytes before line 2's first comma, 1 to 18 of them, set the robot
+    id width, and with it the width of every line; each field is then
+    taken from its columns of the line's UTF-8 bytes. A robot id or a
+    barcode that fails its check is quoted with the byte after its
+    columns, unless that byte is its comma. A time's bits are built from
+    its fields with integer arithmetic and ``struct``, not
+    ``float.fromhex``.
     """
     robot_ids, barcodes, times = [], [], []
-    width = 0
+    digits = 0
     for line_no, raw in enumerate(stream, start=1):
         line = raw[:-1] if raw.endswith("\n") else raw
         if line_no == 1:
             if line != TRACE_HEADER:
                 raise TraceFormatError(line_no, f"expected header {TRACE_HEADER!r}, got {_named(line)}")
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TraceFormatError(line_no, f"expected 3 comma-separated fields, got {len(parts)}")
-        robot_field, barcode, time_field = parts
-        # ASCII digits only: int() would also take "1_0", " 1" or full-width digits.
-        if not (robot_field.isascii() and robot_field.isdigit()):
-            sign, unsigned = robot_field[:1], robot_field[1:]
-            if sign in ("-", "+") and unsigned.isascii() and unsigned.isdigit():
-                if sign == "-" and unsigned.strip("0"):
-                    raise TraceFormatError(line_no, f"robot_id {_named(robot_field, robot_field)} is negative")
-                raise TraceFormatError(line_no, f"robot_id {_named(robot_field)} has a sign")
-            raise TraceFormatError(line_no, f"robot_id {_named(robot_field)} is not an integer")
-        if len(robot_field) > 18:
-            raise TraceFormatError(line_no, f"robot_id of {len(robot_field)} digits is too long")
-        width = width or len(robot_field)
-        if len(robot_field) != width:
-            raise TraceFormatError(line_no, f"robot_id {robot_field!r} has width {len(robot_field)}, not {width} as on line 2")
+        data = line.encode("utf-8", "surrogateescape")
+        if line_no == 2:
+            digits = data.index(b",") if b"," in data else -1
+            if not 1 <= digits <= 18:
+                raise TraceFormatError(
+                    line_no, f"expected a robot_id of 1 to 18 digits before the first comma, got {len(data) if digits < 0 else digits} bytes"
+                )
+        if len(data) != digits + 39:
+            raise TraceFormatError(
+                line_no,
+                f"expected {digits + 39} bytes ({digits}-digit robot_id as on line 2, 14-digit barcode, "
+                f"issued_at_ms of the form {TIME_FORM}), got {len(data)}",
+            )
+        text = data.decode("latin-1")  # one character per byte, for the column tests
+        robot_field, barcode, time_field = text[:digits], text[digits + 1 : digits + 15], text[digits + 16 :]
+        if not (all(char in "0123456789" for char in robot_field) and text[digits] == ","):
+            raise TraceFormatError(line_no, f"robot_id {_quoted(data, 0, digits)} is not a {digits}-digit integer as on line 2")
         robot_id = int(robot_field)
-        if not (len(barcode) == 14 and all(char in "0123456789" for char in barcode)):
-            raise TraceFormatError(line_no, f"malformed barcode key {_named(barcode)}: expected exactly 14 decimal digits")
+        if not (all(char in "0123456789" for char in barcode) and text[digits + 15] == ","):
+            raise TraceFormatError(line_no, f"malformed barcode key {_quoted(data, digits + 1, digits + 15)}: expected exactly 14 decimal digits")
         if not (
-            len(time_field) == 23
-            and time_field[:2] == "0x"
+            time_field[:2] == "0x"
             and time_field[2] in "01"
             and time_field[3] == "."
             and all(char in "0123456789abcdef" for char in time_field[4:17])
@@ -255,7 +270,8 @@ def reference_load_trace(stream) -> Trace:
             and time_field[18] in "+-"
             and all(char in "0123456789" for char in time_field[19:])
         ):
-            raise TraceFormatError(line_no, f"issued_at_ms {_named(time_field)} is not of the form {TIME_FORM}")
+            shown = data[digits + 16 :].decode("utf-8", "surrogateescape")
+            raise TraceFormatError(line_no, f"issued_at_ms {shown!r} is not of the form {TIME_FORM}")
         exponent_text = time_field[18:]
         fraction, exponent = int(time_field[4:17], 16), int(exponent_text)
         if time_field[2] == "1":
@@ -332,8 +348,8 @@ def reference_ingest(source) -> str:
 
 
 def reference_load_kb(path: str) -> str:
-    """reference_ingest of a record file, read as the file reader read it."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="") as fh:
+    """reference_ingest of a record file, its lines split at "\n" only."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape", newline="\n") as fh:
         return reference_ingest(fh)
 
 

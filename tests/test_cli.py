@@ -731,20 +731,23 @@ def test_run_rejects_an_input_file_with_an_undecodable_byte(name, config_path, t
 KB_LINE_3 = synth_record_line(2)
 # The time 4.0 as a trace file spells it.
 FOUR = reference_time_text(4.0).encode()
-# An undecodable byte reaches the line check as a lone surrogate.
+# The reason of a trace line of {} bytes after a line 2 with a 1-digit robot id.
+TRACE_WIDTH = f"expected 40 bytes (1-digit robot_id as on line 2, 14-digit barcode, issued_at_ms of the form {TIME_FORM}), got {{}}"
+# An error quotes an undecodable byte as a lone surrogate.
 KB_LINE_3_UNDECODABLE = KB_LINE_3[:20] + "\udcff" + KB_LINE_3[21:]
 
 
 @pytest.mark.parametrize(
     "name,line_3,reason",
     [
-        ("trace.csv", b"1_0,10000000000000," + FOUR, "robot_id '1_0' is not an integer"),
-        ("trace.csv", b"7" * 5000 + b",10000000000000," + FOUR, "robot_id of 5000 digits is too long"),
-        ("trace.csv", b"1" * 19 + b",10000000000000," + FOUR, "robot_id of 19 digits is too long"),
-        ("trace.csv", b"1".zfill(19) + b",10000000000000," + FOUR, "robot_id of 19 digits is too long"),
-        ("trace.csv", b"0,10000000000000,4.0", f"issued_at_ms '4.0' is not of the form {TIME_FORM}"),
+        ("trace.csv", b"1_0,10000000000000," + FOUR, TRACE_WIDTH.format(42)),
+        ("trace.csv", b"x,10000000000000," + FOUR, "robot_id 'x' is not a 1-digit integer as on line 2"),
+        ("trace.csv", b"7" * 5000 + b",10000000000000," + FOUR, TRACE_WIDTH.format(5039)),
+        ("trace.csv", b"1" * 19 + b",10000000000000," + FOUR, TRACE_WIDTH.format(58)),
+        ("trace.csv", b"1".zfill(19) + b",10000000000000," + FOUR, TRACE_WIDTH.format(58)),
+        ("trace.csv", b"0,10000000000000,4.0", TRACE_WIDTH.format(20)),
         ("kb.dat", b"10000000000002SHIP00002", "expected 56 characters, got 23"),
-        ("kb.dat", KB_LINE_3[:18].encode() + b"\r" + KB_LINE_3[19:].encode(), "expected 56 characters, got 19"),
+        ("kb.dat", KB_LINE_3[:18].encode() + b"\r" + KB_LINE_3[19:].encode(), 'carriage return in the line; a record line ends in "\\n" only'),
         ("kb.dat", b"1000000000000x" + KB_LINE_3[14:].encode(), "barcode field '1000000000000x' is not 14 decimal digits"),
         ("kb.dat", synth_record_line(0).encode(), "duplicate barcode 10000000000000"),
         (
@@ -753,7 +756,7 @@ KB_LINE_3_UNDECODABLE = KB_LINE_3[:20] + "\udcff" + KB_LINE_3[21:]
             f"non-ASCII character in {KB_LINE_3_UNDECODABLE!r}",
         ),
     ],
-    ids=["trace", "trace-robot-id-too-long", "trace-robot-id-of-19-digits", "trace-robot-id-zero-padded-to-19", "trace-decimal-time", "kb", "kb-lone-cr", "kb-barcode", "kb-duplicate", "kb-undecodable"],
+    ids=["trace", "trace-robot-id-letter", "trace-robot-id-too-long", "trace-robot-id-of-19-digits", "trace-robot-id-zero-padded-to-19", "trace-decimal-time", "kb", "kb-lone-cr", "kb-barcode", "kb-duplicate", "kb-undecodable"],
 )
 def test_run_names_the_input_file_holding_a_malformed_line(name, line_3, reason, config_path, tmp_path, capsys):
     out = str(tmp_path / "out")

@@ -153,6 +153,8 @@ FAULTS = {
     "crlf": (make_line("12345678901236") + "\r\n", TOO_LONG),
     # 55 characters and "\r\n" are as long as a good line and its "\n".
     "crlf_55": (make_line("12345678901236")[:-1] + "\r\n", CR_IN_LINE),
+    # A duplicate is named before the "\r" of the same line.
+    "crlf_55_duplicate": (make_line("12345678901234")[:-1] + "\r\n", "duplicate barcode 12345678901234"),
     "empty": ("\n", "expected 56 characters, got 0"),
     "barcode": (make_line("1234567890123x") + "\n", "barcode field '1234567890123x' is not 14 decimal digits"),
     # The readers take the two UTF-8 bytes of "é" as two characters.
@@ -170,8 +172,10 @@ FAULTS = {
         make_line("12345678901236")[:-1] + "\n" + "1" + make_line("12345678901238") + "\n",
         "expected 56 characters, got 55",
     ),
-    # Both readers also end a line at a lone "\r", as a file opened with newline="" does.
-    "lone_cr": (make_line("12345678901236", shipper="SHIP\r0001") + "\n", "expected 56 characters, got 19"),
+    # Lines end at "\n" only: a "\r" is a bad byte of the line that holds it.
+    "lone_cr": (make_line("12345678901236", shipper="SHIP\r0001") + "\n", CR_IN_LINE),
+    "cr_in_the_barcode": (make_line("1234567\r901236") + "\n", "barcode field '1234567\\r901236' is not 14 decimal digits"),
+    "lone_cr_ends_a_line": (make_line("12345678901236") + "\r" + make_line("12345678901238") + "\n", "expected 56 characters, got 113"),
 }
 
 
@@ -197,16 +201,18 @@ def test_a_bad_line_3_is_rejected_with_the_same_line_number_and_reason(fault, re
     assert (exc_info.value.line_no, exc_info.value.reason) == (3, reason)
 
 
+# The least and the largest byte that is not ASCII.
+@pytest.mark.parametrize("byte", [0x80, 0xFF])
 @pytest.mark.parametrize("reader", ["load_kb", "ingest_bytes"])
-def test_an_undecodable_byte_on_line_3_is_rejected_by_the_byte_readers(reader, tmp_path):
-    bad = make_line("12345678901236", shipper="SHIP\xff").encode("latin-1") + b"\n"
+def test_an_undecodable_byte_on_line_3_is_rejected_by_the_byte_readers(reader, byte, tmp_path):
+    bad = make_line("12345678901236", shipper="SHIP" + chr(byte)).encode("latin-1") + b"\n"
     data = LINES_1_2.encode("ascii") + bad + LINE_4.encode("ascii")
     path = tmp_path / "kb.dat"
     path.write_bytes(data)
     with pytest.raises(IngestError) as exc_info:
         load_kb(str(path)) if reader == "load_kb" else ingest_bytes(data)
     assert exc_info.value.line_no == 3
-    assert exc_info.value.reason == "non-ASCII character in '12345678901236SHIP\\udcff     GRNDTERM0001                    '"
+    assert exc_info.value.reason == f"non-ASCII character in '12345678901236SHIP\\udc{byte:02x}     GRNDTERM0001                    '"
 
 
 @pytest.mark.parametrize(
@@ -300,7 +306,7 @@ def test_ingest_refuses_a_row_with_a_field_wider_than_its_column(fields):
 
 
 def test_ingest_refuses_a_row_with_a_non_ascii_field():
-    # "\udce9" is how the walk decodes the one byte 0xE9.
+    # "\udce9" is how the error quotes the one byte 0xE9.
     line, reason = ingest_row_2(shipper_number="SHIP\udce9")
     assert reason == f"non-ASCII character in {line!r}"
 
@@ -343,7 +349,7 @@ FUZZ_LINES = [
 ]
 FUZZ_BASE = "".join(line + "\n" for line in FUZZ_LINES)
 # What each inserted or replacing character tests: line structure, the CR
-# a file reader also ends a line at, a non-digit, a non-ASCII character, the
+# that is a bad byte wherever it is, a non-digit, a non-ASCII character, the
 # surrogate an undecodable byte decodes to, a non-ASCII digit and valid characters.
 FUZZ_CHARS = ["\n", "\r", "\r\n", "x", "é", "\udcff", "５", "0", "9", " "]
 
@@ -417,16 +423,16 @@ def ingest_outcome(read, source):
 def reference_outcome(read, source, text):
     """What the line walk gives for ``text`` read by ``read(source)``, with a "\r" in a line refused.
 
-    The verbatim walk keeps a "\r" that ends a line of the right length
-    (55 characters and "\r\n"), which the readers refuse at the first
-    such line it passes before any line it refuses. A text it passes
-    gives the keys of its lines.
+    The verbatim walk, its lines split at "\n" only, keeps a "\r" in a
+    line of the right length, which the readers refuse at the first such
+    line it passes before any line it refuses. A text it passes gives the
+    keys of its lines.
     """
     try:
         outcome = read(source)
     except IngestError as exc:
         outcome = exc.line_no, exc.reason
-    lines = [raw.removesuffix("\n") for raw in io.StringIO(text, newline="")]
+    lines = [raw.removesuffix("\n") for raw in io.StringIO(text, newline="\n")]
     passed = len(lines) if isinstance(outcome, str) else outcome[0] - 1
     for line_no, line in enumerate(lines[:passed], start=1):
         if "\r" in line:
@@ -440,7 +446,7 @@ def test_ingesting_a_mutated_record_text_matches_the_line_walk(text, tmp_path):
     data = text.encode("utf-8", "surrogateescape")
     path = tmp_path / "kb.dat"
     path.write_bytes(data)
-    with open(path, encoding="ascii", errors="surrogateescape", newline="") as fh:
+    with open(path, encoding="ascii", errors="surrogateescape", newline="\n") as fh:
         file_text = fh.read()
     loaded = reference_outcome(reference_load_kb, str(path), file_text)
     assert ingest_outcome(load_kb_index, str(path)) == loaded
@@ -450,19 +456,14 @@ def test_ingesting_a_mutated_record_text_matches_the_line_walk(text, tmp_path):
         assert ingest_outcome(load_kb_index, str(path)) == ingest_outcome(ingest_bytes, data) == loaded
     if text.isascii():
         # The bytes of an ASCII text decode to the text itself.
-        assert loaded == reference_outcome(reference_ingest, io.StringIO(text, newline=""), text)
-
-
-def walk_refused(lines):
-    raise AssertionError("a valid record text fell back to the line walk")
+        assert loaded == reference_outcome(reference_ingest, io.StringIO(text, newline="\n"), text)
 
 
 # One record; both sides of the 52-rank field period; both sides of a
 # block and of the writer's 10,000-rank run, which are the same size; two
 # whole blocks.
 @pytest.mark.parametrize("records", [1, 52, 53, 9_999, 10_000, 10_001, 20_000])
-def test_a_written_knowledge_base_file_loads_without_the_line_walk(records, monkeypatch, tmp_path):
-    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+def test_a_written_knowledge_base_file_loads(records, tmp_path):
     path = tmp_path / "kb.dat"
     with open(path, "wb") as fh:
         write_kb_for_workload(records, fh)
@@ -471,8 +472,7 @@ def test_a_written_knowledge_base_file_loads_without_the_line_walk(records, monk
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_a_final_line_without_a_newline_loads_without_the_line_walk(monkeypatch, tmp_path):
-    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+def test_a_final_line_without_a_newline_loads_from_a_buffer_or_a_file(tmp_path):
     data = (LINES_1_2 + LINE_4[:-1]).encode("ascii")
     path = tmp_path / "kb.dat"
     path.write_bytes(data)
@@ -480,13 +480,6 @@ def test_a_final_line_without_a_newline_loads_without_the_line_walk(monkeypatch,
     for kb in (ingest_bytes(data), ingest_bytes(buffer), load_kb(str(path))[0]):
         assert keys_of(kb) == keys_of_text(LINES_1_2 + LINE_4)
     assert buffer == data  # the "\n" goes on a copy, not on the caller's buffer
-
-
-@pytest.mark.parametrize("text", ["", LINES_1_2 + LINE_4], ids=["empty", "three-records"])
-def test_the_line_walk_of_a_good_record_text_ends_in_an_assertion(text):
-    # The walk only names the bad line of a text that the bulk check refused.
-    with pytest.raises(AssertionError, match="bulk check"):
-        robocache.knowledge_base._walk(text)
 
 
 # A file of three blocks and five records: the second block holds lines
@@ -514,12 +507,15 @@ def line_at(line_no):
         # last, short block.
         (10_003, "newline_in_a_field", "expected 56 characters, got 24"),
         (20_004, "newline_in_a_field", "expected 56 characters, got 24"),
+        # The last line of the first block, one character too long: its "\n" is
+        # in the second block, which is read on to measure it.
+        (10_000, "long", TOO_LONG),
     ],
 )
 def test_a_bad_line_in_a_later_block_is_named_by_its_file_line_number(reader, line_no, fault, reason, block_edge_data, tmp_path):
     at = line_at(line_no)
     good = block_edge_data[at : at + RECORD_WIDTH]
-    bad = b"too short\n" if fault == "short" else good[:24] + b"\n" + good[25:]
+    bad = {"short": b"too short\n", "newline_in_a_field": good[:24] + b"\n" + good[25:], "long": good[:-1] + b"X\n"}[fault]
     text = (block_edge_data[:at] + bad + block_edge_data[at + RECORD_WIDTH :]).decode("ascii")
     with pytest.raises(IngestError) as exc_info:
         read_via(reader, text, tmp_path)
@@ -557,8 +553,7 @@ def reordered(data, order):
 
 @pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("order", ["descending", "shuffled"])
-def test_a_file_out_of_barcode_order_loads_to_the_sorted_index(reader, order, monkeypatch, block_edge_data, tmp_path):
-    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+def test_a_file_out_of_barcode_order_loads_to_the_sorted_index(reader, order, block_edge_data, tmp_path):
     kb = read_via(reader, reordered(block_edge_data, order).decode("ascii"), tmp_path)
     assert keys_of(kb) == keys_of(build_kb_for_workload(BLOCK_EDGE_RECORDS))
 
@@ -566,7 +561,6 @@ def test_a_file_out_of_barcode_order_loads_to_the_sorted_index(reader, order, mo
 # Blocks of 3 records fill the read buffer 6,668 times before the last block, of 1.
 @pytest.mark.parametrize("block_records", [robocache.knowledge_base._BLOCK_RECORDS, 3])
 def test_a_file_that_ends_partway_through_a_block_without_a_newline_loads(block_records, monkeypatch, block_edge_data, tmp_path):
-    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
     monkeypatch.setattr(robocache.knowledge_base, "_BLOCK_BYTES", block_records * RECORD_WIDTH)
     path = tmp_path / "kb.dat"
     path.write_bytes(block_edge_data[:-1])
@@ -601,13 +595,62 @@ def test_a_loaded_index_shares_no_memory_with_the_read_buffer(monkeypatch, block
     assert np.array_equal(kb._sorted_keys, expected)
 
 
-def test_an_empty_file_loads_as_an_empty_knowledge_base(monkeypatch, tmp_path):
-    monkeypatch.setattr(robocache.knowledge_base, "_walk", walk_refused)
+def test_an_empty_file_loads_as_an_empty_knowledge_base(tmp_path):
     path = tmp_path / "kb.dat"
     path.write_bytes(b"")
     kb, digest = load_kb(str(path))
     assert len(kb) == 0
     assert digest == hashlib.sha256(b"").hexdigest()
+
+
+class CountingFile:
+    """A binary file that counts the bytes read from it and the seeks made on it."""
+
+    def __init__(self, path, mode):
+        self._file = open(path, mode)
+        self.bytes_read = self.seeks = 0
+
+    def readinto(self, buffer):
+        got = self._file.readinto(buffer)
+        self.bytes_read += got
+        return got
+
+    def read(self, *size):
+        data = self._file.read(*size)
+        self.bytes_read += len(data)
+        return data
+
+    def seek(self, *args):
+        self.seeks += 1
+        return self._file.seek(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._file.close()
+
+
+def test_refusing_a_file_at_its_last_record_reads_it_once_without_a_seek(monkeypatch, block_edge_data, tmp_path):
+    data = bytearray(block_edge_data)
+    data[-RECORD_WIDTH + 3] = ord("x")
+    path = tmp_path / "kb.dat"
+    path.write_bytes(data)
+    files = []
+
+    def counting_open(*args):
+        files.append(CountingFile(*args))
+        return files[-1]
+
+    monkeypatch.setattr(robocache.knowledge_base, "open", counting_open, raising=False)
+    with pytest.raises(IngestError) as exc_info:
+        load_kb(str(path))
+    barcode = data[-RECORD_WIDTH : -RECORD_WIDTH + BARCODE_WIDTH].decode("ascii")
+    assert (exc_info.value.line_no, exc_info.value.reason) == (BLOCK_EDGE_RECORDS, f"barcode field {barcode!r} is not 14 decimal digits")
+    assert [(file.bytes_read, file.seeks) for file in files] == [(len(data), 0)]
 
 
 def test_the_digest_of_a_file_of_several_blocks_is_its_sha256(block_edge_data, tmp_path):

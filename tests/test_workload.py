@@ -216,12 +216,13 @@ def test_malformed_lines_carry_their_line_number(body, bad_line):
 @pytest.mark.parametrize(
     "robot_field,reason",
     [
-        ("-1", "robot_id -1 is negative"),
-        ("-0", "robot_id '-0' has a sign"),
-        ("+1", "robot_id '+1' has a sign"),
-        ("1_0", "robot_id '1_0' is not an integer"),
-        ("", "robot_id '' is not an integer"),
-        ("7" * 5000, "robot_id of 5000 digits is too long"),
+        # Line 2's first comma sets the robot id width.
+        ("-1", "robot_id '-1' is not a 2-digit integer as on line 2"),
+        ("-0", "robot_id '-0' is not a 2-digit integer as on line 2"),
+        ("+1", "robot_id '+1' is not a 2-digit integer as on line 2"),
+        ("1_0", "robot_id '1_0' is not a 3-digit integer as on line 2"),
+        ("", "expected a robot_id of 1 to 18 digits before the first comma, got 0 bytes"),
+        ("7" * 5000, "expected a robot_id of 1 to 18 digits before the first comma, got 5000 bytes"),
     ],
 )
 def test_robot_id_errors_name_the_field(robot_field, reason):
@@ -233,12 +234,15 @@ def test_robot_id_errors_name_the_field(robot_field, reason):
 @pytest.mark.parametrize(
     "time_field,reason",
     [
-        ("-" + FOUR, f"issued_at_ms '-{FOUR}' is not of the form {TIME_FORM}"),
-        ("+" + FOUR, f"issued_at_ms '+{FOUR}' is not of the form {TIME_FORM}"),
-        ("4.0", f"issued_at_ms '4.0' is not of the form {TIME_FORM}"),
-        ("0x1p+2", f"issued_at_ms '0x1p+2' is not of the form {TIME_FORM}"),
-        (FOUR + "\r", f"issued_at_ms '{FOUR}\\r' is not of the form {TIME_FORM}"),
-        ("", f"issued_at_ms '' is not of the form {TIME_FORM}"),
+        # A time field of 23 bytes, as wide as a line's time, is named with its reason ...
+        ("-" + FOUR[1:], f"issued_at_ms '-{FOUR[1:]}' is not of the form {TIME_FORM}"),
+        ("+" + FOUR[1:], f"issued_at_ms '+{FOUR[1:]}' is not of the form {TIME_FORM}"),
+        ("4.0".ljust(23, "0"), f"issued_at_ms '{'4.0'.ljust(23, '0')}' is not of the form {TIME_FORM}"),
+        ("0x1p+2".ljust(23, "0"), f"issued_at_ms '{'0x1p+2'.ljust(23, '0')}' is not of the form {TIME_FORM}"),
+        (FOUR[:-1] + "\r", f"issued_at_ms '{FOUR[:-1]}\\r' is not of the form {TIME_FORM}"),
+        (" " * 23, f"issued_at_ms '{' ' * 23}' is not of the form {TIME_FORM}"),
+        # ... and any other by the width of its line.
+        ("4.0", f"expected 40 bytes (1-digit robot_id as on line 2, 14-digit barcode, issued_at_ms of the form {TIME_FORM}), got 20"),
         ("0x1.0000000000000p+1024", "issued_at_ms 0x1.0000000000000p+1024 has exponent +1024, not -1022 to -0001 or +0000 to +1023"),
         (
             "0x0.0000000000000p-1022",
